@@ -1,12 +1,17 @@
 """Exact rational linear algebra.
 
 Everything downstream runs on the primitives in this module: arbitrary
-precision rationals (``fractions.Fraction``), matrices, exact solving,
-kernels, cokernels and Kronecker products.
+precision rationals, matrices, exact solving, kernels, cokernels and
+Kronecker products.
 
 Conventions, fixed once and used everywhere:
 
-* Vectors are sparse dicts ``{index: Fraction}`` with no zero entries.
+* Scalars are canonical exact rationals: an ``int`` when integral and a
+  ``fractions.Fraction`` only when not.  Every value this module creates is
+  canonical, so integer data runs on integer arithmetic.  ``1 ==
+  Fraction(1)`` and both hash alike, so a stray integral ``Fraction`` (say
+  from a caller's own loop) costs speed, never correctness.
+* Vectors are sparse dicts ``{index: int | Fraction}`` with no zero entries.
 * A ``Matrix`` acts on column vectors; it is stored as a list of sparse
   columns (``cols[j]`` is the image of the j-th basis vector).  The
   semantics are those of a dense rows x cols array; the sparse storage is
@@ -19,14 +24,16 @@ Conventions, fixed once and used everywhere:
   serialized matrices are flat row-major arrays.
 
 Matrices are immutable by convention once constructed: no public method
-mutates entries, so values can be shared freely.
+mutates entries, so values can be shared freely.  Products rely on this: a
+matrix caches its integer form (integer columns over one common
+denominator) on first use and never recomputes it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class LinAlgError(Exception):
@@ -36,21 +43,24 @@ class LinAlgError(Exception):
 # ---------------------------------------------------------------------------
 # rationals
 
-def rat(x) -> Fraction:
-    """Coerce ints, Fractions and "p/q" strings to an exact Fraction."""
+def rat(x) -> int | Fraction:
+    """Coerce ints, Fractions and "p/q" strings to a canonical exact rational."""
     if isinstance(x, Fraction):
-        return x
+        return _canon(x)
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     if isinstance(x, str):
         s = x.strip().replace("−", "-")  # tolerate unicode minus
-        return Fraction(s)
+        try:
+            return _canon(Fraction(s))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in rational {x!r}") from None
     if isinstance(x, float):
         raise TypeError(f"refusing to coerce float {x!r} to an exact rational")
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 
-def rat_str(x: Fraction) -> str:
+def rat_str(x: int | Fraction) -> str:
     """Canonical string form: "p" or "p/q" with q > 0, lowest terms."""
     x = Fraction(x)
     if x.denominator == 1:
@@ -58,8 +68,38 @@ def rat_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+def _canon(x):
+    """An integral Fraction as an int; anything else unchanged."""
+    if type(x) is int or x.denominator != 1:
+        return x
+    return x.numerator
+
+
+def _div(a, b: int) -> int | Fraction:
+    """The exact quotient a / b in canonical form (b a nonzero int)."""
+    if type(a) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _canon(Fraction(a, b))
+
+
+def _lcm_denominator(values) -> int | None:
+    """The lcm of the denominators of values; None when all are ints already."""
+    den = None
+    for x in values:
+        if type(x) is not int:
+            den = lcm(den or 1, x.denominator)
+    return den
+
+
+def _scaled(v: dict, den: int) -> dict:
+    """den * v as an int vector (den a common multiple of v's denominators)."""
+    return {k: x.numerator * (den // x.denominator) for k, x in v.items()}
+
+
+ZERO = 0
+ONE = 1
 
 
 # ---------------------------------------------------------------------------
@@ -107,24 +147,24 @@ class LegShape:
 
 
 # ---------------------------------------------------------------------------
-# sparse vector helpers (dict index -> Fraction, zero entries never stored)
+# sparse vector helpers (dict index -> scalar, zero entries never stored)
 
-def vec_add_scaled(acc: dict, v: dict, c: Fraction) -> None:
+def vec_add_scaled(acc: dict, v: dict, c) -> None:
     """acc += c*v, in place, dropping cancellations."""
     if not c:
         return
     for k, x in v.items():
-        y = acc.get(k, ZERO) + c * x
+        y = acc.get(k, 0) + c * x
         if y:
-            acc[k] = y
+            acc[k] = y if type(y) is int else _canon(y)
         else:
             acc.pop(k, None)
 
 
-def vec_scale(v: dict, c: Fraction) -> dict:
+def vec_scale(v: dict, c) -> dict:
     if not c:
         return {}
-    return {k: c * x for k, x in v.items()}
+    return {k: _canon(c * x) for k, x in v.items()}
 
 
 def vec_sub(u: dict, v: dict) -> dict:
@@ -134,16 +174,10 @@ def vec_sub(u: dict, v: dict) -> dict:
 
 
 def _int_rows(v: dict) -> dict:
-    """Scale a Fraction vector to a primitive integer vector (same line)."""
-    if not v:
-        return {}
-    den = 1
-    for x in v.values():
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = {k: x.numerator * (den // x.denominator) for k, x in v.items()}
-    g = 0
-    for x in ints.values():
-        g = gcd(g, x)
+    """Scale a rational vector to a primitive integer vector (same line)."""
+    den = _lcm_denominator(v.values())
+    ints = dict(v) if den is None else _scaled(v, den)
+    g = gcd(*ints.values())
     if g > 1:
         ints = {k: x // g for k, x in ints.items()}
     return ints
@@ -185,9 +219,7 @@ class Echelon:
                     out[k] = y
                 else:
                     out.pop(k, None)
-            g = 0
-            for x in out.values():
-                g = gcd(g, x)
+            g = gcd(*out.values())
             if g > 1:
                 out = {k: x // g for k, x in out.items()}
             v = out
@@ -205,11 +237,11 @@ class Echelon:
         return not self._reduce_int(_int_rows(v))
 
     def normal_form(self, v: dict) -> dict:
-        """The canonical representative of v modulo the span (Fraction vector).
+        """The canonical representative of v modulo the span.
 
         Linear in v; zero exactly on the span; supported on non-pivot indices.
         """
-        v = {k: Fraction(x) for k, x in v.items() if x}
+        v = {k: _canon(x) for k, x in v.items() if x}
         pivs = self.rows
         while True:
             c = None
@@ -219,11 +251,11 @@ class Echelon:
             if c is None:
                 return v
             row = pivs[c]
-            f = v[c] / row[c]
+            f = _div(v[c], row[c])
             for k, x in row.items():
-                y = v.get(k, ZERO) - f * x
+                y = v.get(k, 0) - f * x
                 if y:
-                    v[k] = y
+                    v[k] = _canon(y)
                 else:
                     v.pop(k, None)
 
@@ -237,7 +269,7 @@ def span_basis(vectors) -> list[dict]:
     out = []
     for v in vectors:
         if ech.add(v):
-            out.append({k: Fraction(x) for k, x in v.items() if x})
+            out.append({k: _canon(x) for k, x in v.items() if x})
     return out
 
 
@@ -275,14 +307,12 @@ class LinearSystem:
         rhs may be a scalar (tag 0) or a dict {tag: value} describing the
         right hand sides of several systems sharing this coefficient row.
         """
-        row = {j: Fraction(c) for j, c in coeffs.items() if c}
+        row = {j: c for j, c in coeffs.items() if c}
         if isinstance(rhs, dict):
             for t, val in rhs.items():
-                val = Fraction(val)
                 if val:
                     row[-1 - t] = -val
         else:
-            rhs = Fraction(rhs)
             if rhs:
                 row[-1] = -rhs
         r = self._ech._reduce_int(_int_rows(row))
@@ -312,18 +342,18 @@ class LinearSystem:
         Rows have their pivot at the max index, so sweeping unknowns in
         ascending order only ever references already-known values.
         """
-        x: dict[int, Fraction] = dict(free_values)
+        x: dict = dict(free_values)
         rows = self._ech.rows
         for c in sorted(rows):
             row = rows[c]
-            s = Fraction(row.get(rhs_key, 0)) if rhs_key is not None else ZERO
+            s = row.get(rhs_key, 0) if rhs_key is not None else 0
             for k, a in row.items():
                 if k == c or k < 0:
                     continue
                 xv = x.get(k)
                 if xv is not None:
                     s += a * xv
-            val = -s / row[c]
+            val = _div(-s, row[c])
             if val:
                 x[c] = val
         return {k: v for k, v in x.items() if v}
@@ -349,7 +379,7 @@ class Matrix:
     ``cols[j]`` is the sparse image of the j-th source basis vector.
     """
 
-    __slots__ = ("rows", "cols", "_data", "_rowview")
+    __slots__ = ("rows", "cols", "_data", "_rowview", "_intform")
 
     def __init__(self, rows: int, cols: int, data: list[dict] | None = None):
         if rows < 0 or cols < 0:
@@ -362,6 +392,7 @@ class Matrix:
             raise LinAlgError("column count does not match data")
         self._data = data
         self._rowview = None
+        self._intform = None
 
     # -- constructors -------------------------------------------------------
 
@@ -414,7 +445,7 @@ class Matrix:
 
     # -- access -------------------------------------------------------------
 
-    def entry(self, i: int, j: int) -> Fraction:
+    def entry(self, i: int, j: int) -> int | Fraction:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise LinAlgError("entry index out of range")
         return self._data[j].get(i, ZERO)
@@ -435,7 +466,19 @@ class Matrix:
             self._rowview = rows
         return self._rowview
 
-    def to_flat(self) -> list[Fraction]:
+    def _int_form(self) -> tuple[int, list[dict]]:
+        """``(den, icols)`` with ``self == icols / den``: integer columns over
+        the lcm of the entry denominators (built lazily, cached).  When every
+        entry is an int, ``icols`` is the matrix's own column list."""
+        if self._intform is None:
+            den = _lcm_denominator(x for c in self._data for x in c.values())
+            if den is None:
+                self._intform = (1, self._data)
+            else:
+                self._intform = (den, [_scaled(c, den) for c in self._data])
+        return self._intform
+
+    def to_flat(self) -> list[int | Fraction]:
         out = [ZERO] * (self.rows * self.cols)
         for j, c in enumerate(self._data):
             for i, x in c.items():
@@ -448,14 +491,28 @@ class Matrix:
     # -- algebra ------------------------------------------------------------
 
     def apply(self, v: dict) -> dict:
-        """Matrix times sparse column vector."""
-        out: dict[int, Fraction] = {}
-        data = self._data
+        """Matrix times sparse column vector.
+
+        Works on the integer form: v's denominators are cleared the same
+        way, products accumulate as ints, and each nonzero output entry is
+        divided by the common denominator once.
+        """
+        den, icols = self._intform or self._int_form()
+        vden = _lcm_denominator(v.values())
+        if vden is not None:
+            v = _scaled(v, vden)
+            den *= vden
+        ncols = self.cols
+        out: dict[int, int] = {}
+        get = out.get
         for j, x in v.items():
-            if j >= self.cols:
+            if j >= ncols:
                 raise LinAlgError("vector index out of range")
-            vec_add_scaled(out, data[j], x)
-        return out
+            for i, y in icols[j].items():
+                out[i] = get(i, 0) + x * y
+        if den == 1:
+            return {i: w for i, w in out.items() if w}
+        return {i: _div(w, den) for i, w in out.items() if w}
 
     def then(self, g: "Matrix") -> "Matrix":
         """Diagrammatic composition: first self, then g."""
@@ -515,14 +572,17 @@ class Matrix:
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product, leftmost factor slowest on both sides."""
         rr, rc = self.rows * other.rows, self.cols * other.cols
+        da, acols = self._int_form()
+        db, bcols = other._int_form()
+        den = da * db
         data = [dict() for _ in range(rc)]
-        for j, c in enumerate(self._data):
-            for l, d in enumerate(other._data):
+        for j, c in enumerate(acols):
+            for l, d in enumerate(bcols):
                 col = data[j * other.cols + l]
                 for i, x in c.items():
                     base = i * other.rows
                     for k, y in d.items():
-                        col[base + k] = x * y
+                        col[base + k] = x * y if den == 1 else _div(x * y, den)
         return Matrix(rr, rc, data)
 
     def stack_rows(self, other: "Matrix") -> "Matrix":

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import (LinearSystem, Matrix, ONE, ZERO, cokernel_of_columns,
+from .linalg import (LinAlgError, LinearSystem, Matrix, ONE, ZERO, cokernel_of_columns,
                      inverse, rank)
 from .qha import QuasiHopfAlgebra
 from .report import Report, VerificationFailure
@@ -318,7 +318,7 @@ def counit_iso(x: HModule, a: AlgebraA) -> tuple[HLinearMap, Report]:
     try:
         inverse(mat)
         rep.add("invertible", True)
-    except Exception:
+    except LinAlgError:
         rep.add("invertible", False)
 
     # comparison with the free module M (x) A via the five-leg elements

@@ -811,26 +811,40 @@ def algebra_to_json(h: QuasiHopfAlgebra) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+# Length of each array of an algebra file, as a power of the dimension.
+_JSON_ARRAY_POWERS = {"mult": 3, "unit": 1, "comult": 3, "counit": 1, "phi": 3, "phi_inv": 3,
+                      "antipode": 2, "antipode_inv": 2, "alpha": 1, "beta": 1}
+_JSON_OPTIONAL = ("phi_inv", "antipode_inv")
+
+
+def _json_dim(obj) -> int:
+    """The dimension of an algebra file, once every array length matches it."""
+    n = obj["dim"]
+    if type(n) is not int or n < 1:
+        raise ValueError(f"dim must be an integer >= 1, got {n!r}")
+    for key, power in _JSON_ARRAY_POWERS.items():
+        flat = obj.get(key)
+        if flat is None and key in _JSON_OPTIONAL:
+            continue
+        if not isinstance(flat, list) or len(flat) != n ** power:
+            raise ValueError(f"{key} must be a list of {n ** power} entries")
+    return n
+
+
 def algebra_from_json(text: str) -> QuasiHopfAlgebra:
     obj = json.loads(text)
     try:
-        n = int(obj["dim"])
+        n = _json_dim(obj)
         pair_shape = LegShape((n, n))
         mult = [[dict() for _ in range(n)] for _ in range(n)]
-        flat = obj["mult"]
-        if len(flat) != n ** 3:
-            raise ValueError(f"mult must have {n ** 3} entries")
-        for idx, c in enumerate(flat):
+        for idx, c in enumerate(obj["mult"]):
             c = rat(c)
             if c:
                 ij, k = divmod(idx, n)
                 i, j = divmod(ij, n)
                 mult[i][j][k] = c
         comult = [dict() for _ in range(n)]
-        flat = obj["comult"]
-        if len(flat) != n ** 3:
-            raise ValueError(f"comult must have {n ** 3} entries")
-        for idx, c in enumerate(flat):
+        for idx, c in enumerate(obj["comult"]):
             c = rat(c)
             if c:
                 i, jk = divmod(idx, n * n)

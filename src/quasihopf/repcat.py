@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import (LinearSystem, Matrix, ONE, ZERO, inverse, spans_equal,
+from .linalg import (LinearSystem, Matrix, ONE, ZERO, _canon, inverse, spans_equal,
                      vec_add_scaled)
 from .qha import QuasiHopfAlgebra, TensorElement
 from .report import Report
@@ -177,12 +177,12 @@ def _kron_into(cols: list[dict], a: Matrix, b: Matrix, coeff) -> None:
             col = cols[base_j + jb]
             for ia, xa in ca.items():
                 base_i = ia * brows
-                cxa = coeff * xa
+                cxa = _canon(coeff * xa)
                 for ib, xb in cb.items():
                     k = base_i + ib
-                    y = col.get(k, ZERO) + cxa * xb
+                    y = col.get(k, 0) + cxa * xb
                     if y:
-                        col[k] = y
+                        col[k] = y if type(y) is int else _canon(y)
                     else:
                         del col[k]
 
@@ -229,18 +229,23 @@ def elem_action_matrix(t: TensorElement, mods: list[HModule]) -> Matrix:
     """The legwise action of a tensor-power element on a product of modules."""
     if t.legs != len(mods):
         raise ValueError("leg count does not match module count")
+    if not mods:
+        c = t.coeffs.get((), 0)
+        return Matrix(1, 1, [{0: c} if c else {}])
     total = 1
     for m in mods:
         total *= m.dim
-    out = Matrix.zero(total, total)
+    cols: list[dict] = [dict() for _ in range(total)]
+    heads: dict[tuple, Matrix] = {}  # action on all legs but the last, per index prefix
     for idx, c in t.coeffs.items():
-        term = None
-        for i, m in zip(idx, mods):
-            term = m.action[i] if term is None else term.kron(m.action[i])
-        if term is None:
-            term = Matrix.identity(1)
-        out = out + c * term
-    return out
+        lead = idx[:-1]
+        if lead not in heads:
+            head = None
+            for i, m in zip(lead, mods):
+                head = m.action[i] if head is None else head.kron(m.action[i])
+            heads[lead] = Matrix.identity(1) if head is None else head
+        _kron_into(cols, heads[lead], mods[-1].action[idx[-1]], c)
+    return Matrix(total, total, cols)
 
 
 def associator(m: HModule, n: HModule, p: HModule) -> HLinearMap:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from quasihopf import cli
 from quasihopf.qha import BUILTIN_NAMES
 
@@ -157,3 +159,28 @@ def test_invalid_context_module_exits_two(tmp_path, capsys):
                        "--context", str(tmp_path / "ctx.json"),
                        "--lhs", "id(X)", "--rhs", "id(X)")
     assert code == 2
+
+
+@pytest.mark.parametrize("key,value", [
+    ("phi", ["1/0"] + ["0"] * 7),
+    ("dim", 0),
+    ("dim", -1),
+    ("dim", "2"),
+    ("alpha", ["1"]),
+    ("beta", ["1", "0", "0"]),
+    ("unit", ["1", "0", "0"]),
+    ("counit", ["1"]),
+    ("phi_inv", ["1"] * 7),
+    ("antipode", ["1", "0", "0"]),
+    ("antipode_inv", ["1"] * 8),
+])
+def test_malformed_algebra_file_exits_two(tmp_path, capsys, key, value):
+    run(capsys, "export", "group_z2", "-o", str(tmp_path / "z2.json"))
+    obj = json.loads((tmp_path / "z2.json").read_text())
+    obj[key] = value
+    (tmp_path / "bad.json").write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", str(tmp_path / "bad.json"))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert key in err or "zero denominator" in err
+    assert "Traceback" not in err and "OK" not in out

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quasihopf.linalg import (LegShape, LinAlgError, LinearSystem, Matrix,
+from quasihopf.linalg import (Echelon, LegShape, LinAlgError, LinearSystem, Matrix,
                               cokernel, inverse, kernel, kron, rank, rat,
                               rat_str, solve, span_basis, spans_equal)
 
@@ -21,6 +21,8 @@ def test_rat_parsing():
     assert rat_str(Fraction(7)) == "7"
     with pytest.raises(TypeError):
         rat(0.5)
+    with pytest.raises(ValueError, match="zero denominator"):
+        rat("1/0")
 
 
 # -- leg bookkeeping ----------------------------------------------------------
@@ -184,3 +186,95 @@ def test_matrix_flat_roundtrip():
     a = mat([[0, 1], [2, 0], [0, 3]])
     assert Matrix.from_flat(3, 2, a.to_flat()) == a
     assert a.transpose().transpose() == a
+
+
+# -- canonical scalars ------------------------------------------------------------
+#
+# Every value linalg creates is an int when integral and a Fraction only when
+# not.  Equality cannot see this (1 == Fraction(1), and 0.5 == Fraction(1, 2)
+# would let a float through too), so these tests look at the types.
+
+def assert_canonical(values):
+    for x in values:
+        assert type(x) in (int, Fraction), repr(x)
+        assert type(x) is int or x.denominator != 1, repr(x)
+
+
+def entries(m: Matrix):
+    return [x for c in m.columns() for x in c.values()]
+
+
+H = Fraction(1, 2)
+
+
+@pytest.mark.parametrize("rows", [
+    [[2, 1, 0], [1, 1, 0], [0, 3, 1]],                      # unimodular: integral inverse
+    [[H, 1, 0], [1, Fraction(3, 2), Fraction(1, 4)], [0, 2, 1]],
+])
+def test_results_hold_canonical_scalars(rows):
+    a = mat(rows)
+    # the same matrix with its integral entries stored as Fractions
+    a_frac = Matrix(3, 3, [{i: Fraction(x) for i, x in c.items()} for c in a.columns()])
+    singular = mat([rows[0], rows[1], [x + y for x, y in zip(rows[0], rows[1])]])
+    v = {0: 2, 2: H}
+    for m in (a, inverse(a), a.then(a_frac), a_frac.then(a), kron(a, a_frac),
+              a + a_frac, 2 * a_frac, *cokernel(singular)):
+        assert_canonical(entries(m))
+    assert_canonical(a.apply(v).values())
+    assert_canonical(a_frac.apply({0: Fraction(4), 1: Fraction(2, 4)}).values())
+    res = solve(a, {0: 1, 1: H})
+    assert_canonical(res.solution.values())
+    for vec in (*kernel(singular), *solve(singular, {}).kernel):
+        assert_canonical(vec.values())
+    ech = Echelon()
+    ech.add(dict(singular.columns()[0]))
+    assert_canonical(ech.normal_form({0: Fraction(3), 1: 1, 2: H}).values())
+    # integral results come back as ints
+    assert a_frac.then(inverse(a)) == Matrix.identity(3)
+    assert all(type(x) is int for x in entries(a_frac.then(inverse(a))))
+
+
+def from_dense(rows: list[list], ncols: int) -> Matrix:
+    """Dense rows as a Matrix, stored as given: integral Fractions stay Fractions."""
+    return Matrix(len(rows), ncols,
+                  [{i: r[j] for i, r in enumerate(rows) if r[j]} for j in range(ncols)])
+
+
+SCALARS = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    # denominators 1 give integral Fractions; 2, 4 dyadic and 3 thirds
+    st.builds(Fraction, st.integers(min_value=-6, max_value=6), st.sampled_from([1, 2, 3, 4])),
+)
+
+
+def dense(rows: int, cols: int):
+    return st.lists(st.lists(SCALARS, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_products_match_naive_fraction_loops(m, n, p, data):
+    a_rows = data.draw(dense(m, n))
+    b_rows = data.draw(dense(p, m))
+    v_dense = data.draw(st.lists(SCALARS, min_size=n, max_size=n))
+    a, b = from_dense(a_rows, n), from_dense(b_rows, m)
+
+    ba = [[sum((Fraction(b_rows[i][k]) * a_rows[k][j] for k in range(m)), Fraction(0))
+           for j in range(n)] for i in range(p)]
+    got = a.then(b)
+    assert (got.rows, got.cols) == (p, n)
+    assert got.to_flat() == [x for r in ba for x in r]
+    assert_canonical(entries(got))
+
+    av = {i: sum((Fraction(a_rows[i][j]) * v_dense[j] for j in range(n)), Fraction(0))
+          for i in range(m)}
+    got_v = a.apply({j: x for j, x in enumerate(v_dense) if x})
+    assert got_v == {i: x for i, x in av.items() if x}
+    assert_canonical(got_v.values())
+
+    got_k = kron(a, b)
+    assert got_k.to_flat() == [Fraction(a_rows[i][j]) * b_rows[k][l]
+                               for i in range(m) for k in range(p)
+                               for j in range(n) for l in range(m)]
+    assert_canonical(entries(got_k))

@@ -4,8 +4,8 @@ equivalence between right modules over it and the original category."""
 
 from .linalg import LegShape, LinAlgError, Matrix, SolveResult, cokernel, kron, rat, rat_str, solve
 from .qha import (BUILTIN_NAMES, QuasiHopfAlgebra, TensorElement,
-                  algebra_from_json, algebra_to_json, builtin, kappa_lambda,
-                  verify_derived_identities)
+                  algebra_from_json, algebra_to_json, builtin, kappa_inverse,
+                  kappa_lambda, verify_derived_identities)
 from .report import Report, ReportItem, VerificationFailure
 from .repcat import (HLinearMap, HModule, InnerHomModule, adjunction_report,
                      associator, associator_inv, eeps, eeta, end_over_regular,

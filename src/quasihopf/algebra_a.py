@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import Matrix, ONE, ZERO, inverse, vec_add_scaled
-from .qha import QuasiHopfAlgebra, TensorElement, kappa_lambda
+from .qha import QuasiHopfAlgebra, TensorElement, kappa_inverse, kappa_lambda
 from .report import Report, VerificationFailure
 from .center import CenterObject, braiding, tensor_center, validate_center
 from .repcat import (HLinearMap, HModule, elem_action_matrix, hom_space,
@@ -55,8 +55,10 @@ def heart_base(h: QuasiHopfAlgebra, m: HModule) -> HModule:
 
 
 def _cached_kappa_lambda(h: QuasiHopfAlgebra):
+    """(kappa, lambda, kappa^-1), computed once per algebra."""
     if not hasattr(h, "_kappa_lambda_cache"):
-        h._kappa_lambda_cache = kappa_lambda(h)
+        kappa, lam = kappa_lambda(h)
+        h._kappa_lambda_cache = (kappa, lam, kappa_inverse(h, kappa))
     return h._kappa_lambda_cache
 
 
@@ -66,7 +68,7 @@ def heart_mu(h: QuasiHopfAlgebra, m: HModule) -> Matrix:
     (a (x) v) . b = (k1 a S(k2) alpha k3 b S(k4)) (x) (k5 |> v).
     """
     n, d = h.dim, m.dim
-    kappa, _ = _cached_kappa_lambda(h)
+    kappa = _cached_kappa_lambda(h)[0]
     cols = [dict() for _ in range(n * d * n)]
     for (k1, k2, k3, k4, k5), kc in kappa.coeffs.items():
         mop = m.action[k5]
@@ -214,6 +216,10 @@ def nat_to_hom(x_mod: HModule, y_mod: HModule, m_mod: HModule,
     to land in the end (left-multiplication span), and the twist comparing
     Y (x) heart(M) with the end is inverted.  A posteriori the reconstructed
     g is checked to reproduce the family at the regular module.
+
+    The adjunct is one matrix product, the family after the action of a
+    two-leg element, so it runs on the integer forms of the matrices (see
+    Matrix.apply and elem_action_matrix) rather than on Fractions.
     """
     h = x_mod.h
     n = h.dim
@@ -222,35 +228,20 @@ def nat_to_hom(x_mod: HModule, y_mod: HModule, m_mod: HModule,
     if fam.matrix.cols != dx * n or fam.matrix.rows != t_dim:
         raise ValueError("family has wrong endpoints for nat_to_hom")
 
-    # adjunct g~(x)(p) = fam((q1 |> x) (x) (q2 beta S(q3) . p))
-    phi_terms = []
+    # adjunct g~(x)(p) = fam((q1 |> x) (x) (q2 beta S(q3) . p)), for all x and
+    # p at once: fam after the action of omega = sum q1 (x) q2 beta S(q3)
+    omega: dict[tuple, Fraction] = {}
     for (q1, q2, q3), cf in h.phi_inv.coeffs.items():
         w = h.prod_chain([{q2: ONE}, h.beta_vec, h.s_vec({q3: ONE})])
-        phi_terms.append((q1, h.left_mult_matrix(w), cf))
+        for k, wc in w.items():
+            omega[(q1, k)] = omega.get((q1, k), ZERO) + cf * wc
+    adj = fam.matrix * elem_action_matrix(TensorElement(n, 2, omega),
+                                          [x_mod, regular_module(h)])
+    adj_cols = adj.columns()
 
     t_cols = []
     for xb in range(dx):
-        gt: dict[int, Fraction] = {}
-        for q1, wmat, cf in phi_terms:
-            xcol = x_mod.action[q1].col(xb)
-            if not xcol:
-                continue
-            for p in range(n):
-                wp = wmat.col(p)
-                if not wp:
-                    continue
-                arg = {}
-                for xi, xv in xcol.items():
-                    for pi, pv in wp.items():
-                        arg[xi * n + pi] = xv * pv
-                img = fam.matrix.apply(arg)
-                for t, iv in img.items():
-                    key = t * n + p
-                    acc = gt.get(key, ZERO) + cf * iv
-                    if acc:
-                        gt[key] = acc
-                    else:
-                        gt.pop(key, None)
+        gt = {t * n + p: iv for p in range(n) for t, iv in adj_cols[xb * n + p].items()}
         # evaluate at the unit to read the end coordinates
         tvec: dict[int, Fraction] = {}
         for key, c in gt.items():

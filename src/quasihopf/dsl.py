@@ -108,10 +108,17 @@ class Seq:
     parts: tuple
 
 
+# Deepest parenthesis/argument-list nesting accepted.  Parsing spends three
+# frames per level and elaboration and evaluation fewer, so an expression at
+# the limit stays far below the interpreter's default recursion limit (1000).
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.toks = tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.toks[self.i]
@@ -142,12 +149,22 @@ class _Parser:
             parts.append(self.parse_atom())
         return parts[0] if len(parts) == 1 else Ten(tuple(parts))
 
+    def open_paren(self) -> None:
+        t = self.expect("LP")
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise DslError(f"expression nested deeper than {MAX_NESTING} levels", t.pos)
+
+    def close_paren(self) -> None:
+        self.expect("RP")
+        self.depth -= 1
+
     def parse_atom(self):
         t = self.peek()
         if t.kind == "LP":
-            self.next()
+            self.open_paren()
             inner = self.parse_expr()
-            self.expect("RP")
+            self.close_paren()
             return inner
         if t.kind != "NAME":
             what = t.text or "end of input"
@@ -155,14 +172,14 @@ class _Parser:
         self.next()
         if self.peek().kind != "LP":
             return Name(t.text, t.pos)
-        self.next()
+        self.open_paren()
         args = []
         if self.peek().kind != "RP":
             args.append(self.parse_expr())
             while self.peek().kind == "COMMA":
                 self.next()
                 args.append(self.parse_expr())
-        self.expect("RP")
+        self.close_paren()
         return Call(t.text, tuple(args), t.pos)
 
 
@@ -242,10 +259,6 @@ class Context:
             _, p, pres = coinvariants(m)
             self._coinv_cache[key] = (m, p, pres)
         return self._coinv_cache[key][1:]
-
-
-def standard_context(h: QuasiHopfAlgebra) -> Context:
-    return Context(h)
 
 
 # ---------------------------------------------------------------------------

@@ -167,12 +167,6 @@ def vec_scale(v: dict, c) -> dict:
     return {k: _canon(c * x) for k, x in v.items()}
 
 
-def vec_sub(u: dict, v: dict) -> dict:
-    out = dict(u)
-    vec_add_scaled(out, v, -ONE)
-    return out
-
-
 def _int_rows(v: dict) -> dict:
     """Scale a rational vector to a primitive integer vector (same line)."""
     den = _lcm_denominator(v.values())
@@ -585,18 +579,6 @@ class Matrix:
                         col[base + k] = x * y if den == 1 else _div(x * y, den)
         return Matrix(rr, rc, data)
 
-    def stack_rows(self, other: "Matrix") -> "Matrix":
-        """Block matrix [self; other]."""
-        if self.cols != other.cols:
-            raise LinAlgError("shape mismatch in row stacking")
-        data = []
-        for a, b in zip(self._data, other._data):
-            c = dict(a)
-            for i, x in b.items():
-                c[self.rows + i] = x
-            data.append(c)
-        return Matrix(self.rows + other.rows, self.cols, data)
-
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     return a.kron(b)
@@ -610,11 +592,6 @@ class SolveResult:
     consistent: bool
     solution: dict | None       # one exact solution, None if inconsistent
     kernel: list[dict]          # basis of the null space of A
-
-    def solution_matrix(self, n: int) -> Matrix | None:
-        if self.solution is None:
-            return None
-        return Matrix.from_cols(n, [self.solution])
 
 
 def solve(a: Matrix, b: Matrix | dict) -> SolveResult:
@@ -647,10 +624,6 @@ def rank(a: Matrix) -> int:
     for c in a.columns():
         ech.add(c)
     return ech.rank
-
-
-def column_space(a: Matrix) -> list[dict]:
-    return span_basis(a.columns())
 
 
 def inverse(a: Matrix) -> Matrix:

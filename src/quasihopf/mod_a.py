@@ -26,7 +26,8 @@ from .report import Report, VerificationFailure
 from .center import CenterObject, braiding, tensor_center, validate_center
 from .repcat import (HLinearMap, HModule, elem_action_matrix, hom_space,
                      regular_module, tensor, unit_module)
-from .algebra_a import AlgebraA, build_A, heart, heart_compose, s_t_isos
+from .algebra_a import (AlgebraA, _cached_kappa_lambda, build_A, heart, heart_compose,
+                        s_t_isos)
 
 
 @dataclass(eq=False)
@@ -322,8 +323,7 @@ def counit_iso(x: HModule, a: AlgebraA) -> tuple[HLinearMap, Report]:
         rep.add("invertible", False)
 
     # comparison with the free module M (x) A via the five-leg elements
-    kap, lam = _kappa_lambda_of(h)
-    kbar = h.tensor_inverse(kap)
+    _, lam, kbar = _cached_kappa_lambda(h)
     nu = h.mul(kbar, lam.permute_legs((2, 3, 4, 5, 1)))
     d = x.dim
     swap_cols = []
@@ -365,11 +365,6 @@ def counit_iso(x: HModule, a: AlgebraA) -> tuple[HLinearMap, Report]:
     if not rep.ok:
         raise VerificationFailure(f"counit comparison failed for {x.label}", rep)
     return iso, rep
-
-
-def _kappa_lambda_of(h: QuasiHopfAlgebra):
-    from .algebra_a import _cached_kappa_lambda
-    return _cached_kappa_lambda(h)
 
 
 def unit_iso(m: AModule) -> tuple[HLinearMap, HLinearMap, Report]:
@@ -528,7 +523,7 @@ def equivalence_report(h: QuasiHopfAlgebra, test_objects=None) -> Report:
         rep.add(f"counit_iso[{name}]", crep.ok)
 
     unit_tests = [algebra_as_amodule(a),
-                  free_amodule(a, _regular_center(h, a)),
+                  free_amodule(a, a.center),
                   hearts.get(id(test_objects[1])) if len(test_objects) > 1
                   else heart_amodule(a, regular_module(h))]
     for mm in unit_tests:
@@ -548,11 +543,6 @@ def equivalence_report(h: QuasiHopfAlgebra, test_objects=None) -> Report:
             ok = _descended_compose_iso(a, x, y, hearts[id(x)], hearts[id(y)])
             rep.add(f"monoidal_heart[{nx};{ny}]", ok)
     return rep
-
-
-def _regular_center(h: QuasiHopfAlgebra, a: AlgebraA) -> CenterObject:
-    """A convenient nontrivial centre object: the algebra itself."""
-    return a.center
 
 
 def _descended_compose_iso(a: AlgebraA, x: HModule, y: HModule,

@@ -18,8 +18,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .linalg import (LegShape, LinAlgError, Matrix, ONE, ZERO, rat, rat_str,
-                     solve, vec_add_scaled)
+from .linalg import (LegShape, LinAlgError, Matrix, ONE, ZERO, _div, _lcm_denominator,
+                     _scaled, rat, rat_str, solve, vec_add_scaled)
 from .report import Report, VerificationFailure
 
 
@@ -163,6 +163,10 @@ class QuasiHopfAlgebra:
 
         self.mult = [[{_idx(k): rat(c) for k, c in mult[i][j].items() if rat(c)}
                       for j in range(dim)] for i in range(dim)]
+        # the table as integers over one common denominator, for mul
+        mden = _lcm_denominator(c for row in self.mult for m in row for c in m.values()) or 1
+        self._int_mult = (mden, [[list(_scaled(m, mden).items()) for m in row]
+                                 for row in self.mult])
         self.unit = {_idx(i): rat(c) for i, c in unit.items() if rat(c)}
         self.comult = [{(_idx(j), _idx(k)): rat(c) for (j, k), c in comult[i].items()
                         if rat(c)} for i in range(dim)]
@@ -175,7 +179,12 @@ class QuasiHopfAlgebra:
             raise ValueError("antipode matrix has wrong shape")
         self.alpha = TensorElement(dim, 1, alpha) if isinstance(alpha, dict) else alpha
         self.beta = TensorElement(dim, 1, beta) if isinstance(beta, dict) else beta
-        self.phi_inv = phi_inv if phi_inv is not None else self._solve_phi_inv()
+        if phi_inv is None:
+            try:
+                phi_inv = self.tensor_inverse(self.phi)
+            except LinAlgError as exc:
+                raise ValueError("associator is not invertible") from exc
+        self.phi_inv = phi_inv
         if antipode_inv is None:
             try:
                 from .linalg import inverse
@@ -243,27 +252,35 @@ class QuasiHopfAlgebra:
         return _vec_of(self.beta)
 
     def mul(self, s: TensorElement, t: TensorElement) -> TensorElement:
-        """Componentwise product in the k-fold tensor power algebra."""
+        """Componentwise product in the k-fold tensor power algebra.
+
+        Runs on integers: both operands and the multiplication table are
+        scaled by the lcm of their denominators, products accumulate as ints,
+        and each output coefficient is divided once by the common denominator.
+        """
         if s.dim != self.dim or t.dim != self.dim:
             raise ValueError("elements belong to a different algebra")
         s._check_like(t)
-        out: dict[tuple, Fraction] = {}
-        for I, c in s.coeffs.items():
-            for J, d in t.coeffs.items():
+        sden = _lcm_denominator(s.coeffs.values()) or 1
+        tden = _lcm_denominator(t.coeffs.values()) or 1
+        mden, table = self._int_mult
+        tints = _scaled(t.coeffs, tden).items()
+        acc: dict[tuple, int] = {}
+        get = acc.get
+        for I, c in _scaled(s.coeffs, sden).items():
+            for J, d in tints:
                 terms = [((), c * d)]
                 for i, j in zip(I, J):
-                    m = self.mult[i][j]
+                    m = table[i][j]
                     if not m:
-                        terms = []
                         break
-                    terms = [(idx + (k,), x * y) for idx, x in terms for k, y in m.items()]
-                for idx, x in terms:
-                    acc = out.get(idx, ZERO) + x
-                    if acc:
-                        out[idx] = acc
-                    else:
-                        out.pop(idx, None)
-        return TensorElement(self.dim, s.legs, out)
+                    terms = [(idx + (k,), x * y) for idx, x in terms for k, y in m]
+                else:  # no leg's product vanished
+                    for idx, x in terms:
+                        acc[idx] = get(idx, 0) + x
+        den = sden * tden * mden ** s.legs
+        return TensorElement(self.dim, s.legs,
+                             {idx: _div(x, den) for idx, x in acc.items() if x})
 
     def mul_chain(self, elems) -> TensorElement:
         elems = list(elems)
@@ -447,9 +464,6 @@ class QuasiHopfAlgebra:
         if self.mul(inv, t) != self.unit_elem(t.legs) or self.mul(t, inv) != self.unit_elem(t.legs):
             raise LinAlgError("solved inverse failed the two-sided check")
         return inv
-
-    def _solve_phi_inv(self) -> TensorElement:
-        return self.tensor_inverse(self.phi)
 
     # -- verification -----------------------------------------------------------
 
@@ -677,18 +691,40 @@ def kappa_lambda(h: QuasiHopfAlgebra) -> tuple[TensorElement, TensorElement]:
 
     kappa = (1 x phi^-1 x 1) . Phi_{(1,5),2,(3,4)} and
     lambda = (1 x 1 x phi^-1) . Phi_{2,3,(4,5)} . Phi_{1,(2,3),(4,5)}.
-    Both are invertible (checked by exact solving) and collapse to units
-    under the counit on legs (3,4) resp. (4,5).
+    Both are invertible (see :func:`kappa_inverse` for kappa's inverse) and
+    collapse to units under the counit on legs (3,4) resp. (4,5).
     """
     h.require_valid()
-    kappa = h.mul(h.spread(h.phi_inv, [(2,), (3,), (4,)], 5),
-                  h.spread(h.phi, [(1, 5), (2,), (3, 4)], 5))
     lam = h.mul_chain([
         h.spread(h.phi_inv, [(3,), (4,), (5,)], 5),
         h.spread(h.phi, [(2,), (3,), (4, 5)], 5),
         h.spread(h.phi, [(1,), (2, 3), (4, 5)], 5),
     ])
-    return kappa, lam
+    return _kappa(h), lam
+
+
+def _kappa(h: QuasiHopfAlgebra) -> TensorElement:
+    return h.mul(h.spread(h.phi_inv, [(2,), (3,), (4,)], 5),
+                 h.spread(h.phi, [(1, 5), (2,), (3, 4)], 5))
+
+
+def kappa_inverse(h: QuasiHopfAlgebra, kappa: TensorElement | None = None) -> TensorElement:
+    """kappa^-1 = Phi^-1_{(1,5),2,(3,4)} . (1 x phi x 1), in closed form.
+
+    Spreading is an algebra map, so inverting the two factors of kappa and
+    swapping them gives its inverse; the result is still checked exactly on
+    both sides against kappa (recomputed unless passed in), and a failed
+    check raises LinAlgError.
+    """
+    h.require_valid()
+    kinv = h.mul(h.spread(h.phi_inv, [(1, 5), (2,), (3, 4)], 5),
+                 h.spread(h.phi, [(2,), (3,), (4,)], 5))
+    if kappa is None:
+        kappa = _kappa(h)
+    one = h.unit_elem(5)
+    if h.mul(kinv, kappa) != one or h.mul(kappa, kinv) != one:
+        raise LinAlgError("closed-form kappa inverse failed the two-sided check")
+    return kinv
 
 
 # ---------------------------------------------------------------------------

@@ -117,10 +117,5 @@ def morphism_from_obj(ctx, obj: dict):
                                                  [rat(c) for c in flat]))
 
 
-def morphism_to_obj(f, source_expr: str, target_expr: str) -> dict:
-    return {"source": source_expr, "target": target_expr,
-            "matrix": [rat_str(c) for c in f.matrix.to_flat()]}
-
-
 def dumps(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import (LinearSystem, Matrix, ONE, ZERO, _canon, inverse, spans_equal,
-                     vec_add_scaled)
+from .linalg import (LinearSystem, Matrix, ONE, ZERO, _canon, _div, _lcm_denominator,
+                     _scaled, inverse, spans_equal, vec_add_scaled)
 from .qha import QuasiHopfAlgebra, TensorElement
 from .report import Report
 
@@ -210,23 +210,13 @@ def _paren(lbl: str) -> str:
     return f"({lbl})" if "*" in lbl else lbl
 
 
-def tensor_many(mods) -> HModule:
-    mods = list(mods)
-    out = mods[0]
-    for m in mods[1:]:
-        out = tensor(out, m)
-    return out
-
-
-def power_module(h: QuasiHopfAlgebra, t_legs: int) -> HModule:
-    """The t_legs-fold tensor power of the regular module, left-bracketed."""
-    if t_legs == 0:
-        return unit_module(h)
-    return tensor_many([regular_module(h)] * t_legs)
-
-
 def elem_action_matrix(t: TensorElement, mods: list[HModule]) -> Matrix:
-    """The legwise action of a tensor-power element on a product of modules."""
+    """The legwise action of a tensor-power element on a product of modules.
+
+    The element's coefficients are scaled to integers by the lcm of their
+    denominators before they meet the action matrices, and each entry of the
+    sum is divided by that lcm once at the end.
+    """
     if t.legs != len(mods):
         raise ValueError("leg count does not match module count")
     if not mods:
@@ -235,9 +225,10 @@ def elem_action_matrix(t: TensorElement, mods: list[HModule]) -> Matrix:
     total = 1
     for m in mods:
         total *= m.dim
+    den = _lcm_denominator(t.coeffs.values()) or 1
     cols: list[dict] = [dict() for _ in range(total)]
     heads: dict[tuple, Matrix] = {}  # action on all legs but the last, per index prefix
-    for idx, c in t.coeffs.items():
+    for idx, c in _scaled(t.coeffs, den).items():
         lead = idx[:-1]
         if lead not in heads:
             head = None
@@ -245,6 +236,8 @@ def elem_action_matrix(t: TensorElement, mods: list[HModule]) -> Matrix:
                 head = m.action[i] if head is None else head.kron(m.action[i])
             heads[lead] = Matrix.identity(1) if head is None else head
         _kron_into(cols, heads[lead], mods[-1].action[idx[-1]], c)
+    if den != 1:
+        cols = [{i: _div(x, den) for i, x in col.items()} for col in cols]
     return Matrix(total, total, cols)
 
 
@@ -283,7 +276,7 @@ def hom_space(m: HModule, n: HModule) -> list[HLinearMap]:
     nv = n.dim * m.dim  # unknown F[i, j] at index i*m.dim + j
     sys = LinearSystem(nv)
     for t in range(h.dim):
-        p_rows = m.action[t].row_view()
+        p_cols = m.action[t].columns()
         q = n.action[t]
         q_rows = q.row_view()
         # (F . rho_m(e_t) - rho_n(e_t) . F)[i, j] = 0
@@ -291,7 +284,7 @@ def hom_space(m: HModule, n: HModule) -> list[HLinearMap]:
             qr = q_rows[i]
             for j in range(m.dim):
                 coeffs: dict[int, Fraction] = {}
-                for k, x in _matrix_col_items(m.action[t], j):
+                for k, x in p_cols[j].items():
                     coeffs[i * m.dim + k] = coeffs.get(i * m.dim + k, ZERO) + x
                 for k, x in qr.items():
                     key = k * m.dim + j
@@ -310,10 +303,6 @@ def hom_space(m: HModule, n: HModule) -> list[HLinearMap]:
             cols[j][i] = c
         out.append(HLinearMap(m, n, Matrix(n.dim, m.dim, cols)))
     return out
-
-
-def _matrix_col_items(mat: Matrix, j: int):
-    return mat.columns()[j].items()
 
 
 def hom_dim(m: HModule, n: HModule) -> int:
@@ -445,7 +434,7 @@ def icomp(x: HModule, y: HModule, z: HModule) -> HLinearMap:
                                 row = m1rows[q]
                                 if not row:
                                     continue
-                                col = cols[gidx * src_f_dim(x, y) + p * x.dim + q]
+                                col = cols[gidx * x.dim * y.dim + p * x.dim + q]
                                 for zz, zv in zcol.items():
                                     for xx, xv in row.items():
                                         key = zz * x.dim + xx
@@ -457,22 +446,11 @@ def icomp(x: HModule, y: HModule, z: HModule) -> HLinearMap:
     return HLinearMap(src, ihxz, Matrix(ihxz.dim, src.dim, cols))
 
 
-def src_f_dim(x: HModule, y: HModule) -> int:
-    return x.dim * y.dim
-
-
 def inner_post(f: HLinearMap, p: HModule) -> HLinearMap:
     """innhom(p, src f) -> innhom(p, tgt f) by postcomposition with f."""
     src = inner_hom(p, f.source)
     dst = inner_hom(p, f.target)
     return HLinearMap(src, dst, f.matrix.kron(Matrix.identity(p.dim)))
-
-
-def inner_pre(g: HLinearMap, n: HModule) -> HLinearMap:
-    """innhom(tgt g, n) -> innhom(src g, n) by precomposition with g."""
-    src = inner_hom(g.target, n)
-    dst = inner_hom(g.source, n)
-    return HLinearMap(src, dst, Matrix.identity(n.dim).kron(g.matrix.transpose()))
 
 
 def adjunction_report(m: HModule, p: HModule) -> Report:

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import quasihopf
 
 from quasihopf import cli
 from quasihopf.qha import BUILTIN_NAMES
@@ -184,3 +190,41 @@ def test_malformed_algebra_file_exits_two(tmp_path, capsys, key, value):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert key in err or "zero denominator" in err
     assert "Traceback" not in err and "OK" not in out
+
+
+def test_singular_associator_file_exits_two(tmp_path, capsys):
+    run(capsys, "export", "group_z2", "-o", str(tmp_path / "z2.json"))
+    obj = json.loads((tmp_path / "z2.json").read_text())
+    obj["phi"] = ["1", "0", "0", "0", "0", "0", "0", "1"]  # 1x1x1 + gxgxg: singular
+    del obj["phi_inv"]
+    (tmp_path / "bad.json").write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", str(tmp_path / "bad.json"))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "associator is not invertible" in err and "Traceback" not in err
+
+
+DEEP = "(" * 3000 + "id(C)" + ")" * 3000
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "group_z2", "--expr", DEEP),
+    ("check", "group_z2", "--lhs", DEEP, "--rhs", "id(C)"),
+])
+def test_deeply_nested_expression_exits_two(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "nested deeper" in err
+
+
+def test_module_entry_point_keeps_exit_code_contract():
+    src = str(Path(quasihopf.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quasihopf", "check", "group_z2", "--lhs", DEEP, "--rhs", "id(C)"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quasihopf.dsl import (Call, Context, DslError, Elaborator, Name, Seq, Ten,
-                           check, eval_expr, parse, print_expr)
+from quasihopf.dsl import (MAX_NESTING, Call, Context, DslError, Elaborator, Name, Seq,
+                           Ten, check, eval_expr, parse, print_expr)
 from quasihopf.repcat import inner_hom, regular_module, tensor
 
 from conftest import get_algebra
@@ -161,3 +161,13 @@ def test_diamond_and_pi_relation(ctx_dr):
 def test_lambda_matches_mu_after_crossing(ctx_dr):
     # the left action evaluated through the DSL agrees with mu after braiding
     assert check("braid_inv(A, A) ; lambda(A)", "mu(A)", ctx_dr).ok
+
+
+def test_nesting_limit(ctx_dr):
+    # MAX_NESTING - 1 grouping parentheses plus the argument list of id(...)
+    at_limit = "(" * (MAX_NESTING - 1) + "id(C)" + ")" * (MAX_NESTING - 1)
+    assert eval_expr(at_limit, ctx_dr).matrix.is_identity()
+    assert check(at_limit, "id(C)", ctx_dr).ok
+    for too_deep in ("(" + at_limit + ")", "id(" * (MAX_NESTING + 1) + "C" + ")" * (MAX_NESTING + 1)):
+        with pytest.raises(DslError, match="nested deeper"):
+            parse(too_deep)

@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quasihopf.qha import (BUILTIN_NAMES, TensorElement, algebra_from_json,
-                           algebra_to_json, builtin, kappa_lambda,
+                           algebra_to_json, builtin, kappa_inverse, kappa_lambda,
                            verify_derived_identities)
 from quasihopf.report import VerificationFailure
 
@@ -81,6 +82,59 @@ def test_kappa_matches_footnote_formula(dr):
     assert dr.mul(kappa, kinv) == dr.unit_elem(5)
     linv = dr.tensor_inverse(lam)
     assert dr.mul(lam, linv) == dr.unit_elem(5)
+
+
+def test_kappa_inverse_matches_solved_inverse(any_h):
+    kappa, _ = kappa_lambda(any_h)
+    kinv = kappa_inverse(any_h)
+    assert kinv == any_h.tensor_inverse(kappa)
+    assert kappa_inverse(any_h, kappa) == kinv
+
+
+# -- integer products against a naive Fraction reference ------------------------
+
+def naive_mul(h, s, t):
+    out = {}
+    for I, c in s.coeffs.items():
+        for J, d in t.coeffs.items():
+            terms = {(): Fraction(c) * Fraction(d)}
+            for i, j in zip(I, J):
+                terms = {idx + (k,): x * Fraction(y)
+                         for idx, x in terms.items() for k, y in h.mult[i][j].items()}
+            for idx, x in terms.items():
+                out[idx] = out.get(idx, Fraction(0)) + x
+    return {idx: x for idx, x in out.items() if x}
+
+
+COEFFS = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    # dyadic and thirds, plus integral Fractions (denominator 1)
+    st.builds(Fraction, st.integers(min_value=-6, max_value=6), st.sampled_from([1, 2, 3, 4])),
+)
+
+
+def z2_half():
+    """Z/2 in the basis 1, g/2: (g/2)^2 = 1/4, a multiplication table with
+    denominators (every builtin's table is integral)."""
+    from quasihopf.linalg import Matrix
+    from quasihopf.qha import QuasiHopfAlgebra
+    return QuasiHopfAlgebra(
+        dim=2, basis=["1", "g/2"], mult=[[{0: 1}, {1: 1}], [{1: 1}, {0: Fraction(1, 4)}]],
+        unit={0: 1}, comult=[{(0, 0): 1}, {(1, 1): 2}], counit=[1, Fraction(1, 2)],
+        phi=TensorElement(2, 3, {(0, 0, 0): 1}), antipode=Matrix.identity(2),
+        alpha={0: 1}, beta={0: 1}, name="z2_half").require_valid()
+
+
+@given(st.sampled_from(["drinfeld_h2", "sweedler_h4", "z2_half"]), st.integers(2, 3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_mul_matches_naive_fraction_product(name, legs, data):
+    h = z2_half() if name == "z2_half" else get_algebra(name)
+    index = st.tuples(*[st.integers(0, h.dim - 1)] * legs)
+    s, t = (TensorElement(h.dim, legs, data.draw(st.dictionaries(index, COEFFS, max_size=6)))
+            for _ in range(2))
+    got = h.mul(s, t)
+    assert got.coeffs == naive_mul(h, s, t)
+    assert all(type(x) is int or x.denominator != 1 for x in got.coeffs.values())
 
 
 def test_kappa_lambda_trivial_for_hopf(z2, sw):
@@ -216,3 +270,15 @@ def test_constructor_reports_shape_problems_before_axioms():
     ):
         with pytest.raises(ValueError):
             QuasiHopfAlgebra(**corrupt)
+
+
+def test_singular_associator_without_inverse_is_rejected():
+    from quasihopf.linalg import Matrix
+    from quasihopf.qha import QuasiHopfAlgebra
+    # 1x1x1 + gxgxg is a zero divisor in the cube of the group algebra
+    with pytest.raises(ValueError, match="associator is not invertible"):
+        QuasiHopfAlgebra(dim=2, basis=["1", "g"],
+                         mult=[[{0: 1}, {1: 1}], [{1: 1}, {0: 1}]],
+                         unit={0: 1}, comult=[{(0, 0): 1}, {(1, 1): 1}], counit=[1, 1],
+                         phi=TensorElement(2, 3, {(0, 0, 0): 1, (1, 1, 1): 1}),
+                         antipode=Matrix.identity(2), alpha={0: 1}, beta={0: 1})

@@ -1,12 +1,18 @@
+import random
 from fractions import Fraction
 
-from quasihopf.linalg import Matrix, inverse, spans_equal
+import pytest
+
+from quasihopf.linalg import LegShape, Matrix, inverse, spans_equal
+from quasihopf.qha import TensorElement
 from quasihopf.repcat import (HLinearMap, adjunction_report, associator,
                               associator_inv, eeps, eeta, elem_action_matrix,
                               end_over_regular, hom_space, icomp, identity_map,
                               in_map, inner_hom, inner_post, left_dual,
                               regular_module, right_dual, snake_report, tensor,
                               unit_left_elim, unit_module, unit_right_elim)
+
+from conftest import get_algebra
 
 
 def test_regular_module_swaps_for_z2(z2):
@@ -281,3 +287,43 @@ def test_inner_post_functorial(z2):
     i = unit_module(z2)
     for f in hom_space(c, c):
         assert inner_post(f, c).is_h_linear()
+
+
+def naive_action(t, mods):
+    """sum c * (rho(e_i) kron rho(e_j) kron ...) as dense Fraction rows."""
+    shape = LegShape(tuple(m.dim for m in mods))
+    idx = [shape.unindex(k) for k in range(shape.size)]
+    out = [[Fraction(0)] * shape.size for _ in range(shape.size)]
+    for legs, c in t.coeffs.items():
+        for r, rs in enumerate(idx):
+            for s, ss in enumerate(idx):
+                x = Fraction(c)
+                for m, i, a, b in zip(mods, legs, rs, ss):
+                    x *= m.action[i].entry(a, b)
+                out[r][s] += x
+    return [x for row in out for x in row]
+
+
+@pytest.mark.parametrize("name,mods,elem", [
+    ("drinfeld_h2", "C,C,C", "phi"),
+    ("drinfeld_h2", "C,CC,I", "phi_inv"),
+    ("sweedler_h4", "C,C", "random"),
+    ("sweedler_h4", "CC,C", "random"),
+])
+def test_elem_action_matrix_matches_naive_sum(name, mods, elem):
+    h = get_algebra(name)
+    c = regular_module(h)
+    named = {"C": c, "CC": tensor(c, c), "I": unit_module(h)}
+    mods = [named[k] for k in mods.split(",")]
+    if elem == "random":
+        rng = random.Random(7)
+        t = TensorElement(h.dim, len(mods), {
+            tuple(rng.randrange(h.dim) for _ in mods): Fraction(rng.randint(-4, 4), rng.choice([1, 2, 4]))
+            for _ in range(6)})
+    else:
+        t = getattr(h, elem)
+    assert any(type(x) is Fraction for x in t.coeffs.values())  # dyadic data
+    got = elem_action_matrix(t, mods)
+    assert got.to_flat() == naive_action(t, mods)
+    assert all(type(x) is int or x.denominator != 1
+               for col in got.columns() for x in col.values())

@@ -144,6 +144,12 @@ def test_square_adjunction_and_duals(dr2):
     assert adjunction_report(c, c).ok
 
 
+def test_square_kappa_inverse_matches_solved_inverse(dr2):
+    from quasihopf.qha import kappa_inverse, kappa_lambda
+    kappa, _ = kappa_lambda(dr2)
+    assert kappa_inverse(dr2) == dr2.tensor_inverse(kappa)
+
+
 def test_square_free_module_comparison(dr2):
     # the deepest associator-dependent content at this dimension: the
     # comparison isomorphisms and the counit windows with the five-leg maps

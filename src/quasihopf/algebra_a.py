@@ -11,6 +11,14 @@ heart(M) is the end of x -> innhom(x, x (x) M), realized on H (x) M.  Its
 right action by the algebra, the "evaluation" family heart(M) (x) X ->
 X (x) M, the projection to M, the lax monoidal composition, and the
 comparison isomorphisms with the free module M (x) A all live here.
+
+Each sandwich formula (the action and right action of heart(M), the
+evaluation, the product of the algebra, the twist comparing Y (x) heart(M)
+with the end) is a tensor element built from the associator in qha
+(spreading, antipodes, fused legs) and acted through
+repcat.elem_action_matrix, followed by a fixed structure map: the product of
+two H legs or a reordering of columns.  heart_mu_direct
+keeps the raw product formula as an independent route.
 """
 
 from __future__ import annotations
@@ -18,8 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, ONE, ZERO, inverse, vec_add_scaled
-from .qha import QuasiHopfAlgebra, TensorElement, kappa_inverse, kappa_lambda
+from .linalg import Matrix, ONE, ZERO, inverse
+from .qha import (QuasiHopfAlgebra, TensorElement, _s_alpha, alpha_contraction,
+                  beta_contraction, kappa_inverse, kappa_lambda, product_element)
 from .report import Report, VerificationFailure
 from .center import CenterObject, braiding, tensor_center, validate_center
 from .repcat import (HLinearMap, HModule, elem_action_matrix, hom_space,
@@ -36,22 +45,19 @@ def heart_base(h: QuasiHopfAlgebra, m: HModule) -> HModule:
     from the twisted action on Lin(C, C (x) m) at the left-multiplication
     representatives.
     """
-    n = h.dim
-
     def build():
-        action = []
-        for i in range(n):
-            cols: list[dict] = [dict() for _ in range(n * m.dim)]
-            for (a1, a2, a3), c in h.icomult(i, 3).items():
-                hop = h.left_mult_matrix({a1: ONE}).then(
-                    h.right_mult_matrix(h.s_vec({a3: ONE})))
-                mop = m.action[a2]
-                from .repcat import _kron_into
-                _kron_into(cols, hop, mop, c)
-            action.append(Matrix(n * m.dim, n * m.dim, cols))
-        return action
+        return [elem_action_matrix(h.apply_leg(h.spread(h.basis_elem(i), [(1, 3, 2)], 3),
+                                               2, h.antipode), [h.sandwich, m])
+                for i in range(h.dim)]
 
-    return HModule(h, n * m.dim, builder=build, label=f"heart({m.label or '?'})")
+    return HModule(h, h.dim * m.dim, builder=build, label=f"heart({m.label or '?'})")
+
+
+def _mult_outer(h: QuasiHopfAlgebra, d: int) -> Matrix:
+    """H (x) V (x) H -> H (x) V, a (x) v (x) b |-> ab (x) v, for a space V of dimension d."""
+    return Matrix(h.dim * d, h.dim * d * h.dim,
+                  [{k * d + v: c for k, c in h.mult[a][b].items()}
+                   for a in range(h.dim) for v in range(d) for b in range(h.dim)])
 
 
 def _cached_kappa_lambda(h: QuasiHopfAlgebra):
@@ -67,30 +73,11 @@ def heart_mu(h: QuasiHopfAlgebra, m: HModule) -> Matrix:
 
     (a (x) v) . b = (k1 a S(k2) alpha k3 b S(k4)) (x) (k5 |> v).
     """
-    n, d = h.dim, m.dim
+    # (k1 a S(k2) alpha) (x) (k5 |> v) (x) (k3 b S(k4)), then multiply the H legs
     kappa = _cached_kappa_lambda(h)[0]
-    cols = [dict() for _ in range(n * d * n)]
-    for (k1, k2, k3, k4, k5), kc in kappa.coeffs.items():
-        mop = m.action[k5]
-        for a in range(n):
-            for b in range(n):
-                hvec = h.prod_chain([{k1: ONE}, {a: ONE}, h.s_vec({k2: ONE}),
-                                     h.alpha_vec, {k3: ONE}, {b: ONE},
-                                     h.s_vec({k4: ONE})])
-                if not hvec:
-                    continue
-                for v in range(d):
-                    col = cols[(a * d + v) * n + b]
-                    mcol = mop.col(v)
-                    for hh, hc in hvec.items():
-                        for mm, mc in mcol.items():
-                            key = hh * d + mm
-                            y = col.get(key, ZERO) + kc * hc * mc
-                            if y:
-                                col[key] = y
-                            else:
-                                del col[key]
-    return Matrix(n * d, n * d * n, cols)
+    t = h.apply_leg(h.apply_leg(kappa, 2, _s_alpha(h)), 4, h.antipode)
+    return _mult_outer(h, m.dim) * elem_action_matrix(
+        t.permute_legs((1, 2, 5, 3, 4)), [h.sandwich, m, h.sandwich])
 
 
 def heart_mu_direct(h: QuasiHopfAlgebra, m: HModule) -> Matrix:
@@ -134,39 +121,15 @@ def diamond(h: QuasiHopfAlgebra, m: HModule, x: HModule) -> HLinearMap:
 
     (a (x) v) (x) u  |->  (P1_(1) a S(P2) alpha P3 |> u) (x) (P1_(2) |> v).
     """
-    n, d = h.dim, m.dim
-    hb = heart_base(h, m)
-    src = tensor(hb, x)
-    dst = tensor(x, m)
-    cols = [dict() for _ in range(src.dim)]
-    for (p1, p2, p3), cphi in h.phi.coeffs.items():
-        tail = h.prod_chain([h.s_vec({p2: ONE}), h.alpha_vec, {p3: ONE}])
-        for (x1, x2), cd in h.comult[p1].items():
-            mop = m.action[x2]
-            coeff = cphi * cd
-            for a in range(n):
-                hvec = h.prod_chain([{x1: ONE}, {a: ONE}, tail])
-                if not hvec:
-                    continue
-                xop = x.action_of(hvec)
-                for v in range(d):
-                    mcol = mop.col(v)
-                    if not mcol:
-                        continue
-                    for u in range(x.dim):
-                        xcol = xop.col(u)
-                        if not xcol:
-                            continue
-                        col = cols[(a * d + v) * x.dim + u]
-                        for xi, xv in xcol.items():
-                            for mi, mv in mcol.items():
-                                key = xi * d + mi
-                                y = col.get(key, ZERO) + coeff * xv * mv
-                                if y:
-                                    col[key] = y
-                                else:
-                                    del col[key]
-    return HLinearMap(src, dst, Matrix(dst.dim, src.dim, cols))
+    d, dx = m.dim, x.dim
+    t = h.spread(alpha_contraction(h), [(1, 3), (2,)], 3)   # P1_(1) (x) S(P2) alpha P3 (x) P1_(2)
+    # per basis element a, the block x (x) m -> x (x) m of sum (P1_(1) a S(P2) alpha P3) (x) P1_(2)
+    blocks = [elem_action_matrix(h.fuse_legs(h.fuse_legs(
+        t.tensor(h.basis_elem(a)).permute_legs((1, 4, 2, 3)), 1), 1), [x, m]).columns()
+        for a in range(h.dim)]
+    return HLinearMap(tensor(heart_base(h, m), x), tensor(x, m), Matrix(
+        dx * d, h.dim * d * dx,
+        [blocks[a][u * d + v] for a in range(h.dim) for v in range(d) for u in range(dx)]))
 
 
 def pi_map(h: QuasiHopfAlgebra, m: HModule) -> HLinearMap:
@@ -194,17 +157,8 @@ def _end_twist(h: QuasiHopfAlgebra, y: HModule, m: HModule,
     algebra map and the antipode reverses products), so the twist at the
     inverse associator and the twist at the associator are mutually inverse.
     """
-    n, dy, dm = h.dim, y.dim, m.dim
-    acc = [dict() for _ in range(dy * n * dm)]
-    for (q1, q2, q3), cf in element.coeffs.items():
-        yop = y.action[q1]
-        for (u, v), cd in h.comult[q2].items():
-            mid = h.left_mult_matrix({u: ONE}).then(
-                h.right_mult_matrix(h.s_vec({q3: ONE})))
-            mop = m.action[v]
-            from .repcat import _kron_into
-            _kron_into(acc, yop, mid.kron(mop), cf * cd)
-    return Matrix(dy * n * dm, dy * n * dm, acc)
+    t = h.apply_leg(h.spread(element, [(1,), (2, 4), (3,)], 4), 3, h.antipode)
+    return elem_action_matrix(t, [y, h.sandwich, m])
 
 
 def nat_to_hom(x_mod: HModule, y_mod: HModule, m_mod: HModule,
@@ -229,52 +183,20 @@ def nat_to_hom(x_mod: HModule, y_mod: HModule, m_mod: HModule,
         raise ValueError("family has wrong endpoints for nat_to_hom")
 
     # adjunct g~(x)(p) = fam((q1 |> x) (x) (q2 beta S(q3) . p)), for all x and
-    # p at once: fam after the action of omega = sum q1 (x) q2 beta S(q3)
-    omega: dict[tuple, Fraction] = {}
-    for (q1, q2, q3), cf in h.phi_inv.coeffs.items():
-        w = h.prod_chain([{q2: ONE}, h.beta_vec, h.s_vec({q3: ONE})])
-        for k, wc in w.items():
-            omega[(q1, k)] = omega.get((q1, k), ZERO) + cf * wc
-    adj = fam.matrix * elem_action_matrix(TensorElement(n, 2, omega),
-                                          [x_mod, regular_module(h)])
-    adj_cols = adj.columns()
-
-    t_cols = []
-    for xb in range(dx):
-        gt = {t * n + p: iv for p in range(n) for t, iv in adj_cols[xb * n + p].items()}
-        # evaluate at the unit to read the end coordinates
-        tvec: dict[int, Fraction] = {}
-        for key, c in gt.items():
-            t, p = divmod(key, n)
-            u = h.unit.get(p)
-            if u:
-                acc = tvec.get(t, ZERO) + u * c
-                if acc:
-                    tvec[t] = acc
-                else:
-                    tvec.pop(t, None)
-        # the adjunct must be the left multiplication by tvec's middle leg
-        lt: dict[int, Fraction] = {}
-        for t, c in tvec.items():
-            ym, mm = divmod(t, dm)
-            yy, a = divmod(ym, n)
-            for p in range(n):
-                for k, mc in h.mult[a][p].items():
-                    key = ((yy * n + k) * dm + mm) * n + p
-                    acc = lt.get(key, ZERO) + c * mc
-                    if acc:
-                        lt[key] = acc
-                    else:
-                        lt.pop(key, None)
-        if lt != gt:
+    # p at once: fam after the action of sum q1 (x) q2 beta S(q3)
+    adj = fam.matrix * elem_action_matrix(beta_contraction(h), [x_mod, regular_module(h)])
+    # evaluate at the unit to read the end coordinates
+    ends = adj * Matrix.identity(dx).kron(Matrix(n, 1, [dict(h.unit)]))
+    # the adjunct must be the left multiplication by the middle leg of those:
+    # at e_p, the end coordinates followed by right multiplication by e_p
+    for p in range(n):
+        right = Matrix.identity(dy).kron(h.right_mult_matrix({p: ONE})).kron(Matrix.identity(dm))
+        if right * ends != Matrix(t_dim, dx, adj.columns()[p::n]):
             raise VerificationFailure(
                 "family is not natural: adjunct does not land in the end")
-        t_cols.append(tvec)
 
-    twist_inv = _end_twist(h, y_mod, m_mod, h.phi)
-    g_cols = [twist_inv.apply(c) for c in t_cols]
     target = tensor(y_mod, heart_base(h, m_mod))
-    g = HLinearMap(x_mod, target, Matrix(t_dim, dx, g_cols))
+    g = HLinearMap(x_mod, target, _end_twist(h, y_mod, m_mod, h.phi) * ends)
 
     if check_roundtrip:
         back = hom_to_nat(g, regular_module(h), y_mod, m_mod)
@@ -321,16 +243,9 @@ def extract_center_structure(h: QuasiHopfAlgebra, m: HModule,
     whoever requires it (it is cached on the returned object).
     """
     hb = heart_base(h, m)
-    c = regular_module(h)
-    b = heart_braiding(h, m, c)
-    n, d = h.dim, hb.dim
-    cols = []
-    for v in range(d):
-        out: dict[int, Fraction] = {}
-        for i, cu in h.unit.items():
-            vec_add_scaled(out, b.matrix.col(v * n + i), cu)
-        cols.append(out)
-    obj = CenterObject(hb, Matrix(n * d, d, cols), label=f"heart({m.label or '?'})")
+    b = heart_braiding(h, m, regular_module(h))
+    coaction = b.matrix * Matrix.identity(hb.dim).kron(Matrix(h.dim, 1, [dict(h.unit)]))
+    obj = CenterObject(hb, coaction, label=f"heart({m.label or '?'})")
     if validate:
         obj.require_valid()
     return obj
@@ -428,22 +343,10 @@ class AlgebraA:
         return sum((self.eps_row.entry(0, i) * c for i, c in v.items()), ZERO)
 
     def harpoon(self, x: HModule) -> HLinearMap:
-        """The canonical action A (x) X -> X: a |> via P1 a S(P2) alpha P3."""
-        h = self.h
-        n = h.dim
-        hvecs = []
-        for a in range(n):
-            acc: dict[int, Fraction] = {}
-            for (p1, p2, p3), cf in h.phi.coeffs.items():
-                vec_add_scaled(acc, h.prod_chain(
-                    [{p1: ONE}, {a: ONE}, h.s_vec({p2: ONE}), h.alpha_vec, {p3: ONE}]), cf)
-            hvecs.append(acc)
-        cols = []
-        for a in range(n):
-            op = x.action_of(hvecs[a])
-            for u in range(x.dim):
-                cols.append(op.col(u))
-        return HLinearMap(tensor(self.base, x), x, Matrix(x.dim, n * x.dim, cols))
+        """The canonical action A (x) X -> X: a |> via P1 a S(P2) alpha P3, which is
+        the evaluation family of heart(I) = A."""
+        ev = diamond(self.h, unit_module(self.h), x)
+        return HLinearMap(tensor(self.base, x), x, ev.matrix)
 
     def braiding_with(self, x: HModule) -> HLinearMap:
         return braiding(self.center, x)
@@ -475,42 +378,20 @@ def build_A(h: QuasiHopfAlgebra) -> AlgebraA:
     center_obj._validated = center_rep
     rep.add("center_structure", center_rep.ok)
 
-    # the product: a . b = P1 a S(p1 P2) alpha p2 P3_(1) b S(p3 P3_(2))
-    cols = [dict() for _ in range(n * n)]
-    for (p1, p2, p3), cphi in h.phi.coeffs.items():
-        for (q1, q2, q3), cpsi in h.phi_inv.coeffs.items():
-            for (y1, y2), cd in h.comult[p3].items():
-                coeff = cphi * cpsi * cd
-                mid = h.prod_chain([h.s_vec(h.mul_vec({q1: ONE}, {p2: ONE})),
-                                    h.alpha_vec, {q2: ONE}, {y1: ONE}])
-                right = h.s_vec(h.mul_vec({q3: ONE}, {y2: ONE}))
-                for a in range(n):
-                    for b in range(n):
-                        hvec = h.prod_chain([{p1: ONE}, {a: ONE}, mid, {b: ONE}, right])
-                        if hvec:
-                            col = cols[a * n + b]
-                            vec_add_scaled(col, hvec, coeff)
-    product = Matrix(n, n * n, cols)
+    # the product: a . b = (E1 a S(E2) alpha E3) (b S(E4)), see qha.product_element
+    c_mod = regular_module(h)
+    t = product_element(h).tensor(h.unit_elem(1)).permute_legs((1, 2, 4, 3))
+    product = _mult_outer(h, 1) * elem_action_matrix(t, [h.sandwich, h.sandwich])
 
     prod_map = HLinearMap(tensor(base, base), base, product)
     rep.add("product_h_linear", prod_map.is_h_linear())
 
     # unit: the adjunct of the identity at the unit object
-    uvec: dict[int, Fraction] = {}
-    for (q1, q2, q3), cf in h.phi_inv.coeffs.items():
-        e = h.counit[q1]
-        if e:
-            vec_add_scaled(uvec, h.prod_chain(
-                [{q2: ONE}, h.beta_vec, h.s_vec({q3: ONE})]), cf * e)
+    uvec = {i: c for (i,), c in h.counit_legs(beta_contraction(h), [1]).coeffs.items()}
     rep.add("unit_is_beta", uvec == h.beta_vec)
-
-    ok = True
-    for a in range(n):
-        ua = product.apply({i * n + a: c for i, c in uvec.items()})
-        au = product.apply({a * n + i: c for i, c in uvec.items()})
-        if ua != {a: ONE} or au != {a: ONE}:
-            ok = False
-    rep.add("unit_laws", ok)
+    u_col = Matrix(n, 1, [uvec])
+    rep.add("unit_laws", (product * u_col.kron(Matrix.identity(n))).is_identity()
+            and (product * Matrix.identity(n).kron(u_col)).is_identity())
 
     assoc_twist = elem_action_matrix(h.phi, [base, base, base])
     lhs = product * product.kron(Matrix.identity(n))
@@ -532,19 +413,14 @@ def build_A(h: QuasiHopfAlgebra) -> AlgebraA:
     out = AlgebraA(h, center_obj, product, uvec, eps_row, rep)
 
     # the canonical action: associativity with twist, unit, augmentation
-    c_mod = regular_module(h)
     harp = out.harpoon(c_mod)
     rep.add("harpoon_h_linear", harp.is_h_linear())
     lhs = harp.matrix * product.kron(Matrix.identity(c_mod.dim))
     rhs = harp.matrix * Matrix.identity(n).kron(harp.matrix) \
         * elem_action_matrix(h.phi, [base, base, c_mod])
     rep.add("harpoon_action_law", lhs == rhs)
-    ok = True
-    for u in range(c_mod.dim):
-        img = harp.matrix.apply({i * c_mod.dim + u: c for i, c in uvec.items()})
-        if img != {u: ONE}:
-            ok = False
-    rep.add("harpoon_unital", ok)
+    rep.add("harpoon_unital",
+            (harp.matrix * u_col.kron(Matrix.identity(c_mod.dim))).is_identity())
     harp_unit = out.harpoon(unit_mod)
     rep.add("harpoon_on_unit_is_augmentation", harp_unit.matrix == eps_row)
 

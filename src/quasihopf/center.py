@@ -15,13 +15,13 @@ crosses over.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .linalg import LinearSystem, Matrix, ZERO, rank
-from .qha import QuasiHopfAlgebra
+from .linalg import Matrix, rank
+from .qha import QuasiHopfAlgebra, TensorElement
 from .report import Report, VerificationFailure
-from .repcat import (HLinearMap, HModule, associator, associator_inv, hom_space,
-                     identity_map, regular_module, tensor, unit_module)
+from .repcat import (HLinearMap, HModule, associator, associator_inv, elem_action_matrix,
+                     hom_space, identity_map, intertwiners, regular_module, tensor,
+                     unit_module)
 
 
 @dataclass(eq=False)
@@ -66,34 +66,24 @@ def braiding(m: CenterObject, x: HModule) -> HLinearMap:
     v (x) u to sum (h_i |> u) (x) v_i; naturality against maps out of the
     regular module forces exactly this formula.
     """
-    h = m.h
-    d, dx = m.dim, x.dim
-    src = tensor(m.base, x)
-    dst = tensor(x, m.base)
-    cols = [dict() for _ in range(d * dx)]
-    dcols = m.coaction.columns()
-    for v in range(d):
-        # group the coaction terms by H-leg
-        by_leg: dict[int, list[tuple[int, Fraction]]] = {}
-        for flat, c in dcols[v].items():
-            i, v2 = divmod(flat, d)
-            by_leg.setdefault(i, []).append((v2, c))
-        for i, parts in by_leg.items():
-            act_cols = x.action[i].columns()
-            for u in range(dx):
-                acted = act_cols[u]
-                if not acted:
-                    continue
-                col = cols[v * dx + u]
-                for v2, c in parts:
-                    for xi, xv in acted.items():
-                        key = xi * d + v2
-                        y = col.get(key, ZERO) + c * xv
-                        if y:
-                            col[key] = y
-                        else:
-                            del col[key]
-    return HLinearMap(src, dst, Matrix(d * dx, d * dx, cols))
+    d, dx, n = m.dim, x.dim, m.h.dim
+    # sum_i (h_i |> -) (x) delta_i on x (x) m, then reorder the source to m (x) x
+    pairing = TensorElement(n, 2, {(i, i): 1 for i in range(n)})
+    cols = elem_action_matrix(pairing, [x, _coaction_blocks(m)]).columns()
+    return HLinearMap(tensor(m.base, x), tensor(x, m.base), Matrix(
+        dx * d, d * dx, [cols[u * d + v] for v in range(d) for u in range(dx)]))
+
+
+def _coaction_blocks(m: CenterObject) -> list[Matrix]:
+    """The coaction split by its H leg: block i sends v to the M-leg of the
+    h_i-part of delta(v)."""
+    d = m.dim
+    blocks = [[{} for _ in range(d)] for _ in range(m.h.dim)]
+    for j, col in enumerate(m.coaction.columns()):
+        for flat, c in col.items():
+            i, v = divmod(flat, d)
+            blocks[i][j][v] = c
+    return [Matrix(d, d, b) for b in blocks]
 
 
 def trivial_center(x: HModule) -> CenterObject:
@@ -116,21 +106,8 @@ def validate_center(m: CenterObject) -> Report:
     rep.add("base_module", m.base.validate().ok)
 
     # (eps x id) . coaction = id
-    d = m.dim
-    eps_cols = []
-    for j in range(d):
-        out: dict[int, Fraction] = {}
-        for flat, c in m.coaction.col(j).items():
-            i, v2 = divmod(flat, d)
-            e = h.counit[i]
-            if e:
-                y = out.get(v2, ZERO) + e * c
-                if y:
-                    out[v2] = y
-                else:
-                    del out[v2]
-        eps_cols.append(out)
-    rep.add("counit_normalization", Matrix(d, d, eps_cols).is_identity())
+    eps = Matrix.from_rows([h.counit]).kron(Matrix.identity(m.dim))
+    rep.add("counit_normalization", (eps * m.coaction).is_identity())
 
     c_mod = regular_module(h)
     b = braiding(m, c_mod)
@@ -181,20 +158,8 @@ def tensor_center(m: CenterObject, n: CenterObject, validate: bool = True) -> Ce
         .then(associator_inv(m.base, c_mod, n.base)) \
         .then(braiding(m, c_mod).tensor(identity_map(n.base))) \
         .then(associator(c_mod, m.base, n.base))
-    d = base.dim
-    cols = []
-    for v in range(d):
-        out: dict[int, Fraction] = {}
-        for i, c in h.unit.items():
-            for k, x in comp.matrix.col(v * h.dim + i).items():
-                y = out.get(k, ZERO) + c * x
-                if y:
-                    out[k] = y
-                else:
-                    del out[k]
-        cols.append(out)
-    obj = CenterObject(base, Matrix(h.dim * d, d, cols),
-                       label=f"({m.label or '?'})*({n.label or '?'})")
+    coaction = comp.matrix * Matrix.identity(base.dim).kron(Matrix(h.dim, 1, [dict(h.unit)]))
+    obj = CenterObject(base, coaction, label=f"({m.label or '?'})*({n.label or '?'})")
     if validate:
         rep = validate_center(obj)
         if not rep.ok:
@@ -205,54 +170,14 @@ def tensor_center(m: CenterObject, n: CenterObject, validate: bool = True) -> Ce
     return obj
 
 
+def center_pairs(m: CenterObject, n: CenterObject) -> list[tuple[Matrix, Matrix]]:
+    """The constraints F . P = Q . F (see repcat.intertwiners) of the centre
+    morphisms m -> n: the actions, and (id_H (x) F) . delta_m = delta_n . F
+    read one H-leg block at a time."""
+    return [*zip(m.base.action, n.base.action),
+            *zip(_coaction_blocks(m), _coaction_blocks(n))]
+
+
 def center_hom_space(m: CenterObject, n: CenterObject) -> list[HLinearMap]:
     """Basis of maps that are module maps and intertwine the coactions."""
-    h = m.h
-    dm, dn = m.dim, n.dim
-    sys = LinearSystem(dn * dm)  # F[i, j] at i*dm + j
-    for t in range(h.dim):
-        arows = n.base.action[t].row_view()
-        acols = m.base.action[t].columns()
-        for i in range(dn):
-            for j in range(dm):
-                coeffs: dict[int, Fraction] = {}
-                for k, x in acols[j].items():
-                    coeffs[i * dm + k] = coeffs.get(i * dm + k, ZERO) + x
-                for k, x in arows[i].items():
-                    key = k * dm + j
-                    y = coeffs.get(key, ZERO) - x
-                    if y:
-                        coeffs[key] = y
-                    else:
-                        coeffs.pop(key, None)
-                if coeffs:
-                    sys.add_equation(coeffs)
-    # (id_H x F) . delta_M = delta_N . F
-    dm_cols = m.coaction.columns()
-    dn_rows = n.coaction.row_view()
-    for hh in range(h.dim):
-        for i in range(dn):
-            for j in range(dm):
-                coeffs = {}
-                for flat, x in dm_cols[j].items():
-                    i2, v2 = divmod(flat, dm)
-                    if i2 == hh:
-                        key = i * dm + v2
-                        coeffs[key] = coeffs.get(key, ZERO) + x
-                for k, x in dn_rows[hh * dn + i].items():
-                    key = k * dm + j
-                    y = coeffs.get(key, ZERO) - x
-                    if y:
-                        coeffs[key] = y
-                    else:
-                        coeffs.pop(key, None)
-                if coeffs:
-                    sys.add_equation(coeffs)
-    out = []
-    for vec in sys.kernel_basis():
-        cols = [dict() for _ in range(dm)]
-        for idx, c in vec.items():
-            i, j = divmod(idx, dm)
-            cols[j][i] = c
-        out.append(HLinearMap(m.base, n.base, Matrix(dn, dm, cols)))
-    return out
+    return intertwiners(m.base, n.base, center_pairs(m, n))

@@ -17,14 +17,12 @@ aggregated instance-level equivalence report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .linalg import (LinAlgError, LinearSystem, Matrix, ONE, ZERO, cokernel_of_columns,
-                     inverse, rank)
+from .linalg import LinAlgError, Matrix, ONE, cokernel_of_columns, inverse, rank
 from .qha import QuasiHopfAlgebra
 from .report import Report, VerificationFailure
-from .center import CenterObject, braiding, tensor_center, validate_center
-from .repcat import (HLinearMap, HModule, elem_action_matrix, hom_space,
+from .center import CenterObject, braiding, center_pairs, tensor_center, validate_center
+from .repcat import (HLinearMap, HModule, elem_action_matrix, hom_space, intertwiners,
                      regular_module, tensor, unit_module)
 from .algebra_a import (AlgebraA, _cached_kappa_lambda, build_A, heart, heart_compose,
                         s_t_isos)
@@ -83,12 +81,8 @@ def validate_amodule(m: AModule) -> Report:
         * elem_action_matrix(h.phi, [m.base, a.base, a.base])
     rep.add("mu_associative_with_twist", lhs == rhs)
 
-    ok = True
-    for v in range(m.dim):
-        img = m.mu.apply({v * n + i: c for i, c in a.unit_vec.items()})
-        if img != {v: ONE}:
-            ok = False
-    rep.add("mu_unital", ok)
+    u_col = Matrix(n, 1, [dict(a.unit_vec)])
+    rep.add("mu_unital", (m.mu * Matrix.identity(m.dim).kron(u_col)).is_identity())
 
     free = tensor_center(m.center, a.center, validate=False)
     rep.add("mu_center_morphism",
@@ -136,12 +130,8 @@ def left_action_report(m: AModule) -> Report:
     rhs = lam * Matrix.identity(n).kron(lam) \
         * elem_action_matrix(h.phi, [a.base, a.base, m.base])
     rep.add("left_action_law", lhs == rhs)
-    ok = True
-    for v in range(m.dim):
-        img = lam.apply({i * m.dim + v: c for i, c in a.unit_vec.items()})
-        if img != {v: ONE}:
-            ok = False
-    rep.add("left_action_unital", ok)
+    u_col = Matrix(n, 1, [dict(a.unit_vec)])
+    rep.add("left_action_unital", (lam * u_col.kron(Matrix.identity(m.dim))).is_identity())
     # (a |> then . b) agrees with (. b then a |>) up to the twist
     lhs = m.mu * lam.kron(Matrix.identity(n))
     rhs = lam * Matrix.identity(n).kron(m.mu) \
@@ -236,9 +226,7 @@ def tensor_over_A(m: AModule, n_mod: AModule,
 
 def coinvariants(m: AModule) -> tuple[HModule, HLinearMap, QuotientPresentation]:
     """Tensor with the unit object over the algebra: kill mu - (id (x) eps)."""
-    a, h = m.a, m.a.h
-    n = h.dim
-    eps_part = Matrix.identity(m.dim).kron(a.eps_row)
+    eps_part = Matrix.identity(m.dim).kron(m.a.eps_row)
     diff = m.mu - eps_part
     pres = _quotient_module(m.base, diff.columns(), label=f"coinv({m.label or '?'})")
     p = HLinearMap(m.base, pres.module, pres.projection)
@@ -261,10 +249,9 @@ def coinvariants_monoidal(m: AModule, n_mod: AModule) -> tuple[HLinearMap, Repor
     mutual annihilation), so the induced maps through the sections are a
     two-sided inverse pair.
     """
-    a = m.a
     rep = Report(title=f"monoidal[{m.label or '?'},{n_mod.label or '?'}]")
-    _, pm, pres_m = coinvariants(m)
-    _, pn, pres_n = coinvariants(n_mod)
+    _, _, pres_m = coinvariants(m)
+    _, _, pres_n = coinvariants(n_mod)
     u1 = pres_m.projection.kron(pres_n.projection)
     sec1 = pres_m.section.kron(pres_n.section)
     # generators of ker u1: rel_M (x) basis + basis (x) rel_N
@@ -278,7 +265,7 @@ def coinvariants_monoidal(m: AModule, n_mod: AModule) -> tuple[HLinearMap, Repor
             gens1.append({i * dn + k: c for k, c in r.items()})
 
     mn, pres_q = tensor_over_A(m, n_mod)
-    _, pq, pres_b = coinvariants(mn)
+    _, _, pres_b = coinvariants(mn)
     u2 = pres_b.projection * pres_q.projection
     sec2 = pres_q.section * pres_b.section
     gens2 = list(pres_q.relations)
@@ -308,7 +295,7 @@ def counit_iso(x: HModule, a: AlgebraA) -> tuple[HLinearMap, Report]:
     rep = Report(title=f"counit_iso[{x.label or 'X'}]")
     hm = heart(h, x)
     am = heart_amodule(a, x)
-    cm, p, pres = coinvariants(am)
+    _, _, pres = coinvariants(am)
     pi = hm.pi()
     ok_kills = all(not pi.matrix.apply(r) for r in pres.relations)
     rep.add("projection_kills_relations", ok_kills)
@@ -332,29 +319,10 @@ def counit_iso(x: HModule, a: AlgebraA) -> tuple[HLinearMap, Report]:
             swap_cols.append({aa * d + mm: ONE})
     swap = Matrix(n * d, d * n, swap_cols)  # M (x) A -> heart(X): m (x) a -> a (x) m
 
-    vleft_cols = [dict() for _ in range(d * n * n)]
-    for (n1, n2, n3, n4, n5), cf in nu.coeffs.items():
-        mop = x.action[n5]
-        for aa in range(n):
-            hvec = h.prod_chain([{n1: ONE}, {aa: ONE}, h.s_vec({n2: ONE})])
-            for bb in range(n):
-                bvec = h.prod_chain([{n3: ONE}, {bb: ONE}, h.s_vec({n4: ONE})])
-                if not hvec or not bvec:
-                    continue
-                for mm in range(d):
-                    col = vleft_cols[(mm * n + aa) * n + bb]
-                    mcol = mop.col(mm)
-                    for hh, hc in hvec.items():
-                        for m2, mc in mcol.items():
-                            base = (hh * d + m2) * n
-                            for b2, bc in bvec.items():
-                                key = base + b2
-                                y = col.get(key, ZERO) + cf * hc * mc * bc
-                                if y:
-                                    col[key] = y
-                                else:
-                                    del col[key]
-    vleft = Matrix(n * d * n, d * n * n, vleft_cols)
+    # m (x) a (x) b |-> (n1 a S(n2)) (x) (n5 |> m) (x) (n3 b S(n4))
+    t = h.apply_leg(h.apply_leg(nu, 2, h.antipode), 4, h.antipode)
+    vleft = swap.kron(Matrix.identity(n)) * elem_action_matrix(
+        t.permute_legs((5, 1, 2, 3, 4)), [x, h.sandwich, h.sandwich])
 
     bottom_mu = Matrix.identity(d).kron(a.product) \
         * elem_action_matrix(h.phi, [x, a.base, a.base])
@@ -381,7 +349,7 @@ def unit_iso(m: AModule) -> tuple[HLinearMap, HLinearMap, Report]:
     s_map, t_map, _ = s_t_isos(m.center, a)
     big_xi = s_map.matrix.then(m.mu)  # heart(M) -> M
 
-    cm, p, pres = coinvariants(m)
+    cm, _, pres = coinvariants(m)
     hp = Matrix.identity(n).kron(pres.projection)       # heart M ->> heart coinv M
     hsec = Matrix.identity(n).kron(pres.section)
     # factorization well-defined: big_xi kills heart of the relations
@@ -391,13 +359,7 @@ def unit_iso(m: AModule) -> tuple[HLinearMap, HLinearMap, Report]:
     xi_mat = big_xi * hsec
     rep.add("factorization_recovers", xi_mat * hp == big_xi)
 
-    u_embed_cols = []
-    for v in range(m.dim):
-        col = {}
-        for i, c in a.unit_vec.items():
-            col[v * n + i] = c
-        u_embed_cols.append(col)
-    u_embed = Matrix(m.dim * n, m.dim, u_embed_cols)    # M -> M (x) A
+    u_embed = Matrix.identity(m.dim).kron(Matrix(n, 1, [dict(a.unit_vec)]))  # M -> M (x) A
     zeta_mat = hp * t_map.matrix * u_embed
 
     rep.add("zeta_then_xi", (xi_mat * zeta_mat).is_identity())
@@ -427,77 +389,13 @@ def unit_iso(m: AModule) -> tuple[HLinearMap, HLinearMap, Report]:
 # module maps in the category, and the aggregated equivalence report
 
 def amodule_hom_space(m: AModule, n_mod: AModule) -> list[HLinearMap]:
-    """Basis of maps respecting action, coaction and the right module structure."""
-    a, h = m.a, m.a.h
-    n = h.dim
+    """Basis of maps respecting action, coaction and the right module structure:
+    F(v . b) = F(v) . b, one basis element b of the algebra at a time."""
+    n = m.a.h.dim
     dm, dn = m.dim, n_mod.dim
-    sys = LinearSystem(dn * dm)
-    for t in range(n):
-        arows = n_mod.base.action[t].row_view()
-        acols = m.base.action[t].columns()
-        for i in range(dn):
-            for j in range(dm):
-                coeffs: dict[int, Fraction] = {}
-                for k, xv in acols[j].items():
-                    coeffs[i * dm + k] = coeffs.get(i * dm + k, ZERO) + xv
-                for k, xv in arows[i].items():
-                    key = k * dm + j
-                    y = coeffs.get(key, ZERO) - xv
-                    if y:
-                        coeffs[key] = y
-                    else:
-                        coeffs.pop(key, None)
-                if coeffs:
-                    sys.add_equation(coeffs)
-    dm_cols = m.center.coaction.columns()
-    dn_rows = n_mod.center.coaction.row_view()
-    for hh in range(n):
-        for i in range(dn):
-            for j in range(dm):
-                coeffs = {}
-                for flat, xv in dm_cols[j].items():
-                    i2, v2 = divmod(flat, dm)
-                    if i2 == hh:
-                        key = i * dm + v2
-                        coeffs[key] = coeffs.get(key, ZERO) + xv
-                for k, xv in dn_rows[hh * dn + i].items():
-                    key = k * dm + j
-                    y = coeffs.get(key, ZERO) - xv
-                    if y:
-                        coeffs[key] = y
-                    else:
-                        coeffs.pop(key, None)
-                if coeffs:
-                    sys.add_equation(coeffs)
-    # F(v . b) = F(v) . b
-    mu_m_cols = m.mu.columns()
-    mu_n_rows = n_mod.mu.row_view()
-    for v in range(dm):
-        for b in range(n):
-            src = v * n + b
-            for i in range(dn):
-                coeffs = {}
-                for k, xv in mu_m_cols[src].items():
-                    coeffs[i * dm + k] = coeffs.get(i * dm + k, ZERO) + xv
-                for flat, xv in mu_n_rows[i].items():
-                    k, b2 = divmod(flat, n)
-                    if b2 == b:
-                        key = k * dm + v
-                        y = coeffs.get(key, ZERO) - xv
-                        if y:
-                            coeffs[key] = y
-                        else:
-                            coeffs.pop(key, None)
-                if coeffs:
-                    sys.add_equation(coeffs)
-    out = []
-    for vec in sys.kernel_basis():
-        cols = [dict() for _ in range(dm)]
-        for idx, c in vec.items():
-            i, j = divmod(idx, dm)
-            cols[j][i] = c
-        out.append(HLinearMap(m.base, n_mod.base, Matrix(dn, dm, cols)))
-    return out
+    mu_pairs = [(Matrix(dm, dm, m.mu.columns()[b::n]), Matrix(dn, dn, n_mod.mu.columns()[b::n]))
+                for b in range(n)]
+    return intertwiners(m.base, n_mod.base, center_pairs(m.center, n_mod.center) + mu_pairs)
 
 
 def equivalence_report(h: QuasiHopfAlgebra, test_objects=None) -> Report:

@@ -167,6 +167,11 @@ class QuasiHopfAlgebra:
         mden = _lcm_denominator(c for row in self.mult for m in row for c in m.values()) or 1
         self._int_mult = (mden, [[list(_scaled(m, mden).items()) for m in row]
                                  for row in self.mult])
+        # a |-> e_i a e_j for every pair (i, j), the fused-leg operator family on an
+        # H leg of repcat.elem_action_matrix (indexed [i][j])
+        self.sandwich = [[Matrix(dim, dim, [self.mul_vec({i: ONE}, self.mult[a][j])
+                                            for a in range(dim)])
+                          for j in range(dim)] for i in range(dim)]
         self.unit = {_idx(i): rat(c) for i, c in unit.items() if rat(c)}
         self.comult = [{(_idx(j), _idx(k)): rat(c) for (j, k), c in comult[i].items()
                         if rat(c)} for i in range(dim)]
@@ -378,6 +383,15 @@ class QuasiHopfAlgebra:
                 else:
                     out.pop(key, None)
         return TensorElement(self.dim, t.legs, out)
+
+    def fuse_legs(self, t: TensorElement, leg: int) -> TensorElement:
+        """Multiply legs ``leg`` and ``leg + 1`` (1-based) of t into one leg."""
+        out: dict[tuple, Fraction] = {}
+        for idx, c in t.coeffs.items():
+            for k, x in self.mult[idx[leg - 1]][idx[leg]].items():
+                key = idx[:leg - 1] + (k,) + idx[leg + 1:]
+                out[key] = out.get(key, ZERO) + c * x
+        return TensorElement(self.dim, t.legs - 1, out)
 
     def counit_legs(self, t: TensorElement, legs) -> TensorElement:
         """Apply the counit to the given (1-based) legs, dropping them."""
@@ -725,6 +739,36 @@ def kappa_inverse(h: QuasiHopfAlgebra, kappa: TensorElement | None = None) -> Te
     if h.mul(kinv, kappa) != one or h.mul(kappa, kinv) != one:
         raise LinAlgError("closed-form kappa inverse failed the two-sided check")
     return kinv
+
+
+def _s_alpha(h: QuasiHopfAlgebra) -> Matrix:
+    """The operator x |-> S(x) alpha."""
+    return h.antipode.then(h.right_mult_matrix(h.alpha_vec))
+
+
+def alpha_contraction(h: QuasiHopfAlgebra) -> TensorElement:
+    """sum P1 (x) S(P2) alpha P3 over the associator: the element behind the
+    canonical action of the algebra, the evaluation family and the adjunction
+    counit."""
+    return h.fuse_legs(h.apply_leg(h.phi, 2, _s_alpha(h)), 2)
+
+
+def beta_contraction(h: QuasiHopfAlgebra) -> TensorElement:
+    """sum q1 (x) q2 beta S(q3) over phi^-1: the element behind the adjunction
+    unit; its counit on the first leg is the unit of the algebra."""
+    t = h.apply_leg(h.phi_inv, 2, h.right_mult_matrix(h.beta_vec))
+    return h.fuse_legs(h.apply_leg(t, 3, h.antipode), 2)
+
+
+def product_element(h: QuasiHopfAlgebra) -> TensorElement:
+    """sum E1 (x) S(E2) alpha E3 (x) S(E4) over E = (1 x phi^-1) . (id x id x Delta)(phi).
+
+    a . b = sum E1 a S(E2) alpha E3 b S(E4) is the product of the canonical
+    algebra, and the same element drives the inner composition.
+    """
+    e = h.mul(h.spread(h.phi_inv, [(2,), (3,), (4,)], 4),
+              h.spread(h.phi, [(1,), (2,), (3, 4)], 4))
+    return h.apply_leg(h.fuse_legs(h.apply_leg(e, 2, _s_alpha(h)), 2), 3, h.antipode)
 
 
 # ---------------------------------------------------------------------------

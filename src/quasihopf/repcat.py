@@ -9,6 +9,15 @@ Also here: inner homs with their adjunction unit/counit, the inner
 composition, the hom-tensor interchange map, left and right duals, and the
 end of x |-> innhom(x, P (x) x (x) Q) computed over the regular generator two
 independent ways.
+
+Everything that acts by a tensor element goes through one primitive,
+elem_action_matrix: the sum of c_I F_1[I_1] (x) ... (x) F_k[I_k] over the
+terms of the element, with one operator family per slot (a module's action
+matrices, a rectangular family such as flattened or transposed actions, or
+the algebra's two-leg sandwich family).  Tensor products, associators, the
+inner-hom actions, the adjunction unit and counit, the inner composition and
+the interchange are each one such call.  Hom spaces, centre hom spaces and
+right-module hom spaces share one equation builder, intertwiners.
 """
 
 from __future__ import annotations
@@ -17,8 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import (LinearSystem, Matrix, ONE, ZERO, _canon, _div, _lcm_denominator,
-                     _scaled, inverse, spans_equal, vec_add_scaled)
-from .qha import QuasiHopfAlgebra, TensorElement
+                     _scaled, inverse, spans_equal)
+from .qha import (QuasiHopfAlgebra, TensorElement, alpha_contraction, beta_contraction,
+                  product_element)
 from .report import Report
 
 
@@ -59,15 +69,12 @@ class HModule:
 
     def action_of(self, v: dict) -> Matrix:
         """The action of an algebra element with coefficient vector v."""
-        out = Matrix.zero(self.dim, self.dim)
-        for i, c in v.items():
-            out = out + c * self.action[i]
-        return out
+        return elem_action_matrix(TensorElement(self.h.dim, 1, v), [self])
 
     def action_of_elem(self, t: TensorElement) -> Matrix:
         if t.legs != 1:
             raise ValueError("expected a 1-leg element")
-        return self.action_of({i: c for (i,), c in t.coeffs.items()})
+        return elem_action_matrix(t, [self])
 
     def validate(self) -> Report:
         rep = Report(title=f"module[{self.label or 'M'}]")
@@ -194,13 +201,8 @@ def tensor(m: HModule, n: HModule) -> HModule:
     h = m.h
 
     def build():
-        action = []
-        for i in range(h.dim):
-            cols: list[dict] = [dict() for _ in range(m.dim * n.dim)]
-            for (j, k), c in h.comult[i].items():
-                _kron_into(cols, m.action[j], n.action[k], c)
-            action.append(Matrix(m.dim * n.dim, m.dim * n.dim, cols))
-        return action
+        return [elem_action_matrix(TensorElement(h.dim, 2, h.comult[i]), [m, n])
+                for i in range(h.dim)]
 
     return HModule(h, m.dim * n.dim, builder=build,
                    label=_paren(m.label) + "*" + _paren(n.label))
@@ -210,35 +212,72 @@ def _paren(lbl: str) -> str:
     return f"({lbl})" if "*" in lbl else lbl
 
 
-def elem_action_matrix(t: TensorElement, mods: list[HModule]) -> Matrix:
-    """The legwise action of a tensor-power element on a product of modules.
+def elem_action_matrix(t: TensorElement, slots) -> Matrix:
+    """The action of a tensor element through one operator family per slot:
+    the sum over the terms c_I of t of c_I F_1[I_1] (x) ... (x) F_k[I_k].
+
+    A slot is a module (its action matrices) or an operator family: a list of
+    matrices, possibly rectangular, indexed by one leg's basis index.  A
+    family of nested lists takes as many consecutive legs as it is deep
+    (fused legs, e.g. ``QuasiHopfAlgebra.sandwich[i][j]``).
 
     The element's coefficients are scaled to integers by the lcm of their
-    denominators before they meet the action matrices, and each entry of the
-    sum is divided by that lcm once at the end.
+    denominators before they meet the matrices, the product of all slots but
+    the last is built once per index prefix, and each entry of the sum is
+    divided by that lcm once at the end.
     """
-    if t.legs != len(mods):
-        raise ValueError("leg count does not match module count")
-    if not mods:
+    fams, arity, rows, cols = [], [], 1, 1
+    for s in slots:
+        fam = s.action if isinstance(s, HModule) else s
+        probe, k = fam, 0
+        while isinstance(probe, list):
+            probe, k = probe[0], k + 1
+        fams.append(fam)
+        arity.append(k)
+        rows, cols = rows * probe.rows, cols * probe.cols
+    if t.legs != sum(arity):
+        raise ValueError("leg count does not match the slots")
+    if not fams:
         c = t.coeffs.get((), 0)
         return Matrix(1, 1, [{0: c} if c else {}])
-    total = 1
-    for m in mods:
-        total *= m.dim
-    den = _lcm_denominator(t.coeffs.values()) or 1
-    cols: list[dict] = [dict() for _ in range(total)]
-    heads: dict[tuple, Matrix] = {}  # action on all legs but the last, per index prefix
-    for idx, c in _scaled(t.coeffs, den).items():
-        lead = idx[:-1]
-        if lead not in heads:
-            head = None
-            for i, m in zip(lead, mods):
-                head = m.action[i] if head is None else head.kron(m.action[i])
-            heads[lead] = Matrix.identity(1) if head is None else head
-        _kron_into(cols, heads[lead], mods[-1].action[idx[-1]], c)
-    if den != 1:
-        cols = [{i: _div(x, den) for i, x in col.items()} for col in cols]
-    return Matrix(total, total, cols)
+
+    def pick(fam, idx):
+        for i in idx:
+            fam = fam[i]
+        return fam
+
+    split = t.legs - arity[-1]
+    den = _lcm_denominator(t.coeffs.values())
+    out: list[dict] = [dict() for _ in range(cols)]
+    heads: dict[tuple, Matrix] = {}  # all slots but the last, per index prefix
+    for idx, c in (t.coeffs if den is None else _scaled(t.coeffs, den)).items():
+        lead = idx[:split]
+        head = heads.get(lead)
+        if head is None:
+            pos = 0
+            for fam, k in zip(fams[:-1], arity):
+                mat = pick(fam, lead[pos:pos + k])
+                head = mat if head is None else head.kron(mat)
+                pos += k
+            heads[lead] = head = Matrix.identity(1) if head is None else head
+        _kron_into(out, head, pick(fams[-1], idx[split:]), c)
+    if den is not None:
+        out = [{i: _div(x, den) for i, x in col.items()} for col in out]
+    return Matrix(rows, cols, out)
+
+
+def _flattened(mats: list[Matrix], as_row: bool) -> list[Matrix]:
+    """Each r x c matrix as one row (1 x rc) or one column (rc x 1), entry
+    (i, j) at i * c + j: a functional on, or a vector of, the maps."""
+    out = []
+    for m in mats:
+        flat = {i * m.cols + j: x for j, col in enumerate(m.columns()) for i, x in col.items()}
+        if as_row:
+            out.append(Matrix(1, m.rows * m.cols,
+                              [{0: flat[k]} if k in flat else {} for k in range(m.rows * m.cols)]))
+        else:
+            out.append(Matrix(m.rows * m.cols, 1, [flat]))
+    return out
 
 
 def associator(m: HModule, n: HModule, p: HModule) -> HLinearMap:
@@ -268,26 +307,19 @@ def unit_right_elim(m: HModule) -> HLinearMap:
 # ---------------------------------------------------------------------------
 # hom spaces
 
-def hom_space(m: HModule, n: HModule) -> list[HLinearMap]:
-    """An exact basis of the module maps m -> n."""
-    if m.h is not n.h:
-        raise ValueError("modules over different algebras")
-    h = m.h
-    nv = n.dim * m.dim  # unknown F[i, j] at index i*m.dim + j
-    sys = LinearSystem(nv)
-    for t in range(h.dim):
-        p_cols = m.action[t].columns()
-        q = n.action[t]
-        q_rows = q.row_view()
-        # (F . rho_m(e_t) - rho_n(e_t) . F)[i, j] = 0
-        for i in range(n.dim):
-            qr = q_rows[i]
-            for j in range(m.dim):
-                coeffs: dict[int, Fraction] = {}
-                for k, x in p_cols[j].items():
-                    coeffs[i * m.dim + k] = coeffs.get(i * m.dim + k, ZERO) + x
-                for k, x in qr.items():
-                    key = k * m.dim + j
+def intertwiners(m: HModule, n: HModule, pairs) -> list[HLinearMap]:
+    """An exact basis of the linear maps F: m -> n with F . P = Q . F for every
+    (P, Q) in pairs (P an endomorphism of m's space, Q of n's)."""
+    dm, dn = m.dim, n.dim
+    sys = LinearSystem(dn * dm)  # unknown F[i, j] at index i*dm + j
+    for p, q in pairs:
+        p_cols, q_rows = p.columns(), q.row_view()
+        # (F . P - Q . F)[i, j] = 0
+        for i in range(dn):
+            for j in range(dm):
+                coeffs = {i * dm + k: x for k, x in p_cols[j].items()}
+                for k, x in q_rows[i].items():
+                    key = k * dm + j
                     acc = coeffs.get(key, ZERO) - x
                     if acc:
                         coeffs[key] = acc
@@ -297,12 +329,19 @@ def hom_space(m: HModule, n: HModule) -> list[HLinearMap]:
                     sys.add_equation(coeffs)
     out = []
     for vec in sys.kernel_basis():
-        cols = [dict() for _ in range(m.dim)]
+        cols = [dict() for _ in range(dm)]
         for idx, c in vec.items():
-            i, j = divmod(idx, m.dim)
+            i, j = divmod(idx, dm)
             cols[j][i] = c
-        out.append(HLinearMap(m, n, Matrix(n.dim, m.dim, cols)))
+        out.append(HLinearMap(m, n, Matrix(dn, dm, cols)))
     return out
+
+
+def hom_space(m: HModule, n: HModule) -> list[HLinearMap]:
+    """An exact basis of the module maps m -> n."""
+    if m.h is not n.h:
+        raise ValueError("modules over different algebras")
+    return intertwiners(m, n, zip(m.action, n.action))
 
 
 def hom_dim(m: HModule, n: HModule) -> int:
@@ -340,14 +379,10 @@ def inner_hom(m: HModule, n: HModule) -> InnerHomModule:
     h = m.h
 
     def build():
-        action = []
-        for t in range(h.dim):
-            cols: list[dict] = [dict() for _ in range(m.dim * n.dim)]
-            for (j, k), c in h.comult[t].items():
-                _kron_into(cols, n.action[j],
-                           m.action_of(h.s_vec({k: ONE})).transpose(), c)
-            action.append(Matrix(m.dim * n.dim, m.dim * n.dim, cols))
-        return action
+        m_t = [a.transpose() for a in m.action]
+        return [elem_action_matrix(h.apply_leg(TensorElement(h.dim, 2, h.comult[t]), 2,
+                                               h.antipode), [n, m_t])
+                for t in range(h.dim)]
 
     return InnerHomModule(h, m.dim * n.dim, builder=build,
                           label=f"innH({m.label or '?'},{n.label or '?'})",
@@ -355,95 +390,27 @@ def inner_hom(m: HModule, n: HModule) -> InnerHomModule:
 
 
 def eeta(m: HModule, p: HModule) -> HLinearMap:
-    """The adjunction unit m -> innhom(p, m (x) p)."""
-    h = m.h
-    mp = tensor(m, p)
-    ih = inner_hom(p, mp)
-    cols = []
-    for u in range(m.dim):
-        col: dict[int, Fraction] = {}
-        for (a, b, c), cf in h.phi_inv.coeffs.items():
-            va = m.action[a].col(u)
-            w = h.prod_chain([{b: ONE}, h.beta_vec, h.s_vec({c: ONE})])
-            wmat = p.action_of(w)
-            for i, xi in va.items():
-                for (q2, src), val in _iter_entries(wmat):
-                    key = ((i * p.dim + q2) * p.dim) + src
-                    acc = col.get(key, ZERO) + cf * xi * val
-                    if acc:
-                        col[key] = acc
-                    else:
-                        col.pop(key, None)
-        cols.append(col)
-    return HLinearMap(m, ih, Matrix(ih.dim, m.dim, cols))
-
-
-def _iter_entries(mat: Matrix):
-    for j, col in enumerate(mat.columns()):
-        for i, x in col.items():
-            yield (i, j), x
+    """The adjunction unit m -> innhom(p, m (x) p): u |-> q1 u (x) (q2 beta S(q3) |> -)."""
+    ih = inner_hom(p, tensor(m, p))
+    return HLinearMap(m, ih, elem_action_matrix(beta_contraction(m.h),
+                                                [m, _flattened(p.action, as_row=False)]))
 
 
 def eeps(n: HModule, p: HModule) -> HLinearMap:
-    """The adjunction counit innhom(p, n) (x) p -> n."""
-    h = n.h
-    ih = inner_hom(p, n)
-    src = tensor(ih, p)
-    cols = [dict() for _ in range(src.dim)]
-    for (a, b, c), cf in h.phi.coeffs.items():
-        z = p.action_of(h.prod_chain([h.s_vec({b: ONE}), h.alpha_vec, {c: ONE}]))
-        r = n.action[a]
-        rcols = r.columns()
-        zcols = z.columns()
-        for u in range(p.dim):
-            for w, zwu in zcols[u].items():
-                # basis f = E_{v,w} eats z and leaves e_v, then rho_n(Phi^1)
-                for v in range(n.dim):
-                    col = cols[(v * p.dim + w) * p.dim + u]
-                    vec_add_scaled(col, rcols[v], cf * zwu)
-    return HLinearMap(src, n, Matrix(n.dim, src.dim, cols))
+    """The adjunction counit innhom(p, n) (x) p -> n: f (x) u |-> P1 f(S(P2) alpha P3 |> u)."""
+    src = tensor(inner_hom(p, n), p)
+    return HLinearMap(src, n, elem_action_matrix(alpha_contraction(n.h),
+                                                 [n, _flattened(p.action, as_row=True)]))
 
 
 def icomp(x: HModule, y: HModule, z: HModule) -> HLinearMap:
-    """Inner composition innhom(y,z) (x) innhom(x,y) -> innhom(x,z)."""
-    h = x.h
-    ihyz, ihxy, ihxz = inner_hom(y, z), inner_hom(x, y), inner_hom(x, z)
-    src = tensor(ihyz, ihxy)
-    cols = [dict() for _ in range(src.dim)]
-    for (A, B, C), cphi in h.phi.coeffs.items():
-        for (r, s), cdel in h.comult[C].items():
-            for (a, b, c), cpsi in h.phi_inv.coeffs.items():
-                coeff0 = cphi * cdel * cpsi
-                m1 = x.action_of(h.s_vec(h.mul_vec({c: ONE}, {s: ONE})))
-                m2 = y.action_of(h.prod_chain(
-                    [h.s_vec(h.mul_vec({a: ONE}, {B: ONE})), h.alpha_vec, {b: ONE}, {r: ONE}]))
-                m3cols = z.action[A].columns()
-                m1rows = m1.row_view()
-                for v in range(z.dim):
-                    zcol = m3cols[v]
-                    if not zcol:
-                        continue
-                    for w in range(y.dim):
-                        gidx = v * y.dim + w
-                        for p in range(y.dim):
-                            m2wp = m2.entry(w, p)
-                            if not m2wp:
-                                continue
-                            cc = coeff0 * m2wp
-                            for q in range(x.dim):
-                                row = m1rows[q]
-                                if not row:
-                                    continue
-                                col = cols[gidx * x.dim * y.dim + p * x.dim + q]
-                                for zz, zv in zcol.items():
-                                    for xx, xv in row.items():
-                                        key = zz * x.dim + xx
-                                        acc = col.get(key, ZERO) + cc * zv * xv
-                                        if acc:
-                                            col[key] = acc
-                                        else:
-                                            col.pop(key, None)
-    return HLinearMap(src, ihxz, Matrix(ihxz.dim, src.dim, cols))
+    """Inner composition innhom(y,z) (x) innhom(x,y) -> innhom(x,z):
+    f (x) g |-> E1 f (S(E2) alpha E3) g (S(E4)), see qha.product_element."""
+    src = tensor(inner_hom(y, z), inner_hom(x, y))
+    ihxz = inner_hom(x, z)
+    return HLinearMap(src, ihxz, elem_action_matrix(
+        product_element(x.h), [z, _flattened(y.action, as_row=True),
+                               [a.transpose() for a in x.action]]))
 
 
 def inner_post(f: HLinearMap, p: HModule) -> HLinearMap:
@@ -471,41 +438,13 @@ def adjunction_report(m: HModule, p: HModule) -> Report:
 
 
 def in_map(m: HModule, x: HModule, y: HModule) -> HLinearMap:
-    """The interchange m (x) innhom(x,y) -> innhom(x, m (x) y)."""
+    """The interchange m (x) innhom(x,y) -> innhom(x, m (x) y):
+    u (x) f |-> (q1 |> u) (x) q2 f(S(q3) -)."""
     h = m.h
-    ihxy = inner_hom(x, y)
-    my = tensor(m, y)
-    ih2 = inner_hom(x, my)
-    src = tensor(m, ihxy)
-    cols = [dict() for _ in range(src.dim)]
-    for (a, b, c), cf in h.phi_inv.coeffs.items():
-        am = m.action[a]
-        bm = y.action[b]
-        cm = x.action_of(h.s_vec({c: ONE}))
-        cmrows = cm.row_view()
-        bcols = bm.columns()
-        for u in range(m.dim):
-            acol = am.col(u)
-            if not acol:
-                continue
-            for p in range(y.dim):
-                bp = bcols[p]
-                for q in range(x.dim):
-                    row = cmrows[q]
-                    if not row:
-                        continue
-                    col = cols[u * ihxy.dim + p * x.dim + q]
-                    for mm, mv in acol.items():
-                        for yy, yv in bp.items():
-                            tgt = mm * y.dim + yy
-                            for xx, xv in row.items():
-                                key = tgt * x.dim + xx
-                                acc = col.get(key, ZERO) + cf * mv * yv * xv
-                                if acc:
-                                    col[key] = acc
-                                else:
-                                    col.pop(key, None)
-    return HLinearMap(src, ih2, Matrix(ih2.dim, src.dim, cols))
+    src = tensor(m, inner_hom(x, y))
+    ih2 = inner_hom(x, tensor(m, y))
+    return HLinearMap(src, ih2, elem_action_matrix(
+        h.apply_leg(h.phi_inv, 3, h.antipode), [m, y, [a.transpose() for a in x.action]]))
 
 
 # ---------------------------------------------------------------------------
@@ -518,19 +457,8 @@ def left_dual(m: HModule) -> tuple[HModule, HLinearMap, HLinearMap]:
                               for i in range(h.dim)],
                    label=f"ldual({m.label or '?'})")
     unit = unit_module(h)
-    ev_mat = Matrix(1, m.dim * m.dim, [dict() for _ in range(m.dim * m.dim)])
-    alpha_act = m.action_of(h.alpha_vec)
-    cols = []
-    for j in range(m.dim):
-        for mm in range(m.dim):
-            x = alpha_act.entry(j, mm)
-            cols.append({0: x} if x else {})
-    ev = HLinearMap(tensor(dual, m), unit, Matrix(1, m.dim * m.dim, cols))
-    beta_act = m.action_of(h.beta_vec)
-    coev_col: dict[int, Fraction] = {}
-    for (mm, j), x in _iter_entries(beta_act):
-        coev_col[mm * m.dim + j] = x
-    coev = HLinearMap(unit, tensor(m, dual), Matrix(m.dim * m.dim, 1, [coev_col]))
+    ev = HLinearMap(tensor(dual, m), unit, _flattened([m.action_of(h.alpha_vec)], True)[0])
+    coev = HLinearMap(unit, tensor(m, dual), _flattened([m.action_of(h.beta_vec)], False)[0])
     return dual, ev, coev
 
 
@@ -540,25 +468,16 @@ def right_dual(m: HModule) -> tuple[HModule, HLinearMap, HLinearMap]:
                               for i in range(h.dim)],
                    label=f"rdual({m.label or '?'})")
     unit = unit_module(h)
-    a_act = m.action_of(h.s_inv_vec(h.alpha_vec))
-    cols = []
-    for mm in range(m.dim):
-        for j in range(m.dim):
-            x = a_act.entry(j, mm)
-            cols.append({0: x} if x else {})
-    ev = HLinearMap(tensor(m, dual), unit, Matrix(1, m.dim * m.dim, cols))
-    b_act = m.action_of(h.s_inv_vec(h.beta_vec))
-    coev_col: dict[int, Fraction] = {}
-    for (mm, j), x in _iter_entries(b_act):
-        coev_col[j * m.dim + mm] = x
-    coev = HLinearMap(unit, tensor(dual, m), Matrix(m.dim * m.dim, 1, [coev_col]))
+    a_act = m.action_of(h.s_inv_vec(h.alpha_vec)).transpose()
+    ev = HLinearMap(tensor(m, dual), unit, _flattened([a_act], True)[0])
+    b_act = m.action_of(h.s_inv_vec(h.beta_vec)).transpose()
+    coev = HLinearMap(unit, tensor(dual, m), _flattened([b_act], False)[0])
     return dual, ev, coev
 
 
 def snake_report(m: HModule) -> Report:
     """Both zig-zag composites for both duals, with associators inserted."""
     rep = Report(title=f"duals[{m.label or 'M'}]")
-    h = m.h
     ld, ev, coev = left_dual(m)
     idm, idd = identity_map(m), identity_map(ld)
 

@@ -15,8 +15,8 @@ from quasihopf.algebra_a import (build_A, diamond, extract_center_structure,
 from quasihopf.repcat import elem_action_matrix
 
 
-def test_build_reports_pass(any_h):
-    a = build_A(any_h)
+def test_build_reports_pass(any_h_tw):
+    a = build_A(any_h_tw)
     assert a.report.ok, a.report.render_text()
 
 
@@ -88,9 +88,9 @@ def test_heart_of_unit_is_A(any_h):
         assert hm.base.action[i] == a.base.action[i]
 
 
-def test_heart_mu_two_routes_agree(any_h):
-    c = regular_module(any_h)
-    assert heart_mu(any_h, c) == heart_mu_direct(any_h, c)
+def test_heart_mu_two_routes_agree(any_h_tw):
+    c = regular_module(any_h_tw)
+    assert heart_mu(any_h_tw, c) == heart_mu_direct(any_h_tw, c)
 
 
 def test_heart_base_is_module(any_h):

@@ -1,5 +1,5 @@
 from quasihopf.linalg import Matrix, inverse
-from quasihopf.repcat import hom_space, regular_module, unit_module
+from quasihopf.repcat import hom_space, regular_module, tensor, unit_module
 from quasihopf.algebra_a import build_A, heart_on_morphism
 from quasihopf.mod_a import (AModule, algebra_as_amodule, amodule_hom_space,
                              coinvariants, coinvariants_monoidal, coinvariants_on_morphism,
@@ -134,19 +134,27 @@ def test_coinvariants_monoidal(any_h):
 
 # -- the two isomorphisms ----------------------------------------------------------
 
-def test_counit_iso_unit_object(any_h):
-    a = build_A(any_h)
-    iso, rep = counit_iso(unit_module(any_h), a)
+def test_counit_iso_unit_object(any_h_tw):
+    a = build_A(any_h_tw)
+    iso, rep = counit_iso(unit_module(any_h_tw), a)
     assert rep.ok
     assert iso.source.dim == 1 and iso.target.dim == 1
 
 
-def test_counit_iso_regular(any_h):
-    a = build_A(any_h)
-    iso, rep = counit_iso(regular_module(any_h), a)
+def test_counit_iso_regular(any_h_tw):
+    a = build_A(any_h_tw)
+    iso, rep = counit_iso(regular_module(any_h_tw), a)
     assert rep.ok, rep.render_text()
-    assert iso.source.dim == any_h.dim
+    assert iso.source.dim == any_h_tw.dim
     assert inverse(iso.matrix) is not None
+
+
+def test_counit_iso_tensor_square_on_twist(tw):
+    a = build_A(tw)
+    c = regular_module(tw)
+    iso, rep = counit_iso(tensor(c, c), a)
+    assert rep.ok, rep.render_text()
+    assert iso.source.dim == c.dim ** 2
 
 
 def test_counit_iso_natural(z2):

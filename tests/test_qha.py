@@ -12,8 +12,16 @@ from quasihopf.report import VerificationFailure
 from conftest import get_algebra
 
 
-def test_builtins_pass_axioms(any_h):
-    assert any_h.verify_axioms().ok
+def test_builtins_pass_axioms(any_h_tw):
+    assert any_h_tw.verify_axioms().ok
+
+
+def test_twisted_sweedler_is_genuinely_quasi(tw):
+    # a dense associator and a product that does not commute
+    assert len(tw.phi.coeffs) == 17
+    assert tw.alpha == TensorElement(4, 1, {0: 1, 2: 1, 3: 1})   # 1 + x + gx
+    assert tw.mul_vec({1: 1}, {2: 1}) != tw.mul_vec({2: 1}, {1: 1})
+    assert tw.mul(tw.phi, tw.phi_inv) == tw.unit_elem(3)
 
 
 def test_group_z2_relations(z2):
@@ -152,8 +160,8 @@ def test_kappa_lambda_eps_identities(any_h):
 
 # -- derived identities ---------------------------------------------------------
 
-def test_derived_identities(any_h):
-    rep = verify_derived_identities(any_h)
+def test_derived_identities(any_h_tw):
+    rep = verify_derived_identities(any_h_tw)
     assert rep.ok, rep.render_text()
 
 

@@ -152,9 +152,9 @@ def test_eeta_trivial_for_z2(z2):
         assert unit_map.matrix.col(u) == want
 
 
-def test_adjunction_triangles_small(any_h):
-    c = regular_module(any_h)
-    i = unit_module(any_h)
+def test_adjunction_triangles_small(any_h_tw):
+    c = regular_module(any_h_tw)
+    i = unit_module(any_h_tw)
     for m in (i, c):
         for p in (i, c):
             rep = adjunction_report(m, p)
@@ -230,9 +230,9 @@ def test_in_map_square_and_invertibility(any_h):
 
 # -- duals ---------------------------------------------------------------------
 
-def test_snakes(any_h):
-    c = regular_module(any_h)
-    i = unit_module(any_h)
+def test_snakes(any_h_tw):
+    c = regular_module(any_h_tw)
+    i = unit_module(any_h_tw)
     assert snake_report(i).ok
     assert snake_report(c).ok, snake_report(c).render_text()
 
@@ -289,41 +289,75 @@ def test_inner_post_functorial(z2):
         assert inner_post(f, c).is_h_linear()
 
 
-def naive_action(t, mods):
-    """sum c * (rho(e_i) kron rho(e_j) kron ...) as dense Fraction rows."""
-    shape = LegShape(tuple(m.dim for m in mods))
-    idx = [shape.unindex(k) for k in range(shape.size)]
-    out = [[Fraction(0)] * shape.size for _ in range(shape.size)]
+def naive_action(t, slots):
+    """sum c * (F_1[I_1] kron F_2[I_2] kron ...) as dense Fraction rows; each
+    slot is (legs, family), the family a function of a tuple of leg indices."""
+    first = [fam((0,) * k) for k, fam in slots]
+    rshape = LegShape(tuple(m.rows for m in first))
+    cshape = LegShape(tuple(m.cols for m in first))
+    ridx = [rshape.unindex(r) for r in range(rshape.size)]
+    cidx = [cshape.unindex(s) for s in range(cshape.size)]
+    out = [[Fraction(0)] * len(cidx) for _ in ridx]
     for legs, c in t.coeffs.items():
-        for r, rs in enumerate(idx):
-            for s, ss in enumerate(idx):
+        mats, pos = [], 0
+        for k, fam in slots:
+            mats.append(fam(legs[pos:pos + k]))
+            pos += k
+        for r, rs in enumerate(ridx):
+            for s, ss in enumerate(cidx):
                 x = Fraction(c)
-                for m, i, a, b in zip(mods, legs, rs, ss):
-                    x *= m.action[i].entry(a, b)
+                for m, a, b in zip(mats, rs, ss):
+                    x *= m.entry(a, b)
                 out[r][s] += x
     return [x for row in out for x in row]
 
 
+def _dyadic_matrix(rng, rows, cols):
+    return Matrix.from_rows([[Fraction(rng.randint(-3, 3), rng.choice([1, 2, 4]))
+                              for _ in range(cols)] for _ in range(rows)])
+
+
+# slots: C, CC, I modules; S the sandwich family of the algebra (two fused
+# legs); R a family of 2x3 and V of 3x1 matrices (rectangular); F a fused
+# two-leg family of 1x2 matrices
 @pytest.mark.parametrize("name,mods,elem", [
     ("drinfeld_h2", "C,C,C", "phi"),
     ("drinfeld_h2", "C,CC,I", "phi_inv"),
     ("sweedler_h4", "C,C", "random"),
     ("sweedler_h4", "CC,C", "random"),
+    ("drinfeld_h2", "S,C", "phi"),
+    ("sweedler_h4", "C,S,C", "random"),
+    ("sweedler_h4", "R,C", "random"),
+    ("drinfeld_h2", "C,V,R", "phi"),
+    ("drinfeld_h2", "F,R", "phi_inv"),
 ])
 def test_elem_action_matrix_matches_naive_sum(name, mods, elem):
     h = get_algebra(name)
     c = regular_module(h)
-    named = {"C": c, "CC": tensor(c, c), "I": unit_module(h)}
-    mods = [named[k] for k in mods.split(",")]
+    mrng = random.Random(11)
+    rect = [_dyadic_matrix(mrng, 2, 3) for _ in range(h.dim)]
+    vec = [_dyadic_matrix(mrng, 3, 1) for _ in range(h.dim)]
+    fused = [[_dyadic_matrix(mrng, 1, 2) for _ in range(h.dim)] for _ in range(h.dim)]
+    named = {"C": c, "CC": tensor(c, c), "I": unit_module(h),
+             "S": h.sandwich, "R": rect, "V": vec, "F": fused}
+    slots = [named[k] for k in mods.split(",")]
+
+    def naive_slot(key, f):
+        if key in ("S", "F"):
+            return 2, lambda i: f[i[0]][i[1]]
+        return 1, (lambda i: f[i[0]]) if isinstance(f, list) else (lambda i: f.action[i[0]])
+
+    spec = [naive_slot(k, f) for k, f in zip(mods.split(","), slots)]
+    legs = sum(k for k, _ in spec)
     if elem == "random":
         rng = random.Random(7)
-        t = TensorElement(h.dim, len(mods), {
-            tuple(rng.randrange(h.dim) for _ in mods): Fraction(rng.randint(-4, 4), rng.choice([1, 2, 4]))
+        t = TensorElement(h.dim, legs, {
+            tuple(rng.randrange(h.dim) for _ in range(legs)): Fraction(rng.randint(-4, 4), rng.choice([1, 2, 4]))
             for _ in range(6)})
     else:
         t = getattr(h, elem)
     assert any(type(x) is Fraction for x in t.coeffs.values())  # dyadic data
-    got = elem_action_matrix(t, mods)
-    assert got.to_flat() == naive_action(t, mods)
+    got = elem_action_matrix(t, slots)
+    assert got.to_flat() == naive_action(t, spec)
     assert all(type(x) is int or x.denominator != 1
                for col in got.columns() for x in col.values())

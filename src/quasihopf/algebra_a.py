@@ -24,7 +24,6 @@ keeps the raw product formula as an independent route.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .linalg import Matrix, ONE, ZERO, inverse
 from .qha import (QuasiHopfAlgebra, TensorElement, _s_alpha, alpha_contraction,
@@ -339,17 +338,11 @@ class AlgebraA:
     def base(self) -> HModule:
         return self.center.base
 
-    def eps_of(self, v: dict) -> Fraction:
-        return sum((self.eps_row.entry(0, i) * c for i, c in v.items()), ZERO)
-
     def harpoon(self, x: HModule) -> HLinearMap:
         """The canonical action A (x) X -> X: a |> via P1 a S(P2) alpha P3, which is
         the evaluation family of heart(I) = A."""
         ev = diamond(self.h, unit_module(self.h), x)
         return HLinearMap(tensor(self.base, x), x, ev.matrix)
-
-    def braiding_with(self, x: HModule) -> HLinearMap:
-        return braiding(self.center, x)
 
     def __repr__(self):
         return f"AlgebraA(over {self.h.name or 'H'})"

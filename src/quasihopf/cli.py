@@ -45,6 +45,13 @@ def _load_json(path: str) -> dict:
         raise InputError(f"{path}: {exc}") from exc
 
 
+def _load_module(h: QuasiHopfAlgebra, path: str, label: str):
+    try:
+        return qhio.module_from_obj(h, _load_json(path), label=label)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
 def _emit(rep: Report, fmt: str) -> None:
     print(rep.render_json() if fmt == "json" else rep.render_text())
 
@@ -54,6 +61,10 @@ def _context_for(h: QuasiHopfAlgebra, path: str | None) -> Context:
     if path is None:
         return ctx
     obj = _load_json(path)
+    sections = ("modules", "center", "amodules", "morphisms")
+    if not (isinstance(obj, dict) and all(isinstance(obj.get(s, {}), dict) for s in sections)):
+        raise InputError(f"context {path}: expected an object whose "
+                         f"{'/'.join(sections)} entries are objects")
     try:
         for name, data in obj.get("modules", {}).items():
             ctx.add_module(name, qhio.module_from_obj(h, data, label=name))
@@ -91,10 +102,8 @@ def cmd_end(args) -> int:
         h.require_valid()
     except VerificationFailure as exc:
         raise InputError(f"algebra failed axiom checks: {exc}") from exc
-    p = qhio.module_from_obj(h, _load_json(args.left), label="P") if args.left \
-        else unit_module(h)
-    q = qhio.module_from_obj(h, _load_json(args.right), label="Q") if args.right \
-        else unit_module(h)
+    p = _load_module(h, args.left, "P") if args.left else unit_module(h)
+    q = _load_module(h, args.right, "Q") if args.right else unit_module(h)
     for m, name in ((p, "left"), (q, "right")):
         vrep = m.validate()
         if not vrep.ok:

@@ -2,8 +2,15 @@
 
 Every displayed identity becomes a runnable script: morphisms are written
 diagrammatically with ';' (first left, then right), tensored with '*', and
-the named generators take object arguments.  Object expressions are names,
-'*' products, heart(X), coinv(M) and innh(X,Y).
+the named generators take arguments of four sorts: objects, centre objects,
+right modules and morphisms.  Object expressions are names, '*' products,
+heart(X), coinv(M) and innh(X,Y); heart(X) is also a centre object and a
+right module.
+
+Each name is one entry of GENERATORS: for every sort the name can be used
+at, the sorts of its arguments, its endpoints and its evaluator.
+Elaboration resolves each argument once, by its sort, and keeps the
+results on the TypedExpr; evaluation runs the same spec on them.
 
 Grammar (whitespace-insensitive, ';' binds looser than '*'):
 
@@ -14,7 +21,9 @@ Grammar (whitespace-insensitive, ';' binds looser than '*'):
 from __future__ import annotations
 
 import string
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import reduce
 
 from .linalg import LinAlgError, inverse
 from .qha import QuasiHopfAlgebra
@@ -210,6 +219,10 @@ def print_expr(node) -> str:
 # ---------------------------------------------------------------------------
 # contexts
 
+# The sorts of expression; an error for a wrong argument names the expected one.
+OBJECT, CENTRE, RIGHT, MORPHISM = "object", "centre object", "right module", "morphism"
+
+
 class Context:
     """Named objects and morphisms, everything validated on the way in."""
 
@@ -225,9 +238,16 @@ class Context:
         self.centers: dict[str, CenterObject] = {"A": self.algebra.center}
         self.amodules: dict[str, AModule] = {"A": algebra_as_amodule(self.algebra)}
         self.morphisms: dict[str, HLinearMap] = {}
+        self.named = {OBJECT: self.modules, CENTRE: self.centers, RIGHT: self.amodules,
+                      MORPHISM: self.morphisms}
         self._coinv_cache: dict[int, tuple] = {}
 
+    def _claim(self, name: str) -> None:
+        if any(name in names for names in self.named.values()):
+            raise DslError(f"name {name!r} is already bound")
+
     def add_module(self, name: str, m: HModule) -> None:
+        self._claim(name)
         rep = m.validate()
         if not rep.ok:
             raise VerificationFailure(f"module {name!r} failed validation", rep)
@@ -235,19 +255,22 @@ class Context:
         self.modules[name] = m
 
     def add_center(self, name: str, m: CenterObject) -> None:
+        self._claim(name)
         m.require_valid()
         m.label = m.label or name
         self.centers[name] = m
-        self.modules.setdefault(name, m.base)
+        self.modules[name] = m.base
 
     def add_amodule(self, name: str, m: AModule) -> None:
+        self._claim(name)
         m.require_valid()
         m.label = m.label or name
         self.amodules[name] = m
-        self.centers.setdefault(name, m.center)
-        self.modules.setdefault(name, m.base)
+        self.centers[name] = m.center
+        self.modules[name] = m.base
 
     def add_morphism(self, name: str, f: HLinearMap) -> None:
+        self._claim(name)
         if not f.is_h_linear():
             raise VerificationFailure(f"morphism {name!r} is not a module map")
         self.morphisms[name] = f
@@ -260,6 +283,155 @@ class Context:
             self._coinv_cache[key] = (m, p, pres)
         return self._coinv_cache[key][1:]
 
+    def presentation_at(self, m: HModule):
+        """The coinvariants presentation of the registered right module on m."""
+        for am in self.amodules.values():
+            if am.base == m:
+                return self.coinv_of(am)[1]
+        raise DslError("coinv of a morphism needs registered right modules "
+                       f"at both endpoints; none matches {_fmt(m)}")
+
+
+def _fmt(m: HModule) -> str:
+    return m.label or f"<module dim {m.dim}>"
+
+
+# ---------------------------------------------------------------------------
+# the generator table
+
+@dataclass(frozen=True)
+class Spec:
+    """One generator at one sort.
+
+    ``sorts`` is the sort of each argument.  For an object constructor,
+    ``make(ctx, *args)`` is the object.  For a morphism it is
+    ``(source, target, *extra)``, and ``run(ctx, typed, *values)`` is the map,
+    where the values are the arguments (each morphism argument evaluated)
+    and then the extras.  A DslError without a position raised by either
+    function is reported at the call.
+    """
+    sorts: tuple[str, ...]
+    make: Callable
+    run: Callable | None = None
+
+
+def _inverse(ctx, te, f: HLinearMap) -> HLinearMap:
+    try:
+        return HLinearMap(f.target, f.source, inverse(f.matrix))
+    except LinAlgError as exc:
+        raise DslError(f"inv of a singular morphism: {exc}")
+
+
+def _square(ctx, f):
+    if f.source.dim != f.target.dim:
+        raise DslError("inv needs a square morphism")
+    return f.target, f.source
+
+
+def _assoc(ctx, x, y, z):
+    return tensor(tensor(x, y), z), tensor(x, tensor(y, z))
+
+
+def _braid(ctx, m, x):
+    return tensor(m.base, x), tensor(x, m.base)
+
+
+def _heart_free(ctx, m):
+    return heart(ctx.h, m.base).base, tensor(m.base, ctx.algebra.base)
+
+
+def _heart_coinv(ctx, m):
+    return heart(ctx.h, ctx.coinv_of(m)[1].module).base, m.base
+
+
+def _projection(ctx, m):
+    p, pres = ctx.coinv_of(m)
+    return m.base, pres.module, p
+
+
+def _coinv_ends(ctx, f):
+    pres_s, pres_d = ctx.presentation_at(f.source), ctx.presentation_at(f.target)
+    return pres_s.module, pres_d.module, pres_s, pres_d
+
+
+def _last(ctx, te, *values):
+    """The map handed over as the last value: a named map, or p's projection."""
+    return values[-1]
+
+
+# name -> the spec at each sort it can be used at
+GENERATORS: dict[str, dict[str, Spec]] = {
+    "id": {MORPHISM: Spec((OBJECT,), lambda ctx, x: (x, x),
+                          lambda ctx, te, x: identity_map(x))},
+    "assoc": {MORPHISM: Spec((OBJECT,) * 3, _assoc,
+                             lambda ctx, te, x, y, z: associator(x, y, z))},
+    "assoc_inv": {MORPHISM: Spec((OBJECT,) * 3, lambda ctx, *xs: _assoc(ctx, *xs)[::-1],
+                                 lambda ctx, te, x, y, z: associator_inv(x, y, z))},
+    "eta": {MORPHISM: Spec((OBJECT,) * 2, lambda ctx, m, p: (m, inner_hom(p, tensor(m, p))),
+                           lambda ctx, te, m, p: eeta(m, p))},
+    "eps": {MORPHISM: Spec((OBJECT,) * 2, lambda ctx, n, p: (tensor(inner_hom(p, n), p), n),
+                           lambda ctx, te, n, p: eeps(n, p))},
+    "icomp": {MORPHISM: Spec(
+        (OBJECT,) * 3,
+        lambda ctx, x, y, z: (tensor(inner_hom(y, z), inner_hom(x, y)), inner_hom(x, z)),
+        lambda ctx, te, x, y, z: icomp(x, y, z))},
+    "inmap": {MORPHISM: Spec(
+        (OBJECT,) * 3,
+        lambda ctx, m, x, y: (tensor(m, inner_hom(x, y)), inner_hom(x, tensor(m, y))),
+        lambda ctx, te, m, x, y: in_map(m, x, y))},
+    "braid": {MORPHISM: Spec((CENTRE, OBJECT), _braid,
+                             lambda ctx, te, m, x: braiding(m, x))},
+    "braid_inv": {MORPHISM: Spec((CENTRE, OBJECT), lambda ctx, m, x: _braid(ctx, m, x)[::-1],
+                                 lambda ctx, te, m, x: _inverse(ctx, te, braiding(m, x)))},
+    "diamond": {MORPHISM: Spec(
+        (OBJECT,) * 2, lambda ctx, m, x: (tensor(heart(ctx.h, m).base, x), tensor(x, m)),
+        lambda ctx, te, m, x: diamond(ctx.h, m, x))},
+    "pi": {MORPHISM: Spec((OBJECT,), lambda ctx, m: (heart(ctx.h, m).base, m),
+                          lambda ctx, te, m: pi_map(ctx.h, m))},
+    "mu": {MORPHISM: Spec((RIGHT,), lambda ctx, m: (tensor(m.base, ctx.algebra.base), m.base),
+                          lambda ctx, te, m: HLinearMap(te.source, te.target, m.mu))},
+    "lambda": {MORPHISM: Spec((RIGHT,),
+                              lambda ctx, m: (tensor(ctx.algebra.base, m.base), m.base),
+                              lambda ctx, te, m: left_action(m))},
+    "s": {MORPHISM: Spec((CENTRE,), _heart_free,
+                         lambda ctx, te, m: s_t_isos(m, ctx.algebra)[0])},
+    "t": {MORPHISM: Spec((CENTRE,), lambda ctx, m: _heart_free(ctx, m)[::-1],
+                         lambda ctx, te, m: s_t_isos(m, ctx.algebra)[1])},
+    "xi": {MORPHISM: Spec((RIGHT,), _heart_coinv, lambda ctx, te, m: unit_iso(m)[0])},
+    "zeta": {MORPHISM: Spec((RIGHT,), lambda ctx, m: _heart_coinv(ctx, m)[::-1],
+                            lambda ctx, te, m: unit_iso(m)[1])},
+    "p": {MORPHISM: Spec((RIGHT,), _projection, _last)},
+    "heart": {
+        MORPHISM: Spec((MORPHISM,),
+                       lambda ctx, f: (heart(ctx.h, f.source).base, heart(ctx.h, f.target).base),
+                       lambda ctx, te, f: heart_on_morphism(f)),
+        OBJECT: Spec((OBJECT,), lambda ctx, x: heart(ctx.h, x).base),
+        CENTRE: Spec((OBJECT,), lambda ctx, x: heart(ctx.h, x).center),
+        RIGHT: Spec((OBJECT,), lambda ctx, x: heart_amodule(ctx.algebra, x)),
+    },
+    "coinv": {
+        MORPHISM: Spec((MORPHISM,), _coinv_ends,
+                       lambda ctx, te, f, pres_s, pres_d:
+                       coinvariants_on_morphism(f, pres_s, pres_d)),
+        OBJECT: Spec((RIGHT,), lambda ctx, m: ctx.coinv_of(m)[1].module),
+    },
+    "inv": {MORPHISM: Spec((MORPHISM,), _square, _inverse)},
+    "innh": {OBJECT: Spec((OBJECT,) * 2, lambda ctx, x, y: inner_hom(x, y))},
+}
+
+_UNKNOWN_NAME = {OBJECT: "unknown object {!r}", CENTRE: "{!r} does not name a centre object",
+                 RIGHT: "{!r} does not name a right module", MORPHISM: "unknown morphism {!r}"}
+
+
+def _at(node: Call, fn, *args):
+    """fn(*args), with a DslError that has no position placed at the call."""
+    try:
+        return fn(*args)
+    except DslError as exc:
+        if exc.pos:
+            raise
+        raise DslError(str(exc), node.pos) from None
+
 
 # ---------------------------------------------------------------------------
 # elaboration: objects on every edge
@@ -269,206 +441,79 @@ class TypedExpr:
     node: object
     source: HModule
     target: HModule
-    children: list["TypedExpr"]
+    args: tuple     # what run is applied to; the TypedExprs among them are evaluated first
+    run: Callable   # (ctx, typed, *values) -> HLinearMap
 
 
-def _fmt(m: HModule) -> str:
-    return m.label or f"<module dim {m.dim}>"
+def _compose(ctx, te, *maps):
+    return reduce(HLinearMap.then, maps)
+
+
+def _tensor_maps(ctx, te, *maps):
+    return reduce(HLinearMap.tensor, maps)
 
 
 class Elaborator:
     def __init__(self, ctx: Context):
         self.ctx = ctx
 
-    # -- objects -------------------------------------------------------------
-
-    def resolve_module(self, node) -> HModule:
+    def resolve(self, node, sort: str):
+        """The value of an expression at a sort: the object, or for a
+        morphism the TypedExpr with its endpoints."""
         if isinstance(node, Name):
-            m = self.ctx.modules.get(node.ident)
-            if m is None:
-                raise DslError(f"unknown object {node.ident!r}", node.pos)
-            return m
-        if isinstance(node, Ten):
-            out = self.resolve_module(node.parts[0])
-            for p in node.parts[1:]:
-                out = tensor(out, self.resolve_module(p))
-            return out
+            value = self.ctx.named[sort].get(node.ident)
+            if value is None:
+                raise DslError(_UNKNOWN_NAME[sort].format(node.ident), node.pos)
+            if sort == MORPHISM:
+                return TypedExpr(node, value.source, value.target, (value,), _last)
+            return value
         if isinstance(node, Call):
-            if node.head == "heart":
-                self._arity(node, 1)
-                hm = heart(self.ctx.h, self.resolve_module(node.args[0]))
-                return hm.base
-            if node.head == "coinv":
-                self._arity(node, 1)
-                am = self.resolve_amodule(node.args[0])
-                _, pres = self.ctx.coinv_of(am)
-                return pres.module
-            if node.head == "innh":
-                self._arity(node, 2)
-                return inner_hom(self.resolve_module(node.args[0]),
-                                 self.resolve_module(node.args[1]))
-            raise DslError(f"{node.head!r} is not an object constructor", node.pos)
-        raise DslError("';' is not allowed inside an object expression")
-
-    def resolve_center(self, node) -> CenterObject:
-        if isinstance(node, Name):
-            m = self.ctx.centers.get(node.ident)
-            if m is None:
-                raise DslError(f"{node.ident!r} does not name a centre object", node.pos)
-            return m
-        if isinstance(node, Call) and node.head == "heart":
-            self._arity(node, 1)
-            return heart(self.ctx.h, self.resolve_module(node.args[0])).center
-        raise DslError("expected the name of a centre object")
-
-    def resolve_amodule(self, node) -> AModule:
-        if isinstance(node, Name):
-            m = self.ctx.amodules.get(node.ident)
-            if m is None:
-                raise DslError(f"{node.ident!r} does not name a right module", node.pos)
-            return m
-        if isinstance(node, Call) and node.head == "heart":
-            self._arity(node, 1)
-            return heart_amodule(self.ctx.algebra,
-                                 self.resolve_module(node.args[0]))
-        raise DslError("expected the name of a right module")
-
-    @staticmethod
-    def _arity(node: Call, k: int):
-        if len(node.args) != k:
-            raise DslError(f"{node.head} takes {k} argument(s), got {len(node.args)}",
-                           node.pos)
-
-    # -- morphisms -------------------------------------------------------------
-
-    def elaborate(self, node) -> TypedExpr:
-        h = self.ctx.h
-        if isinstance(node, Seq):
-            kids = [self.elaborate(p) for p in node.parts]
-            for left, right in zip(kids, kids[1:]):
-                if left.target != right.source:
-                    raise DslError(
-                        f"cannot compose: target {_fmt(left.target)} does not match "
-                        f"source {_fmt(right.source)}")
-            return TypedExpr(node, kids[0].source, kids[-1].target, kids)
-        if isinstance(node, Ten):
-            kids = [self.elaborate(p) for p in node.parts]
-            src = kids[0].source
-            dst = kids[0].target
+            spec = GENERATORS.get(node.head, {}).get(sort)
+            if spec is not None:
+                return self._apply(node, sort, spec)
+            if sort == OBJECT:
+                raise DslError(f"{node.head!r} is not an object constructor", node.pos)
+            if sort == MORPHISM:
+                raise DslError(f"unknown operation {node.head!r}", node.pos)
+        elif sort == MORPHISM:
+            kids = tuple(self.resolve(p, MORPHISM) for p in node.parts)
+            if isinstance(node, Seq):
+                for left, right in zip(kids, kids[1:]):
+                    if left.target != right.source:
+                        raise DslError(
+                            f"cannot compose: target {_fmt(left.target)} does not match "
+                            f"source {_fmt(right.source)}")
+                return TypedExpr(node, kids[0].source, kids[-1].target, kids, _compose)
+            src, dst = kids[0].source, kids[0].target
             for k in kids[1:]:
                 src = tensor(src, k.source)
                 dst = tensor(dst, k.target)
-            return TypedExpr(node, src, dst, kids)
-        if isinstance(node, Name):
-            f = self.ctx.morphisms.get(node.ident)
-            if f is None:
-                raise DslError(f"unknown morphism {node.ident!r}", node.pos)
-            return TypedExpr(node, f.source, f.target, [])
-        if isinstance(node, Call):
-            return self._elaborate_call(node)
-        raise DslError(f"not a morphism expression: {node!r}")
+            return TypedExpr(node, src, dst, kids, _tensor_maps)
+        elif sort == OBJECT:
+            if isinstance(node, Seq):
+                raise DslError("';' is not allowed inside an object expression")
+            out = self.resolve(node.parts[0], OBJECT)
+            for p in node.parts[1:]:
+                out = tensor(out, self.resolve(p, OBJECT))
+            return out
+        raise DslError(f"expected the name of a {sort}")
 
-    def _elaborate_call(self, node: Call) -> TypedExpr:
-        h = self.ctx.h
-        head = node.head
-        A = self.ctx.algebra
+    def _apply(self, node: Call, sort: str, spec: Spec):
+        if len(node.args) != len(spec.sorts):
+            raise DslError(f"{node.head} takes {len(spec.sorts)} argument(s), "
+                           f"got {len(node.args)}", node.pos)
+        args = tuple(self.resolve(a, s) for a, s in zip(node.args, spec.sorts))
+        made = _at(node, spec.make, self.ctx, *args)
+        if sort != MORPHISM:
+            return made
+        src, dst, *extra = made
+        return TypedExpr(node, src, dst, args + tuple(extra), spec.run)
 
-        def typed(src, dst, kids=()):
-            return TypedExpr(node, src, dst, list(kids))
+    def resolve_module(self, node) -> HModule:
+        return self.resolve(node, OBJECT)
 
-        if head == "id":
-            self._arity(node, 1)
-            m = self.resolve_module(node.args[0])
-            return typed(m, m)
-        if head in ("assoc", "assoc_inv"):
-            self._arity(node, 3)
-            x, y, z = (self.resolve_module(a) for a in node.args)
-            src = tensor(tensor(x, y), z)
-            dst = tensor(x, tensor(y, z))
-            return typed(src, dst) if head == "assoc" else typed(dst, src)
-        if head == "eta":
-            self._arity(node, 2)
-            m, p = (self.resolve_module(a) for a in node.args)
-            return typed(m, inner_hom(p, tensor(m, p)))
-        if head == "eps":
-            self._arity(node, 2)
-            nmod, p = (self.resolve_module(a) for a in node.args)
-            return typed(tensor(inner_hom(p, nmod), p), nmod)
-        if head == "icomp":
-            self._arity(node, 3)
-            x, y, z = (self.resolve_module(a) for a in node.args)
-            return typed(tensor(inner_hom(y, z), inner_hom(x, y)), inner_hom(x, z))
-        if head == "inmap":
-            self._arity(node, 3)
-            m, x, y = (self.resolve_module(a) for a in node.args)
-            return typed(tensor(m, inner_hom(x, y)), inner_hom(x, tensor(m, y)))
-        if head in ("braid", "braid_inv"):
-            self._arity(node, 2)
-            m = self.resolve_center(node.args[0])
-            x = self.resolve_module(node.args[1])
-            src, dst = tensor(m.base, x), tensor(x, m.base)
-            return typed(src, dst) if head == "braid" else typed(dst, src)
-        if head == "diamond":
-            self._arity(node, 2)
-            m = self.resolve_module(node.args[0])
-            x = self.resolve_module(node.args[1])
-            return typed(tensor(heart(h, m).base, x), tensor(x, m))
-        if head == "pi":
-            self._arity(node, 1)
-            m = self.resolve_module(node.args[0])
-            return typed(heart(h, m).base, m)
-        if head == "mu":
-            self._arity(node, 1)
-            m = self.resolve_amodule(node.args[0])
-            return typed(tensor(m.base, A.base), m.base)
-        if head == "lambda":
-            self._arity(node, 1)
-            m = self.resolve_amodule(node.args[0])
-            return typed(tensor(A.base, m.base), m.base)
-        if head in ("s", "t"):
-            self._arity(node, 1)
-            m = self.resolve_center(node.args[0])
-            hb = heart(h, m.base).base
-            free = tensor(m.base, A.base)
-            return typed(hb, free) if head == "s" else typed(free, hb)
-        if head in ("xi", "zeta"):
-            self._arity(node, 1)
-            m = self.resolve_amodule(node.args[0])
-            _, pres = self.ctx.coinv_of(m)
-            hb = heart(h, pres.module).base
-            return typed(hb, m.base) if head == "xi" else typed(m.base, hb)
-        if head == "p":
-            self._arity(node, 1)
-            m = self.resolve_amodule(node.args[0])
-            _, pres = self.ctx.coinv_of(m)
-            return typed(m.base, pres.module)
-        if head == "heart":
-            self._arity(node, 1)
-            inner = self.elaborate(node.args[0])
-            return typed(heart(h, inner.source).base, heart(h, inner.target).base,
-                         [inner])
-        if head == "coinv":
-            self._arity(node, 1)
-            inner = self.elaborate(node.args[0])
-            src_am = self._amodule_for(inner.source, node)
-            dst_am = self._amodule_for(inner.target, node)
-            _, pres_s = self.ctx.coinv_of(src_am)
-            _, pres_d = self.ctx.coinv_of(dst_am)
-            return typed(pres_s.module, pres_d.module, [inner])
-        if head == "inv":
-            self._arity(node, 1)
-            inner = self.elaborate(node.args[0])
-            if inner.source.dim != inner.target.dim:
-                raise DslError("inv needs a square morphism", node.pos)
-            return typed(inner.target, inner.source, [inner])
-        raise DslError(f"unknown operation {head!r}", node.pos)
-
-    def _amodule_for(self, m: HModule, node: Call) -> AModule:
-        for am in self.ctx.amodules.values():
-            if am.base == m:
-                return am
-        raise DslError("coinv of a morphism needs registered right modules "
-                       f"at both endpoints; none matches {_fmt(m)}", node.pos)
+    def elaborate(self, node) -> TypedExpr:
+        return self.resolve(node, MORPHISM)
 
     # -- evaluation --------------------------------------------------------------
 
@@ -482,85 +527,8 @@ class Elaborator:
         return out
 
     def _eval(self, te: TypedExpr) -> HLinearMap:
-        node = te.node
-        h = self.ctx.h
-        A = self.ctx.algebra
-        if isinstance(node, Seq):
-            out = self._eval(te.children[0])
-            for k in te.children[1:]:
-                out = out.then(self._eval(k))
-            return out
-        if isinstance(node, Ten):
-            out = self._eval(te.children[0])
-            for k in te.children[1:]:
-                out = out.tensor(self._eval(k))
-            return out
-        if isinstance(node, Name):
-            return self.ctx.morphisms[node.ident]
-        head = node.head
-        args = node.args
-        if head == "id":
-            return identity_map(te.source)
-        if head == "assoc":
-            x, y, z = (self.resolve_module(a) for a in args)
-            return associator(x, y, z)
-        if head == "assoc_inv":
-            x, y, z = (self.resolve_module(a) for a in args)
-            return associator_inv(x, y, z)
-        if head == "eta":
-            m, p = (self.resolve_module(a) for a in args)
-            return eeta(m, p)
-        if head == "eps":
-            nmod, p = (self.resolve_module(a) for a in args)
-            return eeps(nmod, p)
-        if head == "icomp":
-            x, y, z = (self.resolve_module(a) for a in args)
-            return icomp(x, y, z)
-        if head == "inmap":
-            m, x, y = (self.resolve_module(a) for a in args)
-            return in_map(m, x, y)
-        if head == "braid":
-            return braiding(self.resolve_center(args[0]), self.resolve_module(args[1]))
-        if head == "braid_inv":
-            b = braiding(self.resolve_center(args[0]), self.resolve_module(args[1]))
-            return HLinearMap(b.target, b.source, inverse(b.matrix))
-        if head == "diamond":
-            return diamond(h, self.resolve_module(args[0]), self.resolve_module(args[1]))
-        if head == "pi":
-            return pi_map(h, self.resolve_module(args[0]))
-        if head == "mu":
-            m = self.resolve_amodule(args[0])
-            return HLinearMap(tensor(m.base, A.base), m.base, m.mu)
-        if head == "lambda":
-            return left_action(self.resolve_amodule(args[0]))
-        if head in ("s", "t"):
-            m = self.resolve_center(args[0])
-            s_map, t_map, _ = s_t_isos(m, A)
-            return s_map if head == "s" else t_map
-        if head in ("xi", "zeta"):
-            m = self.resolve_amodule(args[0])
-            xi, zeta, _ = unit_iso(m)
-            return xi if head == "xi" else zeta
-        if head == "p":
-            m = self.resolve_amodule(args[0])
-            p, _ = self.ctx.coinv_of(m)
-            return p
-        if head == "heart":
-            return heart_on_morphism(self._eval(te.children[0]))
-        if head == "coinv":
-            inner = self._eval(te.children[0])
-            src_am = self._amodule_for(te.children[0].source, node)
-            dst_am = self._amodule_for(te.children[0].target, node)
-            _, pres_s = self.ctx.coinv_of(src_am)
-            _, pres_d = self.ctx.coinv_of(dst_am)
-            return coinvariants_on_morphism(inner, pres_s, pres_d)
-        if head == "inv":
-            inner = self._eval(te.children[0])
-            try:
-                return HLinearMap(inner.target, inner.source, inverse(inner.matrix))
-            except LinAlgError as exc:
-                raise DslError(f"inv of a singular morphism: {exc}", node.pos)
-        raise DslError(f"unknown operation {head!r}", node.pos)
+        values = [self._eval(a) if isinstance(a, TypedExpr) else a for a in te.args]
+        return _at(te.node, te.run, self.ctx, te, *values)
 
 
 def eval_expr(text: str, ctx: Context) -> HLinearMap:

@@ -897,17 +897,28 @@ _JSON_ARRAY_POWERS = {"mult": 3, "unit": 1, "comult": 3, "counit": 1, "phi": 3, 
 _JSON_OPTIONAL = ("phi_inv", "antipode_inv")
 
 
-def _json_dim(obj) -> int:
-    """The dimension of an algebra file, once every array length matches it."""
+def json_dim(obj) -> int:
+    """The "dim" of a JSON file: an integer >= 1, and not a float, string or bool."""
     n = obj["dim"]
     if type(n) is not int or n < 1:
         raise ValueError(f"dim must be an integer >= 1, got {n!r}")
+    return n
+
+
+def json_list(obj, key: str, n: int) -> list:
+    """obj[key], once it is a list of n entries."""
+    flat = obj.get(key)
+    if not isinstance(flat, list) or len(flat) != n:
+        raise ValueError(f"{key} must be a list of {n} entries")
+    return flat
+
+
+def _json_dim(obj) -> int:
+    """The dimension of an algebra file, once every array length matches it."""
+    n = json_dim(obj)
     for key, power in _JSON_ARRAY_POWERS.items():
-        flat = obj.get(key)
-        if flat is None and key in _JSON_OPTIONAL:
-            continue
-        if not isinstance(flat, list) or len(flat) != n ** power:
-            raise ValueError(f"{key} must be a list of {n ** power} entries")
+        if obj.get(key) is not None or key not in _JSON_OPTIONAL:
+            json_list(obj, key, n ** power)
     return n
 
 

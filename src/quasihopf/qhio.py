@@ -12,23 +12,27 @@ from __future__ import annotations
 import json
 
 from .linalg import Matrix, rat, rat_str
-from .qha import QuasiHopfAlgebra
+from .qha import QuasiHopfAlgebra, json_dim, json_list
 from .repcat import HModule
 from .center import CenterObject
 from .mod_a import AModule
 from .algebra_a import AlgebraA
 
 
+def _flat(obj: dict, key: str, n: int) -> list:
+    """obj[key]: a list of n exact rationals."""
+    try:
+        return [rat(c) for c in json_list(obj, key, n)]
+    except TypeError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
 def module_from_obj(h: QuasiHopfAlgebra, obj: dict, label: str = "") -> HModule:
     try:
-        d = int(obj["dim"])
-        flat = obj["action"]
-        if len(flat) != h.dim * d * d:
-            raise ValueError(f"action must have {h.dim * d * d} entries, got {len(flat)}")
-        action = []
-        for i in range(h.dim):
-            action.append(Matrix.from_flat(
-                d, d, [rat(c) for c in flat[i * d * d:(i + 1) * d * d]]))
+        d = json_dim(obj)
+        flat = _flat(obj, "action", h.dim * d * d)
+        action = [Matrix.from_flat(d, d, flat[i * d * d:(i + 1) * d * d])
+                  for i in range(h.dim)]
         return HModule(h, d, action, label=label or obj.get("name", ""))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed module data: {exc}") from exc
@@ -44,56 +48,26 @@ def module_to_obj(m: HModule) -> dict:
 def center_from_obj(h: QuasiHopfAlgebra, obj: dict, label: str = "") -> CenterObject:
     base = module_from_obj(h, obj, label=label)
     d, n = base.dim, h.dim
-    flat = obj.get("coaction")
-    if flat is None or len(flat) != d * n * d:
-        raise ValueError(f"coaction must have {d * n * d} entries")
-    cols = []
-    for j in range(d):
-        col = {}
-        for k in range(n * d):
-            c = rat(flat[j * n * d + k])
-            if c:
-                col[k] = c
-        cols.append(col)
-    return CenterObject(base, Matrix(n * d, d, cols), label=label)
+    coaction = Matrix.from_flat(d, n * d, _flat(obj, "coaction", d * n * d)).transpose()
+    return CenterObject(base, coaction, label=label)
 
 
 def center_to_obj(m: CenterObject) -> dict:
     out = module_to_obj(m.base)
-    d, n = m.dim, m.h.dim
-    flat = []
-    for j in range(d):
-        col = m.coaction.col(j)
-        flat.extend(rat_str(col.get(k, 0)) for k in range(n * d))
-    out["coaction"] = flat
+    out["coaction"] = [rat_str(c) for c in m.coaction.transpose().to_flat()]
     return out
 
 
 def amodule_from_obj(a: AlgebraA, obj: dict, label: str = "") -> AModule:
     center = center_from_obj(a.h, obj, label=label)
     d, n = center.dim, a.h.dim
-    flat = obj.get("mu")
-    if flat is None or len(flat) != d * n * d:
-        raise ValueError(f"mu must have {d * n * d} entries")
-    cols = []
-    for j in range(d * n):
-        col = {}
-        for k in range(d):
-            c = rat(flat[j * d + k])
-            if c:
-                col[k] = c
-        cols.append(col)
-    return AModule(a, center, Matrix(d, d * n, cols), label=label)
+    mu = Matrix.from_flat(d * n, d, _flat(obj, "mu", d * n * d)).transpose()
+    return AModule(a, center, mu, label=label)
 
 
 def amodule_to_obj(m: AModule) -> dict:
     out = center_to_obj(m.center)
-    d, n = m.dim, m.a.h.dim
-    flat = []
-    for j in range(d * n):
-        col = m.mu.col(j)
-        flat.extend(rat_str(col.get(k, 0)) for k in range(d))
-    out["mu"] = flat
+    out["mu"] = [rat_str(c) for c in m.mu.transpose().to_flat()]
     return out
 
 
@@ -104,17 +78,14 @@ def morphism_from_obj(ctx, obj: dict):
     """
     from .dsl import Elaborator, parse
     from .repcat import HLinearMap
+    if not (isinstance(obj, dict) and isinstance(obj.get("source"), str)
+            and isinstance(obj.get("target"), str)):
+        raise ValueError("morphism entry needs source/target expressions and a matrix")
     el = Elaborator(ctx)
-    try:
-        src = el.resolve_module(parse(obj["source"]))
-        dst = el.resolve_module(parse(obj["target"]))
-        flat = obj["matrix"]
-    except KeyError as exc:
-        raise ValueError(f"morphism entry needs source/target/matrix: {exc}") from exc
-    if len(flat) != src.dim * dst.dim:
-        raise ValueError(f"matrix must have {src.dim * dst.dim} entries")
-    return HLinearMap(src, dst, Matrix.from_flat(dst.dim, src.dim,
-                                                 [rat(c) for c in flat]))
+    src = el.resolve_module(parse(obj["source"]))
+    dst = el.resolve_module(parse(obj["target"]))
+    flat = _flat(obj, "matrix", src.dim * dst.dim)
+    return HLinearMap(src, dst, Matrix.from_flat(dst.dim, src.dim, flat))
 
 
 def dumps(obj: dict) -> str:

@@ -71,11 +71,6 @@ class HModule:
         """The action of an algebra element with coefficient vector v."""
         return elem_action_matrix(TensorElement(self.h.dim, 1, v), [self])
 
-    def action_of_elem(self, t: TensorElement) -> Matrix:
-        if t.legs != 1:
-            raise ValueError("expected a 1-leg element")
-        return elem_action_matrix(t, [self])
-
     def validate(self) -> Report:
         rep = Report(title=f"module[{self.label or 'M'}]")
         rep.add("unit_acts_as_identity", self.action_of(self.h.unit).is_identity())
@@ -150,10 +145,6 @@ class HLinearMap:
 
 def identity_map(m: HModule) -> HLinearMap:
     return HLinearMap(m, m, Matrix.identity(m.dim))
-
-
-def zero_map(m: HModule, n: HModule) -> HLinearMap:
-    return HLinearMap(m, n, Matrix.zero(n.dim, m.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +335,6 @@ def hom_space(m: HModule, n: HModule) -> list[HLinearMap]:
     return intertwiners(m, n, zip(m.action, n.action))
 
 
-def hom_dim(m: HModule, n: HModule) -> int:
-    return len(hom_space(m, n))
-
-
 # ---------------------------------------------------------------------------
 # inner hom
 
@@ -365,13 +352,6 @@ class InnerHomModule(HModule):
             for i, x in col.items():
                 out[i * self.src.dim + j] = x
         return out
-
-    def flat_to_map(self, vec: dict) -> HLinearMap:
-        cols = [dict() for _ in range(self.src.dim)]
-        for idx, c in vec.items():
-            i, j = divmod(idx, self.src.dim)
-            cols[j][i] = c
-        return HLinearMap(self.src, self.tgt, Matrix(self.tgt.dim, self.src.dim, cols))
 
 
 def inner_hom(m: HModule, n: HModule) -> InnerHomModule:

@@ -167,6 +167,97 @@ def test_invalid_context_module_exits_two(tmp_path, capsys):
     assert code == 2
 
 
+def _center_of_A(**changes):
+    from quasihopf import qhio
+    from quasihopf.algebra_a import build_A
+    from conftest import get_algebra
+    return dict(qhio.center_to_obj(build_A(get_algebra("drinfeld_h2")).center), **changes)
+
+
+def _amodule_A(**changes):
+    from quasihopf import qhio
+    from quasihopf.algebra_a import build_A
+    from quasihopf.mod_a import algebra_as_amodule
+    from conftest import get_algebra
+    return dict(qhio.amodule_to_obj(algebra_as_amodule(build_A(get_algebra("drinfeld_h2")))),
+                **changes)
+
+
+C_ONE = {"dim": 1, "action": ["1", "1"]}   # the trivial module of drinfeld_h2
+
+
+@pytest.mark.parametrize("ctx", [
+    [],
+    {"modules": []},
+    {"center": {"Z": _center_of_A(coaction=5)}},
+    {"center": {"Z": _center_of_A(coaction=[None] * 8)}},
+    {"amodules": {"R": _amodule_A(mu=7)}},
+    {"morphisms": {"f": {"source": "C", "target": "C", "matrix": 5}}},
+    {"morphisms": {"f": {"source": 5, "target": "C", "matrix": ["1", "0", "0", "1"]}}},
+    {"modules": {"X": dict(C_ONE, dim=1.5)}},
+    {"modules": {"X": dict(C_ONE, dim="1")}},
+    {"modules": {"X": dict(C_ONE, dim=True)}},
+    {"center": {"Z": _center_of_A(dim=2.0)}},
+    {"amodules": {"R": _amodule_A(dim="2")}},
+], ids=["top-level-list", "modules-list", "coaction-number", "coaction-null", "mu-number",
+        "matrix-number", "source-number", "dim-float", "dim-string", "dim-bool",
+        "center-dim-float", "amodule-dim-string"])
+def test_wrong_shaped_context_exits_two(tmp_path, capsys, ctx):
+    (tmp_path / "ctx.json").write_text(json.dumps(ctx))
+    code, out, err = run(capsys, "eval", "drinfeld_h2", "--context", str(tmp_path / "ctx.json"),
+                         "--expr", "id(C)")
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("module", [
+    [],
+    {"dim": 1.5, "action": ["1", "1"]},
+    {"dim": "1", "action": ["1", "1"]},
+    {"dim": 1, "action": ["1"]},
+], ids=["list", "dim-float", "dim-string", "short-action"])
+def test_malformed_module_file_exits_two(tmp_path, capsys, module):
+    (tmp_path / "m.json").write_text(json.dumps(module))
+    code, out, err = run(capsys, "end", "group_z2", "--left", str(tmp_path / "m.json"))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("ctx", [
+    {"modules": {"C": C_ONE}},
+    {"modules": {"unit": C_ONE}},
+    {"modules": {"A": C_ONE}},
+    {"center": {"I": _center_of_A()}},
+    {"amodules": {"A": _amodule_A()}},
+    {"modules": {"X": C_ONE}, "center": {"X": _center_of_A()}},
+    {"center": {"Z": _center_of_A()}, "amodules": {"Z": _amodule_A()}},
+    {"modules": {"X": C_ONE},
+     "morphisms": {"X": {"source": "C", "target": "C", "matrix": ["1", "0", "0", "1"]}}},
+], ids=["C", "unit", "A", "center-I", "amodule-A", "module-then-center",
+        "center-then-amodule", "module-then-morphism"])
+def test_context_rebinding_a_name_exits_two(tmp_path, capsys, ctx):
+    (tmp_path / "ctx.json").write_text(json.dumps(ctx))
+    code, _, err = run(capsys, "check", "drinfeld_h2", "--context", str(tmp_path / "ctx.json"),
+                       "--lhs", "braid(A,A) ; mu(A)", "--rhs", "mu(A)")
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "is already bound" in err
+
+
+def test_context_fresh_names_still_load(tmp_path, capsys):
+    ctx = {"modules": {"X": C_ONE}, "center": {"Z": _center_of_A()},
+           "amodules": {"R": _amodule_A()}}
+    (tmp_path / "ctx.json").write_text(json.dumps(ctx))
+    code, _, err = run(capsys, "check", "drinfeld_h2", "--context", str(tmp_path / "ctx.json"),
+                       "--lhs", "braid(Z,X) ; braid_inv(Z,X)", "--rhs", "id(Z*X)")
+    assert code == 0, err
+    code, _, err = run(capsys, "check", "drinfeld_h2", "--context", str(tmp_path / "ctx.json"),
+                       "--lhs", "braid(R,R) ; mu(R)", "--rhs", "mu(R)")
+    assert code == 0, err
+
+
 @pytest.mark.parametrize("key,value", [
     ("phi", ["1/0"] + ["0"] * 7),
     ("dim", 0),

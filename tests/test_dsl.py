@@ -171,3 +171,147 @@ def test_nesting_limit(ctx_dr):
     for too_deep in ("(" + at_limit + ")", "id(" * (MAX_NESTING + 1) + "C" + ")" * (MAX_NESTING + 1)):
         with pytest.raises(DslError, match="nested deeper"):
             parse(too_deep)
+
+
+# -- one pin per generator and object constructor ---------------------------------
+
+def _named_maps(ctx):
+    """The library map each valid pin expression names, keyed like PINS."""
+    from quasihopf.algebra_a import diamond, heart, heart_on_morphism, pi_map, s_t_isos
+    from quasihopf.center import braiding
+    from quasihopf.linalg import inverse
+    from quasihopf.mod_a import (algebra_as_amodule, coinvariants, coinvariants_on_morphism,
+                                 heart_amodule, left_action, unit_iso)
+    from quasihopf.repcat import (HLinearMap, associator, associator_inv, eeps, eeta,
+                                  icomp, identity_map, in_map)
+    h, a = ctx.h, ctx.algebra
+    c = regular_module(h)
+    am = algebra_as_amodule(a)
+    _, proj, pres = coinvariants(am)
+    braid = braiding(a.center, c)
+    return {
+        "id": lambda: identity_map(tensor(c, c)),
+        "assoc": lambda: associator(c, c, c),
+        "assoc_inv": lambda: associator_inv(c, c, c),
+        "eta": lambda: eeta(c, c),
+        "eps": lambda: eeps(c, c),
+        "icomp": lambda: icomp(c, c, c),
+        "inmap": lambda: in_map(c, c, c),
+        "braid": lambda: braid,
+        "braid_inv": lambda: HLinearMap(braid.target, braid.source, inverse(braid.matrix)),
+        "diamond": lambda: diamond(h, c, c),
+        "pi": lambda: pi_map(h, c),
+        "mu": lambda: HLinearMap(tensor(a.base, a.base), a.base, am.mu),
+        "lambda": lambda: left_action(am),
+        "s": lambda: s_t_isos(a.center, a)[0],
+        "t": lambda: s_t_isos(a.center, a)[1],
+        "xi": lambda: unit_iso(am)[0],
+        "zeta": lambda: unit_iso(am)[1],
+        "p": lambda: proj,
+        "heart": lambda: heart_on_morphism(pi_map(h, c)),
+        "coinv": lambda: coinvariants_on_morphism(identity_map(a.base), pres, pres),
+        "inv": lambda: associator_inv(c, c, c),
+        "heart:object": lambda: identity_map(heart(h, c).base),
+        "heart:centre": lambda: braiding(heart(h, c).center, c),
+        "heart:right module": lambda: HLinearMap(tensor(heart(h, c).base, a.base),
+                                                 heart(h, c).base, heart_amodule(a, c).mu),
+        "coinv:object": lambda: identity_map(pres.module),
+        "innh:object": lambda: identity_map(inner_hom(c, c)),
+    }
+
+
+# name -> (valid call, (wrong arity, its error), (argument of the wrong sort, its error))
+PINS = {
+    "id": ("id(C*C)", ("id(C, C)", "id takes 1 argument(s), got 2 (line 1, column 1)"),
+           ("id(pi(C))", "'pi' is not an object constructor (line 1, column 4)")),
+    "assoc": ("assoc(C,C,C)", ("assoc(C,C)", "assoc takes 3 argument(s), got 2 (line 1, column 1)"),
+              ("assoc(C,C,id(C))", "'id' is not an object constructor (line 1, column 11)")),
+    "assoc_inv": ("assoc_inv(C,C,C)",
+                  ("assoc_inv(C)", "assoc_inv takes 3 argument(s), got 1 (line 1, column 1)"),
+                  ("assoc_inv(C;C,C,C)", "';' is not allowed inside an object expression")),
+    "eta": ("eta(C,C)", ("eta(C)", "eta takes 2 argument(s), got 1 (line 1, column 1)"),
+            ("eta(C, mu(A))", "'mu' is not an object constructor (line 1, column 8)")),
+    "eps": ("eps(C,C)", ("eps(C,C,C)", "eps takes 2 argument(s), got 3 (line 1, column 1)"),
+            ("eps(C;C, C)", "';' is not allowed inside an object expression")),
+    "icomp": ("icomp(C,C,C)", ("icomp()", "icomp takes 3 argument(s), got 0 (line 1, column 1)"),
+              ("icomp(C, s(A), C)", "'s' is not an object constructor (line 1, column 10)")),
+    "inmap": ("inmap(C,C,C)", ("inmap(C,C)", "inmap takes 3 argument(s), got 2 (line 1, column 1)"),
+              ("inmap(id(C),C,C)", "'id' is not an object constructor (line 1, column 7)")),
+    "braid": ("braid(A,C)", ("braid(A)", "braid takes 2 argument(s), got 1 (line 1, column 1)"),
+              ("braid(C,C)", "'C' does not name a centre object (line 1, column 7)")),
+    "braid_inv": ("braid_inv(A,C)",
+                  ("braid_inv(A,C,C)", "braid_inv takes 2 argument(s), got 3 (line 1, column 1)"),
+                  ("braid_inv(A*A, C)", "expected the name of a centre object")),
+    "diamond": ("diamond(C,C)",
+                ("diamond(C)", "diamond takes 2 argument(s), got 1 (line 1, column 1)"),
+                ("diamond(C, pi(C))", "'pi' is not an object constructor (line 1, column 12)")),
+    "pi": ("pi(C)", ("pi(C,C)", "pi takes 1 argument(s), got 2 (line 1, column 1)"),
+           ("pi(mu(A))", "'mu' is not an object constructor (line 1, column 4)")),
+    "mu": ("mu(A)", ("mu(A,A)", "mu takes 1 argument(s), got 2 (line 1, column 1)"),
+           ("mu(C)", "'C' does not name a right module (line 1, column 4)")),
+    "lambda": ("lambda(A)", ("lambda()", "lambda takes 1 argument(s), got 0 (line 1, column 1)"),
+               ("lambda(A*A)", "expected the name of a right module")),
+    "s": ("s(A)", ("s(A,A)", "s takes 1 argument(s), got 2 (line 1, column 1)"),
+          ("s(coinv(A))", "expected the name of a centre object")),
+    "t": ("t(A)", ("t()", "t takes 1 argument(s), got 0 (line 1, column 1)"),
+          ("t(C)", "'C' does not name a centre object (line 1, column 3)")),
+    "xi": ("xi(A)", ("xi(A,C)", "xi takes 1 argument(s), got 2 (line 1, column 1)"),
+           ("xi(innh(C,C))", "expected the name of a right module")),
+    "zeta": ("zeta(A)", ("zeta()", "zeta takes 1 argument(s), got 0 (line 1, column 1)"),
+             ("zeta(C)", "'C' does not name a right module (line 1, column 6)")),
+    "p": ("p(A)", ("p(A,A)", "p takes 1 argument(s), got 2 (line 1, column 1)"),
+          ("p(id(A))", "expected the name of a right module")),
+    "heart": ("heart(pi(C))",
+              ("heart(pi(C), pi(C))", "heart takes 1 argument(s), got 2 (line 1, column 1)"),
+              ("heart(C)", "unknown morphism 'C' (line 1, column 7)")),
+    "coinv": ("coinv(id(A))", ("coinv()", "coinv takes 1 argument(s), got 0 (line 1, column 1)"),
+              ("coinv(id(C))", "coinv of a morphism needs registered right modules at both "
+                               "endpoints; none matches C (line 1, column 1)")),
+    "inv": ("inv(assoc(C,C,C))", ("inv(C, C)", "inv takes 1 argument(s), got 2 (line 1, column 1)"),
+            ("inv(C)", "unknown morphism 'C' (line 1, column 5)")),
+    "heart:object": ("id(heart(C))",
+                     ("id(heart(C,C))", "heart takes 1 argument(s), got 2 (line 1, column 4)"),
+                     ("id(heart(id(C)))", "'id' is not an object constructor (line 1, column 10)")),
+    "heart:centre": ("braid(heart(C), C)",
+                     ("braid(heart(C,C), C)",
+                      "heart takes 1 argument(s), got 2 (line 1, column 7)"),
+                     ("braid(heart(pi(C)), C)",
+                      "'pi' is not an object constructor (line 1, column 13)")),
+    "heart:right module": ("mu(heart(C))",
+                           ("mu(heart())", "heart takes 1 argument(s), got 0 (line 1, column 4)"),
+                           ("mu(heart(mu(A)))",
+                            "'mu' is not an object constructor (line 1, column 10)")),
+    "coinv:object": ("id(coinv(A))",
+                     ("id(coinv(A,A))", "coinv takes 1 argument(s), got 2 (line 1, column 4)"),
+                     ("id(coinv(C))", "'C' does not name a right module (line 1, column 10)")),
+    "innh:object": ("id(innh(C,C))",
+                    ("id(innh(C))", "innh takes 2 argument(s), got 1 (line 1, column 4)"),
+                    ("id(innh(C, pi(C)))",
+                     "'pi' is not an object constructor (line 1, column 12)")),
+}
+
+
+@pytest.mark.parametrize("case", ["valid", "arity", "sort"])
+@pytest.mark.parametrize("name", list(PINS))
+def test_generator_pins(ctx_dr, name, case):
+    valid, arity, sort = PINS[name]
+    if case == "valid":
+        got = eval_expr(valid, ctx_dr)
+        want = _named_maps(ctx_dr)[name]()
+        assert (got.source.dim, got.target.dim) == (want.source.dim, want.target.dim)
+        assert got.matrix == want.matrix
+        return
+    text, message = arity if case == "arity" else sort
+    with pytest.raises(DslError) as err:
+        eval_expr(text, ctx_dr)
+    assert str(err.value) == message
+
+
+def test_readme_table_lists_the_generators():
+    from pathlib import Path
+    import re
+    from quasihopf.dsl import GENERATORS
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("| syntax | argument sorts | gives |")[1].split("\n\n")[0]
+    firsts = [row.split("|")[1] for row in table.strip().splitlines()[1:]]
+    assert set(re.findall(r"`(\w+)\(", "".join(firsts))) == set(GENERATORS)

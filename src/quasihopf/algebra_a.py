@@ -19,6 +19,10 @@ with the end) is a tensor element built from the associator in qha
 repcat.elem_action_matrix, followed by a fixed structure map: the product of
 two H legs or a reordering of columns.  heart_mu_direct
 keeps the raw product formula as an independent route.
+
+build_A, heart and (kappa, lambda, kappa^-1) are built once per algebra, or
+once per module object for heart, in the algebra's memo
+(QuasiHopfAlgebra.memo).
 """
 
 from __future__ import annotations
@@ -60,11 +64,11 @@ def _mult_outer(h: QuasiHopfAlgebra, d: int) -> Matrix:
 
 
 def _cached_kappa_lambda(h: QuasiHopfAlgebra):
-    """(kappa, lambda, kappa^-1), computed once per algebra."""
-    if not hasattr(h, "_kappa_lambda_cache"):
+    """(kappa, lambda, kappa^-1), computed once per algebra (memoized on h)."""
+    def make():
         kappa, lam = kappa_lambda(h)
-        h._kappa_lambda_cache = (kappa, lam, kappa_inverse(h, kappa))
-    return h._kappa_lambda_cache
+        return kappa, lam, kappa_inverse(h, kappa)
+    return h.memo("kappa_lambda", make)
 
 
 def heart_mu(h: QuasiHopfAlgebra, m: HModule) -> Matrix:
@@ -219,10 +223,12 @@ def hom_to_nat(g: HLinearMap, t_mod: HModule, y_mod: HModule,
     return HLinearMap(src, dst, mat)
 
 
-def heart_braiding(h: QuasiHopfAlgebra, m: HModule, x: HModule,
-                   check_roundtrip: bool = False) -> HLinearMap:
+def heart_braiding(h: QuasiHopfAlgebra, m: HModule, x: HModule) -> HLinearMap:
     """The braiding heart(M) (x) X -> X (x) heart(M), defined by requiring
-    that crossing then evaluating agrees with evaluating on X (x) T at once."""
+    that crossing then evaluating agrees with evaluating on X (x) T at once.
+
+    nat_to_hom certifies end membership; the round trip back to the family is
+    skipped here."""
     hb = heart_base(h, m)
     c = regular_module(h)
     xc = tensor(x, c)
@@ -230,24 +236,20 @@ def heart_braiding(h: QuasiHopfAlgebra, m: HModule, x: HModule,
         * diamond(h, m, xc).matrix \
         * elem_action_matrix(h.phi, [hb, x, c])
     fam = HLinearMap(tensor(tensor(hb, x), c), tensor(x, tensor(c, m)), fam_mat)
-    return nat_to_hom(tensor(hb, x), x, m, fam, check_roundtrip=check_roundtrip)
+    return nat_to_hom(tensor(hb, x), x, m, fam, check_roundtrip=False)
 
 
-def extract_center_structure(h: QuasiHopfAlgebra, m: HModule,
-                             validate: bool = False) -> CenterObject:
+def extract_center_structure(h: QuasiHopfAlgebra, m: HModule) -> CenterObject:
     """The coaction of heart(m): braid past the regular module, feed the unit.
 
-    The reconstruction itself certifies end membership and reproduces the
-    defining family (see nat_to_hom); the full centre validation is run by
-    whoever requires it (it is cached on the returned object).
+    The reconstruction certifies end membership (see nat_to_hom).  The full
+    centre validation is left to whoever requires it: CenterObject.require_valid
+    runs it once and keeps the report on the object.
     """
     hb = heart_base(h, m)
     b = heart_braiding(h, m, regular_module(h))
     coaction = b.matrix * Matrix.identity(hb.dim).kron(Matrix(h.dim, 1, [dict(h.unit)]))
-    obj = CenterObject(hb, coaction, label=f"heart({m.label or '?'})")
-    if validate:
-        obj.require_valid()
-    return obj
+    return CenterObject(hb, coaction, label=f"heart({m.label or '?'})")
 
 
 # ---------------------------------------------------------------------------
@@ -284,13 +286,8 @@ class HeartModule:
 
 
 def heart(h: QuasiHopfAlgebra, m: HModule) -> HeartModule:
-    cache = getattr(h, "_heart_cache", None)
-    if cache is None:
-        cache = h._heart_cache = {}
-    key = id(m)
-    if key not in cache:
-        cache[key] = (m, HeartModule(h, m, heart_base(h, m), heart_mu(h, m)))
-    return cache[key][1]
+    """heart(m), built once per module object (memoized on h)."""
+    return h.memo("heart", lambda: HeartModule(h, m, heart_base(h, m), heart_mu(h, m)), m)
 
 
 def heart_on_morphism(f: HLinearMap) -> HLinearMap:
@@ -349,10 +346,12 @@ class AlgebraA:
 
 
 def build_A(h: QuasiHopfAlgebra) -> AlgebraA:
-    """Construct the algebra with all its invariants verified exactly."""
-    cached = getattr(h, "_algebra_A", None)
-    if cached is not None:
-        return cached
+    """Construct the algebra with all its invariants verified exactly, once
+    per algebra (memoized on h; a failed verification is not kept)."""
+    return h.memo("A", lambda: _verified_A(h))
+
+
+def _verified_A(h: QuasiHopfAlgebra) -> AlgebraA:
     h.require_valid()
     n = h.dim
     rep = Report(title=f"algebraA[{h.name or 'H'}]")
@@ -365,8 +364,7 @@ def build_A(h: QuasiHopfAlgebra) -> AlgebraA:
     rep.add("heart_of_unit_is_adjoint",
             all(hb_unit.action[i] == base.action[i] for i in range(n)))
 
-    center_obj = extract_center_structure(h, unit_mod, validate=False)
-    center_obj = CenterObject(base, center_obj.coaction, label="A")
+    center_obj = CenterObject(base, extract_center_structure(h, unit_mod).coaction, label="A")
     center_rep = validate_center(center_obj)
     center_obj._validated = center_rep
     rep.add("center_structure", center_rep.ok)
@@ -431,7 +429,6 @@ def build_A(h: QuasiHopfAlgebra) -> AlgebraA:
 
     if not rep.ok:
         raise VerificationFailure(f"algebra A failed verification over {h.name}", rep)
-    h._algebra_A = out
     return out
 
 

@@ -119,9 +119,9 @@ def cmd_equiv(args) -> int:
         h.require_valid()
     except VerificationFailure as exc:
         raise InputError(f"algebra failed axiom checks: {exc}") from exc
+    ctx = _context_for(h, args.context)
     objects = None
     if args.objects:
-        ctx = _context_for(h, args.context)
         el = Elaborator(ctx)
         objects = []
         for name in args.objects.split(","):

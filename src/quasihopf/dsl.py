@@ -227,7 +227,6 @@ class Context:
     """Named objects and morphisms, everything validated on the way in."""
 
     def __init__(self, h: QuasiHopfAlgebra):
-        h.require_valid()
         self.h = h
         self.algebra: AlgebraA = build_A(h)
         c = regular_module(h)
@@ -240,7 +239,6 @@ class Context:
         self.morphisms: dict[str, HLinearMap] = {}
         self.named = {OBJECT: self.modules, CENTRE: self.centers, RIGHT: self.amodules,
                       MORPHISM: self.morphisms}
-        self._coinv_cache: dict[int, tuple] = {}
 
     def _claim(self, name: str) -> None:
         if any(name in names for names in self.named.values()):
@@ -275,19 +273,11 @@ class Context:
             raise VerificationFailure(f"morphism {name!r} is not a module map")
         self.morphisms[name] = f
 
-    def coinv_of(self, m: AModule):
-        """(projection map, presentation) of the coinvariants of m, cached."""
-        key = id(m)
-        if key not in self._coinv_cache:
-            _, p, pres = coinvariants(m)
-            self._coinv_cache[key] = (m, p, pres)
-        return self._coinv_cache[key][1:]
-
     def presentation_at(self, m: HModule):
         """The coinvariants presentation of the registered right module on m."""
         for am in self.amodules.values():
             if am.base == m:
-                return self.coinv_of(am)[1]
+                return coinvariants(am)[2]
         raise DslError("coinv of a morphism needs registered right modules "
                        f"at both endpoints; none matches {_fmt(m)}")
 
@@ -341,12 +331,12 @@ def _heart_free(ctx, m):
 
 
 def _heart_coinv(ctx, m):
-    return heart(ctx.h, ctx.coinv_of(m)[1].module).base, m.base
+    return heart(ctx.h, coinvariants(m)[0]).base, m.base
 
 
 def _projection(ctx, m):
-    p, pres = ctx.coinv_of(m)
-    return m.base, pres.module, p
+    cm, p, _ = coinvariants(m)
+    return m.base, cm, p
 
 
 def _coinv_ends(ctx, f):
@@ -413,7 +403,7 @@ GENERATORS: dict[str, dict[str, Spec]] = {
         MORPHISM: Spec((MORPHISM,), _coinv_ends,
                        lambda ctx, te, f, pres_s, pres_d:
                        coinvariants_on_morphism(f, pres_s, pres_d)),
-        OBJECT: Spec((RIGHT,), lambda ctx, m: ctx.coinv_of(m)[1].module),
+        OBJECT: Spec((RIGHT,), lambda ctx, m: coinvariants(m)[0]),
     },
     "inv": {MORPHISM: Spec((MORPHISM,), _square, _inverse)},
     "innh": {OBJECT: Spec((OBJECT,) * 2, lambda ctx, x, y: inner_hom(x, y))},

@@ -11,7 +11,9 @@ assertion made downstream is basis-independent.
 The two functors of the equivalence live here: heart(-) into right modules
 and the coinvariants functor (- tensored over the algebra with the unit
 object) back, together with the unit and counit isomorphisms and the
-aggregated instance-level equivalence report.
+aggregated instance-level equivalence report.  heart_amodule and
+coinvariants are built once per operand object, in the algebra's memo
+(QuasiHopfAlgebra.memo).
 """
 
 from __future__ import annotations
@@ -104,8 +106,11 @@ def algebra_as_amodule(a: AlgebraA) -> AModule:
 
 
 def heart_amodule(a: AlgebraA, x: HModule) -> AModule:
-    hm = heart(a.h, x)
-    return AModule(a, hm.center, hm.mu, label=f"heart({x.label or '?'})")
+    """heart(x) as a right module, built once per (a, x) (memoized on the algebra)."""
+    def make():
+        hm = heart(a.h, x)
+        return AModule(a, hm.center, hm.mu, label=f"heart({x.label or '?'})")
+    return a.h.memo("heart_amodule", make, a, x)
 
 
 def left_action(m: AModule) -> HLinearMap:
@@ -152,18 +157,6 @@ class QuotientPresentation:
     projection: Matrix
     section: Matrix
     module: HModule
-
-    @property
-    def dim(self) -> int:
-        return self.module.dim
-
-    def induced(self, mat: Matrix) -> Matrix:
-        """Push an ambient-to-ambient map down to the quotient."""
-        return self.projection * mat * self.section
-
-    def kills(self, mat: Matrix) -> bool:
-        """Does the map into the ambient space vanish into the quotient?"""
-        return (self.projection * mat).is_zero()
 
 
 def _quotient_module(ambient: HModule, relations: list[dict], label: str) -> QuotientPresentation:
@@ -225,12 +218,16 @@ def tensor_over_A(m: AModule, n_mod: AModule,
 
 
 def coinvariants(m: AModule) -> tuple[HModule, HLinearMap, QuotientPresentation]:
-    """Tensor with the unit object over the algebra: kill mu - (id (x) eps)."""
-    eps_part = Matrix.identity(m.dim).kron(m.a.eps_row)
-    diff = m.mu - eps_part
-    pres = _quotient_module(m.base, diff.columns(), label=f"coinv({m.label or '?'})")
-    p = HLinearMap(m.base, pres.module, pres.projection)
-    return pres.module, p, pres
+    """Tensor with the unit object over the algebra: kill mu - (id (x) eps).
+
+    Built once per right-module object (memoized on the algebra), so the
+    quotient module is the same object on every call.
+    """
+    def make():
+        diff = m.mu - Matrix.identity(m.dim).kron(m.a.eps_row)
+        pres = _quotient_module(m.base, diff.columns(), label=f"coinv({m.label or '?'})")
+        return pres.module, HLinearMap(m.base, pres.module, pres.projection), pres
+    return m.a.h.memo("coinvariants", make, m)
 
 
 def coinvariants_on_morphism(f: HLinearMap, pres_src: QuotientPresentation,
@@ -406,14 +403,11 @@ def equivalence_report(h: QuasiHopfAlgebra, test_objects=None) -> Report:
     heart modules, hom dimensions match across the functor, and the
     descended lax structure is invertible.
     """
-    h.require_valid()
     a = build_A(h)
     rep = Report(title=f"equivalence[{h.name or 'H'}]")
     if test_objects is None:
         c = regular_module(h)
         test_objects = [unit_module(h), c, tensor(c, c)]
-
-    hearts = {id(x): heart_amodule(a, x) for x in test_objects}
 
     for x in test_objects:
         name = x.label or f"dim{x.dim}"
@@ -422,8 +416,8 @@ def equivalence_report(h: QuasiHopfAlgebra, test_objects=None) -> Report:
 
     unit_tests = [algebra_as_amodule(a),
                   free_amodule(a, a.center),
-                  hearts.get(id(test_objects[1])) if len(test_objects) > 1
-                  else heart_amodule(a, regular_module(h))]
+                  heart_amodule(a, test_objects[1] if len(test_objects) > 1
+                                else regular_module(h))]
     for mm in unit_tests:
         _, _, urep = unit_iso(mm)
         rep.add(f"unit_iso[{mm.label}]", urep.ok)
@@ -432,26 +426,22 @@ def equivalence_report(h: QuasiHopfAlgebra, test_objects=None) -> Report:
         for y in test_objects:
             nx, ny = x.label or "?", y.label or "?"
             d_h = len(hom_space(x, y))
-            d_a = len(amodule_hom_space(hearts[id(x)], hearts[id(y)]))
+            d_a = len(amodule_hom_space(heart_amodule(a, x), heart_amodule(a, y)))
             rep.add(f"hom_dims[{nx};{ny}]", d_h == d_a, f"H-side {d_h}, A-side {d_a}")
 
     for x in test_objects:
         for y in test_objects:
             nx, ny = x.label or "?", y.label or "?"
-            ok = _descended_compose_iso(a, x, y, hearts[id(x)], hearts[id(y)])
+            ok = _descended_compose_iso(a, x, y)
             rep.add(f"monoidal_heart[{nx};{ny}]", ok)
     return rep
 
 
-def _descended_compose_iso(a: AlgebraA, x: HModule, y: HModule,
-                           mx: AModule | None = None,
-                           my: AModule | None = None) -> bool:
+def _descended_compose_iso(a: AlgebraA, x: HModule, y: HModule) -> bool:
     """heart(X) (x)_A heart(Y) -> heart(X (x) Y) via the descended composition."""
     h = a.h
-    mx = mx if mx is not None else heart_amodule(a, x)
-    my = my if my is not None else heart_amodule(a, y)
     comp = heart_compose(h, x, y)
-    quot, pres = tensor_over_A(mx, my, validate=False)
+    quot, pres = tensor_over_A(heart_amodule(a, x), heart_amodule(a, y), validate=False)
     for r in pres.relations:
         if comp.matrix.apply(r):
             return False

@@ -138,6 +138,11 @@ class QuasiHopfAlgebra:
 
     The constructor validates shapes and inverses only; the axioms are the
     business of :func:`verify_axioms`, which any consumer should require.
+
+    An algebra is immutable: rebinding an attribute after construction
+    raises AttributeError.  What is derived from it once per algebra (the
+    axiom report, kappa and lambda, the algebra A, heart and coinvariants of
+    a given operand) lives in :meth:`memo`, which therefore never goes stale.
     """
 
     def __init__(self, dim, basis, mult, unit, comult, counit, phi, antipode,
@@ -197,7 +202,30 @@ class QuasiHopfAlgebra:
             except LinAlgError as exc:
                 raise ValueError("antipode is not invertible") from exc
         self.antipode_inv = antipode_inv
-        self._axiom_report: Report | None = None
+        # (key, id of each pinned operand) -> (pins, value); bound last, which
+        # freezes every attribute (see __setattr__)
+        self._memo: dict[tuple, tuple] = {}
+
+    def __setattr__(self, name, value):
+        if "_memo" in self.__dict__:
+            raise AttributeError(f"cannot rebind {name!r}: a QuasiHopfAlgebra is immutable")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a QuasiHopfAlgebra is immutable")
+
+    def memo(self, key: str, make, *pins):
+        """make(), computed once per key and pinned operands for the life of
+        the algebra.
+
+        Operands are told apart by identity.  The entry keeps them alive, so
+        their ids cannot be reused by other objects while it exists.
+        """
+        slot = (key, *map(id, pins))
+        entry = self._memo.get(slot)
+        if entry is None:
+            entry = self._memo[slot] = (pins, make())
+        return entry[1]
 
     # -- basic arithmetic -----------------------------------------------------
 
@@ -482,7 +510,11 @@ class QuasiHopfAlgebra:
     # -- verification -----------------------------------------------------------
 
     def verify_axioms(self) -> Report:
-        """Exact check of the defining axioms on all basis elements."""
+        """Exact check of the defining axioms on all basis elements, run once
+        per algebra."""
+        return self.memo("axioms", self._check_axioms)
+
+    def _check_axioms(self) -> Report:
         rep = Report(title=f"axioms[{self.name or 'algebra'}]")
         n = self.dim
         one = self.unit_elem(1)
@@ -605,16 +637,12 @@ class QuasiHopfAlgebra:
             vec_add_scaled(acc, self.prod_chain(
                 [self.s_vec({i: ONE}), self.alpha_vec, {j: ONE}, self.beta_vec, self.s_vec({k: ONE})]), c)
         rep.add("H4.zigzag", acc == self.unit)
-
-        self._axiom_report = rep
         return rep
 
     def require_valid(self) -> "QuasiHopfAlgebra":
-        if self._axiom_report is None:
-            self.verify_axioms()
-        if not self._axiom_report.ok:
-            raise VerificationFailure(
-                f"algebra {self.name or ''} failed axiom checks", self._axiom_report)
+        rep = self.verify_axioms()
+        if not rep.ok:
+            raise VerificationFailure(f"algebra {self.name or ''} failed axiom checks", rep)
         return self
 
     def __repr__(self):

@@ -36,13 +36,6 @@ class Report:
     def failures(self) -> list[ReportItem]:
         return [item for item in self.items if not item.ok]
 
-    def require(self, context: str = "") -> "Report":
-        if not self.ok:
-            bad = ", ".join(item.id for item in self.failures())
-            where = f" in {context}" if context else ""
-            raise VerificationFailure(f"checks failed{where}: {bad}", self)
-        return self
-
     def render_text(self) -> str:
         lines = []
         if self.title:

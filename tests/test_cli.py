@@ -1,14 +1,20 @@
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import quasihopf
 
 from quasihopf import cli
+from quasihopf.dsl import CENTRE, GENERATORS, MORPHISM, OBJECT, RIGHT
 from quasihopf.qha import BUILTIN_NAMES
 
 
@@ -186,7 +192,7 @@ def _amodule_A(**changes):
 C_ONE = {"dim": 1, "action": ["1", "1"]}   # the trivial module of drinfeld_h2
 
 
-@pytest.mark.parametrize("ctx", [
+WRONG_SHAPED_CONTEXTS = [
     [],
     {"modules": []},
     {"center": {"Z": _center_of_A(coaction=5)}},
@@ -199,7 +205,10 @@ C_ONE = {"dim": 1, "action": ["1", "1"]}   # the trivial module of drinfeld_h2
     {"modules": {"X": dict(C_ONE, dim=True)}},
     {"center": {"Z": _center_of_A(dim=2.0)}},
     {"amodules": {"R": _amodule_A(dim="2")}},
-], ids=["top-level-list", "modules-list", "coaction-number", "coaction-null", "mu-number",
+]
+
+
+@pytest.mark.parametrize("ctx", WRONG_SHAPED_CONTEXTS, ids=["top-level-list", "modules-list", "coaction-number", "coaction-null", "mu-number",
         "matrix-number", "source-number", "dim-float", "dim-string", "dim-bool",
         "center-dim-float", "amodule-dim-string"])
 def test_wrong_shaped_context_exits_two(tmp_path, capsys, ctx):
@@ -211,12 +220,15 @@ def test_wrong_shaped_context_exits_two(tmp_path, capsys, ctx):
     assert "Traceback" not in err and out == ""
 
 
-@pytest.mark.parametrize("module", [
+MALFORMED_MODULES = [
     [],
     {"dim": 1.5, "action": ["1", "1"]},
     {"dim": "1", "action": ["1", "1"]},
     {"dim": 1, "action": ["1"]},
-], ids=["list", "dim-float", "dim-string", "short-action"])
+]
+
+
+@pytest.mark.parametrize("module", MALFORMED_MODULES, ids=["list", "dim-float", "dim-string", "short-action"])
 def test_malformed_module_file_exits_two(tmp_path, capsys, module):
     (tmp_path / "m.json").write_text(json.dumps(module))
     code, out, err = run(capsys, "end", "group_z2", "--left", str(tmp_path / "m.json"))
@@ -225,7 +237,7 @@ def test_malformed_module_file_exits_two(tmp_path, capsys, module):
     assert "Traceback" not in err and out == ""
 
 
-@pytest.mark.parametrize("ctx", [
+REBINDING_CONTEXTS = [
     {"modules": {"C": C_ONE}},
     {"modules": {"unit": C_ONE}},
     {"modules": {"A": C_ONE}},
@@ -235,7 +247,10 @@ def test_malformed_module_file_exits_two(tmp_path, capsys, module):
     {"center": {"Z": _center_of_A()}, "amodules": {"Z": _amodule_A()}},
     {"modules": {"X": C_ONE},
      "morphisms": {"X": {"source": "C", "target": "C", "matrix": ["1", "0", "0", "1"]}}},
-], ids=["C", "unit", "A", "center-I", "amodule-A", "module-then-center",
+]
+
+
+@pytest.mark.parametrize("ctx", REBINDING_CONTEXTS, ids=["C", "unit", "A", "center-I", "amodule-A", "module-then-center",
         "center-then-amodule", "module-then-morphism"])
 def test_context_rebinding_a_name_exits_two(tmp_path, capsys, ctx):
     (tmp_path / "ctx.json").write_text(json.dumps(ctx))
@@ -258,7 +273,7 @@ def test_context_fresh_names_still_load(tmp_path, capsys):
     assert code == 0, err
 
 
-@pytest.mark.parametrize("key,value", [
+MALFORMED_ALGEBRA_FIELDS = [
     ("phi", ["1/0"] + ["0"] * 7),
     ("dim", 0),
     ("dim", -1),
@@ -270,7 +285,10 @@ def test_context_fresh_names_still_load(tmp_path, capsys):
     ("phi_inv", ["1"] * 7),
     ("antipode", ["1", "0", "0"]),
     ("antipode_inv", ["1"] * 8),
-])
+]
+
+
+@pytest.mark.parametrize("key,value", MALFORMED_ALGEBRA_FIELDS)
 def test_malformed_algebra_file_exits_two(tmp_path, capsys, key, value):
     run(capsys, "export", "group_z2", "-o", str(tmp_path / "z2.json"))
     obj = json.loads((tmp_path / "z2.json").read_text())
@@ -319,3 +337,137 @@ def test_module_entry_point_keeps_exit_code_contract():
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_equiv_loads_the_context_without_objects(tmp_path, capsys):
+    (tmp_path / "bad.json").write_text("[1,2")
+    code, out, err = run(capsys, "equiv", "group_z2", "--context", str(tmp_path / "bad.json"))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and out == ""
+    (tmp_path / "ctx.json").write_text(json.dumps({"modules": {"X": C_ONE}}))
+    code, _, err = run(capsys, "equiv", "group_z2", "--context", str(tmp_path / "ctx.json"))
+    assert code == 0, err
+
+
+# -- one fuzz test of the exit-code contract ---------------------------------------------
+
+def _z2_with(key, value):
+    from quasihopf.qha import algebra_to_json, builtin
+    return json.dumps(dict(json.loads(algebra_to_json(builtin("group_z2"))), **{key: value}))
+
+
+# (argv, files written to a fresh directory first); "{d}" in argv is that directory
+CONTRACT_CASES = [
+    *[(("eval", "drinfeld_h2", "--context", "{d}/x.json", "--expr", "id(C)"),
+       (("x.json", json.dumps(ctx)),)) for ctx in WRONG_SHAPED_CONTEXTS],
+    *[(("check", "drinfeld_h2", "--context", "{d}/x.json", "--lhs", "mu(A)", "--rhs", "mu(A)"),
+       (("x.json", json.dumps(ctx)),)) for ctx in REBINDING_CONTEXTS],
+    *[(("end", "group_z2", "--left", "{d}/x.json"), (("x.json", json.dumps(m)),))
+      for m in MALFORMED_MODULES],
+    *[(("verify", "{d}/x.json"), (("x.json", _z2_with(key, value)),))
+      for key, value in MALFORMED_ALGEBRA_FIELDS],
+    *[(argv, (("x.json", "[1,2"),)) for argv in [
+        ("verify", "{d}/x.json"),
+        ("end", "group_z2", "--right", "{d}/x.json"),
+        ("equiv", "group_z2", "--context", "{d}/x.json"),
+        ("equiv", "group_z2", "--context", "{d}/x.json", "--objects", "C"),
+        ("eval", "group_z2", "--context", "{d}/x.json", "--expr", "id(C)"),
+        ("check", "group_z2", "--context", "{d}/x.json", "--lhs", "id(C)", "--rhs", "id(C)")]],
+    (("equiv", "group_z2", "--objects", "C,zz"), ()),
+    (("eval", "{d}/missing.json", "--expr", "id(C)"), ()),
+]
+
+# The objects bound in a context without a file, and every name the language knows.
+_OBJECT_NAMES = ("C", "I", "unit", "A")
+_DSL_NAMES = (*_OBJECT_NAMES, *GENERATORS)
+
+
+def _must_reject(text):
+    """True when the text has a character outside the language (a digit
+    counts where it would start a token) or a name that nothing binds: such a
+    text can neither parse nor elaborate."""
+    return (re.search(r"[^A-Za-z0-9_(),;* \t\r\n]|(?<![A-Za-z0-9_])[0-9]", text) is not None
+            or any(n not in _DSL_NAMES for n in re.findall(r"[A-Za-z_][A-Za-z0-9_]*", text)))
+
+
+def _objects(depth):
+    """Object expressions at most ``depth`` constructors deep."""
+    leaf = st.sampled_from(_OBJECT_NAMES)
+    if depth == 0:
+        return leaf
+    kid = _objects(depth - 1)
+    return st.one_of(leaf, kid.map("heart({})".format), _rights(depth - 1).map("coinv({})".format),
+                     st.builds("innh({},{})".format, kid, kid),
+                     st.builds("{}*{}".format, kid, kid))
+
+
+def _rights(depth):
+    """Centre objects and right modules: A, or heart of an object."""
+    if depth == 0:
+        return st.just("A")
+    return st.one_of(st.just("A"), _objects(depth - 1).map("heart({})".format))
+
+
+def _morphisms(depth):
+    """Generator calls whose arguments have the sorts the generator asks for,
+    mostly well typed; composites with the inverse, or with another call,
+    may or may not match.  Object arguments stay one level deep, which keeps
+    every space small enough to evaluate quickly."""
+    args = {OBJECT: _objects(1), CENTRE: _rights(1), RIGHT: _rights(1)}
+    if depth:
+        args[MORPHISM] = _morphisms(depth - 1)
+    calls = [st.tuples(*map(args.get, spec.sorts)).map(
+                 lambda xs, name=name: f"{name}({','.join(xs)})")
+             for name, specs in GENERATORS.items()
+             for spec in [specs.get(MORPHISM)] if spec and all(s in args for s in spec.sorts)]
+    call = st.one_of(calls)
+    return st.one_of(call, call.map("{0} ; inv({0})".format),
+                     st.builds("{} ; {}".format, call, call), call.map("({})".format))
+
+
+@st.composite
+def _dsl_texts(draw):
+    text = draw(_morphisms(2))
+    if draw(st.booleans()):   # poison it: a stray character or an unbound name
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(["zz", "x1", "1", "#", "{", "é", "\x0b"])) + text[at:]
+    return text
+
+
+@st.composite
+def _dsl_cases(draw):
+    """(argv, no files, whether the text must be rejected) for eval or check."""
+    if draw(st.booleans()):
+        texts = (draw(_dsl_texts()),)
+        argv = ("eval", "drinfeld_h2", "--expr", *texts)
+    else:
+        texts = (draw(_dsl_texts()), draw(_dsl_texts()))
+        argv = ("check", "drinfeld_h2", "--lhs", texts[0], "--rhs", texts[1])
+    return argv, (), any(map(_must_reject, texts))
+
+
+def _with_contract_cases(test):
+    for argv, files in CONTRACT_CASES:
+        test = example(case=(argv, files, True))(test)
+    return test
+
+
+@_with_contract_cases
+@given(case=_dsl_cases())
+@settings(max_examples=40, deadline=None)
+def test_malformed_input_exits_two_with_one_line(case):
+    argv, files, must_reject = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as d:
+        for name, text in files:
+            Path(d, name).write_text(text, encoding="utf-8")
+        # an exception escaping main would be a traceback
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main([a.replace("{d}", d) for a in argv])
+    out, err = out.getvalue(), err.getvalue()
+    if must_reject:
+        assert code == 2, (argv, out, err)
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1 and out == "", (argv, err)

@@ -124,6 +124,20 @@ def test_check_xi_zeta(ctx_dr):
     assert check("xi(A) ; zeta(A)", "id(heart(coinv(A)))", ctx_dr).ok
 
 
+def test_repeated_evaluation_leaves_the_memo_size_unchanged():
+    from quasihopf.qha import builtin
+    ctx = Context(builtin("drinfeld_h2"))   # a fresh algebra with a memo of its own
+    sizes = []
+    for _ in range(20):
+        eval_expr("p(heart(C))", ctx)
+        sizes.append(len(ctx.h._memo))
+    for _ in range(2):
+        eval_expr("xi(A) ; zeta(A)", ctx)
+        sizes.append(len(ctx.h._memo))
+    assert sizes[:20] == [sizes[0]] * 20
+    assert sizes[21] == sizes[20]
+
+
 def test_check_reports_witness():
     ctx = Context(get_algebra("sweedler_h4"))
     res = check("braid(A,A)", "id(A*A)", ctx)

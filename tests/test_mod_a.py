@@ -217,3 +217,16 @@ def test_amodule_hom_dimensions_match(z2, dr):
 def test_equivalence_report_small(z2):
     rep = equivalence_report(z2)
     assert rep.ok, rep.render_text()
+
+
+# -- the memo on the algebra ---------------------------------------------------------
+
+def test_constructions_are_memoized_per_operand(dr):
+    a = build_A(dr)
+    assert build_A(dr) is a
+    c = regular_module(dr)
+    am = heart_amodule(a, c)
+    assert heart_amodule(a, c) is am
+    assert coinvariants(am)[0] is coinvariants(am)[0]
+    # operands are told apart by identity: an equal module object of its own is a new entry
+    assert regular_module(dr) == c and heart_amodule(a, regular_module(dr)) is not am

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quasihopf.qha import (BUILTIN_NAMES, TensorElement, algebra_from_json,
-                           algebra_to_json, builtin, kappa_inverse, kappa_lambda,
-                           verify_derived_identities)
+from quasihopf.qha import (BUILTIN_NAMES, QuasiHopfAlgebra, TensorElement,
+                           algebra_from_json, algebra_to_json, builtin, kappa_inverse,
+                           kappa_lambda, verify_derived_identities)
 from quasihopf.report import VerificationFailure
 
 from conftest import get_algebra
@@ -183,10 +183,11 @@ def test_beta_collapse_trivial_for_z2(z2):
 # -- negative controls ----------------------------------------------------------
 
 def corrupt_alpha(name, new_alpha):
+    """The builtin with alpha replaced, built afresh: an algebra is immutable."""
     h = builtin(name)
-    h.alpha = TensorElement(h.dim, 1, new_alpha)
-    h._axiom_report = None
-    return h
+    return QuasiHopfAlgebra(h.dim, h.basis, h.mult, h.unit, h.comult, h.counit, h.phi,
+                            h.antipode, TensorElement(h.dim, 1, new_alpha), h.beta,
+                            phi_inv=h.phi_inv, antipode_inv=h.antipode_inv, name=h.name)
 
 
 def test_alpha_corruption_flags_h3():
@@ -198,6 +199,20 @@ def test_alpha_corruption_flags_h3():
     assert fails <= {"H3.zigzag", "H4.zigzag"}
     with pytest.raises(VerificationFailure):
         bad.require_valid()
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_algebra_is_immutable(name):
+    h = builtin(name)
+    with pytest.raises(AttributeError, match="immutable"):
+        h.alpha = TensorElement(h.dim, 1, {(1,): 1})
+    for attr in ("phi", "name", "_memo", "fresh"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(h, attr, None)
+    with pytest.raises(AttributeError, match="immutable"):
+        del h.beta
+    assert h.alpha == builtin(name).alpha
+    assert h.verify_axioms() is h.verify_axioms() and h.verify_axioms().ok
 
 
 def test_drinfeld_alpha_to_one_fails():

@@ -25,6 +25,13 @@ class InputError(Exception):
     pass
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A usage error is malformed input: raise it, for main to report in one line."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def _load_algebra(spec: str) -> QuasiHopfAlgebra:
     if os.path.exists(spec):
         try:
@@ -193,7 +200,7 @@ def cmd_export(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="qhopf",
         description="Exact verification of quasi-Hopf algebra module categories.")
     ap.add_argument("--report", choices=("text", "json"), default="text",
@@ -243,9 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -645,27 +645,12 @@ def inverse(a: Matrix) -> Matrix:
     return Matrix.from_cols(n, inv_cols)
 
 
-@dataclass
-class Cokernel:
-    """Quotient of the target of A by its column space.
-
-    ``projection`` maps the ambient space onto the quotient coordinates (the
-    non-pivot positions of an echelon basis of im A); ``section`` embeds the
-    quotient back, with projection . section = id and projection . A = 0.
-    """
-
-    projection: Matrix
-    section: Matrix
-    ambient_dim: int
-    pivots: set[int]
-
-    @property
-    def dim(self) -> int:
-        return self.projection.rows
-
-
-def cokernel_of_columns(ambient_dim: int, vectors) -> Cokernel:
-    """Cokernel of the subspace spanned by the given sparse vectors."""
+def cokernel_of_columns(ambient_dim: int, vectors) -> tuple[Matrix, Matrix]:
+    """(projection, section) for the quotient by the span of the given sparse
+    vectors: the projection maps the ambient space onto the quotient
+    coordinates (the non-pivot positions of an echelon basis of the span), the
+    section embeds them back, projection . section = id, and the kernel of
+    the projection is exactly the span."""
     ech = Echelon()
     for v in vectors:
         ech.add(v)
@@ -678,10 +663,23 @@ def cokernel_of_columns(ambient_dim: int, vectors) -> Cokernel:
         proj_cols.append({pos[i]: x for i, x in nf.items()})
     projection = Matrix(len(free), ambient_dim, proj_cols)
     section = Matrix(ambient_dim, len(free), [{f: ONE} for f in free])
-    return Cokernel(projection, section, ambient_dim, pivots)
+    return projection, section
 
 
 def cokernel(a: Matrix) -> tuple[Matrix, Matrix]:
     """(projection, section) with projection.A = 0, projection.section = id."""
-    ck = cokernel_of_columns(a.rows, a.columns())
-    return ck.projection, ck.section
+    return cokernel_of_columns(a.rows, a.columns())
+
+
+def descend(f: Matrix, src_proj: Matrix, src_sec: Matrix,
+            dst_proj: Matrix | None = None) -> Matrix | None:
+    """The map that f induces on the quotient src_proj, or None if it has none.
+
+    src_proj is onto with src_proj . src_sec = id; dst_proj, when given, is
+    the quotient of f's target.  The candidate is g = dst_proj . f . src_sec,
+    and it is induced exactly when g . src_proj = dst_proj . f, that is when
+    dst_proj . f kills ker src_proj (the span of the relations).
+    """
+    top = f if dst_proj is None else dst_proj * f
+    g = top * src_sec
+    return g if g * src_proj == top else None

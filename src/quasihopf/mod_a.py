@@ -3,10 +3,12 @@
 An object is a centre object with a right action map; the four validity
 conditions (module-map linearity, twisted associativity over the product,
 unitality, compatibility with the coactions) are checked exactly.  The
-category is monoidal by coequalizing the middle action; the quotient
-presentations keep explicit sections so induced structure maps are honest
-matrices.  Quotient bases are pivot-based and non-canonical; every
-assertion made downstream is basis-independent.
+category is monoidal by coequalizing the middle action.  A quotient is a
+(projection, section) pair plus its module, and every induced map on one
+(action, coaction, right action, a morphism between coinvariants, the
+counit, the monoidal comparisons) comes from linalg.descend, which returns
+the map or reports that it does not exist.  Quotient bases are pivot-based
+and non-canonical; every assertion made downstream is basis-independent.
 
 The two functors of the equivalence live here: heart(-) into right modules
 and the coinvariants functor (- tensored over the algebra with the unit
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import LinAlgError, Matrix, ONE, cokernel_of_columns, inverse, rank
+from .linalg import LinAlgError, Matrix, ONE, cokernel_of_columns, descend, inverse, rank
 from .qha import QuasiHopfAlgebra
 from .report import Report, VerificationFailure
 from .center import CenterObject, braiding, center_pairs, tensor_center, validate_center
@@ -150,26 +152,21 @@ def left_action_report(m: AModule) -> Report:
 
 @dataclass
 class QuotientPresentation:
-    """A quotient of an ambient module with an explicit section."""
+    """A quotient of an ambient module: projection onto it, a section back
+    (projection . section = id) and the quotient module."""
 
-    ambient: HModule
-    relations: list[dict]        # spanning vectors of the killed subspace
     projection: Matrix
     section: Matrix
     module: HModule
 
 
 def _quotient_module(ambient: HModule, relations: list[dict], label: str) -> QuotientPresentation:
-    h = ambient.h
-    ck = cokernel_of_columns(ambient.dim, relations)
-    proj, sec = ck.projection, ck.section
-    for i in range(h.dim):
-        if not (proj * ambient.action[i] * sec * proj == proj * ambient.action[i]):
-            raise VerificationFailure(
-                f"relation subspace of {label} is not stable under the action")
-    action = [proj * ambient.action[i] * sec for i in range(h.dim)]
-    module = HModule(h, ck.dim, action, label=label)
-    return QuotientPresentation(ambient, relations, proj, sec, module)
+    proj, sec = cokernel_of_columns(ambient.dim, relations)
+    action = [descend(x, proj, sec, proj) for x in ambient.action]
+    if any(x is None for x in action):
+        raise VerificationFailure(
+            f"relation subspace of {label} is not stable under the action")
+    return QuotientPresentation(proj, sec, HModule(ambient.h, proj.rows, action, label=label))
 
 
 def tensor_over_A(m: AModule, n_mod: AModule,
@@ -194,23 +191,18 @@ def tensor_over_A(m: AModule, n_mod: AModule,
     pres = _quotient_module(amb, diff.columns(),
                             label=f"({m.label or '?'})(x)A({n_mod.label or '?'})")
 
-    # coaction descends iff the relation space is a subcomodule
-    delta = amb_center.coaction
-    projH = Matrix.identity(n).kron(pres.projection)
-    for r in pres.relations:
-        if projH.apply(delta.apply(r)):
-            raise VerificationFailure("coaction does not descend to the quotient")
-    dq = projH * delta * pres.section
+    # the coaction descends iff the relation space is a subcomodule
+    proj, sec, id_n = pres.projection, pres.section, Matrix.identity(n)
+    dq = descend(amb_center.coaction, proj, sec, id_n.kron(proj))
+    if dq is None:
+        raise VerificationFailure("coaction does not descend to the quotient")
     qcenter = CenterObject(pres.module, dq, label=pres.module.label)
 
     mu_amb = Matrix.identity(m.dim).kron(n_mod.mu) \
         * elem_action_matrix(h.phi, [m.base, n_mod.base, a.base])
-    for r in pres.relations:
-        for b in range(n):
-            vec = {k * n + b: c for k, c in r.items()}
-            if pres.projection.apply(mu_amb.apply(vec)):
-                raise VerificationFailure("right action does not descend to the quotient")
-    mu_q = pres.projection * mu_amb * pres.section.kron(Matrix.identity(n))
+    mu_q = descend(mu_amb, proj.kron(id_n), sec.kron(id_n), proj)
+    if mu_q is None:
+        raise VerificationFailure("right action does not descend to the quotient")
     out = AModule(a, qcenter, mu_q, label=pres.module.label)
     if validate:
         out.require_valid()
@@ -232,47 +224,36 @@ def coinvariants(m: AModule) -> tuple[HModule, HLinearMap, QuotientPresentation]
 
 def coinvariants_on_morphism(f: HLinearMap, pres_src: QuotientPresentation,
                          pres_dst: QuotientPresentation) -> HLinearMap:
-    for r in pres_src.relations:
-        if pres_dst.projection.apply(f.matrix.apply(r)):
-            raise VerificationFailure("morphism does not descend to the quotients")
-    return HLinearMap(pres_src.module, pres_dst.module,
-                      pres_dst.projection * f.matrix * pres_src.section)
+    g = descend(f.matrix, pres_src.projection, pres_src.section, pres_dst.projection)
+    if g is None:
+        raise VerificationFailure("morphism does not descend to the quotients")
+    return HLinearMap(pres_src.module, pres_dst.module, g)
 
 
 def coinvariants_monoidal(m: AModule, n_mod: AModule) -> tuple[HLinearMap, Report]:
     """The comparison coinv(M) (x) coinv(N) -> coinv(M (x)_A N), with exact inverse.
 
-    Both sides are quotients of M (x) N by the same relations (checked by
-    mutual annihilation), so the induced maps through the sections are a
-    two-sided inverse pair.
+    Both sides are quotients of M (x) N, by u1 = coinv (x) coinv and by
+    u2 = the coinvariants of the quotient (x)_A; each projection descends
+    along the other (so they have the same kernel), and the two induced maps
+    are a two-sided inverse pair.
     """
     rep = Report(title=f"monoidal[{m.label or '?'},{n_mod.label or '?'}]")
     _, _, pres_m = coinvariants(m)
     _, _, pres_n = coinvariants(n_mod)
     u1 = pres_m.projection.kron(pres_n.projection)
     sec1 = pres_m.section.kron(pres_n.section)
-    # generators of ker u1: rel_M (x) basis + basis (x) rel_N
-    gens1 = []
-    dn = n_mod.dim
-    for r in pres_m.relations:
-        for j in range(dn):
-            gens1.append({k * dn + j: c for k, c in r.items()})
-    for r in pres_n.relations:
-        for i in range(m.dim):
-            gens1.append({i * dn + k: c for k, c in r.items()})
-
     mn, pres_q = tensor_over_A(m, n_mod)
     _, _, pres_b = coinvariants(mn)
     u2 = pres_b.projection * pres_q.projection
     sec2 = pres_q.section * pres_b.section
-    gens2 = list(pres_q.relations)
-    for r in pres_b.relations:
-        gens2.append(pres_q.section.apply(r))
 
-    rep.add("relations_agree_forward", all(not u2.apply(g) for g in gens1))
-    rep.add("relations_agree_backward", all(not u1.apply(g) for g in gens2))
-    v = u2 * sec1
-    w = u1 * sec2
+    v = descend(u2, u1, sec1)
+    w = descend(u1, u2, sec2)
+    rep.add("relations_agree_forward", v is not None)
+    rep.add("relations_agree_backward", w is not None)
+    if v is None or w is None:
+        raise VerificationFailure("monoidal comparison failed", rep)
     rep.add("round_trip_identity", (w * v).is_identity() and (v * w).is_identity())
     fwd = HLinearMap(tensor(pres_m.module, pres_n.module), pres_b.module, v)
     rep.add("comparison_h_linear", fwd.is_h_linear())
@@ -293,10 +274,10 @@ def counit_iso(x: HModule, a: AlgebraA) -> tuple[HLinearMap, Report]:
     hm = heart(h, x)
     am = heart_amodule(a, x)
     _, _, pres = coinvariants(am)
-    pi = hm.pi()
-    ok_kills = all(not pi.matrix.apply(r) for r in pres.relations)
-    rep.add("projection_kills_relations", ok_kills)
-    mat = pi.matrix * pres.section
+    mat = descend(hm.pi().matrix, pres.projection, pres.section)
+    rep.add("projection_kills_relations", mat is not None)
+    if mat is None:
+        raise VerificationFailure(f"counit comparison failed for {x.label}", rep)
     rep.add("dimensions_match", pres.module.dim == x.dim)
     iso = HLinearMap(pres.module, x, mat)
     rep.add("induced_h_linear", iso.is_h_linear())
@@ -442,11 +423,8 @@ def _descended_compose_iso(a: AlgebraA, x: HModule, y: HModule) -> bool:
     h = a.h
     comp = heart_compose(h, x, y)
     quot, pres = tensor_over_A(heart_amodule(a, x), heart_amodule(a, y), validate=False)
-    for r in pres.relations:
-        if comp.matrix.apply(r):
-            return False
-    descended = comp.matrix * pres.section
-    if descended.rows != descended.cols:
+    descended = descend(comp.matrix, pres.projection, pres.section)
+    if descended is None or descended.rows != descended.cols:
         return False
     if rank(descended) != descended.rows:
         return False

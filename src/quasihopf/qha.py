@@ -57,11 +57,7 @@ class TensorElement:
         self._check_like(other)
         out = dict(self.coeffs)
         for idx, c in other.coeffs.items():
-            s = out.get(idx, ZERO) + c
-            if s:
-                out[idx] = s
-            else:
-                out.pop(idx, None)
+            out[idx] = out.get(idx, ZERO) + c
         return TensorElement(self.dim, self.legs, out)
 
     def __sub__(self, other: "TensorElement") -> "TensorElement":
@@ -388,11 +384,7 @@ class QuasiHopfAlgebra:
                 stack = nstack
             for placed, coeff in stack:
                 key = tuple(placed[p] for p in range(1, total_legs + 1))
-                acc = out.get(key, ZERO) + coeff
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
+                out[key] = out.get(key, ZERO) + coeff
         return TensorElement(self.dim, total_legs, out)
 
     def apply_leg(self, t: TensorElement, leg: int, op: Matrix) -> TensorElement:
@@ -405,11 +397,7 @@ class QuasiHopfAlgebra:
         for idx, c in t.coeffs.items():
             for k, d in op.col(idx[leg - 1]).items():
                 key = idx[:leg - 1] + (k,) + idx[leg:]
-                acc = out.get(key, ZERO) + c * d
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
+                out[key] = out.get(key, ZERO) + c * d
         return TensorElement(self.dim, t.legs, out)
 
     def fuse_legs(self, t: TensorElement, leg: int) -> TensorElement:
@@ -432,16 +420,8 @@ class QuasiHopfAlgebra:
         for idx, c in t.coeffs.items():
             for l in legs:
                 c = c * self.counit[idx[l - 1]]
-                if not c:
-                    break
-            if not c:
-                continue
             key = tuple(idx[l - 1] for l in keep)
-            acc = out.get(key, ZERO) + c
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
+            out[key] = out.get(key, ZERO) + c
         return TensorElement(self.dim, len(keep), out)
 
     # -- distinguished operators ------------------------------------------------

@@ -498,33 +498,12 @@ class EndComputation:
 def end_over_regular(h: QuasiHopfAlgebra, p: HModule, q: HModule) -> EndComputation:
     c = regular_module(h)
     n = h.dim
-    inner_dim = p.dim * n * q.dim       # target P (x) C (x) Q
-    w_dim = inner_dim * n               # Lin(C, target)
-    homs = hom_space(c, c)
-
-    sys = LinearSystem(w_dim)
-    for f in homs:
-        fm = f.matrix
-        amid = Matrix.identity(p.dim).kron(fm).kron(Matrix.identity(q.dim))
-        # equations ((id x f x id) . g - g . f)[t, s] = 0
-        arows = amid.row_view()
-        fcols = fm.columns()
-        for t in range(inner_dim):
-            arow = arows[t]
-            for s in range(n):
-                coeffs: dict[int, Fraction] = {}
-                for t2, x in arow.items():
-                    coeffs[t2 * n + s] = coeffs.get(t2 * n + s, ZERO) + x
-                for s2, x in fcols[s].items():
-                    key = t * n + s2
-                    acc = coeffs.get(key, ZERO) - x
-                    if acc:
-                        coeffs[key] = acc
-                    else:
-                        coeffs.pop(key, None)
-                if coeffs:
-                    sys.add_equation(coeffs)
-    kernel = sys.kernel_basis()
+    target = tensor(tensor(p, c), q)        # P (x) C (x) Q
+    pairs = [(f.matrix, Matrix.identity(p.dim).kron(f.matrix).kron(Matrix.identity(q.dim)))
+             for f in hom_space(c, c)]
+    # g . f = (id (x) f (x) id) . g, with g[i, j] flattened row-major to i * n + j
+    kernel = [{k: x for k, x in enumerate(g.matrix.to_flat()) if x}
+              for g in intertwiners(c, target, pairs)]
 
     closed = []
     for pp in range(p.dim):

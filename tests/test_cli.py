@@ -376,6 +376,10 @@ CONTRACT_CASES = [
         ("check", "group_z2", "--context", "{d}/x.json", "--lhs", "id(C)", "--rhs", "id(C)")]],
     (("equiv", "group_z2", "--objects", "C,zz"), ()),
     (("eval", "{d}/missing.json", "--expr", "id(C)"), ()),
+    # usage errors: a missing option value, an unknown option, no command
+    (("check", "group_z2", "--lhs", "id", "--rhs"), ()),
+    (("equiv", "group_z2", "--bogus"), ()),
+    ((), ()),
 ]
 
 # The objects bound in a context without a file, and every name the language knows.
@@ -471,3 +475,11 @@ def test_malformed_input_exits_two_with_one_line(case):
     assert code in (0, 1, 2) and "Traceback" not in err
     if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1 and out == "", (argv, err)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
+def test_help_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    assert "usage: qhopf" in capsys.readouterr().out

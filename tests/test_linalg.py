@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasihopf.linalg import (Echelon, LegShape, LinAlgError, LinearSystem, Matrix,
-                              cokernel, inverse, kernel, kron, rank, rat,
-                              rat_str, solve, span_basis, spans_equal)
+                              cokernel, cokernel_of_columns, descend, inverse, kernel,
+                              kron, rank, rat, rat_str, solve, span_basis, spans_equal)
 
 def mat(rows):
     return Matrix.from_rows(rows)
@@ -122,6 +122,35 @@ def test_cokernel_postconditions(m, n, rng):
     assert p.rows == m - rank(a)
     assert (p * a).is_zero()
     assert (p * s).is_identity()
+
+
+# -- descend ------------------------------------------------------------------
+
+def _random_matrix(rng, rows, cols):
+    return mat([[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)])
+
+
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6),
+       st.integers(min_value=0, max_value=4), st.booleans(), st.booleans(),
+       st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_descend_matches_the_relation_loop(n, m, k, with_dst, factor, rng):
+    """descend agrees with the per-relation check: dst_proj . f . r = 0 for
+    every relation r; the induced map is then dst_proj . f . section."""
+    rels = _random_matrix(rng, n, k).columns()
+    proj, sec = cokernel_of_columns(n, rels)
+    dst = cokernel(_random_matrix(rng, m, rng.randint(0, 3)))[0] if with_dst else None
+    # a map through the quotient descends; a random one mostly does not
+    f = _random_matrix(rng, m, proj.rows) * proj if factor else _random_matrix(rng, m, n)
+    top = f if dst is None else dst * f
+    kills = all(not top.apply(r) for r in rels)
+    g = descend(f, proj, sec, dst)
+    assert (g is not None) == kills
+    if factor:
+        assert g is not None
+    if g is not None:
+        assert g == top * sec
+        assert g * proj == top
 
 
 # -- kron ---------------------------------------------------------------------

@@ -1,11 +1,14 @@
+import pytest
+
 from quasihopf.linalg import Matrix, inverse
+from quasihopf.report import VerificationFailure
 from quasihopf.repcat import hom_space, regular_module, tensor, unit_module
 from quasihopf.algebra_a import build_A, heart_on_morphism
 from quasihopf.mod_a import (AModule, algebra_as_amodule, amodule_hom_space,
                              coinvariants, coinvariants_monoidal, coinvariants_on_morphism,
                              counit_iso, equivalence_report, free_amodule,
                              heart_amodule, left_action, left_action_report,
-                             tensor_over_A, unit_iso, validate_amodule)
+                             _quotient_module, tensor_over_A, unit_iso, validate_amodule)
 
 
 def test_algebra_is_a_module(any_h):
@@ -115,6 +118,25 @@ def test_coinv_functorial(z2):
     for f in amodule_hom_space(hc, hc):
         g = coinvariants_on_morphism(f, pres, pres)
         assert g.is_h_linear()
+
+
+def test_coinv_rejects_maps_that_do_not_descend(z2):
+    """The right-module maps heart(C) -> heart(C) pass to the coinvariants
+    (test_coinv_functorial); no basis map of the plain hom space does."""
+    a = build_A(z2)
+    hc = heart_amodule(a, regular_module(z2))
+    _, _, pres = coinvariants(hc)
+    maps = hom_space(hc.base, hc.base)
+    assert len(maps) == 8
+    for f in maps:
+        with pytest.raises(VerificationFailure, match="does not descend"):
+            coinvariants_on_morphism(f, pres, pres)
+
+
+def test_quotient_by_an_unstable_subspace_is_rejected(z2):
+    # span(e) in the regular module of Z/2 is not stable under g
+    with pytest.raises(VerificationFailure, match="not stable under the action"):
+        _quotient_module(regular_module(z2), [{0: 1}], "C/e")
 
 
 def test_coinvariants_monoidal(any_h):

@@ -176,7 +176,8 @@ def nat_to_hom(x_mod: HModule, y_mod: HModule, m_mod: HModule,
 
     The adjunct is one matrix product, the family after the action of a
     two-leg element, so it runs on the integer forms of the matrices (see
-    Matrix.apply and elem_action_matrix) rather than on Fractions.
+    Matrix.apply and elem_action_matrix) rather than on Fractions; when the
+    element is 1 (x) 1 the adjunct is the family itself.
     """
     h = x_mod.h
     n = h.dim
@@ -186,8 +187,11 @@ def nat_to_hom(x_mod: HModule, y_mod: HModule, m_mod: HModule,
         raise ValueError("family has wrong endpoints for nat_to_hom")
 
     # adjunct g~(x)(p) = fam((q1 |> x) (x) (q2 beta S(q3) . p)), for all x and
-    # p at once: fam after the action of sum q1 (x) q2 beta S(q3)
-    adj = fam.matrix * elem_action_matrix(beta_contraction(h), [x_mod, regular_module(h)])
+    # p at once: fam after the action of sum q1 (x) q2 beta S(q3), which is
+    # the identity when that element is 1 (x) 1 (phi = 1 and beta = 1)
+    b = beta_contraction(h)
+    adj = fam.matrix if b == h.unit_elem(2) else \
+        fam.matrix * elem_action_matrix(b, [x_mod, regular_module(h)])
     # evaluate at the unit to read the end coordinates
     ends = adj * Matrix.identity(dx).kron(Matrix(n, 1, [dict(h.unit)]))
     # the adjunct must be the left multiplication by the middle leg of those:

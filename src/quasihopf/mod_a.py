@@ -382,7 +382,9 @@ def equivalence_report(h: QuasiHopfAlgebra, test_objects=None) -> Report:
     For each test object: the counit comparison is an isomorphism (with the
     exactness-diagram windows), the unit comparison holds for the free and
     heart modules, hom dimensions match across the functor, and the
-    descended lax structure is invertible.
+    descended lax structure is invertible.  Every id is always reported: a
+    check that raises VerificationFailure is a FAIL item whose details name
+    the failed sub-checks.
     """
     a = build_A(h)
     rep = Report(title=f"equivalence[{h.name or 'H'}]")
@@ -390,31 +392,39 @@ def equivalence_report(h: QuasiHopfAlgebra, test_objects=None) -> Report:
         c = regular_module(h)
         test_objects = [unit_module(h), c, tensor(c, c)]
 
+    def check(check_id: str, run) -> None:
+        """Add run()'s (ok, details); a failure raised inside is a FAIL item
+        naming the failed sub-checks, and the report goes on."""
+        try:
+            ok, details = run()
+        except VerificationFailure as exc:
+            failed = exc.report.failures() if exc.report is not None else []
+            ok, details = False, ("failed: " + ", ".join(i.id for i in failed)
+                                  if failed else str(exc))
+        rep.add(check_id, ok, details)
+
     for x in test_objects:
-        name = x.label or f"dim{x.dim}"
-        _, crep = counit_iso(x, a)
-        rep.add(f"counit_iso[{name}]", crep.ok)
+        check(f"counit_iso[{x.label or f'dim{x.dim}'}]",
+              lambda: (counit_iso(x, a)[1].ok, ""))
 
     unit_tests = [algebra_as_amodule(a),
                   free_amodule(a, a.center),
                   heart_amodule(a, test_objects[1] if len(test_objects) > 1
                                 else regular_module(h))]
     for mm in unit_tests:
-        _, _, urep = unit_iso(mm)
-        rep.add(f"unit_iso[{mm.label}]", urep.ok)
+        check(f"unit_iso[{mm.label}]", lambda: (unit_iso(mm)[2].ok, ""))
 
-    for x in test_objects:
-        for y in test_objects:
-            nx, ny = x.label or "?", y.label or "?"
-            d_h = len(hom_space(x, y))
-            d_a = len(amodule_hom_space(heart_amodule(a, x), heart_amodule(a, y)))
-            rep.add(f"hom_dims[{nx};{ny}]", d_h == d_a, f"H-side {d_h}, A-side {d_a}")
+    def hom_dims(x, y):
+        d_h = len(hom_space(x, y))
+        d_a = len(amodule_hom_space(heart_amodule(a, x), heart_amodule(a, y)))
+        return d_h == d_a, f"H-side {d_h}, A-side {d_a}"
 
-    for x in test_objects:
-        for y in test_objects:
-            nx, ny = x.label or "?", y.label or "?"
-            ok = _descended_compose_iso(a, x, y)
-            rep.add(f"monoidal_heart[{nx};{ny}]", ok)
+    pairs = [(x, y, f"{x.label or '?'};{y.label or '?'}")
+             for x in test_objects for y in test_objects]
+    for x, y, names in pairs:
+        check(f"hom_dims[{names}]", lambda: hom_dims(x, y))
+    for x, y, names in pairs:
+        check(f"monoidal_heart[{names}]", lambda: (_descended_compose_iso(a, x, y), ""))
     return rep
 
 

@@ -16,20 +16,29 @@ terms of the element, with one operator family per slot (a module's action
 matrices, a rectangular family such as flattened or transposed actions, or
 the algebra's two-leg sandwich family).  Tensor products, associators, the
 inner-hom actions, the adjunction unit and counit, the inner composition and
-the interchange are each one such call.  Hom spaces, centre hom spaces and
-right-module hom spaces share one equation builder, intertwiners.
+the interchange are each one such call.
+
+Hom spaces, centre hom spaces and right-module hom spaces share one solver,
+intertwiners: the maps F with F . P = Q . F for a list of pairs (P, Q).  It
+spins the source module from a few unit-vector generators instead of solving
+for all dim(m) * dim(n) entries of F: the unknowns are the values of F on
+the generators, every image of a spanning vector that adds nothing new is a
+relation, and each relation gives dim(n) equations.  The kernel is mapped
+back to matrices and certified exactly, all at once, by stacking the basis
+into one matrix FS and checking FS . P = (I (x) Q) . FS for every pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .linalg import (LinearSystem, Matrix, ONE, ZERO, _canon, _div, _lcm_denominator,
-                     _scaled, inverse, spans_equal)
+from .linalg import (Echelon, LinearSystem, Matrix, ONE, _canon, _div, _int_rows,
+                     _lcm_denominator, _scaled, inverse, spans_equal)
 from .qha import (QuasiHopfAlgebra, TensorElement, alpha_contraction, beta_contraction,
                   product_element)
-from .report import Report
+from .report import Report, VerificationFailure
 
 
 class HModule:
@@ -300,32 +309,135 @@ def unit_right_elim(m: HModule) -> HLinearMap:
 
 def intertwiners(m: HModule, n: HModule, pairs) -> list[HLinearMap]:
     """An exact basis of the linear maps F: m -> n with F . P = Q . F for every
-    (P, Q) in pairs (P an endomorphism of m's space, Q of n's)."""
+    (P, Q) in pairs (P an endomorphism of m's space, Q of n's).
+
+    Spinning (the MeatAxe route to hom spaces): m is spanned by images
+    s_j = P_w g_i of a few unit-vector generators g_i under words w in the
+    P's, so F is fixed by the values u_i = F(g_i): F(s_j) = Q_w u_i = W_j u_i.
+    Every image P_k s_j that is not a new spanning vector is a relation
+    t P_k s_j + sum_l t_l s_l = 0, read off the spinning echelon through
+    negative tags (as LinearSystem does for right hand sides), and gives the
+    equations t Q_k W_j u_i + sum_l t_l W_l u_{i_l} = 0 over G * dim(n)
+    unknowns.  The kernel is mapped back to the standard basis, and the whole
+    basis is certified at once, exactly, against every pair.
+    """
     dm, dn = m.dim, n.dim
-    sys = LinearSystem(dn * dm)  # unknown F[i, j] at index i*dm + j
-    for p, q in pairs:
-        p_cols, q_rows = p.columns(), q.row_view()
-        # (F . P - Q . F)[i, j] = 0
-        for i in range(dn):
-            for j in range(dm):
-                coeffs = {i * dm + k: x for k, x in p_cols[j].items()}
-                for k, x in q_rows[i].items():
-                    key = k * dm + j
-                    acc = coeffs.get(key, ZERO) - x
-                    if acc:
-                        coeffs[key] = acc
-                    else:
-                        coeffs.pop(key, None)
-                if coeffs:
-                    sys.add_equation(coeffs)
-    out = []
-    for vec in sys.kernel_basis():
-        cols = [dict() for _ in range(dm)]
-        for idx, c in vec.items():
-            i, j = divmod(idx, dm)
-            cols[j][i] = c
-        out.append(HLinearMap(m, n, Matrix(dn, dm, cols)))
-    return out
+    pairs = [(p, q) for p, q in pairs if not (p.is_identity() and q.is_identity())]
+    q_ints = [_int_row_view(q) for _, q in pairs]
+    ech = Echelon()
+    # spanning vectors (s_j, i_j, W_j, den_j, rows_j), W_j = rows_j / den_j
+    # with integer rows; s_j carries the tag -1-j in the echelon
+    spin: list[tuple[dict, int, Matrix, int, list[dict]]] = []
+    sys = LinearSystem(0)  # u_i[a] at index i * dn + a
+
+    def reduce(v: dict) -> dict:
+        """t v + sum_l t_l s_l with t at tag -1-len(spin): a new spanning vector
+        when an index >= 0 survives, otherwise a relation."""
+        return ech._reduce_int(_int_rows({**v, -1 - len(spin): ONE}))
+
+    def grow(r: dict, v: dict, gen: int, w: Matrix) -> None:
+        ech.rows[max(r)] = r
+        spin.append((v, gen, w, *_int_row_view(w)))
+
+    def relation(r: dict, gen: int, k: int, j: int) -> None:
+        """t Q_k W_j u_gen + sum_l t_l W_l u_{i_l} = 0, cleared of denominators."""
+        t = r.pop(-1 - len(spin))
+        dq, q_rows = q_ints[k]
+        *_, dw, w_rows = spin[j]
+        den = lcm(dq * dw, *(spin[-1 - l][3] for l in r))
+        eqs: list[dict] = [dict() for _ in range(dn)]
+        t *= den // (dq * dw)
+        for a, q_row in enumerate(q_rows):
+            for b, x in q_row.items():
+                _add_shifted(eqs[a], w_rows[b], t * x, gen * dn)
+        for l, x in r.items():
+            _, i, _, d_l, rows = spin[-1 - l]
+            x *= den // d_l
+            for a, row in enumerate(rows):
+                _add_shifted(eqs[a], row, x, i * dn)
+        for eq in eqs:
+            if eq:
+                sys.add_equation(eq)
+
+    gens = 0
+    for c in range(dm):
+        r = reduce({c: ONE})
+        if max(r) < 0:
+            continue  # e_c is spanned already; that is no relation of the module
+        grow(r, {c: ONE}, gens, Matrix.identity(dn))
+        j = len(spin) - 1
+        while j < len(spin):
+            v, _, w, _, _ = spin[j]
+            for k, (p, q) in enumerate(pairs):
+                pv = p.apply(v)
+                r = reduce(pv)
+                if max(r) >= 0:
+                    grow(r, pv, gens, q * w)
+                else:
+                    relation(r, gens, k, j)
+            j += 1
+        gens += 1
+    sys.nvars = gens * dn  # the number of unknowns is known once m is spun
+    kernel = [_int_rows(u) for u in sys.kernel_basis()]
+    if not kernel:
+        return []
+
+    # den * F(s_l) for every kernel vector at once, vector rho stacked at
+    # rho * dn; then F(e_c) = -(1/t) sum_l t_l F(s_l), from the tagged
+    # reduction t e_c + sum_l t_l s_l = 0
+    den = lcm(*(s[3] for s in spin))
+    by_unknown: list[list[tuple[int, int]]] = [[] for _ in range(gens * dn)]
+    for rho, u in enumerate(kernel):
+        for k, x in u.items():
+            by_unknown[k].append((rho * dn, x))
+    stacked = []
+    for _, i, w, d, _ in spin:
+        y: dict = {}
+        for b, col in enumerate(w._int_form()[1]):
+            for base, x in by_unknown[i * dn + b]:
+                _add_shifted(y, col, x * (den // d), base)
+        stacked.append(y)
+    stacked = Matrix(len(kernel) * dn, dm, stacked)
+    cols = []
+    for c in range(dm):
+        r = ech._reduce_int({c: ONE, -1 - dm: ONE})
+        t = r.pop(-1 - dm) * den
+        cols.append({k: _div(x, t) for k, x in stacked.apply(
+            {-1 - l: -x for l, x in r.items()}).items()})
+    fs = Matrix(len(kernel) * dn, dm, cols)
+    lift = Matrix.identity(len(kernel))
+    if any(fs * p != lift.kron(q) * fs for p, q in pairs):
+        raise VerificationFailure("spun hom-space basis fails its exact certificate")
+
+    maps = [[dict() for _ in range(dm)] for _ in kernel]
+    for c, col in enumerate(fs.columns()):
+        for k, x in col.items():
+            rho, a = divmod(k, dn)
+            maps[rho][c][a] = x
+    return [HLinearMap(m, n, Matrix(dn, dm, f)) for f in maps]
+
+
+def _int_row_view(mat: Matrix) -> tuple[int, list[dict]]:
+    """(den, rows) with mat = rows / den, rows integer (see Matrix._int_form)."""
+    den, icols = mat._int_form()
+    if den == 1:
+        return 1, mat.row_view()
+    rows: list[dict] = [dict() for _ in range(mat.rows)]
+    for j, col in enumerate(icols):
+        for i, x in col.items():
+            rows[i][j] = x
+    return den, rows
+
+
+def _add_shifted(acc: dict, row: dict, c, off: int) -> None:
+    """acc[off + b] += c * row[b], in place, dropping cancellations."""
+    for b, y in row.items():
+        key = off + b
+        z = acc.get(key, 0) + c * y
+        if z:
+            acc[key] = z
+        else:
+            del acc[key]
 
 
 def hom_space(m: HModule, n: HModule) -> list[HLinearMap]:

@@ -133,6 +133,36 @@ def test_equiv_command(capsys):
     assert "hom_dims" in out
 
 
+EQUIV_IDS = (["counit_iso[I]", "counit_iso[C]", "counit_iso[C*C]",
+              "unit_iso[A]", "unit_iso[(A)*A]", "unit_iso[heart(C)]"]
+             + [f"{kind}[{x};{y}]" for kind in ("hom_dims", "monoidal_heart")
+                for x in ("I", "C", "C*C") for y in ("I", "C", "C*C")])
+
+
+def test_equiv_reports_every_id_when_a_check_raises(capsys, monkeypatch):
+    from quasihopf import mod_a
+    from quasihopf.report import Report, ReportItem, VerificationFailure
+    real = mod_a.counit_iso
+
+    def failing_on_cc(x, a):
+        iso, rep = real(x, a)
+        if x.label == "C*C":
+            bad = Report(rep.title, [ReportItem(i.id, "fail") if i.id == "window_product"
+                                     else i for i in rep.items])
+            raise VerificationFailure("counit comparison failed for C*C", bad)
+        return iso, rep
+
+    monkeypatch.setattr(mod_a, "counit_iso", failing_on_cc)
+    code, out, _ = run(capsys, "--report", "json", "equiv", "group_z2")
+    assert code == 1
+    data = json.loads(out)
+    assert [i["id"] for i in data["items"]] == EQUIV_IDS
+    assert not data["ok"]
+    bad = {i["id"]: i for i in data["items"] if i["status"] == "fail"}
+    assert list(bad) == ["counit_iso[C*C]"]
+    assert "window_product" in bad["counit_iso[C*C]"]["details"]
+
+
 def test_context_file(tmp_path, capsys):
     from quasihopf import qhio
     from quasihopf.repcat import tensor, regular_module

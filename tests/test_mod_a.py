@@ -236,6 +236,17 @@ def test_amodule_hom_dimensions_match(z2, dr):
         assert pattern == [1, 1, 1, 2]
 
 
+@pytest.mark.parametrize("xs,ys,dim", [("C", "C", 4), ("C", "CC", 16), ("CC", "C", 16)])
+def test_hom_dims_on_twist(tw, xs, ys, dim):
+    # the hom_dims check of equivalence_report on a dense 17-term associator
+    a = build_A(tw)
+    c = regular_module(tw)
+    objs = {"C": c, "CC": tensor(c, c)}
+    x, y = objs[xs], objs[ys]
+    d_a = len(amodule_hom_space(heart_amodule(a, x), heart_amodule(a, y)))
+    assert d_a == len(hom_space(x, y)) == dim
+
+
 def test_equivalence_report_small(z2):
     rep = equivalence_report(z2)
     assert rep.ok, rep.render_text()

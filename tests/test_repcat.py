@@ -2,12 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quasihopf.linalg import LegShape, Matrix, inverse, spans_equal
+from quasihopf.linalg import LegShape, LinearSystem, Matrix, inverse, spans_equal
 from quasihopf.qha import TensorElement
 from quasihopf.repcat import (HLinearMap, adjunction_report, associator,
                               associator_inv, eeps, eeta, elem_action_matrix,
-                              end_over_regular, hom_space, icomp, identity_map,
+                              HModule, end_over_regular, hom_space, icomp,
+                              identity_map, intertwiners,
                               in_map, inner_hom, inner_post, left_dual,
                               regular_module, right_dual, snake_report, tensor,
                               unit_left_elim, unit_module, unit_right_elim)
@@ -125,6 +127,89 @@ def test_hom_cc_is_right_multiplications(any_h):
     c = regular_module(h)
     homs = [f.matrix.col(0) for f in hom_space(c, c)]
     assert spans_equal(homs, [{i: 1} for i in range(h.dim)])
+
+
+def naive_intertwiners(dm, dn, pairs):
+    """The equation-based solver: F . P = Q . F over all dn * dm entries of F,
+    flattened row-major (F[i, j] at i * dm + j); the oracle for the spinning
+    solver."""
+    sys = LinearSystem(dn * dm)
+    for p, q in pairs:
+        p_cols, q_rows = p.columns(), q.row_view()
+        for i in range(dn):
+            for j in range(dm):
+                coeffs = {i * dm + k: x for k, x in p_cols[j].items()}
+                for k, x in q_rows[i].items():
+                    key = k * dm + j
+                    acc = coeffs.get(key, 0) - x
+                    if acc:
+                        coeffs[key] = acc
+                    else:
+                        coeffs.pop(key, None)
+                if coeffs:
+                    sys.add_equation(coeffs)
+    return sys.kernel_basis()
+
+
+_ENTRY = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 4]))
+
+
+@st.composite
+def _matrices(draw, rows, cols):
+    return Matrix.from_rows([[draw(_ENTRY) for _ in range(cols)] for _ in range(rows)])
+
+
+def _unit_triangular(m, upper):
+    """The identity plus the strictly upper (or lower) part of m: invertible."""
+    return Matrix(m.rows, m.cols, [{i: x for i, x in col.items() if i != j and (i < j) == upper}
+                                   | {j: 1} for j, col in enumerate(m.columns())])
+
+
+@st.composite
+def _intertwiner_cases(draw):
+    """(dm, dn, pairs): pairs that admit homs by construction (Q = A P A^-1 and
+    Q = P (+) R), fully random pairs, all-zero P (m not cyclic), identity
+    pairs mixed in, and the empty list."""
+    kind = draw(st.sampled_from(["conjugate", "sum", "random", "zero"]))
+    dm = draw(st.integers(1, 6))
+    if kind == "conjugate":
+        dn = dm
+        a = _unit_triangular(draw(_matrices(dm, dm)), upper=False) \
+            * _unit_triangular(draw(_matrices(dm, dm)), upper=True)
+        a_inv = inverse(a)
+    else:
+        dn = draw(st.integers(dm if kind == "sum" else 1, 6))
+    pairs = []
+    for _ in range(draw(st.integers(0, 4))):
+        p = Matrix.zero(dm, dm) if kind == "zero" else draw(_matrices(dm, dm))
+        if kind == "conjugate":
+            q = a * p * a_inv
+        elif kind == "sum":
+            r = draw(_matrices(dn - dm, dn - dm))
+            q = Matrix(dn, dn, [dict(c) for c in p.columns()]
+                       + [{dm + i: x for i, x in c.items()} for c in r.columns()])
+        else:
+            q = draw(_matrices(dn, dn))
+        pairs.append((p, q))
+    for _ in range(draw(st.integers(0, 2))):
+        pairs.insert(draw(st.integers(0, len(pairs))),
+                     (Matrix.identity(dm), Matrix.identity(dn)))
+    return dm, dn, pairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(_intertwiner_cases())
+def test_intertwiners_match_the_equation_solver(case):
+    dm, dn, pairs = case
+    z2 = get_algebra("group_z2")
+    m = HModule(z2, dm, [Matrix.identity(dm)] * z2.dim)
+    n = HModule(z2, dn, [Matrix.identity(dn)] * z2.dim)
+    got = intertwiners(m, n, pairs)
+    assert all(f.matrix * p == q * f.matrix for f in got for p, q in pairs)
+    flat = [{k: x for k, x in enumerate(f.matrix.to_flat()) if x} for f in got]
+    oracle = naive_intertwiners(dm, dn, pairs)
+    assert len(flat) == len(oracle)
+    assert spans_equal(flat, oracle)
 
 
 # -- inner hom and adjunction ------------------------------------------------------

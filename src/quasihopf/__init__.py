@@ -7,7 +7,7 @@ from .qha import (BUILTIN_NAMES, QuasiHopfAlgebra, TensorElement,
                   algebra_from_json, algebra_to_json, builtin, kappa_inverse,
                   kappa_lambda, verify_derived_identities)
 from .report import Report, ReportItem, VerificationFailure
-from .repcat import (HLinearMap, HModule, InnerHomModule, adjunction_report,
+from .repcat import (HLinearMap, HModule, adjunction_report,
                      associator, associator_inv, eeps, eeta, end_over_regular,
                      hom_space, icomp, identity_map, in_map, inner_hom,
                      left_dual, regular_module, right_dual, snake_report,

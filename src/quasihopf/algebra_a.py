@@ -20,9 +20,8 @@ repcat.elem_action_matrix, followed by a fixed structure map: the product of
 two H legs or a reordering of columns.  heart_mu_direct
 keeps the raw product formula as an independent route.
 
-build_A, heart and (kappa, lambda, kappa^-1) are built once per algebra, or
-once per module object for heart, in the algebra's memo
-(QuasiHopfAlgebra.memo).
+build_A and (kappa, lambda, kappa^-1) are built once per algebra, in its
+memo; heart(m) once per module, in the module's memo (see qha.Frozen).
 """
 
 from __future__ import annotations
@@ -30,10 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import Matrix, ONE, ZERO, inverse
-from .qha import (QuasiHopfAlgebra, TensorElement, _s_alpha, alpha_contraction,
+from .qha import (Frozen, QuasiHopfAlgebra, TensorElement, _s_alpha, alpha_contraction,
                   beta_contraction, kappa_inverse, kappa_lambda, product_element)
 from .report import Report, VerificationFailure
-from .center import CenterObject, braiding, tensor_center, validate_center
+from .center import CenterObject, braiding, tensor_center
 from .repcat import (HLinearMap, HModule, elem_action_matrix, hom_space,
                      regular_module, tensor, unit_module)
 
@@ -260,10 +259,10 @@ def extract_center_structure(h: QuasiHopfAlgebra, m: HModule) -> CenterObject:
 # the heart functor proper
 
 @dataclass(eq=False)
-class HeartModule:
+class HeartModule(Frozen):
     """heart(M) with everything attached: base module on H (x) M, right
-    action by the algebra, extracted centre structure, evaluation and
-    projection maps."""
+    action by the algebra, and the extracted centre structure (kept in the
+    memo once asked for)."""
 
     h: QuasiHopfAlgebra
     inner: HModule
@@ -271,27 +270,19 @@ class HeartModule:
     mu: Matrix
 
     def __post_init__(self):
-        self._center: CenterObject | None = None
+        self._memo = {}
 
     @property
     def center(self) -> CenterObject:
-        if self._center is None:
-            self._center = extract_center_structure(self.h, self.inner)
-        return self._center
-
-    def diamond(self, x: HModule) -> HLinearMap:
-        return diamond(self.h, self.inner, x)
-
-    def pi(self) -> HLinearMap:
-        return pi_map(self.h, self.inner)
+        return self.memo("center", lambda: extract_center_structure(self.h, self.inner))
 
     def __repr__(self):
         return f"HeartModule({self.inner.label or '?'})"
 
 
 def heart(h: QuasiHopfAlgebra, m: HModule) -> HeartModule:
-    """heart(m), built once per module object (memoized on h)."""
-    return h.memo("heart", lambda: HeartModule(h, m, heart_base(h, m), heart_mu(h, m)), m)
+    """heart(m), built once per module object (memoized on m)."""
+    return m.memo("heart", lambda: HeartModule(h, m, heart_base(h, m), heart_mu(h, m)))
 
 
 def heart_on_morphism(f: HLinearMap) -> HLinearMap:
@@ -323,7 +314,7 @@ def heart_compose(h: QuasiHopfAlgebra, m: HModule, n_mod: HModule) -> HLinearMap
 # ---------------------------------------------------------------------------
 # the algebra A
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class AlgebraA:
     """The end of x -> innhom(x,x) on the space of H: a commutative algebra
     in the centre, with its augmentation and canonical action on everything."""
@@ -344,6 +335,12 @@ class AlgebraA:
         the evaluation family of heart(I) = A."""
         ev = diamond(self.h, unit_module(self.h), x)
         return HLinearMap(tensor(self.base, x), x, ev.matrix)
+
+    def free_mu(self, x: HModule) -> Matrix:
+        """The right action on the free module x (x) A: rebracket by the
+        associator, then multiply in the algebra leg."""
+        return Matrix.identity(x.dim).kron(self.product) \
+            * elem_action_matrix(self.h.phi, [x, self.base, self.base])
 
     def __repr__(self):
         return f"AlgebraA(over {self.h.name or 'H'})"
@@ -369,9 +366,7 @@ def _verified_A(h: QuasiHopfAlgebra) -> AlgebraA:
             all(hb_unit.action[i] == base.action[i] for i in range(n)))
 
     center_obj = CenterObject(base, extract_center_structure(h, unit_mod).coaction, label="A")
-    center_rep = validate_center(center_obj)
-    center_obj._validated = center_rep
-    rep.add("center_structure", center_rep.ok)
+    rep.add("center_structure", center_obj.validation().ok)
 
     # the product: a . b = (E1 a S(E2) alpha E3) (b S(E4)), see qha.product_element
     c_mod = regular_module(h)
@@ -465,7 +460,7 @@ def s_t_isos(m: CenterObject, a: AlgebraA) -> tuple[HLinearMap, HLinearMap, Repo
     t_map = HLinearMap(tensor(m.base, a.base), hm.base, t_map_raw.matrix)
 
     # s: family heart(M) x C -> M x (C x I)
-    fam_s_mat = inverse(braiding(m, c).matrix) * hm.diamond(c).matrix
+    fam_s_mat = inverse(braiding(m, c).matrix) * diamond(h, m.base, c).matrix
     fam_s = HLinearMap(tensor(hm.base, c),
                        tensor(m.base, tensor(c, unit_mod)), fam_s_mat)
     s_map_raw = nat_to_hom(hm.base, m.base, unit_mod, fam_s)
@@ -476,16 +471,14 @@ def s_t_isos(m: CenterObject, a: AlgebraA) -> tuple[HLinearMap, HLinearMap, Repo
     rep.add("s_h_linear", s_map.is_h_linear())
     rep.add("t_h_linear", t_map.is_h_linear())
 
-    # right A-linearity: on M (x) A the action is multiplication in the A leg
-    free_mu = Matrix.identity(dm).kron(a.product) \
-        * elem_action_matrix(h.phi, [m.base, a.base, a.base])
+    # right A-linearity
+    free_mu = a.free_mu(m.base)
     rep.add("t_right_A_linear",
             t_map.matrix * free_mu == hm.mu * t_map.matrix.kron(Matrix.identity(n)))
     rep.add("s_right_A_linear",
             s_map.matrix * hm.mu == free_mu * s_map.matrix.kron(Matrix.identity(n)))
 
-    free_center = tensor_center(m, a.center, validate=False)
-    dl = free_center.coaction
+    dl = tensor_center(m, a.center).coaction
     dh = hm.center.coaction
     rep.add("t_center_morphism",
             Matrix.identity(n).kron(t_map.matrix) * dl == dh * t_map.matrix)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import Matrix, rank
-from .qha import QuasiHopfAlgebra, TensorElement
+from .qha import Frozen, QuasiHopfAlgebra, TensorElement
 from .report import Report, VerificationFailure
 from .repcat import (HLinearMap, HModule, associator, associator_inv, elem_action_matrix,
                      hom_space, identity_map, intertwiners, regular_module, tensor,
@@ -25,8 +25,10 @@ from .repcat import (HLinearMap, HModule, associator, associator_inv, elem_actio
 
 
 @dataclass(eq=False)
-class CenterObject:
-    """A module plus the coaction encoding its braiding against everything."""
+class CenterObject(Frozen):
+    """A module plus the coaction encoding its braiding against everything.
+
+    Immutable; its memo holds the validation report."""
 
     base: HModule
     coaction: Matrix  # (n*d) x d, column j = image of basis vector j
@@ -37,7 +39,7 @@ class CenterObject:
         if self.coaction.rows != n * d or self.coaction.cols != d:
             raise ValueError(
                 f"coaction must be {n * d}x{d}, got {self.coaction.rows}x{self.coaction.cols}")
-        self._validated: Report | None = None
+        self._memo = {}
 
     @property
     def h(self) -> QuasiHopfAlgebra:
@@ -47,12 +49,15 @@ class CenterObject:
     def dim(self) -> int:
         return self.base.dim
 
+    def validation(self) -> Report:
+        """validate_center(self), run once per object."""
+        return self.memo("validation", lambda: validate_center(self))
+
     def require_valid(self) -> "CenterObject":
-        if self._validated is None:
-            self._validated = validate_center(self)
-        if not self._validated.ok:
+        rep = self.validation()
+        if not rep.ok:
             raise VerificationFailure(
-                f"centre validation failed for {self.label or 'object'}", self._validated)
+                f"centre validation failed for {self.label or 'object'}", rep)
         return self
 
     def __repr__(self):
@@ -146,8 +151,9 @@ def validate_center(m: CenterObject) -> Report:
     return rep
 
 
-def tensor_center(m: CenterObject, n: CenterObject, validate: bool = True) -> CenterObject:
-    """Tensor product in the centre: braidings composed through the hexagon."""
+def tensor_center(m: CenterObject, n: CenterObject) -> CenterObject:
+    """Tensor product in the centre: braidings composed through the hexagon
+    (validated by whoever requires it, see CenterObject.require_valid)."""
     if m.h is not n.h:
         raise ValueError("centre objects over different algebras")
     h = m.h
@@ -159,15 +165,7 @@ def tensor_center(m: CenterObject, n: CenterObject, validate: bool = True) -> Ce
         .then(braiding(m, c_mod).tensor(identity_map(n.base))) \
         .then(associator(c_mod, m.base, n.base))
     coaction = comp.matrix * Matrix.identity(base.dim).kron(Matrix(h.dim, 1, [dict(h.unit)]))
-    obj = CenterObject(base, coaction, label=f"({m.label or '?'})*({n.label or '?'})")
-    if validate:
-        rep = validate_center(obj)
-        if not rep.ok:
-            raise VerificationFailure(
-                "tensor product of centre objects failed validation "
-                "(braiding convention bug)", rep)
-        obj._validated = rep
-    return obj
+    return CenterObject(base, coaction, label=f"({m.label or '?'})*({n.label or '?'})")
 
 
 def center_pairs(m: CenterObject, n: CenterObject) -> list[tuple[Matrix, Matrix]]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import string
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 
 from .linalg import LinAlgError, inverse
@@ -224,7 +224,9 @@ OBJECT, CENTRE, RIGHT, MORPHISM = "object", "centre object", "right module", "mo
 
 
 class Context:
-    """Named objects and morphisms, everything validated on the way in."""
+    """Named objects and morphisms, everything validated on the way in.
+
+    An unlabelled operand is registered as a copy labelled with its name."""
 
     def __init__(self, h: QuasiHopfAlgebra):
         self.h = h
@@ -249,20 +251,17 @@ class Context:
         rep = m.validate()
         if not rep.ok:
             raise VerificationFailure(f"module {name!r} failed validation", rep)
-        m.label = m.label or name
-        self.modules[name] = m
+        self.modules[name] = m if m.label else HModule(m.h, m.dim, m.action, name)
 
     def add_center(self, name: str, m: CenterObject) -> None:
         self._claim(name)
-        m.require_valid()
-        m.label = m.label or name
+        m = (m if m.label else replace(m, label=name)).require_valid()
         self.centers[name] = m
         self.modules[name] = m.base
 
     def add_amodule(self, name: str, m: AModule) -> None:
         self._claim(name)
-        m.require_valid()
-        m.label = m.label or name
+        m = (m if m.label else replace(m, label=name)).require_valid()
         self.amodules[name] = m
         self.centers[name] = m.center
         self.modules[name] = m.base

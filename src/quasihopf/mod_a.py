@@ -13,9 +13,9 @@ and non-canonical; every assertion made downstream is basis-independent.
 The two functors of the equivalence live here: heart(-) into right modules
 and the coinvariants functor (- tensored over the algebra with the unit
 object) back, together with the unit and counit isomorphisms and the
-aggregated instance-level equivalence report.  heart_amodule and
-coinvariants are built once per operand object, in the algebra's memo
-(QuasiHopfAlgebra.memo).
+aggregated instance-level equivalence report.  heart_amodule(a, x) is
+built once per module x, in x's memo, and coinvariants once per right
+module, in its own memo (see qha.Frozen).
 """
 
 from __future__ import annotations
@@ -23,18 +23,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import LinAlgError, Matrix, ONE, cokernel_of_columns, descend, inverse, rank
-from .qha import QuasiHopfAlgebra
+from .qha import Frozen, QuasiHopfAlgebra
 from .report import Report, VerificationFailure
-from .center import CenterObject, braiding, center_pairs, tensor_center, validate_center
+from .center import CenterObject, braiding, center_pairs, tensor_center
 from .repcat import (HLinearMap, HModule, elem_action_matrix, hom_space, intertwiners,
                      regular_module, tensor, unit_module)
 from .algebra_a import (AlgebraA, _cached_kappa_lambda, build_A, heart, heart_compose,
-                        s_t_isos)
+                        pi_map, s_t_isos)
 
 
 @dataclass(eq=False)
-class AModule:
-    """A centre object with a right action by the canonical algebra."""
+class AModule(Frozen):
+    """A centre object with a right action by the canonical algebra.
+
+    Immutable; its memo holds the validation report and the coinvariants."""
 
     a: AlgebraA
     center: CenterObject
@@ -45,7 +47,7 @@ class AModule:
         d, n = self.center.dim, self.a.h.dim
         if self.mu.rows != d or self.mu.cols != d * n:
             raise ValueError(f"mu must be {d}x{d * n}, got {self.mu.rows}x{self.mu.cols}")
-        self._validated: Report | None = None
+        self._memo = {}
 
     @property
     def base(self) -> HModule:
@@ -56,12 +58,10 @@ class AModule:
         return self.center.dim
 
     def require_valid(self) -> "AModule":
-        if self._validated is None:
-            self._validated = validate_amodule(self)
-        if not self._validated.ok:
+        rep = self.memo("validation", lambda: validate_amodule(self))
+        if not rep.ok:
             raise VerificationFailure(
-                f"right-module validation failed for {self.label or '?'}",
-                self._validated)
+                f"right-module validation failed for {self.label or '?'}", rep)
         return self
 
     def __repr__(self):
@@ -73,22 +73,18 @@ def validate_amodule(m: AModule) -> Report:
     a, h = m.a, m.a.h
     n = h.dim
     rep = Report(title=f"amodule[{m.label or m.center.label or '?'}]")
-    if m.center._validated is None:
-        m.center._validated = validate_center(m.center)
-    rep.add("center_structure", m.center._validated.ok)
+    rep.add("center_structure", m.center.validation().ok)
 
     mu_map = HLinearMap(tensor(m.base, a.base), m.base, m.mu)
     rep.add("mu_h_linear", mu_map.is_h_linear())
 
-    lhs = m.mu * m.mu.kron(Matrix.identity(n))
-    rhs = m.mu * Matrix.identity(m.dim).kron(a.product) \
-        * elem_action_matrix(h.phi, [m.base, a.base, a.base])
-    rep.add("mu_associative_with_twist", lhs == rhs)
+    rep.add("mu_associative_with_twist",
+            m.mu * m.mu.kron(Matrix.identity(n)) == m.mu * a.free_mu(m.base))
 
     u_col = Matrix(n, 1, [dict(a.unit_vec)])
     rep.add("mu_unital", (m.mu * Matrix.identity(m.dim).kron(u_col)).is_identity())
 
-    free = tensor_center(m.center, a.center, validate=False)
+    free = tensor_center(m.center, a.center)
     rep.add("mu_center_morphism",
             Matrix.identity(n).kron(m.mu) * free.coaction == m.center.coaction * m.mu)
     return rep
@@ -96,10 +92,7 @@ def validate_amodule(m: AModule) -> Report:
 
 def free_amodule(a: AlgebraA, m: CenterObject) -> AModule:
     """The free module M (x) A: multiply in the algebra leg."""
-    h = a.h
-    mu = Matrix.identity(m.dim).kron(a.product) \
-        * elem_action_matrix(h.phi, [m.base, a.base, a.base])
-    return AModule(a, tensor_center(m, a.center, validate=False), mu,
+    return AModule(a, tensor_center(m, a.center), a.free_mu(m.base),
                    label=f"({m.label or '?'})*A")
 
 
@@ -108,11 +101,11 @@ def algebra_as_amodule(a: AlgebraA) -> AModule:
 
 
 def heart_amodule(a: AlgebraA, x: HModule) -> AModule:
-    """heart(x) as a right module, built once per (a, x) (memoized on the algebra)."""
+    """heart(x) as a right module, built once per (a, x) (memoized on x)."""
     def make():
         hm = heart(a.h, x)
         return AModule(a, hm.center, hm.mu, label=f"heart({x.label or '?'})")
-    return a.h.memo("heart_amodule", make, a, x)
+    return x.memo(("heart_amodule", a), make)
 
 
 def left_action(m: AModule) -> HLinearMap:
@@ -150,7 +143,7 @@ def left_action_report(m: AModule) -> Report:
 # ---------------------------------------------------------------------------
 # quotients
 
-@dataclass
+@dataclass(frozen=True)
 class QuotientPresentation:
     """A quotient of an ambient module: projection onto it, a section back
     (projection . section = id) and the quotient module."""
@@ -169,9 +162,9 @@ def _quotient_module(ambient: HModule, relations: list[dict], label: str) -> Quo
     return QuotientPresentation(proj, sec, HModule(ambient.h, proj.rows, action, label=label))
 
 
-def tensor_over_A(m: AModule, n_mod: AModule,
-                  validate: bool = True) -> tuple[AModule, QuotientPresentation]:
-    """Coequalize acting on the left factor against acting through the braid.
+def tensor_over_A(m: AModule, n_mod: AModule) -> tuple[AModule, QuotientPresentation]:
+    """Coequalize acting on the left factor against acting through the braid
+    (the quotient is validated by whoever requires it, see AModule.require_valid).
 
     The relation subspace is the image of (mu_M (x) id) - (id (x) lambda_N)
     after rebracketing; precomposing with the isomorphism id_M (x) beta_{N,A}
@@ -180,7 +173,7 @@ def tensor_over_A(m: AModule, n_mod: AModule,
     """
     a, h = m.a, m.a.h
     n = h.dim
-    amb_center = tensor_center(m.center, n_mod.center, validate=False)
+    amb_center = tensor_center(m.center, n_mod.center)
     amb = amb_center.base
     b_na = braiding(n_mod.center, a.base).matrix       # N (x) A -> A (x) N
     pre = elem_action_matrix(h.phi_inv, [m.base, a.base, n_mod.base]) \
@@ -203,23 +196,20 @@ def tensor_over_A(m: AModule, n_mod: AModule,
     mu_q = descend(mu_amb, proj.kron(id_n), sec.kron(id_n), proj)
     if mu_q is None:
         raise VerificationFailure("right action does not descend to the quotient")
-    out = AModule(a, qcenter, mu_q, label=pres.module.label)
-    if validate:
-        out.require_valid()
-    return out, pres
+    return AModule(a, qcenter, mu_q, label=pres.module.label), pres
 
 
 def coinvariants(m: AModule) -> tuple[HModule, HLinearMap, QuotientPresentation]:
     """Tensor with the unit object over the algebra: kill mu - (id (x) eps).
 
-    Built once per right-module object (memoized on the algebra), so the
-    quotient module is the same object on every call.
+    Built once per right-module object (memoized on m), so the quotient
+    module is the same object on every call.
     """
     def make():
         diff = m.mu - Matrix.identity(m.dim).kron(m.a.eps_row)
         pres = _quotient_module(m.base, diff.columns(), label=f"coinv({m.label or '?'})")
         return pres.module, HLinearMap(m.base, pres.module, pres.projection), pres
-    return m.a.h.memo("coinvariants", make, m)
+    return m.memo("coinvariants", make)
 
 
 def coinvariants_on_morphism(f: HLinearMap, pres_src: QuotientPresentation,
@@ -244,6 +234,7 @@ def coinvariants_monoidal(m: AModule, n_mod: AModule) -> tuple[HLinearMap, Repor
     u1 = pres_m.projection.kron(pres_n.projection)
     sec1 = pres_m.section.kron(pres_n.section)
     mn, pres_q = tensor_over_A(m, n_mod)
+    mn.require_valid()
     _, _, pres_b = coinvariants(mn)
     u2 = pres_b.projection * pres_q.projection
     sec2 = pres_q.section * pres_b.section
@@ -271,10 +262,9 @@ def counit_iso(x: HModule, a: AlgebraA) -> tuple[HLinearMap, Report]:
     h = a.h
     n = h.dim
     rep = Report(title=f"counit_iso[{x.label or 'X'}]")
-    hm = heart(h, x)
     am = heart_amodule(a, x)
     _, _, pres = coinvariants(am)
-    mat = descend(hm.pi().matrix, pres.projection, pres.section)
+    mat = descend(pi_map(h, x).matrix, pres.projection, pres.section)
     rep.add("projection_kills_relations", mat is not None)
     if mat is None:
         raise VerificationFailure(f"counit comparison failed for {x.label}", rep)
@@ -302,9 +292,7 @@ def counit_iso(x: HModule, a: AlgebraA) -> tuple[HLinearMap, Report]:
     vleft = swap.kron(Matrix.identity(n)) * elem_action_matrix(
         t.permute_legs((5, 1, 2, 3, 4)), [x, h.sandwich, h.sandwich])
 
-    bottom_mu = Matrix.identity(d).kron(a.product) \
-        * elem_action_matrix(h.phi, [x, a.base, a.base])
-    rep.add("window_product", hm.mu * vleft == swap * bottom_mu)
+    rep.add("window_product", am.mu * vleft == swap * a.free_mu(x))
     rep.add("window_augmentation",
             Matrix.identity(n * d).kron(a.eps_row) * vleft
             == swap * Matrix.identity(d * n).kron(a.eps_row))
@@ -432,7 +420,7 @@ def _descended_compose_iso(a: AlgebraA, x: HModule, y: HModule) -> bool:
     """heart(X) (x)_A heart(Y) -> heart(X (x) Y) via the descended composition."""
     h = a.h
     comp = heart_compose(h, x, y)
-    quot, pres = tensor_over_A(heart_amodule(a, x), heart_amodule(a, y), validate=False)
+    quot, pres = tensor_over_A(heart_amodule(a, x), heart_amodule(a, y))
     descended = descend(comp.matrix, pres.projection, pres.section)
     if descended is None or descended.rows != descended.cols:
         return False

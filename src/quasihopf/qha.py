@@ -124,7 +124,33 @@ def _vec_of(t: TensorElement) -> dict:
     return {idx[0]: c for idx, c in t.coeffs.items()}
 
 
-class QuasiHopfAlgebra:
+class Frozen:
+    """Base of the algebra, modules, centre objects, right modules and hearts:
+    immutable once built, with one memo of what is derived from the object.
+
+    A constructor binds its attributes and then ``_memo``; from then on,
+    rebinding or deleting an attribute raises AttributeError.  A value in the
+    memo is stored on the object it derives from, so it cannot go stale and
+    lives exactly as long as that object.
+    """
+
+    def __setattr__(self, name, value):
+        if "_memo" in self.__dict__:
+            raise AttributeError(f"cannot rebind {name!r}: a {type(self).__name__} is immutable")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a {type(self).__name__} is immutable")
+
+    def memo(self, key, make):
+        """make(), computed once per key for the life of this object; a make()
+        that raises stores nothing."""
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
+
+
+class QuasiHopfAlgebra(Frozen):
     """A finite-dimensional quasi-Hopf algebra given by structure constants.
 
     ``mult[i][j]`` is the sparse expansion of e_i * e_j, ``comult[i]`` the
@@ -135,10 +161,9 @@ class QuasiHopfAlgebra:
     The constructor validates shapes and inverses only; the axioms are the
     business of :func:`verify_axioms`, which any consumer should require.
 
-    An algebra is immutable: rebinding an attribute after construction
-    raises AttributeError.  What is derived from it once per algebra (the
-    axiom report, kappa and lambda, the algebra A, heart and coinvariants of
-    a given operand) lives in :meth:`memo`, which therefore never goes stale.
+    An algebra is immutable (see :class:`Frozen`).  What is derived from it
+    once per algebra (the axiom report, kappa and lambda, the algebra A)
+    lives in its memo.
     """
 
     def __init__(self, dim, basis, mult, unit, comult, counit, phi, antipode,
@@ -198,30 +223,7 @@ class QuasiHopfAlgebra:
             except LinAlgError as exc:
                 raise ValueError("antipode is not invertible") from exc
         self.antipode_inv = antipode_inv
-        # (key, id of each pinned operand) -> (pins, value); bound last, which
-        # freezes every attribute (see __setattr__)
-        self._memo: dict[tuple, tuple] = {}
-
-    def __setattr__(self, name, value):
-        if "_memo" in self.__dict__:
-            raise AttributeError(f"cannot rebind {name!r}: a QuasiHopfAlgebra is immutable")
-        object.__setattr__(self, name, value)
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: a QuasiHopfAlgebra is immutable")
-
-    def memo(self, key: str, make, *pins):
-        """make(), computed once per key and pinned operands for the life of
-        the algebra.
-
-        Operands are told apart by identity.  The entry keeps them alive, so
-        their ids cannot be reused by other objects while it exists.
-        """
-        slot = (key, *map(id, pins))
-        entry = self._memo.get(slot)
-        if entry is None:
-            entry = self._memo[slot] = (pins, make())
-        return entry[1]
+        self._memo = {}
 
     # -- basic arithmetic -----------------------------------------------------
 

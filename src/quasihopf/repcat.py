@@ -36,30 +36,30 @@ from math import lcm
 
 from .linalg import (Echelon, LinearSystem, Matrix, ONE, _canon, _div, _int_rows,
                      _lcm_denominator, _scaled, inverse, spans_equal)
-from .qha import (QuasiHopfAlgebra, TensorElement, alpha_contraction, beta_contraction,
-                  product_element)
+from .qha import (Frozen, QuasiHopfAlgebra, TensorElement, alpha_contraction,
+                  beta_contraction, product_element)
 from .report import Report, VerificationFailure
 
 
-class HModule:
+class HModule(Frozen):
     """A finite-dimensional left module: one action matrix per basis element.
 
     Action matrices may be supplied directly or through a builder thunk;
     derived modules (tensor products, inner homs) stay cheap wrappers until
-    someone actually asks for their action.
+    someone actually asks for their action.  A module is immutable; its
+    memo holds heart(m) and heart_amodule(a, m).
     """
 
     def __init__(self, h: QuasiHopfAlgebra, dim: int, action: list[Matrix] | None = None,
                  label: str = "", builder=None):
-        self.h = h
-        self.dim = dim
-        self.label = label
-        self._action = None
-        self._builder = builder
-        if action is not None:
-            self._action = self._check_action(action)
-        elif builder is None:
+        if action is None and builder is None:
             raise ValueError("module needs action matrices or a builder")
+        # one update, _memo last (see Frozen): the per-attribute freeze check
+        # would triple the cost of the thousands of modules a check builds
+        vars(self).update(h=h, dim=dim, label=label, _action=action, _builder=builder,
+                          _memo={})
+        if action is not None:
+            self._check_action(action)
 
     def _check_action(self, action: list[Matrix]) -> list[Matrix]:
         if len(action) != self.h.dim:
@@ -71,9 +71,8 @@ class HModule:
 
     @property
     def action(self) -> list[Matrix]:
-        if self._action is None:
-            self._action = self._check_action(self._builder())
-            self._builder = None
+        if self._action is None:  # built once, on first use: the one write after freezing
+            vars(self).update(_action=self._check_action(self._builder()), _builder=None)
         return self._action
 
     def action_of(self, v: dict) -> Matrix:
@@ -107,7 +106,7 @@ class HModule:
         return f"HModule({self.label or '?'}, dim={self.dim})"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class HLinearMap:
     """A linear map between two modules (H-linearity checkable, not assumed)."""
 
@@ -450,24 +449,9 @@ def hom_space(m: HModule, n: HModule) -> list[HLinearMap]:
 # ---------------------------------------------------------------------------
 # inner hom
 
-class InnerHomModule(HModule):
-    """Lin(src, tgt) with the antipode-twisted action; basis E_ij at i*dim(src)+j."""
-
-    def __init__(self, h, dim, action=None, label="", builder=None, src=None, tgt=None):
-        super().__init__(h, dim, action, label, builder)
-        self.src = src
-        self.tgt = tgt
-
-    def map_to_flat(self, mat: Matrix) -> dict:
-        out = {}
-        for j, col in enumerate(mat.columns()):
-            for i, x in col.items():
-                out[i * self.src.dim + j] = x
-        return out
-
-
-def inner_hom(m: HModule, n: HModule) -> InnerHomModule:
-    """innhom(m, n): the full linear maps with (h |> f) = h_(1) |> f(S(h_(2)) |> -)."""
+def inner_hom(m: HModule, n: HModule) -> HModule:
+    """innhom(m, n): the full linear maps with (h |> f) = h_(1) |> f(S(h_(2)) |> -);
+    the map with matrix F is the vector with entry F[i, j] at i * dim(m) + j."""
     h = m.h
 
     def build():
@@ -476,9 +460,8 @@ def inner_hom(m: HModule, n: HModule) -> InnerHomModule:
                                                h.antipode), [n, m_t])
                 for t in range(h.dim)]
 
-    return InnerHomModule(h, m.dim * n.dim, builder=build,
-                          label=f"innH({m.label or '?'},{n.label or '?'})",
-                          src=m, tgt=n)
+    return HModule(h, m.dim * n.dim, builder=build,
+                   label=f"innH({m.label or '?'},{n.label or '?'})")
 
 
 def eeta(m: HModule, p: HModule) -> HLinearMap:

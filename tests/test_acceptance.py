@@ -14,7 +14,7 @@ from quasihopf.repcat import (adjunction_report, elem_action_matrix,
                               tensor, unit_module)
 from quasihopf.center import tensor_center
 from quasihopf.algebra_a import (build_A, diamond, heart, heart_compose,
-                                 heart_base, s_t_isos)
+                                 heart_base, pi_map, s_t_isos)
 from quasihopf.mod_a import (algebra_as_amodule, counit_iso, equivalence_report,
                              free_amodule, heart_amodule, unit_iso,
                              validate_amodule)
@@ -143,8 +143,7 @@ def test_criterion_6_heart_validation():
                 assert lhs == rhs
 
             # the projection scales the unit section by eps(alpha)
-            hm = heart(h, c)
-            pi = hm.pi()
+            pi = pi_map(h, c)
             scale = h.counit_of(h.alpha_vec)
             for m in range(c.dim):
                 sec = {}

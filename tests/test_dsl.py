@@ -138,6 +138,16 @@ def test_repeated_evaluation_leaves_the_memo_size_unchanged():
     assert sizes[21] == sizes[20]
 
 
+def test_unnamed_operands_leave_no_entry_in_the_algebra_memo():
+    from quasihopf.qha import builtin
+    ctx = Context(builtin("drinfeld_h2"))
+    sizes = []
+    for _ in range(4):
+        eval_expr("pi(C*C)", ctx)
+        sizes.append(len(ctx.h._memo))
+    assert sizes == [sizes[0]] * 4
+
+
 def test_check_reports_witness():
     ctx = Context(get_algebra("sweedler_h4"))
     res = check("braid(A,A)", "id(A*A)", ctx)

@@ -1,9 +1,13 @@
+import gc
+import weakref
+
 import pytest
 
 from quasihopf.linalg import Matrix, inverse
 from quasihopf.report import VerificationFailure
 from quasihopf.repcat import hom_space, regular_module, tensor, unit_module
-from quasihopf.algebra_a import build_A, heart_on_morphism
+from quasihopf.center import CenterObject, validate_center
+from quasihopf.algebra_a import build_A, heart, heart_on_morphism
 from quasihopf.mod_a import (AModule, algebra_as_amodule, amodule_hom_space,
                              coinvariants, coinvariants_monoidal, coinvariants_on_morphism,
                              counit_iso, equivalence_report, free_amodule,
@@ -68,7 +72,7 @@ def test_free_tensor_free_dimension(any_h):
     fr = free_amodule(a, a.center)
     q, pres = tensor_over_A(fr, fr)
     assert q.dim == a.center.dim * a.center.dim * any_h.dim
-    assert q._validated is None or q._validated.ok
+    q.require_valid()
 
 
 def test_A_tensor_A_is_A(any_h):
@@ -263,3 +267,57 @@ def test_constructions_are_memoized_per_operand(dr):
     assert coinvariants(am)[0] is coinvariants(am)[0]
     # operands are told apart by identity: an equal module object of its own is a new entry
     assert regular_module(dr) == c and heart_amodule(a, regular_module(dr)) is not am
+
+
+def _operands(h):
+    """One object of each operand type, by type name."""
+    a = build_A(h)
+    c = regular_module(h)
+    am = heart_amodule(a, c)
+    return {"HModule": c, "HLinearMap": hom_space(c, c)[0], "CenterObject": am.center,
+            "AModule": am, "HeartModule": heart(h, c), "AlgebraA": a,
+            "QuotientPresentation": coinvariants(am)[2]}
+
+
+@pytest.mark.parametrize("kind", ["HModule", "HLinearMap", "CenterObject", "AModule",
+                                  "HeartModule", "AlgebraA", "QuotientPresentation"])
+def test_operands_are_immutable(dr, kind):
+    obj = _operands(dr)[kind]
+    assert type(obj).__name__ == kind
+    for attr in [*vars(obj), "label", "fresh"]:
+        with pytest.raises(AttributeError):
+            setattr(obj, attr, None)
+        if attr in vars(obj):
+            with pytest.raises(AttributeError):
+                delattr(obj, attr)
+
+
+def test_a_certified_operand_cannot_change_under_its_verdict(dr):
+    a = build_A(dr)
+    c = CenterObject(a.center.base, a.center.coaction)
+    c.require_valid()
+    zero = Matrix.zero(c.coaction.rows, c.coaction.cols)
+    with pytest.raises(AttributeError):
+        c.coaction = zero
+    assert validate_center(c).ok and c.require_valid() is c
+    with pytest.raises(VerificationFailure):
+        CenterObject(c.base, zero).require_valid()
+
+    am = heart_amodule(a, regular_module(dr))
+    quotient = coinvariants(am)
+    with pytest.raises(AttributeError):
+        am.mu = 2 * am.mu
+    assert coinvariants(am) is quotient
+    with pytest.raises(VerificationFailure):
+        AModule(a, am.center, 2 * am.mu).require_valid()
+
+
+def test_heart_lives_exactly_as_long_as_its_module(dr):
+    c = regular_module(dr)
+    cc = tensor(c, c)
+    ref = weakref.ref(heart(dr, cc))
+    gc.collect()
+    assert ref() is heart(dr, cc)
+    del cc
+    gc.collect()
+    assert ref() is None

@@ -26,6 +26,10 @@ the generators, every image of a spanning vector that adds nothing new is a
 relation, and each relation gives dim(n) equations.  The kernel is mapped
 back to matrices and certified exactly, all at once, by stacking the basis
 into one matrix FS and checking FS . P = (I (x) Q) . FS for every pair.
+
+The same pairs define membership: intertwines(F, pairs) is the one morphism
+test, behind is_h_linear, the solver's certificate and every coaction and
+right-action check (center.coaction_pairs, AlgebraA.mu_pairs, mod_a.amodule_pairs).
 """
 
 from __future__ import annotations
@@ -132,8 +136,7 @@ class HLinearMap:
                           self.matrix.kron(other.matrix))
 
     def is_h_linear(self) -> bool:
-        return all(self.matrix * self.source.action[i] == self.target.action[i] * self.matrix
-                   for i in range(self.source.h.dim))
+        return intertwines(self.matrix, zip(self.source.action, self.target.action))
 
     def inverse(self) -> "HLinearMap":
         return HLinearMap(self.target, self.source, inverse(self.matrix))
@@ -306,6 +309,11 @@ def unit_right_elim(m: HModule) -> HLinearMap:
 # ---------------------------------------------------------------------------
 # hom spaces
 
+def intertwines(f: Matrix, pairs) -> bool:
+    """F . P = Q . F for every (P, Q) in pairs: the condition intertwiners solves."""
+    return all(f * p == q * f for p, q in pairs)
+
+
 def intertwiners(m: HModule, n: HModule, pairs) -> list[HLinearMap]:
     """An exact basis of the linear maps F: m -> n with F . P = Q . F for every
     (P, Q) in pairs (P an endomorphism of m's space, Q of n's).
@@ -405,7 +413,7 @@ def intertwiners(m: HModule, n: HModule, pairs) -> list[HLinearMap]:
             {-1 - l: -x for l, x in r.items()}).items()})
     fs = Matrix(len(kernel) * dn, dm, cols)
     lift = Matrix.identity(len(kernel))
-    if any(fs * p != lift.kron(q) * fs for p, q in pairs):
+    if not intertwines(fs, ((p, lift.kron(q)) for p, q in pairs)):
         raise VerificationFailure("spun hom-space basis fails its exact certificate")
 
     maps = [[dict() for _ in range(dm)] for _ in kernel]

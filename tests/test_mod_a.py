@@ -1,18 +1,22 @@
+import functools
 import gc
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quasihopf.linalg import Matrix, inverse
+from quasihopf.linalg import Matrix, inverse, kernel
 from quasihopf.report import VerificationFailure
-from quasihopf.repcat import hom_space, regular_module, tensor, unit_module
-from quasihopf.center import CenterObject, validate_center
+from quasihopf.repcat import hom_space, intertwines, regular_module, tensor, unit_module
+from quasihopf.center import CenterObject, center_hom_space, coaction_pairs, validate_center
 from quasihopf.algebra_a import build_A, heart, heart_on_morphism
 from quasihopf.mod_a import (AModule, algebra_as_amodule, amodule_hom_space,
                              coinvariants, coinvariants_monoidal, coinvariants_on_morphism,
                              counit_iso, equivalence_report, free_amodule,
                              heart_amodule, left_action, left_action_report,
                              _quotient_module, tensor_over_A, unit_iso, validate_amodule)
+
+from conftest import get_algebra
 
 
 def test_algebra_is_a_module(any_h):
@@ -321,3 +325,55 @@ def test_heart_lives_exactly_as_long_as_its_module(dr):
     del cc
     gc.collect()
     assert ref() is None
+
+
+@functools.cache
+def _right_modules(name):
+    """(a, [heart(C), A, A (x) A]) over the named algebra."""
+    h = get_algebra(name)
+    a = build_A(h)
+    return a, [heart_amodule(a, regular_module(h)), algebra_as_amodule(a),
+               free_amodule(a, a.center)]
+
+
+@functools.cache
+def _basis(name, i, j, kind):
+    """Matrices spanning the centre maps, the right-module maps (from the
+    solver), or the right-module maps solved from F . mu_m = mu_n . (F (x) I)
+    over the centre maps, independently of the right-action pairs."""
+    a, mods = _right_modules(name)
+    m, n = mods[i], mods[j]
+    if kind == "amodule":
+        return [g.matrix for g in amodule_hom_space(m, n)]
+    centre = [g.matrix for g in center_hom_space(m.center, n.center)]
+    if kind == "centre":
+        return centre
+    idn = Matrix.identity(a.h.dim)
+    defects = [{k: x for k, x in enumerate((g * m.mu - n.mu * g.kron(idn)).to_flat()) if x}
+               for g in centre]
+    return [sum((c * centre[k] for k, c in v.items()), Matrix.zero(n.dim, m.dim))
+            for v in kernel(Matrix(n.dim * m.dim * a.h.dim, len(centre), defects))]
+
+
+@given(st.sampled_from(["drinfeld_h2", "sweedler_h4"]), st.integers(0, 2), st.integers(0, 2),
+       st.sampled_from(["random", "centre", "amodule", "kronecker"]), st.data())
+@settings(max_examples=80, deadline=None)
+def test_morphism_pairs_match_the_kronecker_identities(name, i, j, kind, data):
+    # the pair lists against the identities they replace, as the oracle:
+    # (I (x) F) . delta_m = delta_n . F and F . mu_m = mu_n . (F (x) I)
+    a, mods = _right_modules(name)
+    m, n = mods[i], mods[j]
+    rnd = data.draw(st.randoms(use_true_random=False))
+    if kind == "random":
+        f = Matrix.from_flat(n.dim, m.dim, [rnd.randint(-2, 2) for _ in range(n.dim * m.dim)])
+    else:  # a nonzero centre or right-module map: no coefficient is 0
+        f = Matrix.zero(n.dim, m.dim)
+        for g in _basis(name, i, j, kind):
+            f = f + rnd.choice([-2, -1, 1, 2]) * g
+    idn = Matrix.identity(a.h.dim)
+    coacts = intertwines(f, coaction_pairs(m.center, n.center))
+    acts = intertwines(f, a.mu_pairs(m.mu, n.mu))
+    assert coacts == (idn.kron(f) * m.center.coaction == n.center.coaction * f)
+    assert acts == (f * m.mu == n.mu * f.kron(idn))
+    if kind != "random":
+        assert coacts and (acts or kind == "centre")

@@ -231,9 +231,11 @@ def test_eeta_trivial_for_z2(z2):
     c = regular_module(z2)
     unit_map = eeta(c, c)
     for u in range(c.dim):
+        # the 4x2 matrix of p |-> e_u (x) p, rows indexed i * 2 + j
         expected = map_to_flat(Matrix.from_rows(
             [[1 if (i == u and j == k) else 0 for k in range(2)]
-             for i in range(2) for j in range(2)][u * 2:(u + 1) * 2]))
+             for i in range(2) for j in range(2)]))
+        assert unit_map.matrix.col(u) == expected
         # build directly: f(p) = e_u (x) p
         want = {}
         for p in range(2):

@@ -32,7 +32,8 @@ from .repcat import (HLinearMap, HModule, associator, associator_inv, elem_actio
 class CenterObject(Frozen):
     """A module plus the coaction encoding its braiding against everything.
 
-    Immutable; its memo holds the validation report."""
+    Immutable; its memo holds the validation report and the coaction's
+    H-leg blocks."""
 
     base: HModule
     coaction: Matrix  # (n*d) x d, column j = image of basis vector j
@@ -85,14 +86,16 @@ def braiding(m: CenterObject, x: HModule) -> HLinearMap:
 
 def _coaction_blocks(m: CenterObject) -> list[Matrix]:
     """The coaction split by its H leg: block i sends v to the M-leg of the
-    h_i-part of delta(v)."""
-    d = m.dim
-    blocks = [[{} for _ in range(d)] for _ in range(m.h.dim)]
-    for j, col in enumerate(m.coaction.columns()):
-        for flat, c in col.items():
-            i, v = divmod(flat, d)
-            blocks[i][j][v] = c
-    return [Matrix(d, d, b) for b in blocks]
+    h_i-part of delta(v).  Built once per object, in its memo."""
+    def build():
+        d = m.dim
+        blocks = [[{} for _ in range(d)] for _ in range(m.h.dim)]
+        for j, col in enumerate(m.coaction.columns()):
+            for flat, c in col.items():
+                i, v = divmod(flat, d)
+                blocks[i][j][v] = c
+        return [Matrix(d, d, b) for b in blocks]
+    return m.memo("coaction_blocks", build)
 
 
 def trivial_center(x: HModule) -> CenterObject:

@@ -17,7 +17,7 @@ from .qha import (BUILTIN_NAMES, QuasiHopfAlgebra, algebra_from_json,
 from .report import Report, VerificationFailure
 from .repcat import end_over_regular, unit_module
 from .mod_a import equivalence_report
-from .dsl import Context, DslError, Elaborator, check, eval_expr, parse
+from .dsl import Context, DslError, Elaborator, check, eval_expr, parse_list
 from . import qhio
 
 
@@ -128,14 +128,15 @@ def cmd_equiv(args) -> int:
         raise InputError(f"algebra failed axiom checks: {exc}") from exc
     ctx = _context_for(h, args.context)
     objects = None
-    if args.objects:
+    if args.objects is not None:
         el = Elaborator(ctx)
-        objects = []
-        for name in args.objects.split(","):
-            try:
-                objects.append(el.resolve_module(parse(name.strip())))
-            except DslError as exc:
-                raise InputError(f"object {name!r}: {exc}") from exc
+        try:
+            objects = [el.resolve_module(node) for node in parse_list(args.objects)]
+        except DslError as exc:
+            raise InputError(f"--objects: {exc}") from exc
+        labels = [x.label or f"dim{x.dim}" for x in objects]
+        if len(set(labels)) < len(labels):
+            raise InputError(f"--objects: two objects share a report label in {labels}")
     rep = equivalence_report(h, objects)
     _emit(rep, args.report)
     return 0 if rep.ok else 1

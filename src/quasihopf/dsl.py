@@ -15,7 +15,7 @@ results on the TypedExpr; evaluation runs the same spec on them.
 Grammar (whitespace-insensitive, ';' binds looser than '*'):
 
     expr := seq ; seq := ten (';' ten)* ; ten := atom ('*' atom)*
-    atom := NAME | NAME '(' expr (',' expr)* ')' | '(' expr ')'
+    atom := NAME | NAME '(' list ')' | '(' expr ')' ; list := expr (',' expr)*
 """
 
 from __future__ import annotations
@@ -182,21 +182,32 @@ class _Parser:
         if self.peek().kind != "LP":
             return Name(t.text, t.pos)
         self.open_paren()
-        args = []
-        if self.peek().kind != "RP":
-            args.append(self.parse_expr())
-            while self.peek().kind == "COMMA":
-                self.next()
-                args.append(self.parse_expr())
+        args = self.parse_list() if self.peek().kind != "RP" else []
         self.close_paren()
         return Call(t.text, tuple(args), t.pos)
+
+    def parse_list(self) -> list:
+        items = [self.parse_expr()]
+        while self.peek().kind == "COMMA":
+            self.next()
+            items.append(self.parse_expr())
+        return items
+
+    def parse_all(self, rule):
+        node = rule()
+        self.expect("EOF")
+        return node
 
 
 def parse(text: str):
     p = _Parser(text)
-    node = p.parse_expr()
-    p.expect("EOF")
-    return node
+    return p.parse_all(p.parse_expr)
+
+
+def parse_list(text: str) -> list:
+    """A non-empty comma-separated list of expressions, read to the end."""
+    p = _Parser(text)
+    return p.parse_all(p.parse_list)
 
 
 def print_expr(node) -> str:

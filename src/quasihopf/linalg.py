@@ -22,6 +22,11 @@ Conventions, fixed once and used everywhere:
   :class:`LegShape`.
 * Serialized rationals are strings ``"p"`` or ``"p/q"`` in lowest terms;
   serialized matrices are flat row-major arrays.
+* There is one elimination, :meth:`Echelon.reduce`, on primitive integer
+  rows.  Negative indices are tags: they ride along and never become
+  pivots.  Rank, solving, inverses and the hom solver reduce through it, and
+  a quotient projection is read off tagged reductions (see
+  :func:`cokernel_of_columns`).
 
 Matrices are immutable by convention once constructed: no public method
 mutates entries, so values can be shared freely.  Products rely on this: a
@@ -182,8 +187,8 @@ def _int_rows(v: dict) -> dict:
 #
 # Integer rows with the pivot at the *largest* occupied index. Reducing an
 # incoming vector only ever introduces indices below the cancelled pivot, so
-# normal forms terminate and are unique (polynomial-division style). All of
-# solve/kernel/cokernel/rank are built on this.
+# reduction terminates (polynomial-division style). A tag (negative index)
+# records which combination of tagged inputs a residue is.
 
 class Echelon:
     """A subspace held as integer echelon rows, keyed by pivot index."""
@@ -195,7 +200,11 @@ class Echelon:
     def rank(self) -> int:
         return len(self.rows)
 
-    def _reduce_int(self, v: dict[int, int]) -> dict[int, int]:
+    def reduce(self, v: dict) -> dict[int, int]:
+        """The primitive integer residue of v modulo the span: c v minus a
+        combination of rows (c != 0), reduced until its largest index is no
+        pivot.  Empty exactly when v (tags included) lies in the span."""
+        v = _int_rows(v)
         while v:
             c = max(v)
             row = self.rows.get(c)
@@ -219,42 +228,19 @@ class Echelon:
             v = out
         return v
 
+    def insert(self, r: dict[int, int]) -> None:
+        """Store a residue of reduce whose largest index is >= 0 as a row."""
+        self.rows[max(r)] = r
+
     def add(self, v: dict) -> bool:
         """Insert the span of v; True if the rank grew."""
-        r = self._reduce_int(_int_rows(v))
-        if not r:
-            return False
-        self.rows[max(r)] = r
-        return True
+        r = self.reduce(v)
+        if r:
+            self.insert(r)
+        return bool(r)
 
     def contains(self, v: dict) -> bool:
-        return not self._reduce_int(_int_rows(v))
-
-    def normal_form(self, v: dict) -> dict:
-        """The canonical representative of v modulo the span.
-
-        Linear in v; zero exactly on the span; supported on non-pivot indices.
-        """
-        v = {k: _canon(x) for k, x in v.items() if x}
-        pivs = self.rows
-        while True:
-            c = None
-            for k in v:
-                if k in pivs and (c is None or k > c):
-                    c = k
-            if c is None:
-                return v
-            row = pivs[c]
-            f = _div(v[c], row[c])
-            for k, x in row.items():
-                y = v.get(k, 0) - f * x
-                if y:
-                    v[k] = _canon(y)
-                else:
-                    v.pop(k, None)
-
-    def pivot_set(self) -> set[int]:
-        return set(self.rows)
+        return not self.reduce(v)
 
 
 def span_basis(vectors) -> list[dict]:
@@ -309,15 +295,14 @@ class LinearSystem:
         else:
             if rhs:
                 row[-1] = -rhs
-        r = self._ech._reduce_int(_int_rows(row))
+        r = self._ech.reduce(row)
         if not r:
             return
-        top = max(r)
-        if top < 0:
+        if max(r) < 0:
             # 0 = (combination of right hand sides): those systems have no solution
             self._bad_tags.update(-1 - k for k in r)
             return
-        self._ech.rows[top] = r
+        self._ech.insert(r)
 
     def consistent(self, tag: int = 0) -> bool:
         return tag not in self._bad_tags
@@ -325,10 +310,6 @@ class LinearSystem:
     @property
     def rank(self) -> int:
         return self._ech.rank
-
-    def free_columns(self) -> list[int]:
-        pivs = self._ech.pivot_set()
-        return [j for j in range(self.nvars) if j not in pivs]
 
     def _back_substitute(self, free_values: dict, rhs_key: int | None) -> dict:
         """Solve with the given free-variable assignment.
@@ -358,10 +339,8 @@ class LinearSystem:
         return self._back_substitute({}, rhs_key=-1 - tag)
 
     def kernel_basis(self) -> list[dict]:
-        out = []
-        for f in self.free_columns():
-            out.append(self._back_substitute({f: ONE}, rhs_key=None))
-        return out
+        return [self._back_substitute({f: ONE}, rhs_key=None)
+                for f in range(self.nvars) if f not in self._ech.rows]
 
 
 # ---------------------------------------------------------------------------
@@ -648,19 +627,23 @@ def inverse(a: Matrix) -> Matrix:
 def cokernel_of_columns(ambient_dim: int, vectors) -> tuple[Matrix, Matrix]:
     """(projection, section) for the quotient by the span of the given sparse
     vectors: the projection maps the ambient space onto the quotient
-    coordinates (the non-pivot positions of an echelon basis of the span), the
-    section embeds them back, projection . section = id, and the kernel of
-    the projection is exactly the span."""
+    coordinates (the non-pivot positions f_l of an echelon basis of the span),
+    the section embeds them back, projection . section = id, and the kernel
+    of the projection is exactly the span.  With each e_{f_l} in the echelon
+    under the tag -1-l, e_k under its own tag T reduces to tags only,
+    t T - sum_l c_l (tag -1-l): t e_k = sum_l c_l e_{f_l} modulo the span."""
     ech = Echelon()
     for v in vectors:
         ech.add(v)
-    pivots = ech.pivot_set()
-    free = [i for i in range(ambient_dim) if i not in pivots]
-    pos = {f: idx for idx, f in enumerate(free)}
+    free = [i for i in range(ambient_dim) if i not in ech.rows]
+    for l, f in enumerate(free):
+        ech.insert({f: ONE, -1 - l: ONE})
+    tag = -1 - len(free)
     proj_cols = []
     for k in range(ambient_dim):
-        nf = ech.normal_form({k: ONE})
-        proj_cols.append({pos[i]: x for i, x in nf.items()})
+        r = ech.reduce({k: ONE, tag: ONE})
+        t = r.pop(tag)
+        proj_cols.append({-1 - key: _div(-x, t) for key, x in r.items()})
     projection = Matrix(len(free), ambient_dim, proj_cols)
     section = Matrix(ambient_dim, len(free), [{f: ONE} for f in free])
     return projection, section

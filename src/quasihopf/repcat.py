@@ -340,10 +340,10 @@ def intertwiners(m: HModule, n: HModule, pairs) -> list[HLinearMap]:
     def reduce(v: dict) -> dict:
         """t v + sum_l t_l s_l with t at tag -1-len(spin): a new spanning vector
         when an index >= 0 survives, otherwise a relation."""
-        return ech._reduce_int(_int_rows({**v, -1 - len(spin): ONE}))
+        return ech.reduce({**v, -1 - len(spin): ONE})
 
     def grow(r: dict, v: dict, gen: int, w: Matrix) -> None:
-        ech.rows[max(r)] = r
+        ech.insert(r)
         spin.append((v, gen, w, *_int_row_view(w)))
 
     def relation(r: dict, gen: int, k: int, j: int) -> None:
@@ -407,7 +407,7 @@ def intertwiners(m: HModule, n: HModule, pairs) -> list[HLinearMap]:
     stacked = Matrix(len(kernel) * dn, dm, stacked)
     cols = []
     for c in range(dm):
-        r = ech._reduce_int({c: ONE, -1 - dm: ONE})
+        r = ech.reduce({c: ONE, -1 - dm: ONE})
         t = r.pop(-1 - dm) * den
         cols.append({k: _div(x, t) for k, x in stacked.apply(
             {-1 - l: -x for l, x in r.items()}).items()})

@@ -133,6 +133,21 @@ def test_equiv_command(capsys):
     assert "hom_dims" in out
 
 
+def test_equiv_objects_split_at_top_level_commas(capsys):
+    code, out, _ = run(capsys, "--report", "json", "equiv", "group_z2",
+                       "--objects", "I,innh(C,C)")
+    assert code == 0, out
+    ids = [i["id"] for i in json.loads(out)["items"]]
+    assert ids[:2] == ["counit_iso[I]", "counit_iso[innH(C,C)]"]
+
+
+@pytest.mark.parametrize("objects", ["", "C,C", "I,unit"])
+def test_equiv_rejects_no_objects_and_repeated_labels(capsys, objects):
+    code, out, err = run(capsys, "equiv", "group_z2", "--objects", objects)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 EQUIV_IDS = (["counit_iso[I]", "counit_iso[C]", "counit_iso[C*C]",
               "unit_iso[A]", "unit_iso[(A)*A]", "unit_iso[heart(C)]"]
              + [f"{kind}[{x};{y}]" for kind in ("hom_dims", "monoidal_heart")

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quasihopf.linalg import (Echelon, LegShape, LinAlgError, LinearSystem, Matrix,
                               cokernel, cokernel_of_columns, descend, inverse, kernel,
@@ -255,9 +255,6 @@ def test_results_hold_canonical_scalars(rows):
     assert_canonical(res.solution.values())
     for vec in (*kernel(singular), *solve(singular, {}).kernel):
         assert_canonical(vec.values())
-    ech = Echelon()
-    ech.add(dict(singular.columns()[0]))
-    assert_canonical(ech.normal_form({0: Fraction(3), 1: 1, 2: H}).values())
     # integral results come back as ints
     assert a_frac.then(inverse(a)) == Matrix.identity(3)
     assert all(type(x) is int for x in entries(a_frac.then(inverse(a))))
@@ -307,3 +304,71 @@ def test_products_match_naive_fraction_loops(m, n, p, data):
                                for i in range(m) for k in range(p)
                                for j in range(n) for l in range(m)]
     assert_canonical(entries(got_k))
+
+
+# -- the quotient projection against the Fraction reduction ----------------------
+
+def _fraction_projection(ambient: int, vectors) -> Matrix:
+    """The quotient projection as the Fraction loop computes it: e_k reduced
+    at every pivot index of an echelon basis of the span, largest first, and
+    read on the non-pivot positions."""
+    ech = Echelon()
+    for v in vectors:
+        ech.add(v)
+    pos = {f: l for l, f in enumerate(i for i in range(ambient) if i not in ech.rows)}
+    cols = []
+    for k in range(ambient):
+        v = {k: Fraction(1)}
+        while True:
+            c = max((i for i in v if i in ech.rows), default=None)
+            if c is None:
+                break
+            row = ech.rows[c]
+            f = v[c] / row[c]
+            for i, x in row.items():
+                y = v.get(i, 0) - f * x
+                if y:
+                    v[i] = y
+                else:
+                    v.pop(i, None)
+        cols.append({pos[i]: x for i, x in v.items()})
+    return Matrix(len(pos), ambient, cols)
+
+
+@st.composite
+def relation_sets(draw):
+    """(n, vectors): one vector per pivot p of the span, with random entries
+    below p, so that pivots and non-pivots interleave; in random order, with a
+    dependent sum.  Also the empty set, a zero vector and a full-rank set."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["random", "empty", "zero", "full"]))
+    pivots = {"empty": [], "full": range(n)}.get(kind)
+    if pivots is None:
+        pivots = sorted(draw(st.sets(st.integers(0, n - 1))))
+    below = st.one_of(st.just(0), SCALARS)
+    vectors = []
+    for p in pivots:
+        low = draw(st.lists(below, min_size=p, max_size=p))
+        vectors.append({**{i: x for i, x in enumerate(low) if x}, p: draw(SCALARS.filter(bool))})
+    vectors = draw(st.permutations(vectors))
+    if len(vectors) > 1:
+        u, v = vectors[:2]
+        vectors.append({i: u.get(i, 0) + v.get(i, 0) for i in {*u, *v} if u.get(i, 0) + v.get(i, 0)})
+    if kind == "zero":
+        vectors.insert(draw(st.integers(0, len(vectors))), {})
+    return n, vectors
+
+
+# pivots 3 and 1 around the non-pivot 2: e_3 = -(e_0 + e_1 + e_2) with
+# e_1 = -2 e_0 modulo the span, so e_3 projects to e_0 - e_2, and a reduction
+# that stops at the largest non-pivot index leaves the pivot 1 behind
+@example((4, [{0: 1, 1: 1, 2: 1, 3: 1}, {0: 2, 1: 1}]))
+@given(relation_sets())
+@settings(max_examples=100, deadline=None)
+def test_cokernel_matches_the_fraction_reduction(case):
+    n, vectors = case
+    p, s = cokernel_of_columns(n, vectors)
+    assert p == _fraction_projection(n, vectors)
+    assert_canonical(entries(p))
+    assert (p * s).is_identity()
+    assert all(not p.apply(v) for v in vectors)

@@ -377,3 +377,14 @@ def test_morphism_pairs_match_the_kronecker_identities(name, i, j, kind, data):
     assert acts == (f * m.mu == n.mu * f.kron(idn))
     if kind != "random":
         assert coacts and (acts or kind == "centre")
+
+
+def test_equivalence_report_on_twist(tw):
+    # the whole report on a dense 17-term associator, with the objects I and C
+    rep = equivalence_report(tw, [unit_module(tw), regular_module(tw)])
+    pairs = ["I;I", "I;C", "C;I", "C;C"]
+    assert [i.id for i in rep.items] == [
+        "counit_iso[I]", "counit_iso[C]",
+        "unit_iso[A]", "unit_iso[(A)*A]", "unit_iso[heart(C)]",
+        *(f"hom_dims[{p}]" for p in pairs), *(f"monoidal_heart[{p}]" for p in pairs)]
+    assert rep.ok, rep.render_text()

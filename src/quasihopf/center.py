@@ -156,18 +156,18 @@ def validate_center(m: CenterObject) -> Report:
 
 def tensor_center(m: CenterObject, n: CenterObject) -> CenterObject:
     """Tensor product in the centre: braidings composed through the hexagon
-    (validated by whoever requires it, see CenterObject.require_valid)."""
+    applied to the unit embedding v -> v (x) 1 only (validated by whoever
+    requires it, see CenterObject.require_valid)."""
     if m.h is not n.h:
         raise ValueError("centre objects over different algebras")
     h = m.h
     base = tensor(m.base, n.base)
     c_mod = regular_module(h)
-    comp = associator(m.base, n.base, c_mod) \
-        .then(identity_map(m.base).tensor(braiding(n, c_mod))) \
-        .then(associator_inv(m.base, c_mod, n.base)) \
-        .then(braiding(m, c_mod).tensor(identity_map(n.base))) \
-        .then(associator(c_mod, m.base, n.base))
-    coaction = comp.matrix * Matrix.identity(base.dim).kron(Matrix(h.dim, 1, [dict(h.unit)]))
+    coaction = Matrix.identity(base.dim).kron(Matrix(h.dim, 1, [dict(h.unit)]))
+    for f in (associator(m.base, n.base, c_mod), identity_map(m.base).tensor(braiding(n, c_mod)),
+              associator_inv(m.base, c_mod, n.base), braiding(m, c_mod).tensor(identity_map(n.base)),
+              associator(c_mod, m.base, n.base)):
+        coaction = coaction.then(f.matrix)
     return CenterObject(base, coaction, label=f"({m.label or '?'})*({n.label or '?'})")
 
 

@@ -12,6 +12,8 @@ Conventions, fixed once and used everywhere:
   Fraction(1)`` and both hash alike, so a stray integral ``Fraction`` (say
   from a caller's own loop) costs speed, never correctness.
 * Vectors are sparse dicts ``{index: int | Fraction}`` with no zero entries.
+  ``Matrix`` does not filter its data; the products rely on this invariant,
+  since a one-entry column passes a column of the other factor through.
 * A ``Matrix`` acts on column vectors; it is stored as a list of sparse
   columns (``cols[j]`` is the image of the j-th basis vector).  The
   semantics are those of a dense rows x cols array; the sparse storage is
@@ -31,7 +33,9 @@ Conventions, fixed once and used everywhere:
 Matrices are immutable by convention once constructed: no public method
 mutates entries, so values can be shared freely.  Products rely on this: a
 matrix caches its integer form (integer columns over one common
-denominator) on first use and never recomputes it.
+denominator) on first use and never recomputes it.  There is one product
+loop, :func:`_int_product`: ``then`` reads both integer forms once and
+``apply`` is its one-column case.
 """
 
 from __future__ import annotations
@@ -99,8 +103,9 @@ def _lcm_denominator(values) -> int | None:
 
 
 def _scaled(v: dict, den: int) -> dict:
-    """den * v as an int vector (den a common multiple of v's denominators)."""
-    return {k: x.numerator * (den // x.denominator) for k, x in v.items()}
+    """den * v as an int vector without zeros (den a common multiple of v's
+    denominators)."""
+    return {k: x.numerator * (den // x.denominator) for k, x in v.items() if x}
 
 
 ZERO = 0
@@ -173,9 +178,10 @@ def vec_scale(v: dict, c) -> dict:
 
 
 def _int_rows(v: dict) -> dict:
-    """Scale a rational vector to a primitive integer vector (same line)."""
+    """Scale a rational vector to a primitive integer vector (same line),
+    zero entries dropped; always a fresh dict, which reduce updates in place."""
     den = _lcm_denominator(v.values())
-    ints = dict(v) if den is None else _scaled(v, den)
+    ints = {k: x for k, x in v.items() if x} if den is None else _scaled(v, den)
     g = gcd(*ints.values())
     if g > 1:
         ints = {k: x // g for k, x in ints.items()}
@@ -213,19 +219,19 @@ class Echelon:
             a, b = row[c], v[c]
             g = gcd(a, b)
             ca, cb = b // g, a // g
-            out: dict[int, int] = {}
-            for k, x in v.items():
-                out[k] = x * cb
+            if cb != 1:
+                for k in v:
+                    v[k] *= cb
             for k, x in row.items():
-                y = out.get(k, 0) - x * ca
+                y = v.get(k, 0) - x * ca
                 if y:
-                    out[k] = y
+                    v[k] = y
                 else:
-                    out.pop(k, None)
-            g = gcd(*out.values())
+                    del v[k]
+            g = gcd(*v.values())
             if g > 1:
-                out = {k: x // g for k, x in out.items()}
-            v = out
+                for k in v:
+                    v[k] //= g
         return v
 
     def insert(self, r: dict[int, int]) -> None:
@@ -464,34 +470,24 @@ class Matrix:
     # -- algebra ------------------------------------------------------------
 
     def apply(self, v: dict) -> dict:
-        """Matrix times sparse column vector.
-
-        Works on the integer form: v's denominators are cleared the same
-        way, products accumulate as ints, and each nonzero output entry is
-        divided by the common denominator once.
-        """
+        """Matrix times sparse column vector: the one-column case of
+        :meth:`then`.  v's denominators are cleared the same way, and an
+        index outside ``range(self.cols)`` raises ``LinAlgError``."""
+        if v and (min(v) < 0 or max(v) >= self.cols):
+            raise LinAlgError("vector index out of range")
         den, icols = self._intform or self._int_form()
         vden = _lcm_denominator(v.values())
-        if vden is not None:
-            v = _scaled(v, vden)
-            den *= vden
-        ncols = self.cols
-        out: dict[int, int] = {}
-        get = out.get
-        for j, x in v.items():
-            if j >= ncols:
-                raise LinAlgError("vector index out of range")
-            for i, y in icols[j].items():
-                out[i] = get(i, 0) + x * y
-        if den == 1:
-            return {i: w for i, w in out.items() if w}
-        return {i: _div(w, den) for i, w in out.items() if w}
+        v = {j: x for j, x in v.items() if x} if vden is None else _scaled(v, vden)
+        return _int_product(icols, [v], den * (vden or 1))[0]
 
     def then(self, g: "Matrix") -> "Matrix":
-        """Diagrammatic composition: first self, then g."""
+        """Diagrammatic composition: first self, then g, as one integer
+        product of the operands' integer forms (see :func:`_int_product`)."""
         if g.cols != self.rows:
             raise LinAlgError(f"cannot compose {self.rows}x{self.cols} then {g.rows}x{g.cols}")
-        return Matrix(g.rows, self.cols, [g.apply(c) for c in self._data])
+        gden, gcols = g._intform or g._int_form()
+        den, cols = self._intform or self._int_form()
+        return Matrix(g.rows, self.cols, _int_product(gcols, cols, gden * den))
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -543,20 +539,53 @@ class Matrix:
         return Matrix(self.cols, self.rows, data)
 
     def kron(self, other: "Matrix") -> "Matrix":
-        """Kronecker product, leftmost factor slowest on both sides."""
+        """Kronecker product, leftmost factor slowest on both sides: integer
+        forms multiplied, and each entry divided once when den is not 1."""
         rr, rc = self.rows * other.rows, self.cols * other.cols
         da, acols = self._int_form()
         db, bcols = other._int_form()
-        den = da * db
-        data = [dict() for _ in range(rc)]
-        for j, c in enumerate(acols):
-            for l, d in enumerate(bcols):
-                col = data[j * other.cols + l]
-                for i, x in c.items():
-                    base = i * other.rows
+        den, orows = da * db, other.rows
+        data = []
+        for c in acols:
+            shifted = [(i * orows, x) for i, x in c.items()]
+            for d in bcols:
+                col = {}
+                for base, x in shifted:
                     for k, y in d.items():
-                        col[base + k] = x * y if den == 1 else _div(x * y, den)
+                        col[base + k] = x * y
+                data.append(col)
+        if den != 1:
+            data = [{i: _div(w, den) for i, w in col.items()} for col in data]
         return Matrix(rr, rc, data)
+
+
+def _int_product(gcols: list[dict], cols: list[dict], den: int) -> list[dict]:
+    """The columns of (g . c) / den for integer columns: column j is
+    sum_k c[j][k] g[k].  A one-entry column {k: x} is column k of g, copied
+    when x == 1 and den == 1 and otherwise scaled entry by entry; this needs
+    no accumulator, since neither operand stores zeros."""
+    out = []
+    for c in cols:
+        if len(c) == 1:
+            (k, x), = c.items()
+            col = gcols[k]
+            if den != 1:
+                out.append({i: _div(x * y, den) for i, y in col.items()})
+            elif x == 1:
+                out.append(dict(col))
+            else:
+                out.append({i: x * y for i, y in col.items()})
+            continue
+        acc: dict[int, int] = {}
+        get = acc.get
+        for k, x in c.items():
+            for i, y in gcols[k].items():
+                acc[i] = get(i, 0) + x * y
+        if den == 1:
+            out.append({i: w for i, w in acc.items() if w})
+        else:
+            out.append({i: _div(w, den) for i, w in acc.items() if w})
+    return out
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

@@ -113,6 +113,17 @@ def test_cokernel_rank_one():
     assert p.entry(0, 0) == -p.entry(0, 1)
 
 
+def test_stored_zero_entries_span_nothing():
+    # a zero stored in a vector (as an int or a Fraction) is no direction
+    for zero in (0, Fraction(0)):
+        ech = Echelon()
+        assert ech.add({0: zero}) is False
+        assert ech.rank == 0
+        p, s = cokernel(Matrix(2, 1, [{0: zero}]))
+        assert p.rows == 2
+        assert (p * s).is_identity()
+
+
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=12),
        st.randoms(use_true_random=False))
 @settings(max_examples=30, deadline=None)
@@ -217,6 +228,16 @@ def test_matrix_flat_roundtrip():
     assert a.transpose().transpose() == a
 
 
+def test_apply_checks_indices_and_drops_zeros():
+    a = mat([[0, 1], [2, 0], [0, 3]])
+    for bad in ({2: 1}, {-1: 1}, {0: 1, 5: H}):
+        with pytest.raises(LinAlgError):
+            a.apply(bad)
+    # a zero stored in the vector (one entry or more) contributes nothing
+    assert a.apply({1: 0}) == {} and a.apply({1: Fraction(0)}) == {}
+    assert a.apply({0: 0, 1: 2}) == {0: 2, 2: 6}
+
+
 # -- canonical scalars ------------------------------------------------------------
 #
 # Every value linalg creates is an int when integral and a Fraction only when
@@ -278,12 +299,38 @@ def dense(rows: int, cols: int):
                     min_size=rows, max_size=rows)
 
 
+@st.composite
+def factors(draw, rows: int, cols: int):
+    """Dense rows of a product operand: dense; monomial (one scaled entry or
+    none per column); the identity; or identity (x) B for a common divisor
+    of the shape."""
+    kind = draw(st.sampled_from(["dense", "monomial", "identity", "id_kron"]))
+    if kind == "monomial":
+        out = [[0] * cols for _ in range(rows)]
+        for j in range(cols):
+            hit = draw(st.one_of(st.none(), st.tuples(st.integers(0, rows - 1),
+                                                      SCALARS.filter(bool))))
+            if hit:
+                out[hit[0]][j] = hit[1]
+        return out
+    if kind == "identity" and rows == cols:
+        return [[int(i == j) for j in range(cols)] for i in range(rows)]
+    ks = [k for k in (2, 3, 4) if rows % k == 0 and cols % k == 0]
+    if kind == "id_kron" and ks:
+        k = draw(st.sampled_from(ks))
+        br, bc = rows // k, cols // k
+        b = draw(dense(br, bc))
+        return [[b[i % br][j % bc] if i // br == j // bc else 0 for j in range(cols)]
+                for i in range(rows)]
+    return draw(dense(rows, cols))
+
+
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.data())
 @settings(max_examples=60, deadline=None)
 def test_products_match_naive_fraction_loops(m, n, p, data):
-    a_rows = data.draw(dense(m, n))
-    b_rows = data.draw(dense(p, m))
-    v_dense = data.draw(st.lists(SCALARS, min_size=n, max_size=n))
+    a_rows = data.draw(factors(m, n))
+    b_rows = data.draw(factors(p, m))
+    v_dense = [r[0] for r in data.draw(factors(n, 1))]
     a, b = from_dense(a_rows, n), from_dense(b_rows, m)
 
     ba = [[sum((Fraction(b_rows[i][k]) * a_rows[k][j] for k in range(m)), Fraction(0))

@@ -11,6 +11,9 @@ heart(M) is the end of x -> innhom(x, x (x) M), realized on H (x) M.  Its
 right action by the algebra, the "evaluation" family heart(M) (x) X ->
 X (x) M, the projection to M, the lax monoidal composition, and the
 comparison isomorphisms with the free module M (x) A all live here.
+heart_braiding is the full braiding past any X; the coaction of heart(M) is
+its X = C case at the unit of C, built on those columns only.  Both read end
+coordinates through one certificate, _end_coordinates.
 
 Each sandwich formula (the action and right action of heart(M), the
 evaluation, the product of the algebra, the twist comparing Y (x) heart(M)
@@ -20,8 +23,8 @@ repcat.elem_action_matrix, followed by a fixed structure map: the product of
 two H legs or a reordering of columns.  heart_mu_direct
 keeps the raw product formula as an independent route.
 
-build_A and (kappa, lambda, kappa^-1) are built once per algebra, in its
-memo; heart(m) once per module, in the module's memo (see qha.Frozen).
+build_A, (kappa, lambda, kappa^-1) and the extraction element are built once
+per algebra, in its memo; heart(m) once per module, in the module's memo.
 """
 
 from __future__ import annotations
@@ -163,15 +166,32 @@ def _end_twist(h: QuasiHopfAlgebra, y: HModule, m: HModule,
     return elem_action_matrix(t, [y, h.sandwich, m])
 
 
+def _end_coordinates(h: QuasiHopfAlgebra, y_mod: HModule, m_mod: HModule,
+                     adj: Matrix) -> Matrix:
+    """The map X -> Y (x) heart(M) behind an adjunct (columns x (x) e_p):
+    evaluate at the unit to read the end coordinates, certify for every p
+    that the adjunct at e_p is those coordinates followed by right
+    multiplication by e_p (end membership), then untwist the end."""
+    n = h.dim
+    ends = adj * Matrix.identity(adj.cols // n).kron(Matrix(n, 1, [dict(h.unit)]))
+    for p in range(n):
+        right = Matrix.identity(y_mod.dim).kron(h.right_mult_matrix({p: ONE})) \
+            .kron(Matrix.identity(m_mod.dim))
+        if right * ends != Matrix(adj.rows, ends.cols, adj.columns()[p::n]):
+            raise VerificationFailure(
+                "family is not natural: adjunct does not land in the end")
+    return _end_twist(h, y_mod, m_mod, h.phi) * ends
+
+
 def nat_to_hom(x_mod: HModule, y_mod: HModule, m_mod: HModule,
                fam: HLinearMap, check_roundtrip: bool = True) -> HLinearMap:
     """Reconstruct g: X -> Y (x) heart(M) from the regular-module component
     of a natural family X (x) T -> Y (x) (T (x) M).
 
-    The family is pulled through the adjunction unit, its image is checked
-    to land in the end (left-multiplication span), and the twist comparing
-    Y (x) heart(M) with the end is inverted.  A posteriori the reconstructed
-    g is checked to reproduce the family at the regular module.
+    The family is pulled through the adjunction unit, and _end_coordinates
+    certifies that it lands in the end and inverts the twist comparing
+    Y (x) heart(M) with the end.  A posteriori the reconstructed g is checked
+    to reproduce the family at the regular module.
 
     The adjunct is one matrix product, the family after the action of a
     two-leg element, so it runs on the integer forms of the matrices (see
@@ -180,9 +200,7 @@ def nat_to_hom(x_mod: HModule, y_mod: HModule, m_mod: HModule,
     """
     h = x_mod.h
     n = h.dim
-    dy, dm, dx = y_mod.dim, m_mod.dim, x_mod.dim
-    t_dim = dy * n * dm
-    if fam.matrix.cols != dx * n or fam.matrix.rows != t_dim:
+    if fam.matrix.cols != x_mod.dim * n or fam.matrix.rows != y_mod.dim * n * m_mod.dim:
         raise ValueError("family has wrong endpoints for nat_to_hom")
 
     # adjunct g~(x)(p) = fam((q1 |> x) (x) (q2 beta S(q3) . p)), for all x and
@@ -191,18 +209,8 @@ def nat_to_hom(x_mod: HModule, y_mod: HModule, m_mod: HModule,
     b = beta_contraction(h)
     adj = fam.matrix if b == h.unit_elem(2) else \
         fam.matrix * elem_action_matrix(b, [x_mod, regular_module(h)])
-    # evaluate at the unit to read the end coordinates
-    ends = adj * Matrix.identity(dx).kron(Matrix(n, 1, [dict(h.unit)]))
-    # the adjunct must be the left multiplication by the middle leg of those:
-    # at e_p, the end coordinates followed by right multiplication by e_p
-    for p in range(n):
-        right = Matrix.identity(dy).kron(h.right_mult_matrix({p: ONE})).kron(Matrix.identity(dm))
-        if right * ends != Matrix(t_dim, dx, adj.columns()[p::n]):
-            raise VerificationFailure(
-                "family is not natural: adjunct does not land in the end")
-
-    target = tensor(y_mod, heart_base(h, m_mod))
-    g = HLinearMap(x_mod, target, _end_twist(h, y_mod, m_mod, h.phi) * ends)
+    g = HLinearMap(x_mod, tensor(y_mod, heart_base(h, m_mod)),
+                   _end_coordinates(h, y_mod, m_mod, adj))
 
     if check_roundtrip:
         back = hom_to_nat(g, regular_module(h), y_mod, m_mod)
@@ -230,8 +238,8 @@ def heart_braiding(h: QuasiHopfAlgebra, m: HModule, x: HModule) -> HLinearMap:
     """The braiding heart(M) (x) X -> X (x) heart(M), defined by requiring
     that crossing then evaluating agrees with evaluating on X (x) T at once.
 
-    nat_to_hom certifies end membership; the round trip back to the family is
-    skipped here."""
+    The full route for any X, and the reference for extract_center_structure:
+    nat_to_hom certifies end membership; the round trip is skipped here."""
     hb = heart_base(h, m)
     c = regular_module(h)
     xc = tensor(x, c)
@@ -243,16 +251,22 @@ def heart_braiding(h: QuasiHopfAlgebra, m: HModule, x: HModule) -> HLinearMap:
 
 
 def extract_center_structure(h: QuasiHopfAlgebra, m: HModule) -> CenterObject:
-    """The coaction of heart(m): braid past the regular module, feed the unit.
+    """The coaction of heart(m): heart_braiding past C, at the unit of C only.
 
-    The reconstruction certifies end membership (see nat_to_hom).  The full
-    centre validation is left to whoever requires it: CenterObject.require_valid
-    runs it once and keeps the report on the object.
+    The adjunct of that braiding's family at (s (x) 1) (x) e_p is phi . diamond
+    after the action of phi . (Delta (x) id)(beta_contraction) with the middle
+    slot cut to the unit column, so 1/n of the full adjunct's columns are
+    built, and _end_coordinates certifies end membership on all of them.  The
+    centre validation is left to CenterObject.require_valid (report kept).
     """
     hb = heart_base(h, m)
-    b = heart_braiding(h, m, regular_module(h))
-    coaction = b.matrix * Matrix.identity(hb.dim).kron(Matrix(h.dim, 1, [dict(h.unit)]))
-    return CenterObject(hb, coaction, label=f"heart({m.label or '?'})")
+    c = regular_module(h)
+    u = Matrix(h.dim, 1, [dict(h.unit)])
+    e = h.memo("phi_beta", lambda: h.mul(
+        h.phi, h.spread(beta_contraction(h), [(1, 2), (3,)], 3)))
+    adj = elem_action_matrix(h.phi, [c, c, m]) * diamond(h, m, tensor(c, c)).matrix \
+        * elem_action_matrix(e, [hb, [a * u for a in c.action], c])
+    return CenterObject(hb, _end_coordinates(h, c, m, adj), label=f"heart({m.label or '?'})")
 
 
 # ---------------------------------------------------------------------------

@@ -331,7 +331,37 @@ def test_s_t_for_A(any_h):
     assert rep.ok, rep.render_text()
 
 
-def test_extract_center_matches_heart_cache(dr):
-    c = regular_module(dr)
-    cen = extract_center_structure(dr, c)
-    assert cen.coaction == heart(dr, c).center.coaction
+def test_extract_center_matches_heart_cache():
+    # over the algebras of any_h_tw and X in {I, C, C (x) C}: the thin
+    # extraction is the full braiding past C at the unit of C
+    from conftest import TWISTED, get_algebra
+    for name in ("group_z2", "drinfeld_h2", "sweedler_h4", TWISTED):
+        h = get_algebra(name)
+        c = regular_module(h)
+        for x in (unit_module(h), c, tensor(c, c)):
+            cen = extract_center_structure(h, x)
+            assert cen.coaction == heart(h, x).center.coaction
+            unit_cols = Matrix.identity(cen.dim).kron(Matrix(h.dim, 1, [dict(h.unit)]))
+            assert cen.coaction == heart_braiding(h, x, c).matrix * unit_cols
+
+
+def test_extract_center_certifies_the_columns_it_reads(any_h_tw, monkeypatch):
+    # corrupt the evaluation family on its unit column (a, v, u) = (e_0, v_0,
+    # 1 (x) 1): the family is no longer natural, and the end check must say so
+    from quasihopf import algebra_a
+    from quasihopf.repcat import HLinearMap
+    from quasihopf.report import VerificationFailure
+    h = any_h_tw
+    assert h.unit == {0: 1}
+    real = algebra_a.diamond
+
+    def corrupt(h_, m, x):
+        d = real(h_, m, x)
+        cols = list(d.matrix.columns())
+        bumped = {**cols[0], 0: cols[0].get(0, 0) + 1}  # add e_0 to column 0
+        cols[0] = {i: v for i, v in bumped.items() if v}
+        return HLinearMap(d.source, d.target, Matrix(d.matrix.rows, d.matrix.cols, cols))
+
+    monkeypatch.setattr(algebra_a, "diamond", corrupt)
+    with pytest.raises(VerificationFailure, match="family is not natural"):
+        extract_center_structure(h, regular_module(h))

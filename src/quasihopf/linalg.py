@@ -53,10 +53,13 @@ class LinAlgError(Exception):
 # rationals
 
 def rat(x) -> int | Fraction:
-    """Coerce ints, Fractions and "p/q" strings to a canonical exact rational."""
+    """Coerce ints, Fractions and "p/q" strings to a canonical exact rational
+    (booleans and floats are refused)."""
     if isinstance(x, Fraction):
         return _canon(x)
     if isinstance(x, int):
+        if isinstance(x, bool):
+            raise TypeError(f"refusing to coerce boolean {x!r} to a rational")
         return int(x)
     if isinstance(x, str):
         s = x.strip().replace("−", "-")  # tolerate unicode minus
@@ -406,7 +409,7 @@ class Matrix:
                         else {i: rat(x) for i, x in enumerate(c) if rat(x)})
         m = Matrix(rows, len(data), data)
         for c in m._data:
-            if c and max(c) >= rows:
+            if c and not 0 <= min(c) <= max(c) < rows:
                 raise LinAlgError("column entry out of range")
         return m
 

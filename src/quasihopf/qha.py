@@ -11,6 +11,11 @@ Leg conventions: an element of the k-th tensor power is a sparse map from
 k-tuples of basis indices to rationals.  Positions in leg-spreading notation
 are 1-based to match the usual subscript notation for distributing tensor
 legs, e.g. spreading the associator over positions ((1,5),(2),(3,4)).
+
+Products in a tensor power (:meth:`QuasiHopfAlgebra.mul`, under every
+five-leg element of the exactness diagram) run over leg tries on integers:
+each operand is nested by its leading leg, and each pair of leg prefixes is
+multiplied once, whatever the number of terms that share it.
 """
 
 from __future__ import annotations
@@ -122,6 +127,50 @@ def _vec_of(t: TensorElement) -> dict:
     if t.legs != 1:
         raise ValueError("expected a 1-leg element")
     return {idx[0]: c for idx, c in t.coeffs.items()}
+
+
+def _leg_trie(t: TensorElement) -> tuple[int, dict]:
+    """(den, trie) for an element with at least one leg: its coefficients
+    times den (the lcm of their denominators) as ints, nested by leading leg,
+    one dict level per leg with the ints at the last."""
+    den = _lcm_denominator(t.coeffs.values()) or 1
+    root: dict = {}
+    for idx, c in _scaled(t.coeffs, den).items():
+        node = root
+        for i in idx[:-1]:
+            node = node.setdefault(i, {})
+        node[idx[-1]] = c
+    return den, root
+
+
+def _trie_product(table, a: dict, b: dict, w: int) -> dict:
+    """The product of two leg tries over an integer multiplication table
+    (``table[i][j]`` the items of e_i e_j), as a dict from flat output
+    indices to ints; ``w`` is the flat weight of the first leg (1 at the
+    last leg)."""
+    out: dict[int, int] = {}
+    get = out.get
+    if w == 1:
+        for i, c in a.items():
+            row = table[i]
+            for j, d in b.items():
+                cd = c * d
+                for k, y in row[j]:
+                    out[k] = get(k, 0) + cd * y
+        return out
+    v = w // len(table)
+    for i, ai in a.items():
+        row = table[i]
+        for j, bj in b.items():
+            m = row[j]
+            if not m:
+                continue
+            sub = _trie_product(table, ai, bj, v).items()
+            for k, y in m:
+                kw = k * w
+                for f, x in sub:
+                    out[kw + f] = get(kw + f, 0) + x * y
+    return out
 
 
 class Frozen:
@@ -285,33 +334,29 @@ class QuasiHopfAlgebra(Frozen):
     def mul(self, s: TensorElement, t: TensorElement) -> TensorElement:
         """Componentwise product in the k-fold tensor power algebra.
 
-        Runs on integers: both operands and the multiplication table are
-        scaled by the lcm of their denominators, products accumulate as ints,
-        and each output coefficient is divided once by the common denominator.
+        A product over leg tries, on integers: both operands are scaled by the
+        lcm of their denominators (the table by its own) and nested by leading
+        leg (see :func:`_leg_trie`).  For each pair (i, j) of first-leg
+        indices with e_i e_j != 0 the two sub-tries are multiplied once, and
+        that product is spread over the terms of e_i e_j; so each pair of leg
+        prefixes is multiplied once, not once per pair of terms.  Products
+        accumulate as ints under flat output indices, and each output
+        coefficient is divided once by the common denominator.
         """
         if s.dim != self.dim or t.dim != self.dim:
             raise ValueError("elements belong to a different algebra")
         s._check_like(t)
-        sden = _lcm_denominator(s.coeffs.values()) or 1
-        tden = _lcm_denominator(t.coeffs.values()) or 1
+        if not s.legs:
+            return TensorElement(self.dim, 0,
+                                 {(): s.coeffs.get((), ZERO) * t.coeffs.get((), ZERO)})
+        sden, strie = _leg_trie(s)
+        tden, ttrie = _leg_trie(t)
         mden, table = self._int_mult
-        tints = _scaled(t.coeffs, tden).items()
-        acc: dict[tuple, int] = {}
-        get = acc.get
-        for I, c in _scaled(s.coeffs, sden).items():
-            for J, d in tints:
-                terms = [((), c * d)]
-                for i, j in zip(I, J):
-                    m = table[i][j]
-                    if not m:
-                        break
-                    terms = [(idx + (k,), x * y) for idx, x in terms for k, y in m]
-                else:  # no leg's product vanished
-                    for idx, x in terms:
-                        acc[idx] = get(idx, 0) + x
         den = sden * tden * mden ** s.legs
+        shape = LegShape((self.dim,) * s.legs)
+        acc = _trie_product(table, strie, ttrie, shape.size // self.dim)
         return TensorElement(self.dim, s.legs,
-                             {idx: _div(x, den) for idx, x in acc.items() if x})
+                             {shape.unindex(f): _div(x, den) for f, x in acc.items() if x})
 
     def mul_chain(self, elems) -> TensorElement:
         elems = list(elems)
@@ -923,6 +968,14 @@ def json_list(obj, key: str, n: int) -> list:
     return flat
 
 
+def json_rats(obj, key: str, n: int) -> list:
+    """obj[key] as a list of n exact rationals; a bad entry names the field."""
+    try:
+        return [rat(c) for c in json_list(obj, key, n)]
+    except TypeError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
 def _json_dim(obj) -> int:
     """The dimension of an algebra file, once every array length matches it."""
     n = json_dim(obj)
@@ -937,40 +990,39 @@ def algebra_from_json(text: str) -> QuasiHopfAlgebra:
     try:
         n = _json_dim(obj)
         pair_shape = LegShape((n, n))
+
+        def rats(key):
+            return json_rats(obj, key, n ** _JSON_ARRAY_POWERS[key])
+
         mult = [[dict() for _ in range(n)] for _ in range(n)]
-        for idx, c in enumerate(obj["mult"]):
-            c = rat(c)
+        for idx, c in enumerate(rats("mult")):
             if c:
                 ij, k = divmod(idx, n)
                 i, j = divmod(ij, n)
                 mult[i][j][k] = c
         comult = [dict() for _ in range(n)]
-        for idx, c in enumerate(obj["comult"]):
-            c = rat(c)
+        for idx, c in enumerate(rats("comult")):
             if c:
                 i, jk = divmod(idx, n * n)
                 comult[i][pair_shape.unindex(jk)] = c
-        unit = {i: rat(c) for i, c in enumerate(obj["unit"]) if rat(c)}
-        counit = [rat(c) for c in obj["counit"]]
+
+        def vec1(key):
+            return {i: c for i, c in enumerate(rats(key)) if c}
 
         def elem3(key):
             if key not in obj or obj[key] is None:
                 return None
             shape = LegShape((n, n, n))
-            return TensorElement(n, 3, {shape.unindex(i): rat(c)
-                                        for i, c in enumerate(obj[key]) if rat(c)})
+            return TensorElement(n, 3, {shape.unindex(i): c for i, c in vec1(key).items()})
 
         def mat(key):
             if key not in obj or obj[key] is None:
                 return None
-            return Matrix.from_flat(n, n, [rat(c) for c in obj[key]])
-
-        def vec1(key):
-            return {i: rat(c) for i, c in enumerate(obj[key]) if rat(c)}
+            return Matrix.from_flat(n, n, rats(key))
 
         return QuasiHopfAlgebra(
-            dim=n, basis=obj.get("basis"), mult=mult, unit=unit, comult=comult,
-            counit=counit, phi=elem3("phi"), phi_inv=elem3("phi_inv"),
+            dim=n, basis=obj.get("basis"), mult=mult, unit=vec1("unit"), comult=comult,
+            counit=rats("counit"), phi=elem3("phi"), phi_inv=elem3("phi_inv"),
             antipode=mat("antipode"), antipode_inv=mat("antipode_inv"),
             alpha=vec1("alpha"), beta=vec1("beta"), name=obj.get("name", ""))
     except (KeyError, IndexError, TypeError) as exc:

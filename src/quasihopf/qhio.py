@@ -11,26 +11,18 @@ from __future__ import annotations
 
 import json
 
-from .linalg import Matrix, rat, rat_str
-from .qha import QuasiHopfAlgebra, json_dim, json_list
+from .linalg import Matrix, rat_str
+from .qha import QuasiHopfAlgebra, json_dim, json_rats
 from .repcat import HModule
 from .center import CenterObject
 from .mod_a import AModule
 from .algebra_a import AlgebraA
 
 
-def _flat(obj: dict, key: str, n: int) -> list:
-    """obj[key]: a list of n exact rationals."""
-    try:
-        return [rat(c) for c in json_list(obj, key, n)]
-    except TypeError as exc:
-        raise ValueError(f"{key}: {exc}") from None
-
-
 def module_from_obj(h: QuasiHopfAlgebra, obj: dict, label: str = "") -> HModule:
     try:
         d = json_dim(obj)
-        flat = _flat(obj, "action", h.dim * d * d)
+        flat = json_rats(obj, "action", h.dim * d * d)
         action = [Matrix.from_flat(d, d, flat[i * d * d:(i + 1) * d * d])
                   for i in range(h.dim)]
         return HModule(h, d, action, label=label or obj.get("name", ""))
@@ -48,7 +40,7 @@ def module_to_obj(m: HModule) -> dict:
 def center_from_obj(h: QuasiHopfAlgebra, obj: dict, label: str = "") -> CenterObject:
     base = module_from_obj(h, obj, label=label)
     d, n = base.dim, h.dim
-    coaction = Matrix.from_flat(d, n * d, _flat(obj, "coaction", d * n * d)).transpose()
+    coaction = Matrix.from_flat(d, n * d, json_rats(obj, "coaction", d * n * d)).transpose()
     return CenterObject(base, coaction, label=label)
 
 
@@ -61,7 +53,7 @@ def center_to_obj(m: CenterObject) -> dict:
 def amodule_from_obj(a: AlgebraA, obj: dict, label: str = "") -> AModule:
     center = center_from_obj(a.h, obj, label=label)
     d, n = center.dim, a.h.dim
-    mu = Matrix.from_flat(d * n, d, _flat(obj, "mu", d * n * d)).transpose()
+    mu = Matrix.from_flat(d * n, d, json_rats(obj, "mu", d * n * d)).transpose()
     return AModule(a, center, mu, label=label)
 
 
@@ -84,7 +76,7 @@ def morphism_from_obj(ctx, obj: dict):
     el = Elaborator(ctx)
     src = el.resolve_module(parse(obj["source"]))
     dst = el.resolve_module(parse(obj["target"]))
-    flat = _flat(obj, "matrix", src.dim * dst.dim)
+    flat = json_rats(obj, "matrix", src.dim * dst.dim)
     return HLinearMap(src, dst, Matrix.from_flat(dst.dim, src.dim, flat))
 
 

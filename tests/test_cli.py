@@ -270,10 +270,12 @@ MALFORMED_MODULES = [
     {"dim": 1.5, "action": ["1", "1"]},
     {"dim": "1", "action": ["1", "1"]},
     {"dim": 1, "action": ["1"]},
+    {"dim": 1, "action": [True, True]},
 ]
 
 
-@pytest.mark.parametrize("module", MALFORMED_MODULES, ids=["list", "dim-float", "dim-string", "short-action"])
+@pytest.mark.parametrize("module", MALFORMED_MODULES,
+                         ids=["list", "dim-float", "dim-string", "short-action", "action-bool"])
 def test_malformed_module_file_exits_two(tmp_path, capsys, module):
     (tmp_path / "m.json").write_text(json.dumps(module))
     code, out, err = run(capsys, "end", "group_z2", "--left", str(tmp_path / "m.json"))
@@ -330,6 +332,7 @@ MALFORMED_ALGEBRA_FIELDS = [
     ("phi_inv", ["1"] * 7),
     ("antipode", ["1", "0", "0"]),
     ("antipode_inv", ["1"] * 8),
+    ("unit", [True, "0"]),
 ]
 
 

@@ -21,6 +21,8 @@ def test_rat_parsing():
     assert rat_str(Fraction(7)) == "7"
     with pytest.raises(TypeError):
         rat(0.5)
+    with pytest.raises(TypeError, match="boolean"):
+        rat(True)
     with pytest.raises(ValueError, match="zero denominator"):
         rat("1/0")
 
@@ -44,6 +46,13 @@ def test_legshape_bijection(dims, data):
     ls = LegShape(tuple(dims))
     flat = data.draw(st.integers(min_value=0, max_value=ls.size - 1))
     assert ls.index(ls.unindex(flat)) == flat
+
+
+def test_from_cols_rejects_rows_out_of_range():
+    assert Matrix.from_cols(2, [{1: 1}, {0: 2}]).to_flat() == [0, 2, 1, 0]
+    for col in ({2: 1}, {-1: 1}, {0: 1, -2: 3}):
+        with pytest.raises(LinAlgError, match="out of range"):
+            Matrix.from_cols(2, [col])
 
 
 # -- solve --------------------------------------------------------------------

@@ -9,7 +9,7 @@ from quasihopf.qha import (BUILTIN_NAMES, QuasiHopfAlgebra, TensorElement,
                            kappa_lambda, verify_derived_identities)
 from quasihopf.report import VerificationFailure
 
-from conftest import get_algebra
+from conftest import TWISTED, get_algebra
 
 
 def test_builtins_pass_axioms(any_h_tw):
@@ -133,9 +133,12 @@ def z2_half():
         alpha={0: 1}, beta={0: 1}, name="z2_half").require_valid()
 
 
-@given(st.sampled_from(["drinfeld_h2", "sweedler_h4", "z2_half"]), st.integers(2, 3), st.data())
+@given(st.sampled_from(["drinfeld_h2", "sweedler_h4", TWISTED, "z2_half"]), st.integers(0, 5),
+       st.data())
 @settings(max_examples=60, deadline=None)
 def test_mul_matches_naive_fraction_product(name, legs, data):
+    # scalars up to five legs; the twist's product does not commute, so a
+    # product that swaps its factors anywhere in the leg recursion fails here
     h = z2_half() if name == "z2_half" else get_algebra(name)
     index = st.tuples(*[st.integers(0, h.dim - 1)] * legs)
     s, t = (TensorElement(h.dim, legs, data.draw(st.dictionaries(index, COEFFS, max_size=6)))

@@ -18,6 +18,7 @@ from quasihopf.algebra_a import build_A
 from quasihopf.mod_a import equivalence_report
 
 from conftest import get_algebra
+from test_qha import naive_mul
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +149,16 @@ def test_square_kappa_inverse_matches_solved_inverse(dr2):
     from quasihopf.qha import kappa_inverse, kappa_lambda
     kappa, _ = kappa_lambda(dr2)
     assert kappa_inverse(dr2) == dr2.tensor_inverse(kappa)
+
+
+def test_square_dense_five_leg_product_matches_naive(dr2):
+    # the counit window's kappa^-1 . lambda' (100 x 169 terms), far beyond
+    # the sizes that the Hypothesis comparison in test_qha draws
+    from quasihopf.qha import kappa_inverse, kappa_lambda
+    _, lam = kappa_lambda(dr2)
+    kinv, lam2 = kappa_inverse(dr2), lam.permute_legs((2, 3, 4, 5, 1))
+    assert (len(kinv.coeffs), len(lam2.coeffs)) == (100, 169)
+    assert dr2.mul(kinv, lam2).coeffs == naive_mul(dr2, kinv, lam2)
 
 
 def test_square_free_module_comparison(dr2):

@@ -143,14 +143,14 @@ def _leg_trie(t: TensorElement) -> tuple[int, dict]:
     return den, root
 
 
-def _trie_product(table, a: dict, b: dict, w: int) -> dict:
-    """The product of two leg tries over an integer multiplication table
-    (``table[i][j]`` the items of e_i e_j), as a dict from flat output
-    indices to ints; ``w`` is the flat weight of the first leg (1 at the
-    last leg)."""
+def _trie_product(table, a: dict, b: dict, legs: int, w: int) -> dict:
+    """The product of two ``legs``-leg tries over an integer multiplication
+    table (``table[i][j]`` the items of e_i e_j), as a dict from flat output
+    indices to ints; ``w`` is the flat weight of the first leg.  The last leg
+    is found by depth, not by weight: in dimension 1 every weight is 1."""
     out: dict[int, int] = {}
     get = out.get
-    if w == 1:
+    if legs == 1:
         for i, c in a.items():
             row = table[i]
             for j, d in b.items():
@@ -165,7 +165,7 @@ def _trie_product(table, a: dict, b: dict, w: int) -> dict:
             m = row[j]
             if not m:
                 continue
-            sub = _trie_product(table, ai, bj, v).items()
+            sub = _trie_product(table, ai, bj, legs - 1, v).items()
             for k, y in m:
                 kw = k * w
                 for f, x in sub:
@@ -354,7 +354,7 @@ class QuasiHopfAlgebra(Frozen):
         mden, table = self._int_mult
         den = sden * tden * mden ** s.legs
         shape = LegShape((self.dim,) * s.legs)
-        acc = _trie_product(table, strie, ttrie, shape.size // self.dim)
+        acc = _trie_product(table, strie, ttrie, s.legs, shape.size // self.dim)
         return TensorElement(self.dim, s.legs,
                              {shape.unindex(f): _div(x, den) for f, x in acc.items() if x})
 

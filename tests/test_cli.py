@@ -44,6 +44,16 @@ def test_export_verify_roundtrip(tmp_path, capsys):
         assert path.read_text() == path2.read_text()
 
 
+def test_verify_one_dimensional_algebra(tmp_path, capsys):
+    # the ground field: every flat leg weight of a tensor power is 1
+    one = {key: ["1"] for key in ("mult", "unit", "comult", "counit", "phi",
+                                  "antipode", "alpha", "beta")}
+    (tmp_path / "one.json").write_text(json.dumps({"dim": 1, **one}))
+    code, out, err = run(capsys, "verify", str(tmp_path / "one.json"))
+    assert code == 0, err
+    assert "OK: 18/18" in out
+
+
 def test_verify_flags_corrupted_alpha(tmp_path, capsys):
     code, out, _ = run(capsys, "export", "drinfeld_h2", "-o", str(tmp_path / "d.json"))
     obj = json.loads((tmp_path / "d.json").read_text())

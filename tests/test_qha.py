@@ -133,13 +133,27 @@ def z2_half():
         alpha={0: 1}, beta={0: 1}, name="z2_half").require_valid()
 
 
-@given(st.sampled_from(["drinfeld_h2", "sweedler_h4", TWISTED, "z2_half"]), st.integers(0, 5),
-       st.data())
+def trivial_one():
+    """The ground field as a one-dimensional Hopf algebra: every flat weight
+    of a leg is 1, so the product must find its last leg by depth."""
+    from quasihopf.linalg import Matrix
+    from quasihopf.qha import QuasiHopfAlgebra
+    return QuasiHopfAlgebra(
+        dim=1, basis=["1"], mult=[[{0: 1}]], unit={0: 1}, comult=[{(0, 0): 1}], counit=[1],
+        phi=TensorElement(1, 3, {(0, 0, 0): 1}), antipode=Matrix.identity(1),
+        alpha={0: 1}, beta={0: 1}, name="one").require_valid()
+
+
+LOCAL_ALGEBRAS = {"z2_half": z2_half, "one": trivial_one}
+
+
+@given(st.sampled_from(["drinfeld_h2", "sweedler_h4", TWISTED, "z2_half", "one"]),
+       st.integers(0, 5), st.data())
 @settings(max_examples=60, deadline=None)
 def test_mul_matches_naive_fraction_product(name, legs, data):
     # scalars up to five legs; the twist's product does not commute, so a
     # product that swaps its factors anywhere in the leg recursion fails here
-    h = z2_half() if name == "z2_half" else get_algebra(name)
+    h = LOCAL_ALGEBRAS[name]() if name in LOCAL_ALGEBRAS else get_algebra(name)
     index = st.tuples(*[st.integers(0, h.dim - 1)] * legs)
     s, t = (TensorElement(h.dim, legs, data.draw(st.dictionaries(index, COEFFS, max_size=6)))
             for _ in range(2))

@@ -129,12 +129,12 @@ def diamond(h: QuasiHopfAlgebra, m: HModule, x: HModule) -> HLinearMap:
     d, dx = m.dim, x.dim
     t = h.spread(alpha_contraction(h), [(1, 3), (2,)], 3)   # P1_(1) (x) S(P2) alpha P3 (x) P1_(2)
     # per basis element a, the block x (x) m -> x (x) m of sum (P1_(1) a S(P2) alpha P3) (x) P1_(2)
+    # with its source reordered from x (x) m to m (x) x
+    order = [u * d + v for v in range(d) for u in range(dx)]
     blocks = [elem_action_matrix(h.fuse_legs(h.fuse_legs(
-        t.tensor(h.basis_elem(a)).permute_legs((1, 4, 2, 3)), 1), 1), [x, m]).columns()
+        t.tensor(h.basis_elem(a)).permute_legs((1, 4, 2, 3)), 1), 1), [x, m]).select(order)
         for a in range(h.dim)]
-    return HLinearMap(tensor(heart_base(h, m), x), tensor(x, m), Matrix(
-        dx * d, h.dim * d * dx,
-        [blocks[a][u * d + v] for a in range(h.dim) for v in range(d) for u in range(dx)]))
+    return HLinearMap(tensor(heart_base(h, m), x), tensor(x, m), Matrix.hstack(blocks))
 
 
 def pi_map(h: QuasiHopfAlgebra, m: HModule) -> HLinearMap:
@@ -177,7 +177,7 @@ def _end_coordinates(h: QuasiHopfAlgebra, y_mod: HModule, m_mod: HModule,
     for p in range(n):
         right = Matrix.identity(y_mod.dim).kron(h.right_mult_matrix({p: ONE})) \
             .kron(Matrix.identity(m_mod.dim))
-        if right * ends != Matrix(adj.rows, ends.cols, adj.columns()[p::n]):
+        if right * ends != adj.select(range(p, adj.cols, n)):
             raise VerificationFailure(
                 "family is not natural: adjunct does not land in the end")
     return _end_twist(h, y_mod, m_mod, h.phi) * ends
@@ -194,8 +194,8 @@ def nat_to_hom(x_mod: HModule, y_mod: HModule, m_mod: HModule,
     to reproduce the family at the regular module.
 
     The adjunct is one matrix product, the family after the action of a
-    two-leg element, so it runs on the integer forms of the matrices (see
-    Matrix.apply and elem_action_matrix) rather than on Fractions; when the
+    two-leg element, so it runs on the integer columns of the matrices (see
+    Matrix.then and elem_action_matrix) rather than on Fractions; when the
     element is 1 (x) 1 the adjunct is the family itself.
     """
     h = x_mod.h
@@ -360,8 +360,8 @@ class AlgebraA:
         """The pairs (see repcat.intertwines) of F . mu_m = mu_n . (F (x) id_A),
         one basis element b at a time: the column blocks v |-> v . b."""
         n = self.h.dim
-        return [(Matrix(mu_m.rows, mu_m.rows, mu_m.columns()[b::n]),
-                 Matrix(mu_n.rows, mu_n.rows, mu_n.columns()[b::n])) for b in range(n)]
+        return [(mu_m.select(range(b, mu_m.cols, n)), mu_n.select(range(b, mu_n.cols, n)))
+                for b in range(n)]
 
     def __repr__(self):
         return f"AlgebraA(over {self.h.name or 'H'})"

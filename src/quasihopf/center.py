@@ -79,9 +79,9 @@ def braiding(m: CenterObject, x: HModule) -> HLinearMap:
     d, dx, n = m.dim, x.dim, m.h.dim
     # sum_i (h_i |> -) (x) delta_i on x (x) m, then reorder the source to m (x) x
     pairing = TensorElement(n, 2, {(i, i): 1 for i in range(n)})
-    cols = elem_action_matrix(pairing, [x, _coaction_blocks(m)]).columns()
-    return HLinearMap(tensor(m.base, x), tensor(x, m.base), Matrix(
-        dx * d, d * dx, [cols[u * d + v] for v in range(d) for u in range(dx)]))
+    act = elem_action_matrix(pairing, [x, _coaction_blocks(m)])
+    return HLinearMap(tensor(m.base, x), tensor(x, m.base),
+                      act.select([u * d + v for v in range(d) for u in range(dx)]))
 
 
 def _coaction_blocks(m: CenterObject) -> list[Matrix]:

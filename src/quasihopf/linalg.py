@@ -7,19 +7,18 @@ Kronecker products.
 Conventions, fixed once and used everywhere:
 
 * Scalars are canonical exact rationals: an ``int`` when integral and a
-  ``fractions.Fraction`` only when not.  Every value this module creates is
-  canonical, so integer data runs on integer arithmetic.  ``1 ==
-  Fraction(1)`` and both hash alike, so a stray integral ``Fraction`` (say
-  from a caller's own loop) costs speed, never correctness.
+  ``fractions.Fraction`` only when not.  Every value this module hands out
+  is canonical.  ``1 == Fraction(1)`` and both hash alike, so a stray
+  integral ``Fraction`` (say from a caller's own loop) costs speed, never
+  correctness.
 * Vectors are sparse dicts ``{index: int | Fraction}`` with no zero entries.
-  ``Matrix`` does not filter its data; the products rely on this invariant,
-  since a one-entry column passes a column of the other factor through.
-* A ``Matrix`` acts on column vectors; it is stored as a list of sparse
-  columns (``cols[j]`` is the image of the j-th basis vector).  The
-  semantics are those of a dense rows x cols array; the sparse storage is
-  purely an implementation detail (several verification targets reach
-  ambient dimensions in the thousands, where dense rational storage is
-  hopeless).
+* A ``Matrix`` acts on column vectors.  It holds one representation:
+  sparse integer columns over one denominator ``den >= 1`` (``cols[j] /
+  den`` is the image of the j-th basis vector), kept canonical:
+  ``gcd(den, every numerator) == 1``, no stored zeros, every row index in
+  range, so equal matrices store equal data.  The semantics are those of a
+  dense rows x cols array (several verification targets reach ambient
+  dimensions in the thousands, where dense rational storage is hopeless).
 * Flat indexing of tensor legs is leftmost-leg-slowest (row-major), see
   :class:`LegShape`.
 * Serialized rationals are strings ``"p"`` or ``"p/q"`` in lowest terms;
@@ -31,11 +30,15 @@ Conventions, fixed once and used everywhere:
   :func:`cokernel_of_columns`).
 
 Matrices are immutable by convention once constructed: no public method
-mutates entries, so values can be shared freely.  Products rely on this: a
-matrix caches its integer form (integer columns over one common
-denominator) on first use and never recomputes it.  There is one product
-loop, :func:`_int_product`: ``then`` reads both integer forms once and
-``apply`` is its one-column case.
+mutates entries, so values (and columns) can be shared freely.  Rationals
+live only at the boundary: the public constructor derives the integer form
+from rational columns in one scan, refusing rows out of range and dropping
+zeros, and ``entry``, ``col``, ``columns``, ``row_view`` and ``to_flat``
+give rationals back, built lazily.  Every kernel (products, sums, scalings,
+transposes, comparisons) works on integer columns only and builds its
+result through :meth:`Matrix._of`, which reduces the denominator by one gcd
+pass when it is not 1.  There is one product loop, :func:`_int_product`:
+``then`` runs it on whole matrices and ``apply`` is its one-column case.
 """
 
 from __future__ import annotations
@@ -172,12 +175,6 @@ def vec_add_scaled(acc: dict, v: dict, c) -> None:
             acc[k] = y if type(y) is int else _canon(y)
         else:
             acc.pop(k, None)
-
-
-def vec_scale(v: dict, c) -> dict:
-    if not c:
-        return {}
-    return {k: _canon(c * x) for k, x in v.items()}
 
 
 def _int_rows(v: dict) -> dict:
@@ -356,35 +353,81 @@ class LinearSystem:
 # matrices
 
 class Matrix:
-    """An exact rows x cols matrix acting on column vectors.
+    """An exact rows x cols matrix acting on column vectors, held as integer
+    columns over one canonical denominator (see the module docstring).
 
-    ``cols[j]`` is the sparse image of the j-th source basis vector.
+    ``columns()[j]`` is the sparse rational image of the j-th source basis
+    vector.
     """
 
-    __slots__ = ("rows", "cols", "_data", "_rowview", "_intform")
+    __slots__ = ("rows", "cols", "_den", "_icols", "_ratcols", "_rowview")
 
     def __init__(self, rows: int, cols: int, data: list[dict] | None = None):
+        """The matrix with rational columns data (zero when None): rows out
+        of range raise LinAlgError and stored zeros are dropped."""
         if rows < 0 or cols < 0:
             raise LinAlgError("negative matrix shape")
-        self.rows = rows
-        self.cols = cols
         if data is None:
-            data = [dict() for _ in range(cols)]
-        if len(data) != cols:
+            data = [{} for _ in range(cols)]
+        elif len(data) != cols:
             raise LinAlgError("column count does not match data")
-        self._data = data
-        self._rowview = None
-        self._intform = None
+        clean = True  # int entries only, none of them zero
+        for c in data:
+            if c:
+                if min(c) < 0 or max(c) >= rows:
+                    raise LinAlgError("row index out of range")
+                if clean and (0 in c.values() or {*map(type, c.values())} != {int}):
+                    clean = False
+        den = 1
+        if not clean:
+            den = lcm(*(x.denominator for c in data for x in c.values()))
+            data = [{i: x.numerator * (den // x.denominator) for i, x in c.items() if x}
+                    for c in data]
+        self.rows, self.cols, self._den, self._icols = rows, cols, den, data
+        self._ratcols = self._rowview = None
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, den: int, icols: list[dict]) -> "Matrix":
+        """icols / den, trusted: integer columns without zeros, rows in
+        range, den >= 1.  Brought to lowest terms by one gcd pass, which
+        stops at the first column that settles it, and only when den != 1."""
+        if den != 1:
+            g = den
+            for c in icols:
+                g = gcd(g, *c.values())
+                if g == 1:
+                    break
+            if g != 1:
+                den //= g
+                icols = [{i: x // g for i, x in c.items()} for c in icols]
+        m = cls.__new__(cls)
+        m.rows, m.cols, m._den, m._icols = rows, cols, den, icols
+        m._ratcols = m._rowview = None
+        return m
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
-        return Matrix(rows, cols)
+        return Matrix._of(rows, cols, 1, [{} for _ in range(cols)])
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(n, n, [{i: ONE} for i in range(n)])
+        return Matrix._of(n, n, 1, [{i: 1} for i in range(n)])
+
+    @staticmethod
+    def hstack(mats: list["Matrix"]) -> "Matrix":
+        """[m_0 | m_1 | ...]: the columns of each matrix in turn (a nonempty
+        list of matrices with one row count)."""
+        rows = mats[0].rows
+        if any(m.rows != rows for m in mats):
+            raise LinAlgError("row counts differ in hstack")
+        den = lcm(*(m._den for m in mats))
+        icols = []
+        for m in mats:
+            s = den // m._den
+            icols += m._icols if s == 1 else [{i: s * x for i, x in c.items()} for c in m._icols]
+        return Matrix._of(rows, len(icols), den, icols)
 
     @staticmethod
     def from_rows(rows_data) -> "Matrix":
@@ -407,11 +450,7 @@ class Matrix:
         for c in columns:
             data.append({i: rat(x) for i, x in c.items() if rat(x)} if isinstance(c, dict)
                         else {i: rat(x) for i, x in enumerate(c) if rat(x)})
-        m = Matrix(rows, len(data), data)
-        for c in m._data:
-            if c and not 0 <= min(c) <= max(c) < rows:
-                raise LinAlgError("column entry out of range")
-        return m
+        return Matrix(rows, len(data), data)
 
     @staticmethod
     def from_flat(rows: int, cols: int, flat) -> "Matrix":
@@ -430,126 +469,139 @@ class Matrix:
     def entry(self, i: int, j: int) -> int | Fraction:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise LinAlgError("entry index out of range")
-        return self._data[j].get(i, ZERO)
+        return self.columns()[j].get(i, ZERO)
 
     def col(self, j: int) -> dict:
-        return dict(self._data[j])
+        return dict(self.columns()[j])
 
-    def columns(self):
-        return self._data
+    def columns(self) -> list[dict]:
+        """The rational columns (built lazily, cached; the integer columns
+        themselves when den == 1)."""
+        if self._den == 1:
+            return self._icols
+        if self._ratcols is None:
+            den = self._den
+            self._ratcols = [{i: _div(x, den) for i, x in c.items()} for c in self._icols]
+        return self._ratcols
 
     def row_view(self) -> list[dict]:
-        """Rows as sparse dicts (built lazily, cached)."""
+        """Rows as sparse rational dicts (built lazily, cached)."""
         if self._rowview is None:
-            rows: list[dict] = [dict() for _ in range(self.rows)]
-            for j, c in enumerate(self._data):
-                for i, x in c.items():
-                    rows[i][j] = x
-            self._rowview = rows
+            self._rowview = _transposed(self.columns(), self.rows)
         return self._rowview
 
+    def _int_row_view(self) -> tuple[int, list[dict]]:
+        """``(den, rows)`` with ``self == rows / den``, rows integer: the
+        cached row view when den == 1, else built afresh."""
+        if self._den == 1:
+            return 1, self.row_view()
+        return self._den, _transposed(self._icols, self.rows)
+
+    def select(self, order) -> "Matrix":
+        """The matrix whose j-th column is column order[j] of self."""
+        icols = self._icols
+        return Matrix._of(self.rows, len(order), self._den, [icols[j] for j in order])
+
     def _int_form(self) -> tuple[int, list[dict]]:
-        """``(den, icols)`` with ``self == icols / den``: integer columns over
-        the lcm of the entry denominators (built lazily, cached).  When every
-        entry is an int, ``icols`` is the matrix's own column list."""
-        if self._intform is None:
-            den = _lcm_denominator(x for c in self._data for x in c.values())
-            if den is None:
-                self._intform = (1, self._data)
-            else:
-                self._intform = (den, [_scaled(c, den) for c in self._data])
-        return self._intform
+        """``(den, icols)`` with ``self == icols / den``: the stored form."""
+        return self._den, self._icols
 
     def to_flat(self) -> list[int | Fraction]:
         out = [ZERO] * (self.rows * self.cols)
-        for j, c in enumerate(self._data):
+        for j, c in enumerate(self.columns()):
             for i, x in c.items():
                 out[i * self.cols + j] = x
         return out
 
     def nnz(self) -> int:
-        return sum(len(c) for c in self._data)
+        return sum(len(c) for c in self._icols)
 
     # -- algebra ------------------------------------------------------------
 
     def apply(self, v: dict) -> dict:
-        """Matrix times sparse column vector: the one-column case of
-        :meth:`then`.  v's denominators are cleared the same way, and an
-        index outside ``range(self.cols)`` raises ``LinAlgError``."""
+        """Matrix times sparse rational column vector: the one-column case of
+        :meth:`then`, with v's denominators cleared the same way.  An index
+        outside ``range(self.cols)`` raises ``LinAlgError``."""
         if v and (min(v) < 0 or max(v) >= self.cols):
             raise LinAlgError("vector index out of range")
-        den, icols = self._intform or self._int_form()
         vden = _lcm_denominator(v.values())
         v = {j: x for j, x in v.items() if x} if vden is None else _scaled(v, vden)
-        return _int_product(icols, [v], den * (vden or 1))[0]
+        out = _int_product(self._icols, [v])[0]
+        den = self._den * (vden or 1)
+        return out if den == 1 else {i: _div(w, den) for i, w in out.items()}
 
     def then(self, g: "Matrix") -> "Matrix":
         """Diagrammatic composition: first self, then g, as one integer
-        product of the operands' integer forms (see :func:`_int_product`)."""
+        product of the operands' columns (see :func:`_int_product`)."""
         if g.cols != self.rows:
             raise LinAlgError(f"cannot compose {self.rows}x{self.cols} then {g.rows}x{g.cols}")
-        gden, gcols = g._intform or g._int_form()
-        den, cols = self._intform or self._int_form()
-        return Matrix(g.rows, self.cols, _int_product(gcols, cols, gden * den))
+        return Matrix._of(g.rows, self.cols, g._den * self._den,
+                          _int_product(g._icols, self._icols))
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             return other.then(self)  # standard order: self @ other
         c = rat(other)
-        return Matrix(self.rows, self.cols, [vec_scale(col, c) for col in self._data])
+        if not c:
+            return Matrix.zero(self.rows, self.cols)
+        p, q = c.numerator, c.denominator
+        return Matrix._of(self.rows, self.cols, self._den * q,
+                          [{i: p * x for i, x in col.items()} for col in self._icols])
 
     __rmul__ = __mul__
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _combine(self, other: "Matrix", sign: int) -> "Matrix":
+        """self + sign * other over the lcm of the two denominators."""
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise LinAlgError("shape mismatch in matrix addition")
+        den = lcm(self._den, other._den)
+        sa, sb = den // self._den, sign * (den // other._den)
         data = []
-        for a, b in zip(self._data, other._data):
-            c = dict(a)
-            vec_add_scaled(c, b, ONE)
+        for a, b in zip(self._icols, other._icols):
+            c = dict(a) if sa == 1 else {i: sa * x for i, x in a.items()}
+            vec_add_scaled(c, b, sb)
             data.append(c)
-        return Matrix(self.rows, self.cols, data)
+        return Matrix._of(self.rows, self.cols, den, data)
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-1) * other
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Matrix":
-        return (-1) * self
+        return Matrix._of(self.rows, self.cols, self._den,
+                          [{i: -x for i, x in c.items()} for c in self._icols])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and self._data == other._data
+        return (self.rows, self.cols, self._den) == (other.rows, other.cols, other._den) \
+            and self._icols == other._icols
 
     def __hash__(self):
-        return hash((self.rows, self.cols,
-                     tuple(tuple(sorted(c.items())) for c in self._data)))
+        return hash((self.rows, self.cols, self._den,
+                     tuple(tuple(sorted(c.items())) for c in self._icols)))
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, nnz={self.nnz()})"
 
     def is_zero(self) -> bool:
-        return all(not c for c in self._data)
+        return not any(self._icols)
 
     def is_identity(self) -> bool:
-        return self.rows == self.cols and all(c == {j: ONE} for j, c in enumerate(self._data))
+        return self.rows == self.cols and self._den == 1 \
+            and all(c == {j: 1} for j, c in enumerate(self._icols))
 
     def transpose(self) -> "Matrix":
-        data: list[dict] = [dict() for _ in range(self.rows)]
-        for j, c in enumerate(self._data):
-            for i, x in c.items():
-                data[i][j] = x
-        return Matrix(self.cols, self.rows, data)
+        return Matrix._of(self.cols, self.rows, self._den, _transposed(self._icols, self.rows))
 
     def kron(self, other: "Matrix") -> "Matrix":
-        """Kronecker product, leftmost factor slowest on both sides: integer
-        forms multiplied, and each entry divided once when den is not 1."""
-        rr, rc = self.rows * other.rows, self.cols * other.cols
-        da, acols = self._int_form()
-        db, bcols = other._int_form()
-        den, orows = da * db, other.rows
+        """Kronecker product, leftmost factor slowest on both sides, of the
+        integer columns over the product of the denominators."""
+        orows, bcols = other.rows, other._icols
         data = []
-        for c in acols:
+        for c in self._icols:
             shifted = [(i * orows, x) for i, x in c.items()]
             for d in bcols:
                 col = {}
@@ -557,37 +609,37 @@ class Matrix:
                     for k, y in d.items():
                         col[base + k] = x * y
                 data.append(col)
-        if den != 1:
-            data = [{i: _div(w, den) for i, w in col.items()} for col in data]
-        return Matrix(rr, rc, data)
+        return Matrix._of(self.rows * orows, self.cols * other.cols,
+                          self._den * other._den, data)
 
 
-def _int_product(gcols: list[dict], cols: list[dict], den: int) -> list[dict]:
-    """The columns of (g . c) / den for integer columns: column j is
-    sum_k c[j][k] g[k].  A one-entry column {k: x} is column k of g, copied
-    when x == 1 and den == 1 and otherwise scaled entry by entry; this needs
-    no accumulator, since neither operand stores zeros."""
+def _transposed(cols: list[dict], nrows: int) -> list[dict]:
+    """The sparse rows of a matrix given by its sparse columns."""
+    rows: list[dict] = [{} for _ in range(nrows)]
+    for j, c in enumerate(cols):
+        for i, x in c.items():
+            rows[i][j] = x
+    return rows
+
+
+def _int_product(gcols: list[dict], cols: list[dict]) -> list[dict]:
+    """The integer columns of g . c: column j is sum_k c[j][k] g[k].  A
+    one-entry column {k: x} is column k of g, copied when x == 1 and scaled
+    otherwise; this needs no accumulator, since neither operand stores
+    zeros."""
     out = []
     for c in cols:
         if len(c) == 1:
             (k, x), = c.items()
             col = gcols[k]
-            if den != 1:
-                out.append({i: _div(x * y, den) for i, y in col.items()})
-            elif x == 1:
-                out.append(dict(col))
-            else:
-                out.append({i: x * y for i, y in col.items()})
+            out.append(dict(col) if x == 1 else {i: x * y for i, y in col.items()})
             continue
         acc: dict[int, int] = {}
         get = acc.get
         for k, x in c.items():
             for i, y in gcols[k].items():
                 acc[i] = get(i, 0) + x * y
-        if den == 1:
-            out.append({i: w for i, w in acc.items() if w})
-        else:
-            out.append({i: _div(w, den) for i, w in acc.items() if w})
+        out.append({i: w for i, w in acc.items() if w} if 0 in acc.values() else acc)
     return out
 
 
@@ -615,9 +667,10 @@ def solve(a: Matrix, b: Matrix | dict) -> SolveResult:
         bvec = {k: rat(x) for k, x in b.items() if rat(x)}
         if bvec and max(bvec) >= a.rows:
             raise LinAlgError("rhs index out of range")
+    den, rows = a._int_row_view()  # a = rows / den: rows x = den b
     sys = LinearSystem(a.cols)
-    for i, row in enumerate(a.row_view()):
-        sys.add_equation(row, bvec.get(i, ZERO))
+    for i, row in enumerate(rows):
+        sys.add_equation(row, den * bvec.get(i, ZERO))
     if not sys.consistent():
         return SolveResult(False, None, [])
     return SolveResult(True, sys.particular_solution(), sys.kernel_basis())
@@ -625,14 +678,14 @@ def solve(a: Matrix, b: Matrix | dict) -> SolveResult:
 
 def kernel(a: Matrix) -> list[dict]:
     sys = LinearSystem(a.cols)
-    for row in a.row_view():
+    for row in a._int_row_view()[1]:
         sys.add_equation(row)
     return sys.kernel_basis()
 
 
 def rank(a: Matrix) -> int:
     ech = Echelon()
-    for c in a.columns():
+    for c in a._icols:  # scaling a column does not change the span
         ech.add(c)
     return ech.rank
 
@@ -642,9 +695,10 @@ def inverse(a: Matrix) -> Matrix:
     if a.rows != a.cols:
         raise LinAlgError("only square matrices can be inverted")
     n = a.rows
+    den, rows = a._int_row_view()  # a = rows / den: rows x = den e_i
     sys = LinearSystem(n)
-    for i, row in enumerate(a.row_view()):
-        sys.add_equation(row, {i: ONE})
+    for i, row in enumerate(rows):
+        sys.add_equation(row, {i: den})
     if sys.rank != n:
         raise LinAlgError("matrix is singular")
     inv_cols = []
@@ -663,7 +717,8 @@ def cokernel_of_columns(ambient_dim: int, vectors) -> tuple[Matrix, Matrix]:
     the section embeds them back, projection . section = id, and the kernel
     of the projection is exactly the span.  With each e_{f_l} in the echelon
     under the tag -1-l, e_k under its own tag T reduces to tags only,
-    t T - sum_l c_l (tag -1-l): t e_k = sum_l c_l e_{f_l} modulo the span."""
+    t T - sum_l c_l (tag -1-l): t e_k = sum_l c_l e_{f_l} modulo the span.
+    The projection's columns c / t are put over the lcm of the t's."""
     ech = Echelon()
     for v in vectors:
         ech.add(v)
@@ -671,19 +726,20 @@ def cokernel_of_columns(ambient_dim: int, vectors) -> tuple[Matrix, Matrix]:
     for l, f in enumerate(free):
         ech.insert({f: ONE, -1 - l: ONE})
     tag = -1 - len(free)
+    reduced = [ech.reduce({k: ONE, tag: ONE}) for k in range(ambient_dim)]
+    den = lcm(*(r[tag] for r in reduced))
     proj_cols = []
-    for k in range(ambient_dim):
-        r = ech.reduce({k: ONE, tag: ONE})
-        t = r.pop(tag)
-        proj_cols.append({-1 - key: _div(-x, t) for key, x in r.items()})
-    projection = Matrix(len(free), ambient_dim, proj_cols)
-    section = Matrix(ambient_dim, len(free), [{f: ONE} for f in free])
+    for r in reduced:
+        s = -(den // r.pop(tag))
+        proj_cols.append({-1 - key: s * x for key, x in r.items()})
+    projection = Matrix._of(len(free), ambient_dim, den, proj_cols)
+    section = Matrix._of(ambient_dim, len(free), 1, [{f: ONE} for f in free])
     return projection, section
 
 
 def cokernel(a: Matrix) -> tuple[Matrix, Matrix]:
     """(projection, section) with projection.A = 0, projection.section = id."""
-    return cokernel_of_columns(a.rows, a.columns())
+    return cokernel_of_columns(a.rows, a._icols)  # scaling does not change the span
 
 
 def descend(f: Matrix, src_proj: Matrix, src_sec: Matrix,

@@ -156,6 +156,8 @@ class QuotientPresentation:
 
 
 def _quotient_module(ambient: HModule, relations: list[dict], label: str) -> QuotientPresentation:
+    """The quotient of ambient by the span of the relations (the integer
+    columns of a matrix will do: scaling does not change a span)."""
     proj, sec = cokernel_of_columns(ambient.dim, relations)
     action = [descend(x, proj, sec, proj) for x in ambient.action]
     if any(x is None for x in action):
@@ -183,7 +185,7 @@ def tensor_over_A(m: AModule, n_mod: AModule) -> tuple[AModule, QuotientPresenta
     top = m.mu.kron(Matrix.identity(n_mod.dim)) * pre
     bottom = Matrix.identity(m.dim).kron(n_mod.mu)
     diff = top - bottom                                # M (x) (N (x) A) -> M (x) N
-    pres = _quotient_module(amb, diff.columns(),
+    pres = _quotient_module(amb, diff._int_form()[1],
                             label=f"({m.label or '?'})(x)A({n_mod.label or '?'})")
 
     # the coaction descends iff the relation space is a subcomodule
@@ -209,7 +211,7 @@ def coinvariants(m: AModule) -> tuple[HModule, HLinearMap, QuotientPresentation]
     """
     def make():
         diff = m.mu - Matrix.identity(m.dim).kron(m.a.eps_row)
-        pres = _quotient_module(m.base, diff.columns(), label=f"coinv({m.label or '?'})")
+        pres = _quotient_module(m.base, diff._int_form()[1], label=f"coinv({m.label or '?'})")
         return pres.module, HLinearMap(m.base, pres.module, pres.projection), pres
     return m.memo("coinvariants", make)
 

@@ -38,8 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .linalg import (Echelon, LinearSystem, Matrix, ONE, _canon, _div, _int_rows,
-                     _lcm_denominator, _scaled, inverse, spans_equal)
+from .linalg import (Echelon, LinearSystem, Matrix, ONE, _int_rows, _lcm_denominator,
+                     _scaled, inverse, spans_equal)
 from .qha import (Frozen, QuasiHopfAlgebra, TensorElement, alpha_contraction,
                   beta_contraction, product_element)
 from .report import Report, VerificationFailure
@@ -172,26 +172,27 @@ def unit_module(h: QuasiHopfAlgebra) -> HModule:
                    label="I")
 
 
-def _kron_into(cols: list[dict], a: Matrix, b: Matrix, coeff) -> None:
-    """cols += coeff * (a kron b), accumulating in place."""
-    bcols = b.columns()
-    brows = b.rows
-    for ja, ca in enumerate(a.columns()):
+def _kron_into(cols: list[dict], a: Matrix, b: Matrix, coeff: int) -> None:
+    """cols += coeff * (A kron B) for the integer columns A of a and B of b,
+    accumulating in place and cancelling as it goes."""
+    bcols = b._int_form()[1]
+    brows, bn = b.rows, b.cols
+    for ja, ca in enumerate(a._int_form()[1]):
         if not ca:
             continue
-        base_j = ja * b.cols
+        base_j = ja * bn
         for jb, cb in enumerate(bcols):
             if not cb:
                 continue
             col = cols[base_j + jb]
             for ia, xa in ca.items():
                 base_i = ia * brows
-                cxa = _canon(coeff * xa)
+                cxa = coeff * xa
                 for ib, xb in cb.items():
                     k = base_i + ib
                     y = col.get(k, 0) + cxa * xb
                     if y:
-                        col[k] = y if type(y) is int else _canon(y)
+                        col[k] = y
                     else:
                         del col[k]
 
@@ -223,10 +224,11 @@ def elem_action_matrix(t: TensorElement, slots) -> Matrix:
     family of nested lists takes as many consecutive legs as it is deep
     (fused legs, e.g. ``QuasiHopfAlgebra.sandwich[i][j]``).
 
-    The element's coefficients are scaled to integers by the lcm of their
-    denominators before they meet the matrices, the product of all slots but
-    the last is built once per index prefix, and each entry of the sum is
-    divided by that lcm once at the end.
+    All integer: the element's coefficients are scaled by the lcm of their
+    denominators, the product of all slots but the last (the head) is built
+    once per index prefix, each term is scaled to the lcm of its head x last
+    denominators over all terms, and the sum is divided once, by the product
+    of the two lcms, when the result is built.
     """
     fams, arity, rows, cols = [], [], 1, 1
     for s in slots:
@@ -250,7 +252,8 @@ def elem_action_matrix(t: TensorElement, slots) -> Matrix:
 
     split = t.legs - arity[-1]
     den = _lcm_denominator(t.coeffs.values())
-    out: list[dict] = [dict() for _ in range(cols)]
+    terms = []
+    scale = 1  # lcm of head den x last den over the terms
     heads: dict[tuple, Matrix] = {}  # all slots but the last, per index prefix
     for idx, c in (t.coeffs if den is None else _scaled(t.coeffs, den)).items():
         lead = idx[:split]
@@ -262,10 +265,15 @@ def elem_action_matrix(t: TensorElement, slots) -> Matrix:
                 head = mat if head is None else head.kron(mat)
                 pos += k
             heads[lead] = head = Matrix.identity(1) if head is None else head
-        _kron_into(out, head, pick(fams[-1], idx[split:]), c)
-    if den is not None:
-        out = [{i: _div(x, den) for i, x in col.items()} for col in out]
-    return Matrix(rows, cols, out)
+        last = pick(fams[-1], idx[split:])
+        d = head._int_form()[0] * last._int_form()[0]
+        if d != 1:
+            scale = lcm(scale, d)
+        terms.append((head, last, c, d))
+    out: list[dict] = [dict() for _ in range(cols)]
+    for head, last, c, d in terms:
+        _kron_into(out, head, last, c * (scale // d))
+    return Matrix._of(rows, cols, scale * (den or 1), out)
 
 
 def _flattened(mats: list[Matrix], as_row: bool) -> list[Matrix]:
@@ -273,12 +281,14 @@ def _flattened(mats: list[Matrix], as_row: bool) -> list[Matrix]:
     (i, j) at i * c + j: a functional on, or a vector of, the maps."""
     out = []
     for m in mats:
-        flat = {i * m.cols + j: x for j, col in enumerate(m.columns()) for i, x in col.items()}
+        den, icols = m._int_form()
+        flat = {i * m.cols + j: x for j, col in enumerate(icols) for i, x in col.items()}
+        size = m.rows * m.cols
         if as_row:
-            out.append(Matrix(1, m.rows * m.cols,
-                              [{0: flat[k]} if k in flat else {} for k in range(m.rows * m.cols)]))
+            out.append(Matrix._of(1, size, den, [{0: flat[k]} if k in flat else {}
+                                                 for k in range(size)]))
         else:
-            out.append(Matrix(m.rows * m.cols, 1, [flat]))
+            out.append(Matrix._of(size, 1, den, [flat]))
     return out
 
 
@@ -330,7 +340,7 @@ def intertwiners(m: HModule, n: HModule, pairs) -> list[HLinearMap]:
     """
     dm, dn = m.dim, n.dim
     pairs = [(p, q) for p, q in pairs if not (p.is_identity() and q.is_identity())]
-    q_ints = [_int_row_view(q) for _, q in pairs]
+    q_ints = [q._int_row_view() for _, q in pairs]
     ech = Echelon()
     # spanning vectors (s_j, i_j, W_j, den_j, rows_j), W_j = rows_j / den_j
     # with integer rows; s_j carries the tag -1-j in the echelon
@@ -344,7 +354,7 @@ def intertwiners(m: HModule, n: HModule, pairs) -> list[HLinearMap]:
 
     def grow(r: dict, v: dict, gen: int, w: Matrix) -> None:
         ech.insert(r)
-        spin.append((v, gen, w, *_int_row_view(w)))
+        spin.append((v, gen, w, *w._int_row_view()))
 
     def relation(r: dict, gen: int, k: int, j: int) -> None:
         """t Q_k W_j u_gen + sum_l t_l W_l u_{i_l} = 0, cleared of denominators."""
@@ -391,7 +401,8 @@ def intertwiners(m: HModule, n: HModule, pairs) -> list[HLinearMap]:
 
     # den * F(s_l) for every kernel vector at once, vector rho stacked at
     # rho * dn; then F(e_c) = -(1/t) sum_l t_l F(s_l), from the tagged
-    # reduction t e_c + sum_l t_l s_l = 0
+    # reduction t e_c + sum_l t_l s_l = 0, with the columns over den times
+    # the lcm of the t's
     den = lcm(*(s[3] for s in spin))
     by_unknown: list[list[tuple[int, int]]] = [[] for _ in range(gens * dn)]
     for rho, u in enumerate(kernel):
@@ -404,36 +415,25 @@ def intertwiners(m: HModule, n: HModule, pairs) -> list[HLinearMap]:
             for base, x in by_unknown[i * dn + b]:
                 _add_shifted(y, col, x * (den // d), base)
         stacked.append(y)
-    stacked = Matrix(len(kernel) * dn, dm, stacked)
+    stacked = Matrix._of(len(kernel) * dn, dm, 1, stacked)
+    reduced = [ech.reduce({c: ONE, -1 - dm: ONE}) for c in range(dm)]
+    t_lcm = lcm(*(r[-1 - dm] for r in reduced))
     cols = []
-    for c in range(dm):
-        r = ech.reduce({c: ONE, -1 - dm: ONE})
-        t = r.pop(-1 - dm) * den
-        cols.append({k: _div(x, t) for k, x in stacked.apply(
-            {-1 - l: -x for l, x in r.items()}).items()})
-    fs = Matrix(len(kernel) * dn, dm, cols)
+    for r in reduced:
+        s = -(t_lcm // r.pop(-1 - dm))
+        cols.append(stacked.apply({-1 - l: s * x for l, x in r.items()}))
+    fs = Matrix._of(len(kernel) * dn, dm, t_lcm * den, cols)
     lift = Matrix.identity(len(kernel))
     if not intertwines(fs, ((p, lift.kron(q)) for p, q in pairs)):
         raise VerificationFailure("spun hom-space basis fails its exact certificate")
 
+    fden, fcols = fs._int_form()
     maps = [[dict() for _ in range(dm)] for _ in kernel]
-    for c, col in enumerate(fs.columns()):
+    for c, col in enumerate(fcols):
         for k, x in col.items():
             rho, a = divmod(k, dn)
             maps[rho][c][a] = x
-    return [HLinearMap(m, n, Matrix(dn, dm, f)) for f in maps]
-
-
-def _int_row_view(mat: Matrix) -> tuple[int, list[dict]]:
-    """(den, rows) with mat = rows / den, rows integer (see Matrix._int_form)."""
-    den, icols = mat._int_form()
-    if den == 1:
-        return 1, mat.row_view()
-    rows: list[dict] = [dict() for _ in range(mat.rows)]
-    for j, col in enumerate(icols):
-        for i, x in col.items():
-            rows[i][j] = x
-    return den, rows
+    return [HLinearMap(m, n, Matrix._of(dn, dm, fden, f)) for f in maps]
 
 
 def _add_shifted(acc: dict, row: dict, c, off: int) -> None:

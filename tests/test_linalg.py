@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -53,6 +54,17 @@ def test_from_cols_rejects_rows_out_of_range():
     for col in ({2: 1}, {-1: 1}, {0: 1, -2: 3}):
         with pytest.raises(LinAlgError, match="out of range"):
             Matrix.from_cols(2, [col])
+
+
+def test_matrix_rejects_rows_out_of_range():
+    for row in (5, -1):
+        with pytest.raises(LinAlgError, match="out of range"):
+            Matrix(2, 1, [{row: 1}])
+    # stored zeros are dropped, so a one-entry column copies none through
+    m = Matrix(2, 2, [{0: 0, 1: 1}, {1: Fraction(0)}])
+    assert m.columns() == [{1: 1}, {}] and m.nnz() == 1
+    for prod in (m * Matrix.identity(2), Matrix.identity(2) * m):
+        assert prod.columns() == [{1: 1}, {}]
 
 
 # -- solve --------------------------------------------------------------------
@@ -360,6 +372,50 @@ def test_products_match_naive_fraction_loops(m, n, p, data):
                                for i in range(m) for k in range(p)
                                for j in range(n) for l in range(m)]
     assert_canonical(entries(got_k))
+
+
+def assert_canonical_form(m: Matrix):
+    """The stored form: integer columns without zeros, rows in range, over a
+    denominator den >= 1 in lowest terms with them."""
+    den, icols = m._int_form()
+    assert type(den) is int and den >= 1 and len(icols) == m.cols
+    for c in icols:
+        assert all(type(x) is int and x for x in c.values()), c
+        assert all(0 <= i < m.rows for i in c), c
+    assert gcd(den, *(x for c in icols for x in c.values())) == 1
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_representation_matches_naive_fraction_values(m, n, data):
+    a_rows, b_rows = data.draw(factors(m, n)), data.draw(factors(m, n))
+    a, b = from_dense(a_rows, n), from_dense(b_rows, n)
+
+    def naive(f, rows=m, cols=n):
+        return rows, cols, [Fraction(f(i, j)) for i in range(rows) for j in range(cols)]
+
+    cases = [
+        (a + b, naive(lambda i, j: a_rows[i][j] + b_rows[i][j])),
+        (a - b, naive(lambda i, j: a_rows[i][j] - b_rows[i][j])),
+        (-a, naive(lambda i, j: -a_rows[i][j])),
+        (a.transpose(), naive(lambda i, j: a_rows[j][i], n, m)),
+    ]
+    for c in (0, 1, -1, Fraction(3, 2)):
+        cases.append((c * a, naive(lambda i, j: c * a_rows[i][j])))
+        cases.append((a * c, naive(lambda i, j: a_rows[i][j] * c)))
+    for got, (rows, cols, flat) in cases:
+        assert (got.rows, got.cols) == (rows, cols)
+        assert got.to_flat() == flat
+        assert_canonical_form(got)
+        assert_canonical(entries(got))
+        twin = Matrix.from_flat(rows, cols, flat)
+        assert got == twin and hash(got) == hash(twin)
+        assert got.is_zero() == (not any(flat))
+    for got in (a, b, a.then(b.transpose()), kron(a, b)):
+        assert_canonical_form(got)
+    half, two = Fraction(1, 2) * Matrix.identity(m), 2 * Matrix.identity(m)
+    assert (half * two).is_identity() and (two * half) == Matrix.identity(m)
+    assert not half.is_identity() and (half * two * a) == a
 
 
 # -- the quotient projection against the Fraction reduction ----------------------

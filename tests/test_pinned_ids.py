@@ -1,6 +1,8 @@
 """The report ids and verdicts pinned in bench/expected.json, computed
 in-process: a renamed, reordered or flipped id fails tier-1, not only the
-benchmark gate."""
+benchmark gate.  The full `--report json` text of the two fast builtins,
+details included, is pinned too (tests/golden/), so a change that should
+leave every result alone is checked byte for byte."""
 
 import io
 import json
@@ -16,6 +18,7 @@ from quasihopf.repcat import regular_module
 
 EXPECTED = json.loads((Path(__file__).resolve().parents[1] / "bench" / "expected.json")
                       .read_text(encoding="utf-8"))
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def id_status(rep) -> list:
@@ -29,6 +32,7 @@ def test_equiv_report_matches_the_pinned_ids(name):
         code = cli.main(["--report", "json", "equiv", name])
     items = [[i["id"], i["status"]] for i in json.loads(buf.getvalue())["items"]]
     assert {"exit": code, "items": items} == EXPECTED["equiv-builtins"][f"equiv[{name}]"]
+    assert buf.getvalue() == (GOLDEN / f"equiv_{name}.json").read_text(encoding="utf-8")
 
 
 def test_free_module_reports_match_the_pinned_ids(dr):

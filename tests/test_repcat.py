@@ -419,6 +419,9 @@ def _dyadic_matrix(rng, rows, cols):
     ("sweedler_h4", "R,C", "random"),
     ("drinfeld_h2", "C,V,R", "phi"),
     ("drinfeld_h2", "F,R", "phi_inv"),
+    # head, last-family and coefficient denominators all differ: dyadic
+    # heads, the integral actions of drinfeld_h2, coefficients in thirds
+    ("drinfeld_h2", "R,C", "thirds"),
 ])
 def test_elem_action_matrix_matches_naive_sum(name, mods, elem):
     h = get_algebra(name)
@@ -443,9 +446,14 @@ def test_elem_action_matrix_matches_naive_sum(name, mods, elem):
         t = TensorElement(h.dim, legs, {
             tuple(rng.randrange(h.dim) for _ in range(legs)): Fraction(rng.randint(-4, 4), rng.choice([1, 2, 4]))
             for _ in range(6)})
+    elif elem == "thirds":
+        rng = random.Random(5)
+        t = TensorElement(h.dim, legs, {
+            tuple(rng.randrange(h.dim) for _ in range(legs)): Fraction(rng.choice([-2, -1, 1, 2]), 3)
+            for _ in range(6)})
     else:
         t = getattr(h, elem)
-    assert any(type(x) is Fraction for x in t.coeffs.values())  # dyadic data
+    assert any(type(x) is Fraction for x in t.coeffs.values())  # non-integral data
     got = elem_action_matrix(t, slots)
     assert got.to_flat() == naive_action(t, spec)
     assert all(type(x) is int or x.denominator != 1

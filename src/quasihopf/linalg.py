@@ -25,9 +25,13 @@ Conventions, fixed once and used everywhere:
   serialized matrices are flat row-major arrays.
 * There is one elimination, :meth:`Echelon.reduce`, on primitive integer
   rows.  Negative indices are tags: they ride along and never become
-  pivots.  Rank, solving, inverses and the hom solver reduce through it, and
-  a quotient projection is read off tagged reductions (see
-  :func:`cokernel_of_columns`).
+  pivots.  Rank, solving, inverses and the hom solver reduce through it.
+  A batch enters an echelon one way, :meth:`Echelon.extend`, sparsest
+  first, which keeps the rows sparse and changes no result: a pivot is
+  always the largest index, so the pivot set of a span, and with it every
+  projection, section, rank and kernel basis, does not depend on the
+  order.  Coordinates are read off tagged reductions one way,
+  :meth:`Echelon.coordinates`, for quotients and the hom solver alike.
 
 Matrices are immutable by convention once constructed: no public method
 mutates entries, so values (and columns) can be shared freely.  Rationals
@@ -238,37 +242,43 @@ class Echelon:
         """Store a residue of reduce whose largest index is >= 0 as a row."""
         self.rows[max(r)] = r
 
-    def add(self, v: dict) -> bool:
-        """Insert the span of v; True if the rank grew."""
-        r = self.reduce(v)
-        if r:
-            self.insert(r)
-        return bool(r)
+    def extend(self, vectors) -> list[dict]:
+        """Insert the span of the vectors, sparsest first (ties in the given
+        order); the vectors that grew the rank, in insertion order."""
+        grew = []
+        for v in sorted(vectors, key=len):
+            r = self.reduce(v)
+            if r:
+                self.insert(r)
+                grew.append(v)
+        return grew
 
-    def contains(self, v: dict) -> bool:
-        return not self.reduce(v)
+    def coordinates(self, dim: int, tag: int) -> tuple[int, list[dict]]:
+        """``(den, cols)``: the tagged coordinates of e_0..e_{dim-1} over den.
+        When every e_k lies in the span of the rows once tags are dropped, e_k
+        under the fresh tag T reduces to tags only, t T - sum_l c_l (tag -1-l),
+        that is t e_k = sum_l c_l v_l for the vectors v_l tagged -1-l; column
+        k is den c / t, den the lcm of the t's."""
+        reduced = [self.reduce({k: ONE, tag: ONE}) for k in range(dim)]
+        den = lcm(*(r[tag] for r in reduced))
+        cols = []
+        for r in reduced:
+            s = -(den // r.pop(tag))
+            cols.append({-1 - key: s * x for key, x in r.items()})
+        return den, cols
 
 
 def span_basis(vectors) -> list[dict]:
-    """An independent subset spanning the same space (echelon-filtered input)."""
-    ech = Echelon()
-    out = []
-    for v in vectors:
-        if ech.add(v):
-            out.append({k: _canon(x) for k, x in v.items() if x})
-    return out
+    """An independent subset spanning the same space, sparsest first."""
+    return [{k: _canon(x) for k, x in v.items() if x} for v in Echelon().extend(vectors)]
 
 
 def spans_equal(us, vs) -> bool:
-    """Exact equality of spans by mutual containment."""
-    eu, ev = Echelon(), Echelon()
-    for u in us:
-        eu.add(u)
-    for v in vs:
-        ev.add(v)
-    if eu.rank != ev.rank:
-        return False
-    return all(eu.contains(v) for v in vs) and all(ev.contains(u) for u in us)
+    """Exact equality of spans: equal ranks, and vs inside the span of us."""
+    vs = list(vs)
+    eu = Echelon()
+    eu.extend(us)
+    return len(Echelon().extend(vs)) == eu.rank and not eu.extend(vs)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +374,9 @@ class Matrix:
 
     def __init__(self, rows: int, cols: int, data: list[dict] | None = None):
         """The matrix with rational columns data (zero when None): rows out
-        of range raise LinAlgError and stored zeros are dropped."""
+        of range raise LinAlgError, entries other than int and Fraction
+        (floats, strings, booleans) raise TypeError, and stored zeros are
+        dropped."""
         if rows < 0 or cols < 0:
             raise LinAlgError("negative matrix shape")
         if data is None:
@@ -380,6 +392,9 @@ class Matrix:
                     clean = False
         den = 1
         if not clean:
+            bad = [x for c in data for x in c.values() if type(x) not in (int, Fraction)]
+            if bad:
+                raise TypeError(f"matrix entry {bad[0]!r} is not an int or Fraction")
             den = lcm(*(x.denominator for c in data for x in c.values()))
             data = [{i: x.numerator * (den // x.denominator) for i, x in c.items() if x}
                     for c in data]
@@ -677,17 +692,11 @@ def solve(a: Matrix, b: Matrix | dict) -> SolveResult:
 
 
 def kernel(a: Matrix) -> list[dict]:
-    sys = LinearSystem(a.cols)
-    for row in a._int_row_view()[1]:
-        sys.add_equation(row)
-    return sys.kernel_basis()
+    return solve(a, {}).kernel
 
 
 def rank(a: Matrix) -> int:
-    ech = Echelon()
-    for c in a._icols:  # scaling a column does not change the span
-        ech.add(c)
-    return ech.rank
+    return len(Echelon().extend(a._icols))  # scaling a column does not change the span
 
 
 def inverse(a: Matrix) -> Matrix:
@@ -716,23 +725,13 @@ def cokernel_of_columns(ambient_dim: int, vectors) -> tuple[Matrix, Matrix]:
     coordinates (the non-pivot positions f_l of an echelon basis of the span),
     the section embeds them back, projection . section = id, and the kernel
     of the projection is exactly the span.  With each e_{f_l} in the echelon
-    under the tag -1-l, e_k under its own tag T reduces to tags only,
-    t T - sum_l c_l (tag -1-l): t e_k = sum_l c_l e_{f_l} modulo the span.
-    The projection's columns c / t are put over the lcm of the t's."""
+    under the tag -1-l, the projection is :meth:`Echelon.coordinates`."""
     ech = Echelon()
-    for v in vectors:
-        ech.add(v)
+    ech.extend(vectors)
     free = [i for i in range(ambient_dim) if i not in ech.rows]
     for l, f in enumerate(free):
         ech.insert({f: ONE, -1 - l: ONE})
-    tag = -1 - len(free)
-    reduced = [ech.reduce({k: ONE, tag: ONE}) for k in range(ambient_dim)]
-    den = lcm(*(r[tag] for r in reduced))
-    proj_cols = []
-    for r in reduced:
-        s = -(den // r.pop(tag))
-        proj_cols.append({-1 - key: s * x for key, x in r.items()})
-    projection = Matrix._of(len(free), ambient_dim, den, proj_cols)
+    projection = Matrix._of(len(free), ambient_dim, *ech.coordinates(ambient_dim, -1 - len(free)))
     section = Matrix._of(ambient_dim, len(free), 1, [{f: ONE} for f in free])
     return projection, section
 

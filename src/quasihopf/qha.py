@@ -972,7 +972,7 @@ def json_rats(obj, key: str, n: int) -> list:
     """obj[key] as a list of n exact rationals; a bad entry names the field."""
     try:
         return [rat(c) for c in json_list(obj, key, n)]
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{key}: {exc}") from None
 
 
@@ -989,6 +989,11 @@ def algebra_from_json(text: str) -> QuasiHopfAlgebra:
     obj = json.loads(text)
     try:
         n = _json_dim(obj)
+        name, basis = obj.get("name", ""), obj.get("basis")
+        if not isinstance(name, str):
+            raise ValueError(f"name must be a string, got {name!r}")
+        if not (basis is None or isinstance(basis, list) and all(type(b) is str for b in basis)):
+            raise ValueError(f"basis must be a list of strings, got {basis!r}")
         pair_shape = LegShape((n, n))
 
         def rats(key):
@@ -1021,9 +1026,9 @@ def algebra_from_json(text: str) -> QuasiHopfAlgebra:
             return Matrix.from_flat(n, n, rats(key))
 
         return QuasiHopfAlgebra(
-            dim=n, basis=obj.get("basis"), mult=mult, unit=vec1("unit"), comult=comult,
+            dim=n, basis=basis, mult=mult, unit=vec1("unit"), comult=comult,
             counit=rats("counit"), phi=elem3("phi"), phi_inv=elem3("phi_inv"),
             antipode=mat("antipode"), antipode_inv=mat("antipode_inv"),
-            alpha=vec1("alpha"), beta=vec1("beta"), name=obj.get("name", ""))
+            alpha=vec1("alpha"), beta=vec1("beta"), name=name)
     except (KeyError, IndexError, TypeError) as exc:
         raise ValueError(f"malformed algebra file: {exc}") from exc

@@ -400,9 +400,8 @@ def intertwiners(m: HModule, n: HModule, pairs) -> list[HLinearMap]:
         return []
 
     # den * F(s_l) for every kernel vector at once, vector rho stacked at
-    # rho * dn; then F(e_c) = -(1/t) sum_l t_l F(s_l), from the tagged
-    # reduction t e_c + sum_l t_l s_l = 0, with the columns over den times
-    # the lcm of the t's
+    # rho * dn; then F(e_c) = sum_l c_l F(s_l), with c the coordinates of
+    # e_c in the spanning vectors, read off their tags
     den = lcm(*(s[3] for s in spin))
     by_unknown: list[list[tuple[int, int]]] = [[] for _ in range(gens * dn)]
     for rho, u in enumerate(kernel):
@@ -415,14 +414,8 @@ def intertwiners(m: HModule, n: HModule, pairs) -> list[HLinearMap]:
             for base, x in by_unknown[i * dn + b]:
                 _add_shifted(y, col, x * (den // d), base)
         stacked.append(y)
-    stacked = Matrix._of(len(kernel) * dn, dm, 1, stacked)
-    reduced = [ech.reduce({c: ONE, -1 - dm: ONE}) for c in range(dm)]
-    t_lcm = lcm(*(r[-1 - dm] for r in reduced))
-    cols = []
-    for r in reduced:
-        s = -(t_lcm // r.pop(-1 - dm))
-        cols.append(stacked.apply({-1 - l: s * x for l, x in r.items()}))
-    fs = Matrix._of(len(kernel) * dn, dm, t_lcm * den, cols)
+    fs = Matrix._of(len(kernel) * dn, dm, den, stacked) * Matrix._of(
+        dm, dm, *ech.coordinates(dm, -1 - dm))
     lift = Matrix.identity(len(kernel))
     if not intertwines(fs, ((p, lift.kron(q)) for p, q in pairs)):
         raise VerificationFailure("spun hom-space basis fails its exact certificate")

@@ -156,9 +156,8 @@ def spans_includes_identity(homs, d):
         vecs.append(v)
     from quasihopf.linalg import Echelon
     ech = Echelon()
-    for v in vecs:
-        ech.add(v)
-    return ech.contains(target)
+    ech.extend(vecs)
+    return not ech.reduce(target)
 
 
 def test_center_hom_dimension_cross_check(z2):

@@ -343,6 +343,9 @@ MALFORMED_ALGEBRA_FIELDS = [
     ("antipode", ["1", "0", "0"]),
     ("antipode_inv", ["1"] * 8),
     ("unit", [True, "0"]),
+    ("alpha", ["1", "x"]),
+    ("name", 5),
+    ("basis", [1, 2]),
 ]
 
 

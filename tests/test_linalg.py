@@ -67,6 +67,15 @@ def test_matrix_rejects_rows_out_of_range():
         assert prod.columns() == [{1: 1}, {}]
 
 
+def test_matrix_refuses_non_rationals():
+    # a float or a string has no exact value here, and a boolean is no number
+    for x in (0.5, "1/2", True):
+        with pytest.raises(TypeError, match="not an int or Fraction"):
+            Matrix(1, 1, [{0: x}])
+        with pytest.raises(TypeError):
+            Matrix(2, 2, [{0: Fraction(1, 3)}, {1: x}])
+
+
 # -- solve --------------------------------------------------------------------
 
 def test_solve_identity():
@@ -138,7 +147,7 @@ def test_stored_zero_entries_span_nothing():
     # a zero stored in a vector (as an int or a Fraction) is no direction
     for zero in (0, Fraction(0)):
         ech = Echelon()
-        assert ech.add({0: zero}) is False
+        assert ech.extend([{0: zero}]) == []
         assert ech.rank == 0
         p, s = cokernel(Matrix(2, 1, [{0: zero}]))
         assert p.rows == 2
@@ -425,8 +434,7 @@ def _fraction_projection(ambient: int, vectors) -> Matrix:
     at every pivot index of an echelon basis of the span, largest first, and
     read on the non-pivot positions."""
     ech = Echelon()
-    for v in vectors:
-        ech.add(v)
+    ech.extend(vectors)
     pos = {f: l for l, f in enumerate(i for i in range(ambient) if i not in ech.rows)}
     cols = []
     for k in range(ambient):
@@ -484,3 +492,26 @@ def test_cokernel_matches_the_fraction_reduction(case):
     assert_canonical(entries(p))
     assert (p * s).is_identity()
     assert all(not p.apply(v) for v in vectors)
+
+
+@given(relation_sets(), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_results_do_not_depend_on_input_order(case, rnd):
+    # the pivot set of a span does not depend on the order of insertion, and
+    # the projection is the one map with that section whose kernel is the span
+    n, vectors = case
+    shuffled = list(vectors)
+    rnd.shuffle(shuffled)
+    assert cokernel_of_columns(n, shuffled) == cokernel_of_columns(n, vectors)
+    assert rank(Matrix(n, len(shuffled), shuffled)) == rank(Matrix(n, len(vectors), vectors))
+    assert spans_equal(shuffled, vectors)
+
+
+def test_spans_equal_on_equal_ranks_and_repeats():
+    # equal ranks alone do not make equal spans
+    assert not spans_equal([{0: 1}], [{1: 1}])
+    assert not spans_equal([{0: 1, 1: 1}, {2: 1}], [{0: 1}, {2: 1}])
+    # repeated, scaled and zero vectors span nothing new
+    assert spans_equal([{0: 1}, {0: 2}, {}, {0: Fraction(1, 2)}], [{0: -3}])
+    assert spans_equal([{}], [])
+    assert not spans_equal([{0: 1}, {0: 1}], [{0: 1}, {1: 1}])

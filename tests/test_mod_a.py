@@ -5,7 +5,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quasihopf.linalg import Matrix, inverse, kernel
+from quasihopf.linalg import Echelon, Matrix, inverse, kernel
 from quasihopf.report import VerificationFailure
 from quasihopf.repcat import hom_space, intertwines, regular_module, tensor, unit_module
 from quasihopf.center import CenterObject, center_hom_space, coaction_pairs, validate_center
@@ -388,3 +388,25 @@ def test_equivalence_report_on_twist(tw):
         "unit_iso[A]", "unit_iso[(A)*A]", "unit_iso[heart(C)]",
         *(f"hom_dims[{p}]" for p in pairs), *(f"monoidal_heart[{p}]" for p in pairs)]
     assert rep.ok, rep.render_text()
+
+
+def test_twist_relations_are_eliminated_sparsest_first(tw, monkeypatch):
+    # the [I;C] relations of the twist: 256 vectors in dimension 64, rank 48.
+    # Sparsest first, the echelon rows hold 2.5 entries on average; in caller
+    # order they fill in to 15.4, and on [C;C(x)C] that costs about a minute
+    seen = []
+    extend = Echelon.extend
+
+    def spy(ech, vectors):
+        vectors = list(vectors)
+        grew = extend(ech, vectors)
+        seen.append((len(vectors), ech.rank, sum(map(len, ech.rows.values())) / ech.rank))
+        return grew
+
+    a = build_A(tw)
+    x, y = heart_amodule(a, unit_module(tw)), heart_amodule(a, regular_module(tw))
+    monkeypatch.setattr(Echelon, "extend", spy)
+    tensor_over_A(x, y)
+    (count, rank, mean_row), = seen
+    assert (count, rank) == (256, 48)
+    assert mean_row <= 4

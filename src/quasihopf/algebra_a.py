@@ -469,7 +469,8 @@ def s_t_isos(m: CenterObject, a: AlgebraA) -> tuple[HLinearMap, HLinearMap, Repo
     dm = m.dim
 
     # t: family (M x A) x C -> I x (C x M)
-    fam_t_mat = braiding(m, c).matrix \
+    b = braiding(m, c).matrix
+    fam_t_mat = b \
         * Matrix.identity(dm).kron(a.harpoon(c).matrix) \
         * elem_action_matrix(h.phi, [m.base, a.base, c])
     fam_t = HLinearMap(tensor(tensor(m.base, a.base), c),
@@ -478,7 +479,7 @@ def s_t_isos(m: CenterObject, a: AlgebraA) -> tuple[HLinearMap, HLinearMap, Repo
     t_map = HLinearMap(tensor(m.base, a.base), hm.base, t_map_raw.matrix)
 
     # s: family heart(M) x C -> M x (C x I)
-    fam_s_mat = inverse(braiding(m, c).matrix) * diamond(h, m.base, c).matrix
+    fam_s_mat = inverse(b) * diamond(h, m.base, c).matrix
     fam_s = HLinearMap(tensor(hm.base, c),
                        tensor(m.base, tensor(c, unit_mod)), fam_s_mat)
     s_map_raw = nat_to_hom(hm.base, m.base, unit_mod, fam_s)

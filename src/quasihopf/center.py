@@ -78,7 +78,7 @@ def braiding(m: CenterObject, x: HModule) -> HLinearMap:
     """
     d, dx, n = m.dim, x.dim, m.h.dim
     # sum_i (h_i |> -) (x) delta_i on x (x) m, then reorder the source to m (x) x
-    pairing = TensorElement(n, 2, {(i, i): 1 for i in range(n)})
+    pairing = TensorElement._of(n, 2, {(i, i): 1 for i in range(n)})
     act = elem_action_matrix(pairing, [x, _coaction_blocks(m)])
     return HLinearMap(tensor(m.base, x), tensor(x, m.base),
                       act.select([u * d + v for v in range(d) for u in range(dx)]))
@@ -129,21 +129,20 @@ def validate_center(m: CenterObject) -> Report:
     rep.add("unit_braiding_trivial",
             braiding(m, unit_module(h)).matrix.is_identity())
 
-    # hexagon against (C, C)
-    x = y = c_mod
-    composite = associator_inv(m.base, x, y) \
-        .then(braiding(m, x).tensor(identity_map(y))) \
-        .then(associator(x, m.base, y)) \
-        .then(identity_map(x).tensor(braiding(m, y))) \
-        .then(associator_inv(x, y, m.base))
-    rep.add("hexagon_on_CC", composite.matrix == braiding(m, tensor(x, y)).matrix)
+    # hexagon against (C, C), both braidings past C being b
+    cc = tensor(c_mod, c_mod)
+    bcc = braiding(m, cc)
+    composite = associator_inv(m.base, c_mod, c_mod) \
+        .then(b.tensor(identity_map(c_mod))) \
+        .then(associator(c_mod, m.base, c_mod)) \
+        .then(identity_map(c_mod).tensor(b)) \
+        .then(associator_inv(c_mod, c_mod, m.base))
+    rep.add("hexagon_on_CC", composite.matrix == bcc.matrix)
 
     idm = Matrix.identity(m.dim)
     rep.add("naturality_hom_CC", intertwines(
         b.matrix, [(idm.kron(f.matrix), f.matrix.kron(idm)) for f in hom_space(c_mod, c_mod)]))
 
-    cc = tensor(c_mod, c_mod)
-    bcc = braiding(m, cc)
     ok = True
     for f in hom_space(c_mod, cc):
         lhs = b.then(f.tensor(identity_map(m.base)))

@@ -454,17 +454,13 @@ class Matrix:
             if len(r) != n:
                 raise LinAlgError("ragged row data")
             for j, x in enumerate(r):
-                x = rat(x)
-                if x:
-                    cols[j][i] = x
+                cols[j][i] = rat(x)
         return Matrix(m, n, cols)
 
     @staticmethod
     def from_cols(rows: int, columns) -> "Matrix":
-        data = []
-        for c in columns:
-            data.append({i: rat(x) for i, x in c.items() if rat(x)} if isinstance(c, dict)
-                        else {i: rat(x) for i, x in enumerate(c) if rat(x)})
+        data = [{i: rat(x) for i, x in (c.items() if isinstance(c, dict) else enumerate(c))}
+                for c in columns]
         return Matrix(rows, len(data), data)
 
     @staticmethod
@@ -474,9 +470,7 @@ class Matrix:
             raise LinAlgError(f"expected {rows * cols} entries, got {len(flat)}")
         data = [dict() for _ in range(cols)]
         for idx, x in enumerate(flat):
-            x = rat(x)
-            if x:
-                data[idx % cols][idx // cols] = x
+            data[idx % cols][idx // cols] = rat(x)
         return Matrix(rows, cols, data)
 
     # -- access -------------------------------------------------------------

@@ -12,6 +12,13 @@ k-tuples of basis indices to rationals.  Positions in leg-spreading notation
 are 1-based to match the usual subscript notation for distributing tensor
 legs, e.g. spreading the associator over positions ((1,5),(2),(3,4)).
 
+The leg operations (``icomult``, ``spread``, ``apply_leg``, ``fuse_legs``,
+``counit_legs``, :meth:`TensorElement.permute_legs`) are linear extensions
+of maps on index tuples through one kernel, :func:`_linear`.  Internal
+results are canonical and built by the trusted :meth:`TensorElement._of`;
+the public constructor, which coerces with ``rat`` and checks every key,
+is the gate for outside input (files, user code).
+
 Products in a tensor power (:meth:`QuasiHopfAlgebra.mul`, under every
 five-leg element of the exactness diagram) run over leg tries on integers:
 each operand is nested by its leading leg, and each pair of leg prefixes is
@@ -22,9 +29,11 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import product
+from math import prod
 
-from .linalg import (LegShape, LinAlgError, Matrix, ONE, ZERO, _div, _lcm_denominator,
-                     _scaled, rat, rat_str, solve, vec_add_scaled)
+from .linalg import (LegShape, LinAlgError, Matrix, ONE, ZERO, _canon, _div,
+                     _lcm_denominator, _scaled, rat, rat_str, solve, vec_add_scaled)
 from .report import Report, VerificationFailure
 
 
@@ -52,6 +61,22 @@ class TensorElement:
             clean[idx] = c
         self.coeffs = clean
 
+    @classmethod
+    def _of(cls, dim: int, legs: int, coeffs: dict) -> "TensorElement":
+        """Trusted: ``legs``-tuple keys in range, nonzero canonical values."""
+        t = cls.__new__(cls)
+        t.dim, t.legs, t.coeffs = dim, legs, coeffs
+        return t
+
+    @classmethod
+    def from_flat(cls, dim: int, legs: int, flat) -> "TensorElement":
+        """The inverse of to_flat (leftmost leg slowest), through the public
+        constructor."""
+        flat = list(flat)
+        if len(flat) != dim ** legs:
+            raise ValueError(f"expected {dim ** legs} coefficients, got {len(flat)}")
+        return cls(dim, legs, dict(zip(product(range(dim), repeat=legs), flat)))
+
     # -- linear structure ----------------------------------------------------
 
     def _check_like(self, other: "TensorElement"):
@@ -63,14 +88,16 @@ class TensorElement:
         out = dict(self.coeffs)
         for idx, c in other.coeffs.items():
             out[idx] = out.get(idx, ZERO) + c
-        return TensorElement(self.dim, self.legs, out)
+        return TensorElement._of(self.dim, self.legs,
+                                 {i: _canon(x) for i, x in out.items() if x})
 
     def __sub__(self, other: "TensorElement") -> "TensorElement":
         return self + (-1) * other
 
     def __mul__(self, c) -> "TensorElement":
         c = rat(c)
-        return TensorElement(self.dim, self.legs, {i: c * x for i, x in self.coeffs.items()})
+        return TensorElement._of(self.dim, self.legs,
+                                 {i: _canon(c * x) for i, x in self.coeffs.items()} if c else {})
 
     __rmul__ = __mul__
 
@@ -91,20 +118,16 @@ class TensorElement:
     def tensor(self, other: "TensorElement") -> "TensorElement":
         if self.dim != other.dim:
             raise ValueError("tensor factors live over different algebras")
-        out = {}
-        for i, c in self.coeffs.items():
-            for j, d in other.coeffs.items():
-                out[i + j] = c * d
-        return TensorElement(self.dim, self.legs + other.legs, out)
+        return TensorElement._of(self.dim, self.legs + other.legs,
+                                 {i + j: _canon(c * d) for i, c in self.coeffs.items()
+                                  for j, d in other.coeffs.items()})
 
     def permute_legs(self, order) -> "TensorElement":
         """Reorder legs: slot j of the result is leg order[j] (1-based) of self."""
         order = tuple(order)
         if sorted(order) != list(range(1, self.legs + 1)):
             raise ValueError(f"{order} is not a permutation of 1..{self.legs}")
-        return TensorElement(self.dim, self.legs,
-                             {tuple(idx[o - 1] for o in order): c
-                              for idx, c in self.coeffs.items()})
+        return _linear(self, self.legs, lambda idx: {tuple(idx[o - 1] for o in order): ONE})
 
     def to_flat(self) -> list[Fraction]:
         shape = LegShape((self.dim,) * self.legs)
@@ -120,6 +143,22 @@ class TensorElement:
 
     def __repr__(self):
         return f"TensorElement(legs={self.legs}, terms={len(self.coeffs)})"
+
+
+def _linear(t: TensorElement, legs: int, image) -> TensorElement:
+    """The linear extension of ``image`` to t, as a ``legs``-leg element: the
+    sum of c * image(idx) over the terms c e_idx of t, where image(idx) is a
+    dict {output index tuple: coefficient}.  The one accumulate loop of the
+    leg operations; zeros are dropped and coefficients made canonical here,
+    so the result goes through the trusted constructor."""
+    out: dict = {}
+    get = out.get
+    for idx, c in t.coeffs.items():
+        for key, d in image(idx).items():
+            x = c if d == 1 else c * d
+            y = get(key)
+            out[key] = x if y is None else y + x
+    return TensorElement._of(t.dim, legs, {k: y for k, x in out.items() if (y := _canon(x))})
 
 
 def _vec_of(t: TensorElement) -> dict:
@@ -281,22 +320,23 @@ class QuasiHopfAlgebra(Frozen):
             return coeffs
         if isinstance(coeffs, dict):
             return TensorElement(self.dim, legs, coeffs)
-        shape = LegShape((self.dim,) * legs)
-        flat = list(coeffs)
-        if len(flat) != shape.size:
-            raise ValueError(f"expected {shape.size} coefficients, got {len(flat)}")
-        return TensorElement(self.dim, legs,
-                             {shape.unindex(i): rat(c) for i, c in enumerate(flat) if rat(c)})
+        return TensorElement.from_flat(self.dim, legs, coeffs)
 
     def unit_elem(self, legs: int = 1) -> TensorElement:
-        t = TensorElement(self.dim, 0, {(): ONE})
-        one = TensorElement(self.dim, 1, {(i,): c for i, c in self.unit.items()})
+        t = TensorElement._of(self.dim, 0, {(): ONE})
+        one = TensorElement._of(self.dim, 1, {(i,): c for i, c in self.unit.items()})
         for _ in range(legs):
             t = t.tensor(one)
         return t
 
     def basis_elem(self, i: int) -> TensorElement:
-        return TensorElement(self.dim, 1, {(i,): ONE})
+        return TensorElement._of(self.dim, 1, {(i,): ONE})
+
+    def _own(self, *ts: TensorElement) -> None:
+        """Refuse elements of another algebra (a different dimension)."""
+        for t in ts:
+            if t.dim != self.dim:
+                raise ValueError(f"element of dimension {t.dim} given to dimension {self.dim}")
 
     def mul_vec(self, u: dict, v: dict) -> dict:
         """Product of two sparse 1-leg coefficient vectors."""
@@ -343,20 +383,19 @@ class QuasiHopfAlgebra(Frozen):
         accumulate as ints under flat output indices, and each output
         coefficient is divided once by the common denominator.
         """
-        if s.dim != self.dim or t.dim != self.dim:
-            raise ValueError("elements belong to a different algebra")
+        self._own(s, t)
         s._check_like(t)
         if not s.legs:
-            return TensorElement(self.dim, 0,
-                                 {(): s.coeffs.get((), ZERO) * t.coeffs.get((), ZERO)})
+            c = _canon(s.coeffs.get((), ZERO) * t.coeffs.get((), ZERO))
+            return TensorElement._of(self.dim, 0, {(): c} if c else {})
         sden, strie = _leg_trie(s)
         tden, ttrie = _leg_trie(t)
         mden, table = self._int_mult
         den = sden * tden * mden ** s.legs
         shape = LegShape((self.dim,) * s.legs)
         acc = _trie_product(table, strie, ttrie, s.legs, shape.size // self.dim)
-        return TensorElement(self.dim, s.legs,
-                             {shape.unindex(f): _div(x, den) for f, x in acc.items() if x})
+        return TensorElement._of(self.dim, s.legs,
+                                 {shape.unindex(f): _div(x, den) for f, x in acc.items() if x})
 
     def mul_chain(self, elems) -> TensorElement:
         elems = list(elems)
@@ -373,19 +412,11 @@ class QuasiHopfAlgebra(Frozen):
         m = 1 is the identity, m = 2 the coproduct, and larger m iterates on
         the first leg: (delta x id^(m-2)) o ... o delta.
         """
-        terms: dict[tuple, Fraction] = {(i,): ONE}
-        for _ in range(m - 1):
-            nxt: dict[tuple, Fraction] = {}
-            for idx, c in terms.items():
-                for (j, k), d in self.comult[idx[0]].items():
-                    key = (j, k) + idx[1:]
-                    acc = nxt.get(key, ZERO) + c * d
-                    if acc:
-                        nxt[key] = acc
-                    else:
-                        nxt.pop(key, None)
-            terms = nxt
-        return terms
+        t = self.basis_elem(i)
+        for legs in range(2, m + 1):
+            t = _linear(t, legs, lambda idx: {jk + idx[1:]: d
+                                              for jk, d in self.comult[idx[0]].items()})
+        return t.coeffs
 
     def spread(self, t: TensorElement, groups, total_legs: int) -> TensorElement:
         """Distribute each leg of t over a group of positions via iterated coproducts.
@@ -394,82 +425,63 @@ class QuasiHopfAlgebra(Frozen):
         order the iterated coproduct legs should land there.  Unclaimed
         positions receive the unit.  Groups must be disjoint and in range.
         """
+        self._own(t)
         if len(groups) != t.legs:
             raise ValueError(f"need one group per leg, got {len(groups)} for {t.legs} legs")
-        seen: set[int] = set()
-        for g in groups:
-            if not g:
-                raise ValueError("empty position group")
-            for p in g:
-                if not 1 <= p <= total_legs:
-                    raise ValueError(f"position {p} outside 1..{total_legs}")
-                if p in seen:
-                    raise ValueError(f"position {p} claimed twice")
-                seen.add(p)
-        free = [p for p in range(1, total_legs + 1) if p not in seen]
-        out: dict[tuple, Fraction] = {}
-        for idx, c in t.coeffs.items():
-            # per-leg expansions, then distribute into position slots
-            parts = [self.icomult(i, len(g)) for i, g in zip(idx, groups)]
-            stack = [({}, c)]
-            for g, part in zip(groups, parts):
-                nstack = []
-                for placed, coeff in stack:
-                    for legidx, d in part.items():
-                        np = dict(placed)
-                        for pos, bi in zip(g, legidx):
-                            np[pos] = bi
-                        nstack.append((np, coeff * d))
-                stack = nstack
-            for pos in free:
-                nstack = []
-                for placed, coeff in stack:
-                    for bi, d in self.unit.items():
-                        np = dict(placed)
-                        np[pos] = bi
-                        nstack.append((np, coeff * d))
-                stack = nstack
-            for placed, coeff in stack:
-                key = tuple(placed[p] for p in range(1, total_legs + 1))
-                out[key] = out.get(key, ZERO) + coeff
-        return TensorElement(self.dim, total_legs, out)
+        if not all(groups):
+            raise ValueError("empty position group")
+        claimed = [p for g in groups for p in g]
+        for p in claimed:
+            if not 1 <= p <= total_legs:
+                raise ValueError(f"position {p} outside 1..{total_legs}")
+        if len(set(claimed)) != len(claimed):
+            raise ValueError(f"a position is claimed twice in {groups}")
+        # an image is built with its legs in group order and the free positions
+        # last; order lists those slots by the position they fill
+        slots = claimed + [p for p in range(1, total_legs + 1) if p not in claimed]
+        order = sorted(range(total_legs), key=slots.__getitem__)
+        units = self.unit_elem(total_legs - len(claimed)).coeffs
+
+        def image(idx):
+            terms = {(): ONE}
+            for i, g in zip(idx, groups):
+                terms = {k + x: c * d for k, c in terms.items()
+                         for x, d in self.icomult(i, len(g)).items()}
+            return {tuple((k + u)[s] for s in order): c * d
+                    for k, c in terms.items() for u, d in units.items()}
+
+        return _linear(t, total_legs, image)
 
     def apply_leg(self, t: TensorElement, leg: int, op: Matrix) -> TensorElement:
         """Apply a linear endomorphism of H to one (1-based) leg."""
+        self._own(t)
         if not 1 <= leg <= t.legs:
             raise ValueError(f"leg {leg} out of range")
         if op.rows != self.dim or op.cols != self.dim:
             raise ValueError("leg operator has wrong shape")
-        out: dict[tuple, Fraction] = {}
-        for idx, c in t.coeffs.items():
-            for k, d in op.col(idx[leg - 1]).items():
-                key = idx[:leg - 1] + (k,) + idx[leg:]
-                out[key] = out.get(key, ZERO) + c * d
-        return TensorElement(self.dim, t.legs, out)
+        cols = op.columns()
+        return _linear(t, t.legs, lambda idx: {idx[:leg - 1] + (k,) + idx[leg:]: d
+                                               for k, d in cols[idx[leg - 1]].items()})
 
     def fuse_legs(self, t: TensorElement, leg: int) -> TensorElement:
         """Multiply legs ``leg`` and ``leg + 1`` (1-based) of t into one leg."""
-        out: dict[tuple, Fraction] = {}
-        for idx, c in t.coeffs.items():
-            for k, x in self.mult[idx[leg - 1]][idx[leg]].items():
-                key = idx[:leg - 1] + (k,) + idx[leg + 1:]
-                out[key] = out.get(key, ZERO) + c * x
-        return TensorElement(self.dim, t.legs - 1, out)
+        self._own(t)
+        if not 1 <= leg < t.legs:
+            raise ValueError(f"leg {leg} outside 1..{t.legs - 1}")
+        return _linear(t, t.legs - 1, lambda idx: {
+            idx[:leg - 1] + (k,) + idx[leg + 1:]: x
+            for k, x in self.mult[idx[leg - 1]][idx[leg]].items()})
 
     def counit_legs(self, t: TensorElement, legs) -> TensorElement:
         """Apply the counit to the given (1-based) legs, dropping them."""
+        self._own(t)
         legs = sorted(set(legs))
         for l in legs:
             if not 1 <= l <= t.legs:
                 raise ValueError(f"leg {l} out of range")
         keep = [l for l in range(1, t.legs + 1) if l not in legs]
-        out: dict[tuple, Fraction] = {}
-        for idx, c in t.coeffs.items():
-            for l in legs:
-                c = c * self.counit[idx[l - 1]]
-            key = tuple(idx[l - 1] for l in keep)
-            out[key] = out.get(key, ZERO) + c
-        return TensorElement(self.dim, len(keep), out)
+        return _linear(t, len(keep), lambda idx: {
+            tuple(idx[l - 1] for l in keep): prod(self.counit[idx[l - 1]] for l in legs)})
 
     # -- distinguished operators ------------------------------------------------
 
@@ -484,42 +496,33 @@ class QuasiHopfAlgebra(Frozen):
 
     def adjoint_sandwich(self, c: dict) -> Matrix:
         """The operator x |-> x_(1) . c . S(x_(2))."""
-        cols = []
-        for i in range(self.dim):
-            out: dict[int, Fraction] = {}
-            for (j, k), d in self.comult[i].items():
-                vec_add_scaled(out, self.prod_chain([{j: ONE}, c, self.s_vec({k: ONE})]), d)
-            cols.append(out)
-        return Matrix(self.dim, self.dim, cols)
-
-    def adjoint_action_of(self, v: dict) -> Matrix:
-        """The operator a |-> v_(1) . a . S(v_(2)) for a fixed element v."""
-        out = Matrix.zero(self.dim, self.dim)
-        for i, c in v.items():
-            for (j, k), d in self.comult[i].items():
-                op = self.left_mult_matrix({j: ONE}).then(
-                    self.right_mult_matrix(self.s_vec({k: ONE})))
-                out = out + (c * d) * op
-        return out
+        return self._sandwich(c, 2)
 
     def antipode_sandwich(self, c: dict) -> Matrix:
         """The operator x |-> S(x_(1)) . c . x_(2)."""
-        cols = []
-        for i in range(self.dim):
-            out: dict[int, Fraction] = {}
-            for (j, k), d in self.comult[i].items():
-                vec_add_scaled(out, self.prod_chain([self.s_vec({j: ONE}), c, {k: ONE}]), d)
-            cols.append(out)
-        return Matrix(self.dim, self.dim, cols)
+        return self._sandwich(c, 1)
+
+    def _sandwich(self, c: dict, s_leg: int) -> Matrix:
+        """The operator x |-> x_(1) . c . x_(2) with the antipode on coproduct
+        leg ``s_leg`` (1 or 2)."""
+        right_c = self.right_mult_matrix(c)
+        return Matrix(self.dim, self.dim, [_vec_of(self.fuse_legs(self.apply_leg(
+            self.apply_leg(TensorElement._of(self.dim, 2, self.comult[i]), s_leg, self.antipode),
+            1, right_c), 1)) for i in range(self.dim)])
+
+    def adjoint_action_of(self, v: dict) -> Matrix:
+        """The operator a |-> v_(1) . a . S(v_(2)) for a fixed element v: the
+        sandwich family summed over v_(1) (x) S(v_(2))."""
+        t = self.apply_leg(self.spread(TensorElement(self.dim, 1, v), [(1, 2)], 2),
+                           2, self.antipode)
+        return sum((c * self.sandwich[j][k] for (j, k), c in t.coeffs.items()),
+                   Matrix.zero(self.dim, self.dim))
 
     def power_mult_operator(self, t: TensorElement) -> Matrix:
         """Left multiplication by t as an operator on the k-th tensor power."""
-        shape = LegShape((self.dim,) * t.legs)
-        cols = []
-        for flat in range(shape.size):
-            e = TensorElement(self.dim, t.legs, {shape.unindex(flat): ONE})
-            cols.append(self.mul(t, e).as_vector())
-        return Matrix(shape.size, shape.size, cols)
+        cols = [self.mul(t, TensorElement._of(self.dim, t.legs, {idx: ONE})).as_vector()
+                for idx in product(range(self.dim), repeat=t.legs)]
+        return Matrix(len(cols), len(cols), cols)
 
     def tensor_inverse(self, t: TensorElement) -> TensorElement:
         """Two-sided inverse of t in its tensor power, by exact solving."""
@@ -528,8 +531,8 @@ class QuasiHopfAlgebra(Frozen):
         if not res.consistent or res.solution is None:
             raise LinAlgError("element is not invertible in the tensor power")
         shape = LegShape((self.dim,) * t.legs)
-        inv = TensorElement(self.dim, t.legs,
-                            {shape.unindex(i): c for i, c in res.solution.items()})
+        inv = TensorElement._of(self.dim, t.legs,
+                                {shape.unindex(i): c for i, c in res.solution.items()})
         if self.mul(inv, t) != self.unit_elem(t.legs) or self.mul(t, inv) != self.unit_elem(t.legs):
             raise LinAlgError("solved inverse failed the two-sided check")
         return inv
@@ -915,32 +918,22 @@ def builtin(name: str) -> QuasiHopfAlgebra:
 # serialization
 
 def algebra_to_json(h: QuasiHopfAlgebra) -> str:
+    """The algebra file, every array flat and row-major.  ``mult`` and
+    ``comult`` are the flat forms of 3-leg elements: the coefficient of e_k
+    in e_i e_j, and that of e_j (x) e_k in Delta(e_i), sit at (i, j, k)."""
     n = h.dim
-    pair_shape = LegShape((n, n))
-    comult_flat = [ZERO] * (n * n * n)
-    for i in range(n):
-        for (j, k), c in h.comult[i].items():
-            comult_flat[i * n * n + pair_shape.index((j, k))] = c
-    mult_flat = [ZERO] * (n * n * n)
-    for i in range(n):
-        for j in range(n):
-            for k, c in h.mult[i][j].items():
-                mult_flat[(i * n + j) * n + k] = c
-    one = [h.unit.get(i, ZERO) for i in range(n)]
-    obj = {
-        "dim": n,
-        "basis": list(h.basis),
-        "mult": [rat_str(c) for c in mult_flat],
-        "unit": [rat_str(c) for c in one],
-        "comult": [rat_str(c) for c in comult_flat],
-        "counit": [rat_str(c) for c in h.counit],
-        "phi": [rat_str(c) for c in h.phi.to_flat()],
-        "phi_inv": [rat_str(c) for c in h.phi_inv.to_flat()],
-        "antipode": [rat_str(c) for c in h.antipode.to_flat()],
-        "antipode_inv": [rat_str(c) for c in h.antipode_inv.to_flat()],
-        "alpha": [rat_str(c) for c in h.alpha.to_flat()],
-        "beta": [rat_str(c) for c in h.beta.to_flat()],
-    }
+    mult = TensorElement._of(n, 3, {(i, j, k): c for i, row in enumerate(h.mult)
+                                    for j, m in enumerate(row) for k, c in m.items()})
+    comult = TensorElement._of(n, 3, {(i,) + jk: c for i, d in enumerate(h.comult)
+                                      for jk, c in d.items()})
+
+    def flat(a):
+        return [rat_str(c) for c in a.to_flat()]
+
+    obj = {"dim": n, "basis": list(h.basis), "mult": flat(mult), "unit": flat(h.unit_elem(1)),
+           "comult": flat(comult), "counit": [rat_str(c) for c in h.counit],
+           "phi": flat(h.phi), "phi_inv": flat(h.phi_inv), "antipode": flat(h.antipode),
+           "antipode_inv": flat(h.antipode_inv), "alpha": flat(h.alpha), "beta": flat(h.beta)}
     if h.name:
         obj["name"] = h.name
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
@@ -994,36 +987,25 @@ def algebra_from_json(text: str) -> QuasiHopfAlgebra:
             raise ValueError(f"name must be a string, got {name!r}")
         if not (basis is None or isinstance(basis, list) and all(type(b) is str for b in basis)):
             raise ValueError(f"basis must be a list of strings, got {basis!r}")
-        pair_shape = LegShape((n, n))
 
         def rats(key):
             return json_rats(obj, key, n ** _JSON_ARRAY_POWERS[key])
-
-        mult = [[dict() for _ in range(n)] for _ in range(n)]
-        for idx, c in enumerate(rats("mult")):
-            if c:
-                ij, k = divmod(idx, n)
-                i, j = divmod(ij, n)
-                mult[i][j][k] = c
-        comult = [dict() for _ in range(n)]
-        for idx, c in enumerate(rats("comult")):
-            if c:
-                i, jk = divmod(idx, n * n)
-                comult[i][pair_shape.unindex(jk)] = c
 
         def vec1(key):
             return {i: c for i, c in enumerate(rats(key)) if c}
 
         def elem3(key):
-            if key not in obj or obj[key] is None:
-                return None
-            shape = LegShape((n, n, n))
-            return TensorElement(n, 3, {shape.unindex(i): c for i, c in vec1(key).items()})
+            return None if obj.get(key) is None else TensorElement.from_flat(n, 3, rats(key))
+
+        mult = [[dict() for _ in range(n)] for _ in range(n)]
+        for (i, j, k), c in elem3("mult").coeffs.items():
+            mult[i][j][k] = c
+        comult = [dict() for _ in range(n)]
+        for (i, j, k), c in elem3("comult").coeffs.items():
+            comult[i][j, k] = c
 
         def mat(key):
-            if key not in obj or obj[key] is None:
-                return None
-            return Matrix.from_flat(n, n, rats(key))
+            return None if obj.get(key) is None else Matrix.from_flat(n, n, rats(key))
 
         return QuasiHopfAlgebra(
             dim=n, basis=basis, mult=mult, unit=vec1("unit"), comult=comult,

@@ -204,7 +204,7 @@ def tensor(m: HModule, n: HModule) -> HModule:
     h = m.h
 
     def build():
-        return [elem_action_matrix(TensorElement(h.dim, 2, h.comult[i]), [m, n])
+        return [elem_action_matrix(TensorElement._of(h.dim, 2, h.comult[i]), [m, n])
                 for i in range(h.dim)]
 
     return HModule(h, m.dim * n.dim, builder=build,
@@ -457,7 +457,7 @@ def inner_hom(m: HModule, n: HModule) -> HModule:
 
     def build():
         m_t = [a.transpose() for a in m.action]
-        return [elem_action_matrix(h.apply_leg(TensorElement(h.dim, 2, h.comult[t]), 2,
+        return [elem_action_matrix(h.apply_leg(TensorElement._of(h.dim, 2, h.comult[t]), 2,
                                                h.antipode), [n, m_t])
                 for t in range(h.dim)]
 

@@ -67,6 +67,27 @@ def test_matrix_rejects_rows_out_of_range():
         assert prod.columns() == [{1: 1}, {}]
 
 
+def test_loaders_agree_on_mixed_entries():
+    # each loader coerces an entry once and leaves the zeros to the constructor
+    rows = [["0", "1/2", 3], [Fraction(2, 4), 0, Fraction(6, 3)]]
+    m = Matrix.from_rows(rows)
+    cols = [[r[j] for r in rows] for j in range(3)]
+    assert Matrix.from_cols(2, cols) == m
+    assert Matrix.from_cols(2, [dict(enumerate(c)) for c in cols]) == m
+    assert Matrix.from_flat(2, 3, [x for r in rows for x in r]) == m
+    assert m.nnz() == 4 and m.columns() == [{1: Fraction(1, 2)}, {0: Fraction(1, 2)}, {0: 3, 1: 2}]
+    assert type(m.entry(1, 2)) is int
+
+
+def test_loaders_refuse_booleans():
+    loaders = (lambda x: Matrix.from_rows([[1, x]]), lambda x: Matrix.from_cols(1, [[x]]),
+               lambda x: Matrix.from_cols(2, [{0: 1, 1: x}]), lambda x: Matrix.from_flat(1, 2, [x, 1]))
+    for load in loaders:
+        for x in (True, False):
+            with pytest.raises(TypeError, match="boolean"):
+                load(x)
+
+
 def test_matrix_refuses_non_rationals():
     # a float or a string has no exact value here, and a boolean is no number
     for x in (0.5, "1/2", True):

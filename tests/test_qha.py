@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quasihopf import cli
 from quasihopf.qha import (BUILTIN_NAMES, QuasiHopfAlgebra, TensorElement,
                            algebra_from_json, algebra_to_json, builtin, kappa_inverse,
                            kappa_lambda, verify_derived_identities)
@@ -77,6 +79,27 @@ def test_spread_rejects_bad_groups(z2):
         z2.spread(g.tensor(g), [(1,), (1,)], 2)
     with pytest.raises(ValueError):
         z2.spread(g, [(4,)], 3)
+
+
+G = TensorElement(2, 1, {1: 1})   # g in group_z2, an element of another algebra than sw
+GG = G.tensor(G)
+
+BAD_LEG_CALLS = {
+    "apply_leg-foreign": (lambda h: h.apply_leg(G, 1, h.antipode), "dimension 2 given to dimension 4"),
+    "spread-foreign": (lambda h: h.spread(G, [(1, 2)], 2), "dimension 2 given to dimension 4"),
+    "counit_legs-foreign": (lambda h: h.counit_legs(GG, [1]), "dimension 2 given to dimension 4"),
+    "fuse_legs-foreign": (lambda h: h.fuse_legs(GG, 1), "dimension 2 given to dimension 4"),
+    "fuse_legs-0": (lambda h: h.fuse_legs(h.unit_elem(2), 0), r"leg 0 outside 1\.\.1"),
+    "fuse_legs-negative": (lambda h: h.fuse_legs(h.unit_elem(2), -1), r"leg -1 outside 1\.\.1"),
+    "fuse_legs-last": (lambda h: h.fuse_legs(h.unit_elem(2), 2), r"leg 2 outside 1\.\.1"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_LEG_CALLS))
+def test_leg_operations_reject_bad_input(sw, case):
+    call, message = BAD_LEG_CALLS[case]
+    with pytest.raises(ValueError, match=message):
+        call(sw)
 
 
 def test_kappa_matches_footnote_formula(dr):
@@ -160,6 +183,135 @@ def test_mul_matches_naive_fraction_product(name, legs, data):
     got = h.mul(s, t)
     assert got.coeffs == naive_mul(h, s, t)
     assert all(type(x) is int or x.denominator != 1 for x in got.coeffs.values())
+
+
+# -- the leg calculus against per-definition oracles -------------------------------
+
+def naive_icomult(h, i, m):
+    terms = {(i,): Fraction(1)}
+    for _ in range(m - 1):
+        nxt = {}
+        for idx, c in terms.items():
+            for (j, k), d in h.comult[idx[0]].items():
+                key = (j, k) + idx[1:]
+                nxt[key] = nxt.get(key, 0) + c * d
+        terms = nxt
+    return {idx: x for idx, x in terms.items() if x}
+
+
+def naive_spread(h, t, groups, total):
+    # a stack of partial placements, one leg group and then one free position at a time
+    free = [p for p in range(1, total + 1) if not any(p in g for g in groups)]
+    out = {}
+    for idx, c in t.coeffs.items():
+        stack = [({}, Fraction(c))]
+        for i, g in zip(idx, groups):
+            stack = [({**placed, **dict(zip(g, legidx))}, x * d)
+                     for placed, x in stack for legidx, d in naive_icomult(h, i, len(g)).items()]
+        for pos in free:
+            stack = [({**placed, pos: b}, x * d) for placed, x in stack for b, d in h.unit.items()]
+        for placed, x in stack:
+            key = tuple(placed[p] for p in range(1, total + 1))
+            out[key] = out.get(key, 0) + x
+    return {idx: x for idx, x in out.items() if x}
+
+
+def naive_apply_leg(t, leg, op):
+    out = {}
+    for idx, c in t.coeffs.items():
+        for k, d in op.col(idx[leg - 1]).items():
+            key = idx[:leg - 1] + (k,) + idx[leg:]
+            out[key] = out.get(key, 0) + Fraction(c) * d
+    return {idx: x for idx, x in out.items() if x}
+
+
+def naive_fuse_legs(h, t, leg):
+    out = {}
+    for idx, c in t.coeffs.items():
+        for k, x in h.mult[idx[leg - 1]][idx[leg]].items():
+            key = idx[:leg - 1] + (k,) + idx[leg + 1:]
+            out[key] = out.get(key, 0) + Fraction(c) * x
+    return {idx: x for idx, x in out.items() if x}
+
+
+def naive_counit_legs(h, t, legs):
+    out = {}
+    for idx, c in t.coeffs.items():
+        c = Fraction(c)
+        for leg in legs:
+            c *= h.counit[idx[leg - 1]]
+        key = tuple(i for leg, i in enumerate(idx, 1) if leg not in legs)
+        out[key] = out.get(key, 0) + c
+    return {idx: x for idx, x in out.items() if x}
+
+
+def naive_permute_legs(t, order):
+    return {tuple(idx[o - 1] for o in order): c for idx, c in t.coeffs.items()}
+
+
+def assert_canonical(coeffs, dim, legs):
+    """The form TensorElement._of trusts: keys of the right length with
+    indices in range, no zero, and an int for every integral value."""
+    for idx, c in coeffs.items():
+        assert type(idx) is tuple and len(idx) == legs and all(0 <= i < dim for i in idx)
+        assert c and (type(c) is int or type(c) is Fraction and c.denominator != 1)
+
+
+def draw_element(data, h, legs):
+    index = st.tuples(*[st.integers(0, h.dim - 1)] * legs)
+    return TensorElement(h.dim, legs, data.draw(st.dictionaries(index, COEFFS, max_size=6)))
+
+
+@given(st.sampled_from(["group_z2", "drinfeld_h2", "sweedler_h4", TWISTED]),
+       st.integers(0, 5), st.data())
+@settings(max_examples=60, deadline=None)
+def test_leg_calculus_matches_the_definitions(name, total, data):
+    h = get_algebra(name)
+
+    def check(got, expected, legs):
+        assert got.dim == h.dim and got.legs == legs and got.coeffs == expected
+        assert_canonical(got.coeffs, h.dim, legs)
+
+    # spread: k legs over groups cut from a shuffled list of the positions, the rest free
+    positions = data.draw(st.permutations(range(1, total + 1)))
+    k = data.draw(st.integers(0, total))
+    used = data.draw(st.integers(k, total)) if k else 0
+    cuts = sorted(data.draw(st.sets(st.integers(1, max(used - 1, 1)),
+                                    min_size=max(k - 1, 0), max_size=max(k - 1, 0))))
+    bounds = [0, *cuts, used]
+    groups = [tuple(positions[a:b]) for a, b in zip(bounds, bounds[1:])] if k else []
+    t = draw_element(data, h, k)
+    check(h.spread(t, groups, total), naive_spread(h, t, groups, total), total)
+
+    legs = max(total, 1)
+    u = draw_element(data, h, legs)
+    for leg in range(1, legs + 1):
+        for op in (h.antipode, h.antipode_inv):
+            check(h.apply_leg(u, leg, op), naive_apply_leg(u, leg, op), legs)
+    for leg in range(1, legs):
+        check(h.fuse_legs(u, leg), naive_fuse_legs(h, u, leg), legs - 1)
+    dropped = data.draw(st.sets(st.integers(1, legs)))
+    check(h.counit_legs(u, dropped), naive_counit_legs(h, u, dropped), legs - len(dropped))
+    order = data.draw(st.permutations(range(1, legs + 1)))
+    check(u.permute_legs(order), naive_permute_legs(u, order), legs)
+
+    i, m = data.draw(st.integers(0, h.dim - 1)), data.draw(st.integers(1, 5))
+    got = h.icomult(i, m)
+    assert got == naive_icomult(h, i, m)
+    assert_canonical(got, h.dim, m)
+
+
+def test_leg_calculus_gives_ints_for_integral_sums(any_h_tw):
+    # halves that meet on one key sum to an integral value, which must be an int
+    h = any_h_tw
+
+    def halves(*keys):
+        return TensorElement(h.dim, 2, {k: Fraction(1, 2) for k in keys})
+
+    for got in (h.fuse_legs(halves((0, 1), (1, 0)), 1), h.counit_legs(halves((0, 1), (1, 1)), [1]),
+                h.counit_legs(halves((1, 0), (1, 1)), [2])):
+        assert got.coeffs == {(1,): 1} and type(got.coeffs[1,]) is int
+        assert_canonical(got.coeffs, h.dim, 1)
 
 
 def test_kappa_lambda_trivial_for_hopf(z2, sw):
@@ -278,12 +430,24 @@ def test_tensor_element_flat_roundtrip(dr):
 # -- serialization -----------------------------------------------------------------
 
 def test_json_roundtrip_bit_identical():
-    for name in BUILTIN_NAMES:
+    for name in (*BUILTIN_NAMES, TWISTED):
         h = get_algebra(name)
         text = algebra_to_json(h)
         h2 = algebra_from_json(text)
         assert algebra_to_json(h2) == text
         assert h2.verify_axioms().ok
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_export_matches_the_pinned_file(name, capsys):
+    # the file format itself: a reader and a writer that both swapped two legs
+    # of mult or comult would still round-trip; sweedler_h4's product and
+    # coproduct are not symmetric, so its file pins the leg order
+    golden = (Path(__file__).resolve().parent / "golden" / f"export_{name}.json").read_text(encoding="utf-8")
+    assert cli.main(["export", name]) == 0
+    assert capsys.readouterr().out == golden
+    h, back = builtin(name), algebra_from_json(golden)
+    assert (back.mult, back.comult, back.phi) == (h.mult, h.comult, h.phi)
 
 
 def test_json_rejects_malformed():

@@ -55,7 +55,8 @@ def heart_base(h: QuasiHopfAlgebra, m: HModule) -> HModule:
                                                2, h.antipode), [h.sandwich, m])
                 for i in range(h.dim)]
 
-    return HModule(h, h.dim * m.dim, builder=build, label=f"heart({m.label or '?'})")
+    return HModule(h, h.dim * m.dim, builder=build, label=f"heart({m.label or '?'})",
+                   key=("heart", m))
 
 
 def _mult_outer(h: QuasiHopfAlgebra, d: int) -> Matrix:

@@ -262,7 +262,7 @@ class Context:
         rep = m.validate()
         if not rep.ok:
             raise VerificationFailure(f"module {name!r} failed validation", rep)
-        self.modules[name] = m if m.label else HModule(m.h, m.dim, m.action, name)
+        self.modules[name] = m if m.label else HModule(m.h, m.dim, m.action, name, key=m._key)
 
     def add_center(self, name: str, m: CenterObject) -> None:
         self._claim(name)

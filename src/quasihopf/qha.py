@@ -275,7 +275,7 @@ class QuasiHopfAlgebra(Frozen):
                 raise ValueError(f"basis index {i} out of range for dimension {dim}")
             return i
 
-        self.mult = [[{_idx(k): rat(c) for k, c in mult[i][j].items() if rat(c)}
+        self.mult = [[{_idx(k): r for k, c in mult[i][j].items() if (r := rat(c))}
                       for j in range(dim)] for i in range(dim)]
         # the table as integers over one common denominator, for mul
         mden = _lcm_denominator(c for row in self.mult for m in row for c in m.values()) or 1
@@ -286,9 +286,9 @@ class QuasiHopfAlgebra(Frozen):
         self.sandwich = [[Matrix(dim, dim, [self.mul_vec({i: ONE}, self.mult[a][j])
                                             for a in range(dim)])
                           for j in range(dim)] for i in range(dim)]
-        self.unit = {_idx(i): rat(c) for i, c in unit.items() if rat(c)}
-        self.comult = [{(_idx(j), _idx(k)): rat(c) for (j, k), c in comult[i].items()
-                        if rat(c)} for i in range(dim)]
+        self.unit = {_idx(i): r for i, c in unit.items() if (r := rat(c))}
+        self.comult = [{(_idx(j), _idx(k)): r for (j, k), c in comult[i].items()
+                        if (r := rat(c))} for i in range(dim)]
         self.counit = [rat(c) for c in counit]
         self.phi = phi if isinstance(phi, TensorElement) else TensorElement(dim, 3, phi)
         if self.phi.legs != 3 or self.phi.dim != dim:

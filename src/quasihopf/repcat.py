@@ -52,16 +52,25 @@ class HModule(Frozen):
     derived modules (tensor products, inner homs) stay cheap wrappers until
     someone actually asks for their action.  A module is immutable; its
     memo holds heart(m) and heart_amodule(a, m).
+
+    Equality is decided by construction first and by action second.  A
+    derived module carries a construction key such as ("tensor", m, n); two
+    modules over the same algebra with the same dimension and equal keys
+    (operands compared by ==, recursively) are equal without building either
+    action.  Otherwise == compares the action matrices, so (C*C)*C and
+    C*(C*C) stay equal whenever their actions are.  A key may name only
+    operands of which the action is a pure function (given h); a module
+    built any other way (quotients, duals, modules read from files) has none.
     """
 
     def __init__(self, h: QuasiHopfAlgebra, dim: int, action: list[Matrix] | None = None,
-                 label: str = "", builder=None):
+                 label: str = "", builder=None, key: tuple | None = None):
         if action is None and builder is None:
             raise ValueError("module needs action matrices or a builder")
         # one update, _memo last (see Frozen): the per-attribute freeze check
         # would triple the cost of the thousands of modules a check builds
         vars(self).update(h=h, dim=dim, label=label, _action=action, _builder=builder,
-                          _memo={})
+                          _key=key, _memo={})
         if action is not None:
             self._check_action(action)
 
@@ -101,7 +110,12 @@ class HModule(Frozen):
     def __eq__(self, other):
         if not isinstance(other, HModule):
             return NotImplemented
-        return self.h is other.h and self.dim == other.dim and self.action == other.action
+        if self is other:
+            return True
+        if not self.same_space(other):
+            return False
+        return (self._key is not None and self._key == other._key) \
+            or self.action == other.action
 
     def __hash__(self):
         return hash((id(self.h), self.dim))
@@ -164,12 +178,12 @@ def identity_map(m: HModule) -> HLinearMap:
 def regular_module(h: QuasiHopfAlgebra) -> HModule:
     """The algebra acting on itself by left multiplication."""
     return HModule(h, h.dim, [h.left_mult_matrix({i: ONE}) for i in range(h.dim)],
-                   label="C")
+                   label="C", key=("C",))
 
 
 def unit_module(h: QuasiHopfAlgebra) -> HModule:
     return HModule(h, 1, [Matrix.from_rows([[h.counit[i]]]) for i in range(h.dim)],
-                   label="I")
+                   label="I", key=("I",))
 
 
 def _kron_into(cols: list[dict], a: Matrix, b: Matrix, coeff: int) -> None:
@@ -208,7 +222,7 @@ def tensor(m: HModule, n: HModule) -> HModule:
                 for i in range(h.dim)]
 
     return HModule(h, m.dim * n.dim, builder=build,
-                   label=_paren(m.label) + "*" + _paren(n.label))
+                   label=_paren(m.label) + "*" + _paren(n.label), key=("tensor", m, n))
 
 
 def _paren(lbl: str) -> str:
@@ -462,7 +476,7 @@ def inner_hom(m: HModule, n: HModule) -> HModule:
                 for t in range(h.dim)]
 
     return HModule(h, m.dim * n.dim, builder=build,
-                   label=f"innH({m.label or '?'},{n.label or '?'})")
+                   label=f"innH({m.label or '?'},{n.label or '?'})", key=("innh", m, n))
 
 
 def eeta(m: HModule, p: HModule) -> HLinearMap:

@@ -5,7 +5,7 @@ from quasihopf.dsl import (MAX_NESTING, Call, Context, DslError, Elaborator, Nam
                            Ten, check, eval_expr, parse, print_expr)
 from quasihopf.repcat import inner_hom, regular_module, tensor
 
-from conftest import get_algebra
+from conftest import TWISTED, get_algebra
 
 
 # -- parsing --------------------------------------------------------------------
@@ -159,6 +159,25 @@ def test_check_endpoint_mismatch(ctx_dr):
     res = check("id(C)", "id(A*A)", ctx_dr)
     assert not res.ok
     assert "endpoint" in res.message
+
+
+# Endpoints of equal dimension, so each verdict turns on module equality.  The
+# coassociative builtins identify the two bracketings of C*C*C; the twist does not.
+_EQUAL_DIM_ENDPOINTS = [
+    (name, lhs, rhs, verdict)
+    for name in ("drinfeld_h2", "sweedler_h4")
+    for lhs, rhs, verdict in [("braid(A,C)", "id(A*C)", "endpoint mismatch"),
+                              ("id((C*C)*C)", "id(C*(C*C))", "exactly equal"),
+                              ("id(I*C)", "id(C)", "exactly equal"),
+                              ("id(C*I)", "id(C)", "exactly equal")]
+] + [(TWISTED, "id((C*C)*C)", "id(C*(C*C))", "endpoint mismatch")]
+
+
+@pytest.mark.parametrize("name, lhs, rhs, verdict", _EQUAL_DIM_ENDPOINTS)
+def test_check_endpoints_at_equal_dimension(name, lhs, rhs, verdict):
+    res = check(lhs, rhs, Context(get_algebra(name)))
+    assert res.ok == (verdict == "exactly equal")
+    assert res.message.startswith(verdict)
 
 
 def test_eval_inverse_of_singular(ctx_dr):

@@ -476,6 +476,31 @@ def test_constructor_reports_shape_problems_before_axioms():
             QuasiHopfAlgebra(**corrupt)
 
 
+def _z2_scaled(one, zero, half, four):
+    """Z/2 in the basis 1, 2g: (2g)^2 = 4 and Delta(2g) = 1/2 (2g (x) 2g), with
+    explicit zero entries, built from whatever coefficient form is given."""
+    from quasihopf.linalg import Matrix
+    return QuasiHopfAlgebra(
+        dim=2, basis=["1", "2g"],
+        mult=[[{0: one, 1: zero}, {1: one}], [{1: one}, {0: four, 1: zero}]],
+        unit={0: one, 1: zero}, comult=[{(0, 0): one, (0, 1): zero}, {(1, 1): half}],
+        counit=[1, 2], phi=TensorElement(2, 3, {(0, 0, 0): 1}),
+        antipode=Matrix.identity(2), alpha={0: 1}, beta={0: 1})
+
+
+def test_constructor_coerces_string_and_fraction_entries_like_ints():
+    def tables(h):
+        return repr((h.mult, h.unit, h.comult))
+
+    want = tables(_z2_scaled(1, 0, Fraction(1, 2), 4))
+    assert want == repr(([[{0: 1}, {1: 1}], [{1: 1}, {0: 4}]], {0: 1},
+                         [{(0, 0): 1}, {(1, 1): Fraction(1, 2)}]))  # zeros dropped
+    assert tables(_z2_scaled("1", "0", "1/2", " 4 ")) == want
+    assert tables(_z2_scaled(Fraction(1), Fraction(0), Fraction(2, 4), Fraction(8, 2))) == want
+    with pytest.raises(TypeError):
+        _z2_scaled(True, 0, Fraction(1, 2), 4)
+
+
 def test_singular_associator_without_inverse_is_rejected():
     from quasihopf.linalg import Matrix
     from quasihopf.qha import QuasiHopfAlgebra

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quasihopf.algebra_a import build_A, heart_base
 from quasihopf.linalg import LegShape, LinearSystem, Matrix, inverse, spans_equal
 from quasihopf.qha import TensorElement
 from quasihopf.repcat import (HLinearMap, adjunction_report, associator,
@@ -226,6 +227,32 @@ def test_inner_hom_action(z2):
     assert ih.dim == 4
 
 
+def _module_pool(h):
+    c, i = regular_module(h), unit_module(h)
+    a = build_A(h).base
+    cc = tensor(c, c)
+    return [c, i, a, tensor(i, c), tensor(c, i), cc, tensor(cc, c), tensor(c, tensor(c, c)),
+            tensor(a, c), tensor(c, a), inner_hom(c, c), inner_hom(i, c), heart_base(h, c),
+            HModule(h, c.dim, c.action, "X")]
+
+
+def test_module_equality_agrees_with_action_equality(any_h_tw):
+    # == may decide from how the modules were built, but never differently
+    # from comparing their actions
+    pool, other = _module_pool(any_h_tw), _module_pool(any_h_tw)
+    for a in pool + other:
+        for b in pool + other:
+            assert (a == b) == (a.h is b.h and a.dim == b.dim and a.action == b.action), (a, b)
+
+
+def test_equal_constructions_compare_without_building_actions(any_h_tw):
+    c = regular_module(any_h_tw)
+    left, right = tensor(c, c), tensor(c, c)
+    x, y = tensor(left, c), tensor(right, c)
+    assert x == y
+    assert all(m._action is None for m in (x, y, left, right))
+
+
 def test_eeta_trivial_for_z2(z2):
     # with everything trivial the unit is m |-> (m x -)
     c = regular_module(z2)
@@ -254,7 +281,6 @@ def test_adjunction_triangles_small(any_h_tw):
 
 def test_icomp_matches_algebra_product(any_h):
     # inner composition of left multiplications is the canonical product
-    from quasihopf.algebra_a import build_A
     h = any_h
     a = build_A(h)
     c = regular_module(h)
@@ -277,7 +303,6 @@ def test_icomp_matches_algebra_product(any_h):
 
 
 def test_icomp_unit_element(any_h):
-    from quasihopf.algebra_a import build_A
     h = any_h
     a = build_A(h)
     c = regular_module(h)

@@ -673,8 +673,8 @@ def solve(a: Matrix, b: Matrix | dict) -> SolveResult:
             raise LinAlgError(f"rhs must be a {a.rows}-row column, got {b.rows}x{b.cols}")
         bvec = b.col(0)
     else:
-        bvec = {k: rat(x) for k, x in b.items() if rat(x)}
-        if bvec and max(bvec) >= a.rows:
+        bvec = {k: y for k, x in b.items() if (y := rat(x))}
+        if bvec and (min(bvec) < 0 or max(bvec) >= a.rows):
             raise LinAlgError("rhs index out of range")
     den, rows = a._int_row_view()  # a = rows / den: rows x = den b
     sys = LinearSystem(a.cols)

@@ -14,9 +14,10 @@ Everything that acts by a tensor element goes through one primitive,
 elem_action_matrix: the sum of c_I F_1[I_1] (x) ... (x) F_k[I_k] over the
 terms of the element, with one operator family per slot (a module's action
 matrices, a rectangular family such as flattened or transposed actions, or
-the algebra's two-leg sandwich family).  Tensor products, associators, the
-inner-hom actions, the adjunction unit and counit, the inner composition and
-the interchange are each one such call.
+the algebra's two-leg sandwich family), with one Kronecker accumulation per
+head: terms that differ only in the last slot are summed there first.
+Tensor products, associators, the inner-hom actions, the adjunction unit and
+counit, the inner composition and the interchange are each one such call.
 
 Hom spaces, centre hom spaces and right-module hom spaces share one solver,
 intertwiners: the maps F with F . P = Q . F for a list of pairs (P, Q).  It
@@ -238,11 +239,14 @@ def elem_action_matrix(t: TensorElement, slots) -> Matrix:
     family of nested lists takes as many consecutive legs as it is deep
     (fused legs, e.g. ``QuasiHopfAlgebra.sandwich[i][j]``).
 
-    All integer: the element's coefficients are scaled by the lcm of their
-    denominators, the product of all slots but the last (the head) is built
-    once per index prefix, each term is scaled to the lcm of its head x last
-    denominators over all terms, and the sum is divided once, by the product
-    of the two lcms, when the result is built.
+    One Kronecker accumulation per head: terms are grouped by their index
+    prefix on all slots but the last, the head H (the product of those
+    slots) is built once per group, and sum_k c_k H (x) L_k is accumulated
+    as H (x) sum_k c_k L_k, the last-slot operators summed first over the
+    lcm of their denominators.  All integer: the element's coefficients are
+    scaled by the lcm of their denominators, each block to the lcm of its
+    head x last denominators over all blocks, and the sum is divided once,
+    by the product of the two lcms, when the result is built.
     """
     fams, arity, rows, cols = [], [], 1, 1
     for s in slots:
@@ -266,26 +270,36 @@ def elem_action_matrix(t: TensorElement, slots) -> Matrix:
 
     split = t.legs - arity[-1]
     den = _lcm_denominator(t.coeffs.values())
-    terms = []
-    scale = 1  # lcm of head den x last den over the terms
-    heads: dict[tuple, Matrix] = {}  # all slots but the last, per index prefix
+    groups: dict[tuple, list] = {}  # per head prefix: its (last operator, coefficient) terms
     for idx, c in (t.coeffs if den is None else _scaled(t.coeffs, den)).items():
-        lead = idx[:split]
-        head = heads.get(lead)
-        if head is None:
-            pos = 0
-            for fam, k in zip(fams[:-1], arity):
-                mat = pick(fam, lead[pos:pos + k])
-                head = mat if head is None else head.kron(mat)
-                pos += k
-            heads[lead] = head = Matrix.identity(1) if head is None else head
-        last = pick(fams[-1], idx[split:])
+        groups.setdefault(idx[:split], []).append((pick(fams[-1], idx[split:]), c))
+    blocks = []
+    scale = 1  # lcm of head den x combined last den over the blocks
+    for lead, group in groups.items():
+        if len(group) == 1:
+            (last, c), = group
+        else:  # sum c F_last[i] over the lcm of the group's denominators
+            ld = lcm(*(m._int_form()[0] for m, _ in group))
+            acc: list[dict] = [dict() for _ in range(group[0][0].cols)]
+            for m, c in group:
+                md, mcols = m._int_form()
+                for col, mc in zip(acc, mcols):
+                    _add_shifted(col, mc, c * (ld // md), 0)
+            if not any(acc):
+                continue
+            last, c = Matrix._of(group[0][0].rows, len(acc), ld, acc), 1
+        head, pos = None, 0
+        for fam, k in zip(fams[:-1], arity):
+            mat = pick(fam, lead[pos:pos + k])
+            head = mat if head is None else head.kron(mat)
+            pos += k
+        head = Matrix.identity(1) if head is None else head
         d = head._int_form()[0] * last._int_form()[0]
         if d != 1:
             scale = lcm(scale, d)
-        terms.append((head, last, c, d))
+        blocks.append((head, last, c, d))
     out: list[dict] = [dict() for _ in range(cols)]
-    for head, last, c, d in terms:
+    for head, last, c, d in blocks:
         _kron_into(out, head, last, c * (scale // d))
     return Matrix._of(rows, cols, scale * (den or 1), out)
 

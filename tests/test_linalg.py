@@ -126,6 +126,19 @@ def test_solve_shape_mismatch():
         mat([[1, 0]]) * mat([[1, 0]])
 
 
+def test_solve_rhs_is_coerced_once_and_checked_for_range(monkeypatch):
+    import quasihopf.linalg as linalg
+    seen = []
+    monkeypatch.setattr(linalg, "rat", lambda x: seen.append(x) or rat(x))
+    res = solve(Matrix.identity(2), {0: "1/2", 1: Fraction(4, 2)})
+    assert res.solution == {0: Fraction(1, 2), 1: 2}
+    assert seen == ["1/2", 2]
+    # a negative index is out of range too, not a silently dropped entry
+    for bad in ({-1: 1}, {2: 1}):
+        with pytest.raises(LinAlgError):
+            solve(Matrix.identity(2), bad)
+
+
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=12),
        st.randoms(use_true_random=False))
 @settings(max_examples=30, deadline=None)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -447,6 +448,14 @@ def _dyadic_matrix(rng, rows, cols):
     # head, last-family and coefficient denominators all differ: dyadic
     # heads, the integral actions of drinfeld_h2, coefficients in thirds
     ("drinfeld_h2", "R,C", "thirds"),
+    # terms sharing a head prefix are summed in the last slot first: a head
+    # whose last-slot terms cancel exactly (I[0] == I[1] on sweedler_h4), a
+    # group of dyadic last-slot operators over different denominators, the
+    # zero element and a 0-leg element
+    ("sweedler_h4", "C,I", "cancel"),
+    ("sweedler_h4", "C,R", "grouped"),
+    ("sweedler_h4", "C,R", "zero"),
+    ("sweedler_h4", "", "scalar"),
 ])
 def test_elem_action_matrix_matches_naive_sum(name, mods, elem):
     h = get_algebra(name)
@@ -457,14 +466,15 @@ def test_elem_action_matrix_matches_naive_sum(name, mods, elem):
     fused = [[_dyadic_matrix(mrng, 1, 2) for _ in range(h.dim)] for _ in range(h.dim)]
     named = {"C": c, "CC": tensor(c, c), "I": unit_module(h),
              "S": h.sandwich, "R": rect, "V": vec, "F": fused}
-    slots = [named[k] for k in mods.split(",")]
+    keys = mods.split(",") if mods else []
+    slots = [named[k] for k in keys]
 
     def naive_slot(key, f):
         if key in ("S", "F"):
             return 2, lambda i: f[i[0]][i[1]]
         return 1, (lambda i: f[i[0]]) if isinstance(f, list) else (lambda i: f.action[i[0]])
 
-    spec = [naive_slot(k, f) for k, f in zip(mods.split(","), slots)]
+    spec = [naive_slot(k, f) for k, f in zip(keys, slots)]
     legs = sum(k for k, _ in spec)
     if elem == "random":
         rng = random.Random(7)
@@ -476,9 +486,23 @@ def test_elem_action_matrix_matches_naive_sum(name, mods, elem):
         t = TensorElement(h.dim, legs, {
             tuple(rng.randrange(h.dim) for _ in range(legs)): Fraction(rng.choice([-2, -1, 1, 2]), 3)
             for _ in range(6)})
+    elif elem == "cancel":
+        assert unit_module(h).action[0] == unit_module(h).action[1]
+        t = TensorElement(h.dim, legs, {(0, 0): Fraction(1, 2), (0, 1): Fraction(-1, 2),
+                                        (1, 0): Fraction(1, 3), (1, 2): 5, (2, 1): Fraction(-3, 4)})
+    elif elem == "grouped":
+        # R[2] is over 2, R[0] and R[3] over 4: the first term is not over the lcm
+        assert [lcm(*(Fraction(x).denominator for x in rect[j].to_flat()))
+                for j in (2, 0, 3)] == [2, 4, 4]
+        t = TensorElement(h.dim, legs, {(1, 2): Fraction(-1, 2), (1, 0): Fraction(2, 3),
+                                        (1, 3): 3, (3, 2): Fraction(5, 4)})
+    elif elem == "zero":
+        t = TensorElement(h.dim, legs, {})
+    elif elem == "scalar":
+        t = TensorElement(h.dim, 0, {(): Fraction(-2, 3)})
     else:
         t = getattr(h, elem)
-    assert any(type(x) is Fraction for x in t.coeffs.values())  # non-integral data
+    assert elem == "zero" or any(type(x) is Fraction for x in t.coeffs.values())  # non-integral data
     got = elem_action_matrix(t, slots)
     assert got.to_flat() == naive_action(t, spec)
     assert all(type(x) is int or x.denominator != 1

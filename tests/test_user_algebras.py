@@ -171,3 +171,25 @@ def test_square_free_module_comparison(dr2):
     assert rep.ok, rep.render_text()
     _, crep = counit_iso(regular_module(dr2), a)
     assert crep.ok, crep.render_text()
+
+
+def test_elem_action_matrix_expands_once_per_head(dr2, monkeypatch):
+    # the associator's terms are summed per head prefix in the last slot, so
+    # the Kronecker accumulation runs once per distinct (i, j) of Phi_ijk on
+    # [C, C, C] and not once per term: 64 terms and 16 heads on the square
+    from quasihopf import repcat
+    calls = []
+    kron_into = repcat._kron_into
+
+    def spy(out, head, last, coeff):
+        calls.append(1)
+        kron_into(out, head, last, coeff)
+
+    monkeypatch.setattr(repcat, "_kron_into", spy)
+    for h in (get_algebra("drinfeld_h2"), dr2):
+        c = repcat.regular_module(h)
+        heads = {idx[:2] for idx in h.phi.coeffs}
+        calls.clear()
+        repcat.elem_action_matrix(h.phi, [c, c, c])
+        assert len(calls) == len(heads)
+    assert (len(dr2.phi.coeffs), len(heads)) == (64, 16)

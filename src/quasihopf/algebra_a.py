@@ -31,11 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, ONE, ZERO, inverse
+from .linalg import Matrix, ONE, ZERO
 from .qha import (Frozen, QuasiHopfAlgebra, TensorElement, _s_alpha, alpha_contraction,
                   beta_contraction, kappa_inverse, kappa_lambda, product_element)
 from .report import Report, VerificationFailure
-from .center import CenterObject, braiding, coaction_pairs, tensor_center
+from .center import CenterObject, braiding, braiding_inv, coaction_pairs, tensor_center
 from .repcat import (HLinearMap, HModule, elem_action_matrix, hom_space, intertwines,
                      regular_module, tensor, unit_module)
 
@@ -140,13 +140,9 @@ def diamond(h: QuasiHopfAlgebra, m: HModule, x: HModule) -> HLinearMap:
 
 def pi_map(h: QuasiHopfAlgebra, m: HModule) -> HLinearMap:
     """The natural projection heart(m) -> m: (a (x) v) -> eps(a alpha) v."""
-    n, d = h.dim, m.dim
-    cols = []
-    for a in range(n):
-        scale = h.counit_of(h.mul_vec({a: ONE}, h.alpha_vec))
-        for v in range(d):
-            cols.append({v: scale} if scale else {})
-    return HLinearMap(heart_base(h, m), m, Matrix(d, n * d, cols))
+    row = Matrix.from_rows([[h.counit_of(h.mul_vec({a: ONE}, h.alpha_vec))
+                             for a in range(h.dim)]])
+    return HLinearMap(heart_base(h, m), m, row.kron(Matrix.identity(m.dim)))
 
 
 # ---------------------------------------------------------------------------
@@ -410,9 +406,7 @@ def _verified_A(h: QuasiHopfAlgebra) -> AlgebraA:
     rhs = product * Matrix.identity(n).kron(product) * assoc_twist
     rep.add("associativity_with_twist", lhs == rhs)
 
-    eps_row = Matrix(1, n, [{0: h.counit[a] * h.counit_of(h.alpha_vec)}
-                            if h.counit[a] * h.counit_of(h.alpha_vec) else {}
-                            for a in range(n)])
+    eps_row = Matrix.from_rows([h.counit]) * h.counit_of(h.alpha_vec)
     rep.add("augmentation_multiplicative",
             eps_row * product == (eps_row.kron(eps_row)))
 
@@ -445,8 +439,7 @@ def _verified_A(h: QuasiHopfAlgebra) -> AlgebraA:
         lhs = Matrix.identity(x.dim).kron(eps_row) * bx.matrix
         rep.add(f"harpoon_from_braiding[{xname}]", lhs == out.harpoon(x).matrix)
 
-    if not rep.ok:
-        raise VerificationFailure(f"algebra A failed verification over {h.name}", rep)
+    rep.require(f"algebra A failed verification over {h.name}")
     return out
 
 
@@ -467,12 +460,10 @@ def s_t_isos(m: CenterObject, a: AlgebraA) -> tuple[HLinearMap, HLinearMap, Repo
     c = regular_module(h)
     unit_mod = unit_module(h)
     hm = heart(h, m.base)
-    dm = m.dim
 
     # t: family (M x A) x C -> I x (C x M)
-    b = braiding(m, c).matrix
-    fam_t_mat = b \
-        * Matrix.identity(dm).kron(a.harpoon(c).matrix) \
+    fam_t_mat = braiding(m, c).matrix \
+        * Matrix.identity(m.dim).kron(a.harpoon(c).matrix) \
         * elem_action_matrix(h.phi, [m.base, a.base, c])
     fam_t = HLinearMap(tensor(tensor(m.base, a.base), c),
                        tensor(unit_mod, tensor(c, m.base)), fam_t_mat)
@@ -480,7 +471,7 @@ def s_t_isos(m: CenterObject, a: AlgebraA) -> tuple[HLinearMap, HLinearMap, Repo
     t_map = HLinearMap(tensor(m.base, a.base), hm.base, t_map_raw.matrix)
 
     # s: family heart(M) x C -> M x (C x I)
-    fam_s_mat = inverse(b) * diamond(h, m.base, c).matrix
+    fam_s_mat = braiding_inv(m, c).matrix * diamond(h, m.base, c).matrix
     fam_s = HLinearMap(tensor(hm.base, c),
                        tensor(m.base, tensor(c, unit_mod)), fam_s_mat)
     s_map_raw = nat_to_hom(hm.base, m.base, unit_mod, fam_s)
@@ -499,7 +490,5 @@ def s_t_isos(m: CenterObject, a: AlgebraA) -> tuple[HLinearMap, HLinearMap, Repo
             intertwines(t_map.matrix, coaction_pairs(free, hm.center)))
     rep.add("s_center_morphism",
             intertwines(s_map.matrix, coaction_pairs(hm.center, free)))
-    if not rep.ok:
-        raise VerificationFailure(
-            f"free-module comparison failed for {m.label or 'M'}", rep)
+    rep.require(f"free-module comparison failed for {m.label or 'M'}")
     return s_map, t_map, rep

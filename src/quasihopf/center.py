@@ -13,16 +13,22 @@ center_pairs, the actions plus coaction_pairs (one pair per H-leg block), which
 the hom solver and every coaction check read (see repcat.intertwines).
 
 Braiding orientation: beta_{M,X}: M (x) X -> X (x) M, the centre object
-crosses over.
+crosses over.  Its inverse braiding_inv(m, x): X (x) M -> M (x) X sends
+u (x) v to sum_i G_i v (x) (e_i |> u), where one solve at C gives
+gamma(v) = beta_{M,C}^{-1}(1 (x) v) = sum_i G_i v (x) e_i.  It needs no runtime
+check: (1) the coaction formula gives beta_{M,X} . (id (x) f_u) =
+(f_u (x) id) . beta_{M,C} for f_u = (a |-> a |> u), assuming nothing; (2) so
+beta_{M,X} . braiding_inv(m, x) = id on X (x) M; (3) a square right inverse
+is two-sided.  A singular beta_{M,C} raises LinAlgError from the solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, rank
+from .linalg import Matrix, left_divide, rank
 from .qha import Frozen, QuasiHopfAlgebra, TensorElement
-from .report import Report, VerificationFailure
+from .report import Report
 from .repcat import (HLinearMap, HModule, associator, associator_inv, elem_action_matrix,
                      hom_space, identity_map, intertwiners, intertwines, regular_module,
                      tensor, unit_module)
@@ -32,8 +38,8 @@ from .repcat import (HLinearMap, HModule, associator, associator_inv, elem_actio
 class CenterObject(Frozen):
     """A module plus the coaction encoding its braiding against everything.
 
-    Immutable; its memo holds the validation report and the coaction's
-    H-leg blocks."""
+    Immutable; its memo holds the validation report and the H-leg blocks
+    of the coaction and of its inverse counterpart (see braiding_inv)."""
 
     base: HModule
     coaction: Matrix  # (n*d) x d, column j = image of basis vector j
@@ -59,10 +65,7 @@ class CenterObject(Frozen):
         return self.memo("validation", lambda: validate_center(self))
 
     def require_valid(self) -> "CenterObject":
-        rep = self.validation()
-        if not rep.ok:
-            raise VerificationFailure(
-                f"centre validation failed for {self.label or 'object'}", rep)
+        self.validation().require(f"centre validation failed for {self.label or 'object'}")
         return self
 
     def __repr__(self):
@@ -76,38 +79,55 @@ def braiding(m: CenterObject, x: HModule) -> HLinearMap:
     v (x) u to sum (h_i |> u) (x) v_i; naturality against maps out of the
     regular module forces exactly this formula.
     """
-    d, dx, n = m.dim, x.dim, m.h.dim
-    # sum_i (h_i |> -) (x) delta_i on x (x) m, then reorder the source to m (x) x
-    pairing = TensorElement._of(n, 2, {(i, i): 1 for i in range(n)})
-    act = elem_action_matrix(pairing, [x, _coaction_blocks(m)])
     return HLinearMap(tensor(m.base, x), tensor(x, m.base),
-                      act.select([u * d + v for v in range(d) for u in range(dx)]))
+                      _crossing(m.h, [x, _coaction_blocks(m)], x.dim, m.dim))
+
+
+def braiding_inv(m: CenterObject, x: HModule) -> HLinearMap:
+    """beta_{m,x}^{-1}: x (x) m -> m (x) x from the blocks G_i of gamma (see
+    the module docstring for the formula and why it is two-sided)."""
+    return HLinearMap(tensor(x, m.base), tensor(m.base, x),
+                      _crossing(m.h, [_inverse_blocks(m), x], m.dim, x.dim))
+
+
+def _crossing(h: QuasiHopfAlgebra, slots: list, p: int, q: int) -> Matrix:
+    """sum_i F_i (x) G_i for the two slots' families on P (x) Q (dimensions p
+    and q), its source reordered to Q (x) P."""
+    pairing = TensorElement._of(h.dim, 2, {(i, i): 1 for i in range(h.dim)})
+    return elem_action_matrix(pairing, slots).select(
+        [a * q + b for b in range(q) for a in range(p)])
+
+
+def _h_leg_blocks(mat: Matrix, row_sets) -> list[Matrix]:
+    """One block per H basis element: the rows of mat in that element's set."""
+    t = mat.transpose()
+    return [t.select(rows).transpose() for rows in row_sets]
 
 
 def _coaction_blocks(m: CenterObject) -> list[Matrix]:
     """The coaction split by its H leg: block i sends v to the M-leg of the
     h_i-part of delta(v).  Built once per object, in its memo."""
+    d = m.dim
+    return m.memo("coaction_blocks", lambda: _h_leg_blocks(
+        m.coaction, [range(i * d, (i + 1) * d) for i in range(m.h.dim)]))
+
+
+def _inverse_blocks(m: CenterObject) -> list[Matrix]:
+    """gamma = beta_{m,C}^{-1}(1 (x) -): M -> M (x) C split by its H leg, so
+    that gamma(v) = sum_i G_i v (x) e_i; one solve on the d unit columns,
+    built once per object, in its memo."""
     def build():
-        d = m.dim
-        blocks = [[{} for _ in range(d)] for _ in range(m.h.dim)]
-        for j, col in enumerate(m.coaction.columns()):
-            for flat, c in col.items():
-                i, v = divmod(flat, d)
-                blocks[i][j][v] = c
-        return [Matrix(d, d, b) for b in blocks]
-    return m.memo("coaction_blocks", build)
+        h, d = m.h, m.dim
+        ones = Matrix(h.dim, 1, [dict(h.unit)]).kron(Matrix.identity(d))  # v |-> 1 (x) v
+        gamma = left_divide(braiding(m, regular_module(h)).matrix, ones)
+        return _h_leg_blocks(gamma, [range(i, h.dim * d, h.dim) for i in range(h.dim)])
+    return m.memo("inverse_blocks", build)
 
 
 def trivial_center(x: HModule) -> CenterObject:
     """The coaction v -> 1 (x) v (validates only when the flip is central)."""
     h = x.h
-    cols = []
-    for j in range(x.dim):
-        col = {}
-        for i, c in h.unit.items():
-            col[i * x.dim + j] = c
-        cols.append(col)
-    return CenterObject(x, Matrix(h.dim * x.dim, x.dim, cols),
+    return CenterObject(x, Matrix(h.dim, 1, [dict(h.unit)]).kron(Matrix.identity(x.dim)),
                         label=f"triv({x.label or '?'})")
 
 
@@ -143,13 +163,9 @@ def validate_center(m: CenterObject) -> Report:
     rep.add("naturality_hom_CC", intertwines(
         b.matrix, [(idm.kron(f.matrix), f.matrix.kron(idm)) for f in hom_space(c_mod, c_mod)]))
 
-    ok = True
-    for f in hom_space(c_mod, cc):
-        lhs = b.then(f.tensor(identity_map(m.base)))
-        rhs = identity_map(m.base).tensor(f).then(bcc)
-        if lhs.matrix != rhs.matrix:
-            ok = False
-    rep.add("naturality_hom_C_CC", ok)
+    rep.add("naturality_hom_C_CC", all(
+        f.matrix.kron(idm) * b.matrix == bcc.matrix * idm.kron(f.matrix)
+        for f in hom_space(c_mod, cc)))
     return rep
 
 

@@ -25,13 +25,13 @@ from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import reduce
 
-from .linalg import LinAlgError, inverse
+from .linalg import LinAlgError
 from .qha import QuasiHopfAlgebra
 from .report import VerificationFailure
 from .repcat import (HLinearMap, HModule, associator, associator_inv, eeps,
                      eeta, icomp, identity_map, in_map, inner_hom,
                      regular_module, tensor, unit_module)
-from .center import CenterObject, braiding
+from .center import CenterObject, braiding, braiding_inv
 from .algebra_a import (AlgebraA, build_A, diamond, heart, heart_on_morphism,
                         pi_map, s_t_isos)
 from .mod_a import (AModule, algebra_as_amodule, coinvariants,
@@ -259,9 +259,7 @@ class Context:
 
     def add_module(self, name: str, m: HModule) -> None:
         self._claim(name)
-        rep = m.validate()
-        if not rep.ok:
-            raise VerificationFailure(f"module {name!r} failed validation", rep)
+        m.validate().require(f"module {name!r} failed validation")
         self.modules[name] = m if m.label else HModule(m.h, m.dim, m.action, name, key=m._key)
 
     def add_center(self, name: str, m: CenterObject) -> None:
@@ -315,9 +313,9 @@ class Spec:
     run: Callable | None = None
 
 
-def _inverse(ctx, te, f: HLinearMap) -> HLinearMap:
+def _nonsingular(invert, *args) -> HLinearMap:
     try:
-        return HLinearMap(f.target, f.source, inverse(f.matrix))
+        return invert(*args)
     except LinAlgError as exc:
         raise DslError(f"inv of a singular morphism: {exc}")
 
@@ -382,7 +380,7 @@ GENERATORS: dict[str, dict[str, Spec]] = {
     "braid": {MORPHISM: Spec((CENTRE, OBJECT), _braid,
                              lambda ctx, te, m, x: braiding(m, x))},
     "braid_inv": {MORPHISM: Spec((CENTRE, OBJECT), lambda ctx, m, x: _braid(ctx, m, x)[::-1],
-                                 lambda ctx, te, m, x: _inverse(ctx, te, braiding(m, x)))},
+                                 lambda ctx, te, m, x: _nonsingular(braiding_inv, m, x))},
     "diamond": {MORPHISM: Spec(
         (OBJECT,) * 2, lambda ctx, m, x: (tensor(heart(ctx.h, m).base, x), tensor(x, m)),
         lambda ctx, te, m, x: diamond(ctx.h, m, x))},
@@ -415,7 +413,8 @@ GENERATORS: dict[str, dict[str, Spec]] = {
                        coinvariants_on_morphism(f, pres_s, pres_d)),
         OBJECT: Spec((RIGHT,), lambda ctx, m: coinvariants(m)[0]),
     },
-    "inv": {MORPHISM: Spec((MORPHISM,), _square, _inverse)},
+    "inv": {MORPHISM: Spec((MORPHISM,), _square,
+                           lambda ctx, te, f: _nonsingular(f.inverse))},
     "innh": {OBJECT: Spec((OBJECT,) * 2, lambda ctx, x, y: inner_hom(x, y))},
 }
 

@@ -25,13 +25,15 @@ Conventions, fixed once and used everywhere:
   serialized matrices are flat row-major arrays.
 * There is one elimination, :meth:`Echelon.reduce`, on primitive integer
   rows.  Negative indices are tags: they ride along and never become
-  pivots.  Rank, solving, inverses and the hom solver reduce through it.
-  A batch enters an echelon one way, :meth:`Echelon.extend`, sparsest
-  first, which keeps the rows sparse and changes no result: a pivot is
-  always the largest index, so the pivot set of a span, and with it every
-  projection, section, rank and kernel basis, does not depend on the
-  order.  Coordinates are read off tagged reductions one way,
-  :meth:`Echelon.coordinates`, for quotients and the hom solver alike.
+  pivots.  Rank, solving, :func:`left_divide` (the X with A X = B, all
+  columns of B in one elimination; ``inverse`` is its B = I case) and the
+  hom solver reduce through it.  A batch enters an echelon one way,
+  :meth:`Echelon.extend`, sparsest first, which keeps the rows sparse and
+  changes no result: a pivot is always the largest index, so the pivot set
+  of a span, and with it every projection, section, rank and kernel basis,
+  does not depend on the order.  Coordinates are read off tagged
+  reductions one way, :meth:`Echelon.coordinates`, for quotients and the
+  hom solver alike.
 
 Matrices are immutable by convention once constructed: no public method
 mutates entries, so values (and columns) can be shared freely.  Rationals
@@ -693,24 +695,27 @@ def rank(a: Matrix) -> int:
     return len(Echelon().extend(a._icols))  # scaling a column does not change the span
 
 
-def inverse(a: Matrix) -> Matrix:
-    """Exact two-sided inverse; raises LinAlgError if singular."""
+def left_divide(a: Matrix, b: Matrix) -> Matrix:
+    """The X with A X = B, for A square and invertible: one elimination of
+    A's rows with B's columns riding along as tags.  A singular A, or a B
+    with another row count, raises LinAlgError."""
     if a.rows != a.cols:
         raise LinAlgError("only square matrices can be inverted")
+    if b.rows != a.rows:
+        raise LinAlgError(f"rhs must have {a.rows} rows, got {b.rows}")
     n = a.rows
-    den, rows = a._int_row_view()  # a = rows / den: rows x = den e_i
+    den, rows = a._int_row_view()  # a = rows / den: rows X = den B
     sys = LinearSystem(n)
-    for i, row in enumerate(rows):
-        sys.add_equation(row, {i: den})
-    if sys.rank != n:
+    for row, brow in zip(rows, b.row_view()):
+        sys.add_equation(row, {t: den * x for t, x in brow.items()})
+    if sys.rank != n:  # full rank: every row grew it, so no system is inconsistent
         raise LinAlgError("matrix is singular")
-    inv_cols = []
-    for k in range(n):
-        x = sys.particular_solution(tag=k)
-        if x is None:
-            raise LinAlgError("matrix is singular")
-        inv_cols.append(x)
-    return Matrix.from_cols(n, inv_cols)
+    return Matrix(n, b.cols, [sys.particular_solution(tag=k) for k in range(b.cols)])
+
+
+def inverse(a: Matrix) -> Matrix:
+    """Exact two-sided inverse: left_divide at B = I (LinAlgError if singular)."""
+    return left_divide(a, Matrix.identity(a.rows))
 
 
 def cokernel_of_columns(ambient_dim: int, vectors) -> tuple[Matrix, Matrix]:

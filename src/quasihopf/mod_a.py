@@ -6,12 +6,13 @@ unitality, compatibility with the coactions) are checked exactly.  A
 morphism intertwines amodule_pairs (actions, coactions, right actions):
 amodule_hom_space solves for them, and every morphism check tests them, or
 a part of them, with repcat.intertwines.  The category is monoidal by
-coequalizing the middle action.  A quotient is a
-(projection, section) pair plus its module, and every induced map on one
-(action, coaction, right action, a morphism between coinvariants, the
-counit, the monoidal comparisons) comes from linalg.descend, which returns
-the map or reports that it does not exist.  Quotient bases are pivot-based
-and non-canonical; every assertion made downstream is basis-independent.
+coequalizing mu_M (x) id against id (x) lambda_N, the left action through
+center.braiding_inv.  A quotient is a (projection, section) pair plus its
+module, and every induced map on one (action, coaction, right action, a
+morphism between coinvariants, the counit, the monoidal comparisons) comes
+from linalg.descend, which returns the map or reports that it does not
+exist.  Quotient bases are pivot-based and non-canonical; every assertion
+made downstream is basis-independent.
 
 The two functors of the equivalence live here: heart(-) into right modules
 and the coinvariants functor (- tensored over the algebra with the unit
@@ -25,10 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, ONE, cokernel_of_columns, descend, inverse, rank
+from .linalg import Matrix, cokernel_of_columns, descend, rank
 from .qha import Frozen, QuasiHopfAlgebra
 from .report import Report, VerificationFailure
-from .center import CenterObject, braiding, center_pairs, coaction_pairs, tensor_center
+from .center import CenterObject, braiding_inv, center_pairs, coaction_pairs, tensor_center
 from .repcat import (HLinearMap, HModule, elem_action_matrix, hom_space, intertwiners,
                      intertwines, regular_module, tensor, unit_module)
 from .algebra_a import (AlgebraA, _cached_kappa_lambda, build_A, heart, heart_compose,
@@ -61,10 +62,8 @@ class AModule(Frozen):
         return self.center.dim
 
     def require_valid(self) -> "AModule":
-        rep = self.memo("validation", lambda: validate_amodule(self))
-        if not rep.ok:
-            raise VerificationFailure(
-                f"right-module validation failed for {self.label or '?'}", rep)
+        self.memo("validation", lambda: validate_amodule(self)).require(
+            f"right-module validation failed for {self.label or '?'}")
         return self
 
     def __repr__(self):
@@ -113,13 +112,12 @@ def heart_amodule(a: AlgebraA, x: HModule) -> AModule:
 def left_action(m: AModule) -> HLinearMap:
     """The induced left action: the algebra strand passes behind the module.
 
-    lambda = mu . (beta_{M,A})^{-1}; with the over-crossing instead, the lax
-    structure on heart(-) fails to coequalize even in the Hopf case.
+    lambda = mu . (beta_{M,A})^{-1}, the inverse from center.braiding_inv; with
+    the over-crossing instead, the lax structure on heart(-) fails to
+    coequalize even in the Hopf case.
     """
-    a = m.a
-    b = braiding(m.center, a.base)
-    mat = m.mu * inverse(b.matrix)
-    return HLinearMap(tensor(a.base, m.base), m.base, mat)
+    return HLinearMap(tensor(m.a.base, m.base), m.base,
+                      m.mu * braiding_inv(m.center, m.a.base).matrix)
 
 
 def left_action_report(m: AModule) -> Report:
@@ -167,25 +165,19 @@ def _quotient_module(ambient: HModule, relations: list[dict], label: str) -> Quo
 
 
 def tensor_over_A(m: AModule, n_mod: AModule) -> tuple[AModule, QuotientPresentation]:
-    """Coequalize acting on the left factor against acting through the braid
-    (the quotient is validated by whoever requires it, see AModule.require_valid).
-
-    The relation subspace is the image of (mu_M (x) id) - (id (x) lambda_N)
-    after rebracketing; precomposing with the isomorphism id_M (x) beta_{N,A}
-    leaves that image unchanged and turns the lambda side into a plain mu_N,
-    so the inverse braiding is never materialized.
+    """The coequalizer of mu_M (x) id and id (x) lambda_N on M (x) (A (x) N),
+    the first after rebracketing by the inverse associator, with lambda_N the
+    left action through the inverse braiding (the quotient is validated by
+    whoever requires it, see AModule.require_valid).
     """
     a, h = m.a, m.a.h
     n = h.dim
     amb_center = tensor_center(m.center, n_mod.center)
-    amb = amb_center.base
-    b_na = braiding(n_mod.center, a.base).matrix       # N (x) A -> A (x) N
-    pre = elem_action_matrix(h.phi_inv, [m.base, a.base, n_mod.base]) \
-        * Matrix.identity(m.dim).kron(b_na)
-    top = m.mu.kron(Matrix.identity(n_mod.dim)) * pre
-    bottom = Matrix.identity(m.dim).kron(n_mod.mu)
-    diff = top - bottom                                # M (x) (N (x) A) -> M (x) N
-    pres = _quotient_module(amb, diff._int_form()[1],
+    top = m.mu.kron(Matrix.identity(n_mod.dim)) \
+        * elem_action_matrix(h.phi_inv, [m.base, a.base, n_mod.base])
+    bottom = Matrix.identity(m.dim).kron(left_action(n_mod).matrix)
+    diff = top - bottom                                # M (x) (A (x) N) -> M (x) N
+    pres = _quotient_module(amb_center.base, diff._int_form()[1],
                             label=f"({m.label or '?'})(x)A({n_mod.label or '?'})")
 
     # the coaction descends iff the relation space is a subcomodule
@@ -247,13 +239,11 @@ def coinvariants_monoidal(m: AModule, n_mod: AModule) -> tuple[HLinearMap, Repor
     w = descend(u1, u2, sec2)
     rep.add("relations_agree_forward", v is not None)
     rep.add("relations_agree_backward", w is not None)
-    if v is None or w is None:
-        raise VerificationFailure("monoidal comparison failed", rep)
+    rep.require("monoidal comparison failed")
     rep.add("round_trip_identity", (w * v).is_identity() and (v * w).is_identity())
     fwd = HLinearMap(tensor(pres_m.module, pres_n.module), pres_b.module, v)
     rep.add("comparison_h_linear", fwd.is_h_linear())
-    if not rep.ok:
-        raise VerificationFailure("monoidal comparison failed", rep)
+    rep.require("monoidal comparison failed")
     return fwd, rep
 
 
@@ -270,8 +260,7 @@ def counit_iso(x: HModule, a: AlgebraA) -> tuple[HLinearMap, Report]:
     _, _, pres = coinvariants(am)
     mat = descend(pi_map(h, x).matrix, pres.projection, pres.section)
     rep.add("projection_kills_relations", mat is not None)
-    if mat is None:
-        raise VerificationFailure(f"counit comparison failed for {x.label}", rep)
+    rep.require(f"counit comparison failed for {x.label}")
     rep.add("dimensions_match", pres.module.dim == x.dim)
     iso = HLinearMap(pres.module, x, mat)
     rep.add("induced_h_linear", iso.is_h_linear())
@@ -281,11 +270,8 @@ def counit_iso(x: HModule, a: AlgebraA) -> tuple[HLinearMap, Report]:
     _, lam, kbar = _cached_kappa_lambda(h)
     nu = h.mul(kbar, lam.permute_legs((2, 3, 4, 5, 1)))
     d = x.dim
-    swap_cols = []
-    for mm in range(d):
-        for aa in range(n):
-            swap_cols.append({aa * d + mm: ONE})
-    swap = Matrix(n * d, d * n, swap_cols)  # M (x) A -> heart(X): m (x) a -> a (x) m
+    # M (x) A -> heart(X): m (x) a -> a (x) m
+    swap = Matrix.identity(n * d).select([aa * d + mm for mm in range(d) for aa in range(n)])
 
     # m (x) a (x) b |-> (n1 a S(n2)) (x) (n5 |> m) (x) (n3 b S(n4))
     t = h.apply_leg(h.apply_leg(nu, 2, h.antipode), 4, h.antipode)
@@ -296,8 +282,7 @@ def counit_iso(x: HModule, a: AlgebraA) -> tuple[HLinearMap, Report]:
     rep.add("window_augmentation",
             Matrix.identity(n * d).kron(a.eps_row) * vleft
             == swap * Matrix.identity(d * n).kron(a.eps_row))
-    if not rep.ok:
-        raise VerificationFailure(f"counit comparison failed for {x.label}", rep)
+    rep.require(f"counit comparison failed for {x.label}")
     return iso, rep
 
 
@@ -342,8 +327,7 @@ def unit_iso(m: AModule) -> tuple[HLinearMap, HLinearMap, Report]:
             intertwines(xi_mat, coaction_pairs(hb_coinv.center, m.center)))
     rep.add("zeta_center_morphism",
             intertwines(zeta_mat, coaction_pairs(m.center, hb_coinv.center)))
-    if not rep.ok:
-        raise VerificationFailure(f"unit isomorphism failed for {m.label}", rep)
+    rep.require(f"unit isomorphism failed for {m.label}")
     return xi, zeta, rep
 
 

@@ -34,7 +34,7 @@ from math import prod
 
 from .linalg import (LegShape, LinAlgError, Matrix, ONE, ZERO, _canon, _div,
                      _lcm_denominator, _scaled, rat, rat_str, solve, vec_add_scaled)
-from .report import Report, VerificationFailure
+from .report import Report
 
 
 class TensorElement:
@@ -670,9 +670,7 @@ class QuasiHopfAlgebra(Frozen):
         return rep
 
     def require_valid(self) -> "QuasiHopfAlgebra":
-        rep = self.verify_axioms()
-        if not rep.ok:
-            raise VerificationFailure(f"algebra {self.name or ''} failed axiom checks", rep)
+        self.verify_axioms().require(f"algebra {self.name or ''} failed axiom checks")
         return self
 
     def __repr__(self):

@@ -33,6 +33,12 @@ class Report:
     def ok(self) -> bool:
         return all(item.ok for item in self.items)
 
+    def require(self, message: str) -> "Report":
+        """self when ok; otherwise raise VerificationFailure(message, self)."""
+        if not self.ok:
+            raise VerificationFailure(message, self)
+        return self
+
     def failures(self) -> list[ReportItem]:
         return [item for item in self.items if not item.ok]
 

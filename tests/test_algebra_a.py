@@ -31,6 +31,19 @@ def test_z2_product_is_plain_multiplication(z2):
         assert a.eps_row.entry(0, i) == z2.counit[i]
 
 
+def test_counit_rows_match_their_entrywise_formulas(any_h_tw):
+    # pi_map is eps(e_a alpha) v on a (x) v, and the augmentation eps(e_a) eps(alpha)
+    h = any_h_tw
+    x = tensor(regular_module(h), regular_module(h))
+    n, d = h.dim, x.dim
+    scales = [h.counit_of(h.mul_vec({a: 1}, h.alpha_vec)) for a in range(n)]
+    assert pi_map(h, x).matrix == Matrix(d, n * d, [{v: scales[a]} if scales[a] else {}
+                                                    for a in range(n) for v in range(d)])
+    eps_alpha = h.counit_of(h.alpha_vec)
+    assert build_A(h).eps_row == Matrix(1, n, [{0: h.counit[a] * eps_alpha}
+                                               for a in range(n)])
+
+
 def test_hopf_adjoint_action(sw):
     a = build_A(sw)
     n = sw.dim

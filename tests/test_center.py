@@ -259,3 +259,50 @@ def identity(a):
 def identity_t(a, f):
     from quasihopf.repcat import identity_map
     return identity_map(a.center.base).tensor(f)
+
+
+# -- the inverse braiding ----------------------------------------------------------
+
+def test_braiding_inv_is_the_inverse_braiding(any_h_tw):
+    from quasihopf.algebra_a import build_A, heart
+    from quasihopf.center import braiding_inv
+    from quasihopf.linalg import inverse
+    from quasihopf.mod_a import free_amodule
+    h = any_h_tw
+    a = build_A(h)
+    c = regular_module(h)
+    for m in (a.center, free_amodule(a, a.center).center, heart(h, c).center):
+        for x in (unit_module(h), c, tensor(c, c), a.base):
+            inv = braiding_inv(m, x)
+            assert inv.matrix == inverse(braiding(m, x).matrix), (m, x)
+            assert (inv.source, inv.target) == (tensor(x, m.base), tensor(m.base, x))
+
+
+def test_braiding_inv_solves_once_per_centre_object(dr, monkeypatch):
+    import quasihopf.center as center
+    from quasihopf.algebra_a import build_A
+    from quasihopf.mod_a import free_amodule
+    solves = []
+    left_divide = center.left_divide
+
+    def spy(a, b):
+        solves.append((a.rows, b.cols))
+        return left_divide(a, b)
+
+    monkeypatch.setattr(center, "left_divide", spy)
+    a = build_A(dr)
+    c = regular_module(dr)
+    for m in (free_amodule(a, a.center).center, free_amodule(a, a.center).center):
+        for x in (unit_module(dr), c, tensor(c, c), a.base, c):
+            center.braiding_inv(m, x)
+    d = a.base.dim ** 2  # free(A) = A (x) A
+    assert solves == [(dr.dim * d, d)] * 2  # one d-column solve per object
+
+
+def test_trivial_center_coaction_is_one_tensor_v(any_h):
+    # the unit column (x) identity: column j holds unit[i] at i * d + j
+    x = tensor(regular_module(any_h), unit_module(any_h))
+    d = x.dim
+    hand = Matrix(any_h.dim * d, d, [{i * d + j: c for i, c in any_h.unit.items()}
+                                     for j in range(d)])
+    assert trivial_center(x).coaction == hand

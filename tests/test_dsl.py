@@ -186,6 +186,21 @@ def test_eval_inverse_of_singular(ctx_dr):
         eval_expr("inv(pi(C))", ctx_dr)
 
 
+def test_inverses_of_a_singular_braiding_are_one_line_errors(ctx_dr, monkeypatch):
+    # a zero coaction braids by the zero map; registered by hand, past the
+    # validation add_center would run
+    from quasihopf.center import CenterObject
+    from quasihopf.linalg import Matrix
+    c = regular_module(ctx_dr.h)
+    zero = CenterObject(c, Matrix.zero(ctx_dr.h.dim * c.dim, c.dim), label="Z")
+    monkeypatch.setitem(ctx_dr.centers, "Z", zero)
+    for expr in ("braid_inv(Z, C)", "inv(braid(Z, C))"):
+        with pytest.raises(DslError) as info:
+            eval_expr(expr, ctx_dr)
+        assert str(info.value).splitlines() == [
+            "inv of a singular morphism: matrix is singular (line 1, column 1)"]
+
+
 def test_object_expressions(ctx_dr):
     el = Elaborator(ctx_dr)
     m = el.resolve_module(parse("innh(C, C*C)"))

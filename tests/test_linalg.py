@@ -7,7 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from quasihopf.linalg import (Echelon, LegShape, LinAlgError, LinearSystem, Matrix,
                               cokernel, cokernel_of_columns, descend, inverse, kernel,
-                              kron, rank, rat, rat_str, solve, span_basis, spans_equal)
+                              kron, left_divide, rank, rat, rat_str, solve, span_basis,
+                              spans_equal)
 
 def mat(rows):
     return Matrix.from_rows(rows)
@@ -264,6 +265,25 @@ def test_inverse_and_singular():
     assert (inverse(a) * a).is_identity()
     with pytest.raises(LinAlgError):
         inverse(mat([[1, 2], [2, 4]]))
+
+
+def test_left_divide_with_rational_rhs():
+    a = mat([[2, 1, 0], [0, 3, Fraction(1, 2)], [1, 0, 1]])
+    b = mat([[1, Fraction(1, 3)], [0, -2], [Fraction(5, 7), 0]])
+    x = left_divide(a, b)
+    assert (x.rows, x.cols) == (3, 2)
+    assert a * x == b
+    assert x == inverse(a) * b
+    assert left_divide(a, Matrix.identity(3)) == inverse(a)
+
+
+def test_left_divide_refuses_singular_and_mismatched():
+    with pytest.raises(LinAlgError, match="singular"):
+        left_divide(mat([[1, 2], [2, 4]]), mat([[1], [0]]))
+    with pytest.raises(LinAlgError, match="rows"):
+        left_divide(mat([[1, 2], [3, 4]]), mat([[1], [0], [0]]))
+    with pytest.raises(LinAlgError, match="square"):
+        left_divide(mat([[1, 2, 3], [3, 4, 5]]), mat([[1], [0]]))
 
 
 def test_kernel_and_spans():

@@ -5,10 +5,12 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quasihopf.linalg import Echelon, Matrix, inverse, kernel
+from quasihopf.linalg import Echelon, Matrix, cokernel_of_columns, inverse, kernel
 from quasihopf.report import VerificationFailure
-from quasihopf.repcat import hom_space, intertwines, regular_module, tensor, unit_module
-from quasihopf.center import CenterObject, center_hom_space, coaction_pairs, validate_center
+from quasihopf.repcat import (elem_action_matrix, hom_space, intertwines, regular_module,
+                              tensor, unit_module)
+from quasihopf.center import (CenterObject, braiding, center_hom_space, coaction_pairs,
+                              validate_center)
 from quasihopf.algebra_a import build_A, heart, heart_on_morphism
 from quasihopf.mod_a import (AModule, algebra_as_amodule, amodule_hom_space,
                              coinvariants, coinvariants_monoidal, coinvariants_on_morphism,
@@ -410,3 +412,28 @@ def test_twist_relations_are_eliminated_sparsest_first(tw, monkeypatch):
     (count, rank, mean_row), = seen
     assert (count, rank) == (256, 48)
     assert mean_row <= 4
+
+
+def _precomposed_relations(m, n_mod):
+    """The (x)_A relations precomposed with id_M (x) beta_{N,A}, which turns
+    the lambda_N side into a plain mu_N: the same span, other columns."""
+    h = m.a.h
+    b_na = braiding(n_mod.center, m.a.base).matrix
+    top = m.mu.kron(Matrix.identity(n_mod.dim)) \
+        * elem_action_matrix(h.phi_inv, [m.base, m.a.base, n_mod.base]) \
+        * Matrix.identity(m.dim).kron(b_na)
+    return top - Matrix.identity(m.dim).kron(n_mod.mu)
+
+
+@pytest.mark.parametrize("xs, ys", [("I", "I"), ("I", "C"), ("C", "I"), ("C", "C")])
+def test_tensor_over_A_quotient_matches_the_precomposed_relations(any_h_tw, xs, ys):
+    # the coequalizer of mu_M (x) id against id (x) lambda_N spans the same
+    # relations, and a quotient's pivots do not depend on the spanning set
+    h = any_h_tw
+    objects = {"I": unit_module(h), "C": regular_module(h)}
+    a = build_A(h)
+    m, n_mod = heart_amodule(a, objects[xs]), heart_amodule(a, objects[ys])
+    _, pres = tensor_over_A(m, n_mod)
+    diff = _precomposed_relations(m, n_mod)
+    proj, sec = cokernel_of_columns(diff.rows, diff._int_form()[1])
+    assert (pres.projection, pres.section) == (proj, sec)

@@ -1,6 +1,6 @@
 """The report ids and verdicts pinned in bench/expected.json, computed
 in-process: a renamed, reordered or flipped id fails tier-1, not only the
-benchmark gate.  The full `--report json` text of the two fast builtins,
+benchmark gate.  The full `--report json` text of the three builtins,
 details included, is pinned too (tests/golden/), so a change that should
 leave every result alone is checked byte for byte."""
 
@@ -25,7 +25,7 @@ def id_status(rep) -> list:
     return [[item.id, item.status] for item in rep.items]
 
 
-@pytest.mark.parametrize("name", ["group_z2", "drinfeld_h2"])
+@pytest.mark.parametrize("name", ["group_z2", "drinfeld_h2", "sweedler_h4"])
 def test_equiv_report_matches_the_pinned_ids(name):
     buf = io.StringIO()
     with redirect_stdout(buf):

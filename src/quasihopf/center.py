@@ -124,13 +124,6 @@ def _inverse_blocks(m: CenterObject) -> list[Matrix]:
     return m.memo("inverse_blocks", build)
 
 
-def trivial_center(x: HModule) -> CenterObject:
-    """The coaction v -> 1 (x) v (validates only when the flip is central)."""
-    h = x.h
-    return CenterObject(x, Matrix(h.dim, 1, [dict(h.unit)]).kron(Matrix.identity(x.dim)),
-                        label=f"triv({x.label or '?'})")
-
-
 def validate_center(m: CenterObject) -> Report:
     """Counit normalization, linearity, invertibility, hexagon, naturality."""
     h = m.h

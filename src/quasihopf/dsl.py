@@ -25,7 +25,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import reduce
 
-from .linalg import LinAlgError
+from .linalg import LinAlgError, first_difference
 from .qha import QuasiHopfAlgebra
 from .report import VerificationFailure
 from .repcat import (HLinearMap, HModule, associator, associator_inv, eeps,
@@ -554,10 +554,7 @@ def check(lhs_text: str, rhs_text: str, ctx: Context) -> CheckResult:
             f"{_fmt(rt.source)} -> {_fmt(rt.target)}")
     lm = el.evaluate(lt)
     rm = el.evaluate(rt)
-    if lm.matrix == rm.matrix:
+    diff = first_difference(lm.matrix, rm.matrix)
+    if diff is None:
         return CheckResult(True, "exactly equal")
-    for j in range(lm.matrix.cols):
-        if lm.matrix.col(j) != rm.matrix.col(j):
-            return CheckResult(
-                False, f"matrices differ on source basis vector {j}", witness=j)
-    return CheckResult(False, "matrices differ")
+    return CheckResult(False, f"matrices differ on source basis vector {diff[0]}", witness=diff[0])

@@ -460,12 +460,6 @@ class Matrix:
         return Matrix(m, n, cols)
 
     @staticmethod
-    def from_cols(rows: int, columns) -> "Matrix":
-        data = [{i: rat(x) for i, x in (c.items() if isinstance(c, dict) else enumerate(c))}
-                for c in columns]
-        return Matrix(rows, len(data), data)
-
-    @staticmethod
     def from_flat(rows: int, cols: int, flat) -> "Matrix":
         flat = list(flat)
         if len(flat) != rows * cols:
@@ -656,6 +650,18 @@ def _int_product(gcols: list[dict], cols: list[dict]) -> list[dict]:
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     return a.kron(b)
+
+
+def first_difference(a: Matrix, b: Matrix) -> tuple[int, int] | None:
+    """The first (column, row) where two matrices of one shape differ,
+    columns first and then rows in order; None when a == b."""
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise LinAlgError(f"cannot compare {a.rows}x{a.cols} with {b.rows}x{b.cols}")
+    if a == b:
+        return None
+    # the stored form is canonical, so unequal matrices differ in a column
+    return next((j, min(i for i in x.keys() | y.keys() if x.get(i, ZERO) != y.get(i, ZERO)))
+                for j, (x, y) in enumerate(zip(a.columns(), b.columns())) if x != y)
 
 
 # ---------------------------------------------------------------------------

@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import partial, reduce
 from itertools import product
 from math import prod
 
-from .linalg import (LegShape, LinAlgError, Matrix, ONE, ZERO, _canon, _div,
-                     _lcm_denominator, _scaled, rat, rat_str, solve, vec_add_scaled)
+from .linalg import (LegShape, LinAlgError, Matrix, ONE, ZERO, _canon, _div, _lcm_denominator,
+                     _scaled, first_difference, rat, rat_str, solve, vec_add_scaled)
 from .report import Report
 
 
@@ -315,13 +316,6 @@ class QuasiHopfAlgebra(Frozen):
 
     # -- basic arithmetic -----------------------------------------------------
 
-    def elem(self, legs: int, coeffs) -> TensorElement:
-        if isinstance(coeffs, TensorElement):
-            return coeffs
-        if isinstance(coeffs, dict):
-            return TensorElement(self.dim, legs, coeffs)
-        return TensorElement.from_flat(self.dim, legs, coeffs)
-
     def unit_elem(self, legs: int = 1) -> TensorElement:
         t = TensorElement._of(self.dim, 0, {(): ONE})
         one = TensorElement._of(self.dim, 1, {(i,): c for i, c in self.unit.items()})
@@ -540,134 +534,112 @@ class QuasiHopfAlgebra(Frozen):
     # -- verification -----------------------------------------------------------
 
     def verify_axioms(self) -> Report:
-        """Exact check of the defining axioms on all basis elements, run once
-        per algebra."""
+        """Exact check of the defining axioms, run once per algebra.
+
+        Each axiom is one identity, of tensor elements or of composites of
+        the structure maps as matrices: m: H (x) H -> H, Delta: H -> H (x) H,
+        the unit u, the counit eps, the antipode S, the swap t of two legs,
+        and left and right multiplication L_x, R_x.  In report order:
+
+        - unit: m(u (x) 1) = 1 = m(1 (x) u);
+        - associativity: m(m (x) 1) = m(1 (x) m);
+        - comult.unit: Delta u = u (x) u;
+        - comult.morphism: Delta m = (m (x) m)(1 (x) t (x) 1)(Delta (x) Delta);
+        - counit.unit, counit.morphism: eps u = 1, eps m = eps (x) eps;
+        - B3.counit_laws: (eps (x) 1) Delta = 1 = (1 (x) eps) Delta;
+        - phi.invertible: Phi Phi^-1 = 1 = Phi^-1 Phi in the third power;
+        - B1.quasi_coassociativity:
+          (1 (x) Delta) Delta = R_{Phi^-1} L_Phi (Delta (x) 1) Delta;
+        - B2.pentagon, in the fourth power;
+        - B4.counit_phi: (1 (x) eps (x) 1) Phi = 1 (x) 1;
+        - antipode.antihom, antipode.unit: S m = m t (S (x) S), S u = u;
+        - antipode.invertible: S S^-1 = 1 = S^-1 S;
+        - H1.alpha_law: m(R_alpha S (x) 1) Delta = alpha eps;
+        - H2.beta_law: m(R_beta (x) S) Delta = beta eps;
+        - H3.zigzag: Phi^1 beta S(Phi^2) alpha Phi^3 = 1;
+        - H4.zigzag: S(phi^1) alpha phi^2 beta S(phi^3) = 1, over phi = Phi^-1.
+
+        A failing item names its witness (see :meth:`add_identity`).
+        """
         return self.memo("axioms", self._check_axioms)
 
     def _check_axioms(self) -> Report:
+        from .repcat import elem_action_matrix
         rep = Report(title=f"axioms[{self.name or 'algebra'}]")
-        n = self.dim
-        one = self.unit_elem(1)
+        n, phi, phinv, ant = self.dim, self.phi, self.phi_inv, self.antipode
+        one = Matrix.identity(n)
+        m = Matrix(n, n * n, [dict(self.mult[i][j]) for i in range(n) for j in range(n)])
+        delta = Matrix(n * n, n, [{j * n + k: c for (j, k), c in d.items()} for d in self.comult])
+        u = Matrix(n, 1, [dict(self.unit)])
+        eps = Matrix(1, n, [{0: c} if c else {} for c in self.counit])
+        swap = Matrix.identity(n * n).select([j * n + i for i in range(n) for j in range(n)])
+        left = [self.left_mult_matrix({i: ONE}) for i in range(n)]
+        right = [self.right_mult_matrix({i: ONE}) for i in range(n)]
 
-        ok = True
-        for i in range(n):
-            e = self.basis_elem(i)
-            if self.mul(one, e) != e or self.mul(e, one) != e:
-                ok = False
-        rep.add("unit", ok)
+        check = partial(self.add_identity, rep)
 
-        ok = True
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    lhs = self.mul_vec(self.mul_vec({i: ONE}, {j: ONE}), {k: ONE})
-                    rhs = self.mul_vec({i: ONE}, self.mul_vec({j: ONE}, {k: ONE}))
-                    if lhs != rhs:
-                        ok = False
-        rep.add("associativity", ok)
+        def comp(*maps):  # the composite, multiplied out from the source: thin products
+            return reduce(Matrix.then, reversed(maps))
 
-        delta_unit = self.spread(self.unit_elem(1), [(1, 2)], 2)
-        rep.add("comult.unit", delta_unit == self.unit_elem(2))
-        ok = True
-        for i in range(n):
-            for j in range(n):
-                prod = self.mul_vec({i: ONE}, {j: ONE})
-                lhs = TensorElement(self.dim, 2, {})
-                for k, c in prod.items():
-                    lhs = lhs + c * TensorElement(self.dim, 2, self.icomult(k, 2))
-                rhs = self.mul(TensorElement(self.dim, 2, self.icomult(i, 2)),
-                               TensorElement(self.dim, 2, self.icomult(j, 2)))
-                if lhs != rhs:
-                    ok = False
-        rep.add("comult.morphism", ok)
-
-        rep.add("counit.unit", self.counit_of(self.unit) == ONE)
-        ok = True
-        for i in range(n):
-            for j in range(n):
-                if self.counit_of(self.mul_vec({i: ONE}, {j: ONE})) != self.counit[i] * self.counit[j]:
-                    ok = False
-        rep.add("counit.morphism", ok)
-
-        # (B3): (eps x id) o delta = id = (id x eps) o delta
-        ok = True
-        for i in range(n):
-            d = TensorElement(self.dim, 2, self.icomult(i, 2))
-            if self.counit_legs(d, [1]) != self.basis_elem(i) or \
-               self.counit_legs(d, [2]) != self.basis_elem(i):
-                ok = False
-        rep.add("B3.counit_laws", ok)
-
-        rep.add("phi.invertible",
-                self.mul(self.phi, self.phi_inv) == self.unit_elem(3)
-                and self.mul(self.phi_inv, self.phi) == self.unit_elem(3))
-
-        # (B1): (id x delta)(delta a) = phi . (delta x id)(delta a) . phi^-1
-        ok = True
-        for i in range(n):
-            left_nested = self.spread(self.basis_elem(i), [(1, 2, 3)], 3)
-            # right-nested iterated coproduct: delta on the second leg
-            right_nested = self.spread(TensorElement(self.dim, 2, self.icomult(i, 2)),
-                                       [(1,), (2, 3)], 3)
-            if right_nested != self.mul_chain([self.phi, left_nested, self.phi_inv]):
-                ok = False
-        rep.add("B1.quasi_coassociativity", ok)
-
+        check("unit", comp(m, u.kron(one)), one, comp(m, one.kron(u)))
+        check("associativity", comp(m, m.kron(one)), comp(m, one.kron(m)))
+        check("comult.unit", comp(delta, u), u.kron(u))
+        check("comult.morphism", comp(delta, m),
+              comp(m.kron(m), one.kron(swap).kron(one), delta.kron(delta)))
+        check("counit.unit", comp(eps, u), Matrix.identity(1))
+        check("counit.morphism", comp(eps, m), eps.kron(eps))
+        check("B3.counit_laws", comp(eps.kron(one), delta), one, comp(one.kron(eps), delta))
+        check("phi.invertible", self.mul(phi, phinv), self.unit_elem(3), self.mul(phinv, phi))
+        check("B1.quasi_coassociativity", comp(one.kron(delta), delta),
+              comp(elem_action_matrix(phinv, [right] * 3), elem_action_matrix(phi, [left] * 3),
+                   delta.kron(one), delta))
         # (B2) pentagon, as an exact identity in the 4th tensor power
-        lhs = self.mul(self.spread(self.phi, [(1,), (2,), (3, 4)], 4),
-                       self.spread(self.phi, [(1, 2), (3,), (4,)], 4))
-        rhs = self.mul_chain([
-            self.spread(self.phi, [(2,), (3,), (4,)], 4),
-            self.spread(self.phi, [(1,), (2, 3), (4,)], 4),
-            self.spread(self.phi, [(1,), (2,), (3,)], 4),
-        ])
-        rep.add("B2.pentagon", lhs == rhs)
-
-        rep.add("B4.counit_phi",
-                self.counit_legs(self.phi, [2]) == self.unit_elem(2))
-
-        ok = True
-        for i in range(n):
-            for j in range(n):
-                lhs = self.s_vec(self.mul_vec({i: ONE}, {j: ONE}))
-                rhs = self.mul_vec(self.s_vec({j: ONE}), self.s_vec({i: ONE}))
-                if lhs != rhs:
-                    ok = False
-        rep.add("antipode.antihom", ok)
-        rep.add("antipode.unit", self.s_vec(self.unit) == self.unit)
-        rep.add("antipode.invertible",
-                (self.antipode * self.antipode_inv).is_identity()
-                and (self.antipode_inv * self.antipode).is_identity())
-
-        # (H1): S(a_(1)) alpha a_(2) = eps(a) alpha ; (H2) dually with beta
-        ok1 = ok2 = True
-        for i in range(n):
-            h1: dict[int, Fraction] = {}
-            h2: dict[int, Fraction] = {}
-            for (j, k), d in self.comult[i].items():
-                vec_add_scaled(h1, self.prod_chain([self.s_vec({j: ONE}), self.alpha_vec, {k: ONE}]), d)
-                vec_add_scaled(h2, self.prod_chain([{j: ONE}, self.beta_vec, self.s_vec({k: ONE})]), d)
-            if h1 != {k: self.counit[i] * c for k, c in self.alpha_vec.items() if self.counit[i] * c}:
-                ok1 = False
-            if h2 != {k: self.counit[i] * c for k, c in self.beta_vec.items() if self.counit[i] * c}:
-                ok2 = False
-        rep.add("H1.alpha_law", ok1)
-        rep.add("H2.beta_law", ok2)
-
-        # (H3): Phi^1 beta S(Phi^2) alpha Phi^3 = 1
-        acc: dict[int, Fraction] = {}
-        for (i, j, k), c in self.phi.coeffs.items():
-            vec_add_scaled(acc, self.prod_chain(
-                [{i: ONE}, self.beta_vec, self.s_vec({j: ONE}), self.alpha_vec, {k: ONE}]), c)
-        rep.add("H3.zigzag", acc == self.unit)
-
-        # (H4): S(phi^1) alpha phi^2 beta S(phi^3) = 1
-        acc = {}
-        for (i, j, k), c in self.phi_inv.coeffs.items():
-            vec_add_scaled(acc, self.prod_chain(
-                [self.s_vec({i: ONE}), self.alpha_vec, {j: ONE}, self.beta_vec, self.s_vec({k: ONE})]), c)
-        rep.add("H4.zigzag", acc == self.unit)
+        check("B2.pentagon",
+              self.mul(self.spread(phi, [(1,), (2,), (3, 4)], 4),
+                       self.spread(phi, [(1, 2), (3,), (4,)], 4)),
+              self.mul_chain([self.spread(phi, [(2,), (3,), (4,)], 4),
+                              self.spread(phi, [(1,), (2, 3), (4,)], 4),
+                              self.spread(phi, [(1,), (2,), (3,)], 4)]))
+        check("B4.counit_phi", self.counit_legs(phi, [2]), self.unit_elem(2))
+        check("antipode.antihom", comp(ant, m), comp(m, swap, ant.kron(ant)))
+        check("antipode.unit", comp(ant, u), u)
+        check("antipode.invertible", comp(ant, self.antipode_inv), one,
+              comp(self.antipode_inv, ant))
+        s_alpha, r_beta = _s_alpha(self), self.right_mult_matrix(self.beta_vec)
+        r_alpha = self.right_mult_matrix(self.alpha_vec)
+        check("H1.alpha_law", comp(m, s_alpha.kron(one), delta),
+              Matrix(n, 1, [self.alpha_vec]) * eps)
+        check("H2.beta_law", comp(m, r_beta.kron(ant), delta), Matrix(n, 1, [self.beta_vec]) * eps)
+        fuse, leg = self.fuse_legs, self.apply_leg
+        check("H3.zigzag", fuse(leg(fuse(leg(leg(phi, 1, r_beta), 2, ant), 1), 1, r_alpha), 1),
+              self.unit_elem(1))
+        check("H4.zigzag", fuse(leg(leg(fuse(leg(phinv, 1, s_alpha), 1), 1, r_beta), 2, ant), 1),
+              self.unit_elem(1))
         return rep
+
+    def add_identity(self, rep: Report, check_id: str, first, *others) -> bool:
+        """Add the item ``first == other`` for every other, the sides being
+        matrices between tensor powers of H, or tensor elements (one column).
+        A failure names its witness: the first differing column as a source
+        basis tuple (no tuple for one column), the target component, and the
+        two entries, e.g. 'at g (x) x, component 1: 0 != 1'."""
+        def name(flat: int, size: int) -> str:  # '1' for the scalars, H^0
+            legs = 0
+            while self.dim ** legs < size:
+                legs += 1
+            idx = LegShape((self.dim,) * legs).unindex(flat)
+            return " (x) ".join(self.basis[i] for i in idx) or "1"
+
+        for other in others:
+            if first == other:
+                continue
+            a, b = (Matrix(x.dim ** x.legs, 1, [x.as_vector()]) if isinstance(x, TensorElement)
+                    else x for x in (first, other))
+            col, row = first_difference(a, b)
+            at = f"at {name(col, a.cols)}, " if a.cols > 1 else "at "
+            return rep.add(check_id, False, f"{at}component {name(row, a.rows)}: "
+                           f"{rat_str(a.entry(row, col))} != {rat_str(b.entry(row, col))}")
+        return rep.add(check_id, True)
 
     def require_valid(self) -> "QuasiHopfAlgebra":
         self.verify_axioms().require(f"algebra {self.name or ''} failed axiom checks")
@@ -692,67 +664,53 @@ def verify_derived_identities(h: QuasiHopfAlgebra) -> Report:
     one2 = h.unit_elem(2)
     phi, phinv = h.phi, h.phi_inv
 
+    check = partial(h.add_identity, rep)
     # applying the counit to any single leg of the associator (or its inverse)
     # leaves the unit of the square tensor power
     for legname, t in (("phi", phi), ("phi_inv", phinv)):
-        ok = all(h.counit_legs(t, [l]) == one2 for l in (1, 2, 3))
-        rep.add(f"eps_on_{legname}", ok)
+        check(f"eps_on_{legname}", one2, *(h.counit_legs(t, [l]) for l in (1, 2, 3)))
 
-    alpha, beta = h.alpha_vec, h.beta_vec
-    w_beta = h.adjoint_sandwich(beta)      # x -> x_(1) beta S(x_(2))
-    v_alpha = h.antipode_sandwich(alpha)   # x -> S(x_(1)) alpha x_(2)
+    w_beta = h.adjoint_sandwich(h.beta_vec)      # x -> x_(1) beta S(x_(2))
+    v_alpha = h.antipode_sandwich(h.alpha_vec)   # x -> S(x_(1)) alpha x_(2)
 
-    def with_middle(vec: dict, pos: int, total: int = 3) -> TensorElement:
-        t = TensorElement(h.dim, 1, {(i,): c for i, c in vec.items()})
-        groups = [(p,) for p in (pos,)]
-        return h.spread(t, groups, total)
+    def with_middle(t: TensorElement, pos: int) -> TensorElement:
+        return h.spread(t, [(pos,)], 3)
 
-    rep.add("helper1.beta_collapse_mid",
-            h.apply_leg(phinv, 2, w_beta) == with_middle(beta, 2))
-    rep.add("helper2.alpha_collapse_last",
-            h.apply_leg(phi, 3, v_alpha) == with_middle(alpha, 3))
+    check("helper1.beta_collapse_mid", h.apply_leg(phinv, 2, w_beta), with_middle(h.beta, 2))
+    check("helper2.alpha_collapse_last", h.apply_leg(phi, 3, v_alpha), with_middle(h.alpha, 3))
 
     # pentagon consequence: (id,id,delta)Phi . (delta,id,id)Phi . (phi x 1) .
     # (id,delta,id)phi = 1 x Phi
-    lhs = h.mul_chain([
-        h.spread(phi, [(1,), (2,), (3, 4)], 4),
-        h.spread(phi, [(1, 2), (3,), (4,)], 4),
-        h.spread(phinv, [(1,), (2,), (3,)], 4),
-        h.spread(phinv, [(1,), (2, 3), (4,)], 4),
-    ])
-    rep.add("helper3.pentagon_fold", lhs == h.spread(phi, [(2,), (3,), (4,)], 4))
+    check("helper3.pentagon_fold",
+          h.mul_chain([h.spread(phi, [(1,), (2,), (3, 4)], 4),
+                       h.spread(phi, [(1, 2), (3,), (4,)], 4),
+                       h.spread(phinv, [(1,), (2,), (3,)], 4),
+                       h.spread(phinv, [(1,), (2, 3), (4,)], 4)]),
+          h.spread(phi, [(2,), (3,), (4,)], 4))
 
-    rep.add("tmp1.beta_collapse_last",
-            h.apply_leg(phinv, 3, w_beta) == with_middle(beta, 3))
-    rep.add("tmp2.alpha_collapse_mid",
-            h.apply_leg(h.apply_leg(phi, 2, v_alpha), 3, h.antipode)
-            == with_middle(alpha, 2))
+    check("tmp1.beta_collapse_last", h.apply_leg(phinv, 3, w_beta), with_middle(h.beta, 3))
+    check("tmp2.alpha_collapse_mid", h.apply_leg(h.apply_leg(phi, 2, v_alpha), 3, h.antipode),
+          with_middle(h.alpha, 2))
 
     # tmp3: (id,delta,id)Phi . (Phi x 1) . (delta,id,id)phi . (id,id,delta)phi = 1 x phi
-    lhs = h.mul_chain([
-        h.spread(phi, [(1,), (2, 3), (4,)], 4),
-        h.spread(phi, [(1,), (2,), (3,)], 4),
-        h.spread(phinv, [(1, 2), (3,), (4,)], 4),
-        h.spread(phinv, [(1,), (2,), (3, 4)], 4),
-    ])
-    rep.add("tmp3.pentagon_fold_inv", lhs == h.spread(phinv, [(2,), (3,), (4,)], 4))
+    check("tmp3.pentagon_fold_inv",
+          h.mul_chain([h.spread(phi, [(1,), (2, 3), (4,)], 4),
+                       h.spread(phi, [(1,), (2,), (3,)], 4),
+                       h.spread(phinv, [(1, 2), (3,), (4,)], 4),
+                       h.spread(phinv, [(1,), (2,), (3, 4)], 4)]),
+          h.spread(phinv, [(2,), (3,), (4,)], 4))
 
-    rep.add("hsko.alpha_collapse_phi_inv",
-            h.apply_leg(phinv, 2, v_alpha) == with_middle(alpha, 2))
+    check("hsko.alpha_collapse_phi_inv", h.apply_leg(phinv, 2, v_alpha), with_middle(h.alpha, 2))
 
     # hskoo: the same collapse under one extra coproduct on the first leg,
     # stated in the 4th tensor power
-    lhs = h.apply_leg(h.spread(phinv, [(1, 2), (3,), (4,)], 4), 2, v_alpha)
-    rhs = h.mul(h.spread(phinv, [(1,), (3,), (4,)], 4),
-                h.spread(TensorElement(h.dim, 1, {(i,): c for i, c in alpha.items()}),
-                         [(2,)], 4))
-    rep.add("hskoo.alpha_collapse_nested", lhs == rhs)
+    check("hskoo.alpha_collapse_nested",
+          h.apply_leg(h.spread(phinv, [(1, 2), (3,), (4,)], 4), 2, v_alpha),
+          h.mul(h.spread(phinv, [(1,), (3,), (4,)], 4), h.spread(h.alpha, [(2,)], 4)))
 
     kappa, lam = kappa_lambda(h)
-    rep.add("kappa.eps_identity",
-            h.counit_legs(kappa, [3, 4]) == h.unit_elem(3))
-    rep.add("lambda.eps_identity",
-            h.counit_legs(lam, [4, 5]) == h.unit_elem(3))
+    check("kappa.eps_identity", h.counit_legs(kappa, [3, 4]), h.unit_elem(3))
+    check("lambda.eps_identity", h.counit_legs(lam, [4, 5]), h.unit_elem(3))
     return rep
 
 

@@ -57,12 +57,6 @@ def amodule_from_obj(a: AlgebraA, obj: dict, label: str = "") -> AModule:
     return AModule(a, center, mu, label=label)
 
 
-def amodule_to_obj(m: AModule) -> dict:
-    out = center_to_obj(m.center)
-    out["mu"] = [rat_str(c) for c in m.mu.transpose().to_flat()]
-    return out
-
-
 def morphism_from_obj(ctx, obj: dict):
     """A named morphism: object expressions for the endpoints, a flat matrix.
 

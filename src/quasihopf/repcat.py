@@ -335,15 +335,6 @@ def associator_inv(m: HModule, n: HModule, p: HModule) -> HLinearMap:
     return HLinearMap(src, dst, elem_action_matrix(h.phi_inv, [m, n, p]))
 
 
-def unit_left_elim(m: HModule) -> HLinearMap:
-    """I (x) m -> m by coefficient extraction (flat spaces coincide)."""
-    return HLinearMap(tensor(unit_module(m.h), m), m, Matrix.identity(m.dim))
-
-
-def unit_right_elim(m: HModule) -> HLinearMap:
-    return HLinearMap(tensor(m, unit_module(m.h)), m, Matrix.identity(m.dim))
-
-
 # ---------------------------------------------------------------------------
 # hom spaces
 

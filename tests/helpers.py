@@ -1,0 +1,178 @@
+"""Constructions that only the tests use, and the per-basis-tuple axiom
+check that the tests compare the matrix identities of ``verify_axioms`` with."""
+
+from fractions import Fraction
+
+from quasihopf.center import CenterObject
+from quasihopf.linalg import ONE, Matrix, rat, rat_str, vec_add_scaled
+from quasihopf.qhio import center_to_obj
+from quasihopf.qha import TensorElement
+from quasihopf.repcat import HLinearMap, tensor, unit_module
+from quasihopf.report import Report
+
+
+def from_cols(rows: int, columns) -> Matrix:
+    """The matrix with the given columns: dicts {row: entry} or lists."""
+    data = [{i: rat(x) for i, x in (c.items() if isinstance(c, dict) else enumerate(c))}
+            for c in columns]
+    return Matrix(rows, len(data), data)
+
+
+def elem(h, legs: int, coeffs) -> TensorElement:
+    """A ``legs``-leg element of h from an element, a dict or a flat list."""
+    if isinstance(coeffs, TensorElement):
+        return coeffs
+    if isinstance(coeffs, dict):
+        return TensorElement(h.dim, legs, coeffs)
+    return TensorElement.from_flat(h.dim, legs, coeffs)
+
+
+def unit_left_elim(m) -> HLinearMap:
+    """I (x) m -> m by coefficient extraction (flat spaces coincide)."""
+    return HLinearMap(tensor(unit_module(m.h), m), m, Matrix.identity(m.dim))
+
+
+def unit_right_elim(m) -> HLinearMap:
+    return HLinearMap(tensor(m, unit_module(m.h)), m, Matrix.identity(m.dim))
+
+
+def trivial_center(x) -> CenterObject:
+    """The coaction v -> 1 (x) v (validates only when the flip is central)."""
+    h = x.h
+    return CenterObject(x, Matrix(h.dim, 1, [dict(h.unit)]).kron(Matrix.identity(x.dim)),
+                        label=f"triv({x.label or '?'})")
+
+
+def amodule_to_obj(m) -> dict:
+    """The JSON object of a right A-module: its centre object and mu."""
+    out = center_to_obj(m.center)
+    out["mu"] = [rat_str(c) for c in m.mu.transpose().to_flat()]
+    return out
+
+
+def naive_axioms(self) -> Report:
+    """The axiom check one basis tuple at a time, the oracle of
+    ``verify_axioms``: the same ids in the same order, without witnesses."""
+    rep = Report(title=f"axioms[{self.name or 'algebra'}]")
+    n = self.dim
+    one = self.unit_elem(1)
+
+    ok = True
+    for i in range(n):
+        e = self.basis_elem(i)
+        if self.mul(one, e) != e or self.mul(e, one) != e:
+            ok = False
+    rep.add("unit", ok)
+
+    ok = True
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = self.mul_vec(self.mul_vec({i: ONE}, {j: ONE}), {k: ONE})
+                rhs = self.mul_vec({i: ONE}, self.mul_vec({j: ONE}, {k: ONE}))
+                if lhs != rhs:
+                    ok = False
+    rep.add("associativity", ok)
+
+    delta_unit = self.spread(self.unit_elem(1), [(1, 2)], 2)
+    rep.add("comult.unit", delta_unit == self.unit_elem(2))
+    ok = True
+    for i in range(n):
+        for j in range(n):
+            prod = self.mul_vec({i: ONE}, {j: ONE})
+            lhs = TensorElement(self.dim, 2, {})
+            for k, c in prod.items():
+                lhs = lhs + c * TensorElement(self.dim, 2, self.icomult(k, 2))
+            rhs = self.mul(TensorElement(self.dim, 2, self.icomult(i, 2)),
+                           TensorElement(self.dim, 2, self.icomult(j, 2)))
+            if lhs != rhs:
+                ok = False
+    rep.add("comult.morphism", ok)
+
+    rep.add("counit.unit", self.counit_of(self.unit) == ONE)
+    ok = True
+    for i in range(n):
+        for j in range(n):
+            if self.counit_of(self.mul_vec({i: ONE}, {j: ONE})) != self.counit[i] * self.counit[j]:
+                ok = False
+    rep.add("counit.morphism", ok)
+
+    # (B3): (eps x id) o delta = id = (id x eps) o delta
+    ok = True
+    for i in range(n):
+        d = TensorElement(self.dim, 2, self.icomult(i, 2))
+        if self.counit_legs(d, [1]) != self.basis_elem(i) or \
+           self.counit_legs(d, [2]) != self.basis_elem(i):
+            ok = False
+    rep.add("B3.counit_laws", ok)
+
+    rep.add("phi.invertible",
+            self.mul(self.phi, self.phi_inv) == self.unit_elem(3)
+            and self.mul(self.phi_inv, self.phi) == self.unit_elem(3))
+
+    # (B1): (id x delta)(delta a) = phi . (delta x id)(delta a) . phi^-1
+    ok = True
+    for i in range(n):
+        left_nested = self.spread(self.basis_elem(i), [(1, 2, 3)], 3)
+        # right-nested iterated coproduct: delta on the second leg
+        right_nested = self.spread(TensorElement(self.dim, 2, self.icomult(i, 2)),
+                                   [(1,), (2, 3)], 3)
+        if right_nested != self.mul_chain([self.phi, left_nested, self.phi_inv]):
+            ok = False
+    rep.add("B1.quasi_coassociativity", ok)
+
+    # (B2) pentagon, as an exact identity in the 4th tensor power
+    lhs = self.mul(self.spread(self.phi, [(1,), (2,), (3, 4)], 4),
+                   self.spread(self.phi, [(1, 2), (3,), (4,)], 4))
+    rhs = self.mul_chain([
+        self.spread(self.phi, [(2,), (3,), (4,)], 4),
+        self.spread(self.phi, [(1,), (2, 3), (4,)], 4),
+        self.spread(self.phi, [(1,), (2,), (3,)], 4),
+    ])
+    rep.add("B2.pentagon", lhs == rhs)
+
+    rep.add("B4.counit_phi",
+            self.counit_legs(self.phi, [2]) == self.unit_elem(2))
+
+    ok = True
+    for i in range(n):
+        for j in range(n):
+            lhs = self.s_vec(self.mul_vec({i: ONE}, {j: ONE}))
+            rhs = self.mul_vec(self.s_vec({j: ONE}), self.s_vec({i: ONE}))
+            if lhs != rhs:
+                ok = False
+    rep.add("antipode.antihom", ok)
+    rep.add("antipode.unit", self.s_vec(self.unit) == self.unit)
+    rep.add("antipode.invertible",
+            (self.antipode * self.antipode_inv).is_identity()
+            and (self.antipode_inv * self.antipode).is_identity())
+
+    # (H1): S(a_(1)) alpha a_(2) = eps(a) alpha ; (H2) dually with beta
+    ok1 = ok2 = True
+    for i in range(n):
+        h1: dict[int, Fraction] = {}
+        h2: dict[int, Fraction] = {}
+        for (j, k), d in self.comult[i].items():
+            vec_add_scaled(h1, self.prod_chain([self.s_vec({j: ONE}), self.alpha_vec, {k: ONE}]), d)
+            vec_add_scaled(h2, self.prod_chain([{j: ONE}, self.beta_vec, self.s_vec({k: ONE})]), d)
+        if h1 != {k: self.counit[i] * c for k, c in self.alpha_vec.items() if self.counit[i] * c}:
+            ok1 = False
+        if h2 != {k: self.counit[i] * c for k, c in self.beta_vec.items() if self.counit[i] * c}:
+            ok2 = False
+    rep.add("H1.alpha_law", ok1)
+    rep.add("H2.beta_law", ok2)
+
+    # (H3): Phi^1 beta S(Phi^2) alpha Phi^3 = 1
+    acc: dict[int, Fraction] = {}
+    for (i, j, k), c in self.phi.coeffs.items():
+        vec_add_scaled(acc, self.prod_chain(
+            [{i: ONE}, self.beta_vec, self.s_vec({j: ONE}), self.alpha_vec, {k: ONE}]), c)
+    rep.add("H3.zigzag", acc == self.unit)
+
+    # (H4): S(phi^1) alpha phi^2 beta S(phi^3) = 1
+    acc = {}
+    for (i, j, k), c in self.phi_inv.coeffs.items():
+        vec_add_scaled(acc, self.prod_chain(
+            [self.s_vec({i: ONE}), self.alpha_vec, {j: ONE}, self.beta_vec, self.s_vec({k: ONE})]), c)
+    rep.add("H4.zigzag", acc == self.unit)
+    return rep

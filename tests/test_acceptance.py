@@ -4,6 +4,7 @@ All comparisons are exact rational identities (tolerance zero); the three
 built-in algebras are the instance corpus.  Run with -s to see the lines."""
 
 import json
+import re
 from contextlib import contextmanager
 
 from quasihopf.linalg import Matrix
@@ -48,6 +49,9 @@ def test_criterion_1_axiom_suite():
                                z2.beta, name=z2.name)
         fails = {item.id for item in bad.verify_axioms().failures()}
         assert "H3.zigzag" in fails
+        # ... and names where it fails: a component in the basis of z2
+        h3 = next(i for i in bad.verify_axioms().items if i.id == "H3.zigzag")
+        assert re.search(r"component (\S+):", h3.details).group(1) in z2.basis
         # the corruption also forces the other zigzag (it evaluates to
         # alpha*beta); nothing else may fail
         assert fails <= {"H3.zigzag", "H4.zigzag"}

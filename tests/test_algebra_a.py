@@ -6,13 +6,15 @@ import pytest
 from quasihopf.linalg import Matrix
 from quasihopf.repcat import (hom_space, identity_map, regular_module, tensor,
                               unit_module)
-from quasihopf.center import braiding, trivial_center, validate_center
+from quasihopf.center import braiding, validate_center
 from quasihopf.algebra_a import (build_A, diamond, extract_center_structure,
                                  heart, heart_base, heart_braiding,
                                  heart_compose, heart_mu, heart_mu_direct,
                                  heart_on_morphism, hom_to_nat, nat_to_hom,
                                  pi_map, s_t_isos)
 from quasihopf.repcat import elem_action_matrix
+
+from helpers import trivial_center
 
 
 def test_build_reports_pass(any_h_tw):

@@ -5,8 +5,10 @@ import pytest
 from quasihopf.linalg import LinearSystem, Matrix, rank
 from quasihopf.repcat import HModule, hom_space, regular_module, tensor, unit_module
 from quasihopf.center import (CenterObject, braiding, center_hom_space,
-                              tensor_center, trivial_center, validate_center)
+                              tensor_center, validate_center)
 from quasihopf.report import VerificationFailure
+
+from helpers import trivial_center
 
 
 def hopf_coaction_center(h, label="A"):

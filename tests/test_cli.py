@@ -62,6 +62,10 @@ def test_verify_flags_corrupted_alpha(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(tmp_path / "bad.json"))
     assert code == 1
     assert "H3" in out
+    # the failing line names its witness: a component in the algebra's basis
+    line = next(l for l in out.splitlines() if "H3.zigzag" in l)
+    assert line.startswith("[FAIL]")
+    assert re.search(r"component (\S+):", line).group(1) in obj["basis"]
 
 
 def test_verify_json_report(capsys):
@@ -236,11 +240,11 @@ def _center_of_A(**changes):
 
 
 def _amodule_A(**changes):
-    from quasihopf import qhio
     from quasihopf.algebra_a import build_A
     from quasihopf.mod_a import algebra_as_amodule
     from conftest import get_algebra
-    return dict(qhio.amodule_to_obj(algebra_as_amodule(build_A(get_algebra("drinfeld_h2")))),
+    from helpers import amodule_to_obj
+    return dict(amodule_to_obj(algebra_as_amodule(build_A(get_algebra("drinfeld_h2")))),
                 **changes)
 
 

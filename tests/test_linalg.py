@@ -6,9 +6,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from quasihopf.linalg import (Echelon, LegShape, LinAlgError, LinearSystem, Matrix,
-                              cokernel, cokernel_of_columns, descend, inverse, kernel,
-                              kron, left_divide, rank, rat, rat_str, solve, span_basis,
-                              spans_equal)
+                              cokernel, cokernel_of_columns, descend, first_difference,
+                              inverse, kernel, kron, left_divide, rank, rat, rat_str, solve,
+                              span_basis, spans_equal)
+
+from helpers import from_cols
+
 
 def mat(rows):
     return Matrix.from_rows(rows)
@@ -51,10 +54,10 @@ def test_legshape_bijection(dims, data):
 
 
 def test_from_cols_rejects_rows_out_of_range():
-    assert Matrix.from_cols(2, [{1: 1}, {0: 2}]).to_flat() == [0, 2, 1, 0]
+    assert from_cols(2, [{1: 1}, {0: 2}]).to_flat() == [0, 2, 1, 0]
     for col in ({2: 1}, {-1: 1}, {0: 1, -2: 3}):
         with pytest.raises(LinAlgError, match="out of range"):
-            Matrix.from_cols(2, [col])
+            from_cols(2, [col])
 
 
 def test_matrix_rejects_rows_out_of_range():
@@ -73,16 +76,16 @@ def test_loaders_agree_on_mixed_entries():
     rows = [["0", "1/2", 3], [Fraction(2, 4), 0, Fraction(6, 3)]]
     m = Matrix.from_rows(rows)
     cols = [[r[j] for r in rows] for j in range(3)]
-    assert Matrix.from_cols(2, cols) == m
-    assert Matrix.from_cols(2, [dict(enumerate(c)) for c in cols]) == m
+    assert from_cols(2, cols) == m
+    assert from_cols(2, [dict(enumerate(c)) for c in cols]) == m
     assert Matrix.from_flat(2, 3, [x for r in rows for x in r]) == m
     assert m.nnz() == 4 and m.columns() == [{1: Fraction(1, 2)}, {0: Fraction(1, 2)}, {0: 3, 1: 2}]
     assert type(m.entry(1, 2)) is int
 
 
 def test_loaders_refuse_booleans():
-    loaders = (lambda x: Matrix.from_rows([[1, x]]), lambda x: Matrix.from_cols(1, [[x]]),
-               lambda x: Matrix.from_cols(2, [{0: 1, 1: x}]), lambda x: Matrix.from_flat(1, 2, [x, 1]))
+    loaders = (lambda x: Matrix.from_rows([[1, x]]), lambda x: from_cols(1, [[x]]),
+               lambda x: from_cols(2, [{0: 1, 1: x}]), lambda x: Matrix.from_flat(1, 2, [x, 1]))
     for load in loaders:
         for x in (True, False):
             with pytest.raises(TypeError, match="boolean"):
@@ -435,6 +438,29 @@ def test_products_match_naive_fraction_loops(m, n, p, data):
                                for i in range(m) for k in range(p)
                                for j in range(n) for l in range(m)]
     assert_canonical(entries(got_k))
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_first_difference_is_the_first_unequal_entry_column_by_column(m, n, data):
+    a_rows = data.draw(factors(m, n))
+    # b: a with a few entries replaced, so equal and nearly equal pairs both occur
+    b_rows = [list(r) for r in a_rows]
+    for _ in range(data.draw(st.integers(0, 2))):
+        b_rows[data.draw(st.integers(0, m - 1))][data.draw(st.integers(0, n - 1))] = \
+            data.draw(SCALARS)
+    a, b = from_dense(a_rows, n), from_dense(b_rows, n)
+    unequal = [(j, i) for j in range(n) for i in range(m) if a_rows[i][j] != b_rows[i][j]]
+    assert first_difference(a, b) == (unequal[0] if unequal else None)
+    assert first_difference(b, a) == first_difference(a, b)
+
+
+def test_first_difference_needs_one_shape():
+    assert first_difference(Matrix.identity(2), Matrix.identity(2)) is None
+    assert first_difference(Matrix.identity(2), Matrix.zero(2, 2)) == (0, 0)
+    assert first_difference(mat([[1, 0], [0, 1]]), mat([[1, 0], [0, Fraction(1, 2)]])) == (1, 1)
+    with pytest.raises(LinAlgError, match="cannot compare"):
+        first_difference(Matrix.identity(2), Matrix.zero(2, 3))
 
 
 def assert_canonical_form(m: Matrix):

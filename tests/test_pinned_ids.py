@@ -44,3 +44,13 @@ def test_free_module_reports_match_the_pinned_ids(dr):
     assert id_status(a.report) == pinned["dr2.build_A"]
     assert id_status(s_t_isos(a.center, a)[2]) == pinned["dr2.s_t[A]"]
     assert id_status(counit_iso(regular_module(dr), a)[1]) == pinned["dr2.counit_iso[C]"]
+
+
+@pytest.mark.parametrize("name", ["group_z2", "drinfeld_h2", "sweedler_h4"])
+def test_verify_report_matches_the_golden_file(name):
+    # the axioms and the derived identities, ids, order, verdicts and details
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = cli.main(["--report", "json", "verify", name, "--derived"])
+    assert code == 0
+    assert buf.getvalue() == (GOLDEN / f"verify_{name}.json").read_text(encoding="utf-8")

@@ -3,15 +3,17 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from quasihopf import cli
 from quasihopf.qha import (BUILTIN_NAMES, QuasiHopfAlgebra, TensorElement,
                            algebra_from_json, algebra_to_json, builtin, kappa_inverse,
                            kappa_lambda, verify_derived_identities)
-from quasihopf.report import VerificationFailure
+from quasihopf.linalg import Matrix
+from quasihopf.report import Report, VerificationFailure
 
 from conftest import TWISTED, get_algebra
+from helpers import elem, naive_axioms
 
 
 def test_builtins_pass_axioms(any_h_tw):
@@ -391,6 +393,92 @@ def test_drinfeld_alpha_to_one_fails():
     assert any(item.id == "H3.zigzag" for item in rep.failures())
 
 
+# -- the axioms as matrix identities against the basis-tuple oracle -----------------
+
+def outcome(rep):
+    return [(item.id, item.status) for item in rep.items]
+
+
+def test_axioms_match_the_basis_tuple_oracle(any_h_tw):
+    assert outcome(any_h_tw.verify_axioms()) == outcome(naive_axioms(any_h_tw))
+
+
+def mutant(h, datum, idx, delta):
+    """h with one structure datum changed by delta at idx (indices mod dim);
+    None when the change leaves Phi or S singular."""
+    n = h.dim
+    i, j, k = (x % n for x in idx)
+    mult, comult, ant = h.mult, h.comult, h.antipode
+    alpha, beta, phi = h.alpha, h.beta, h.phi
+    if datum == "mult":
+        mult = [[dict(m) for m in row] for row in h.mult]
+        mult[i][j][k] = mult[i][j].get(k, 0) + delta
+    elif datum == "comult":
+        comult = [dict(d) for d in h.comult]
+        comult[i][j, k] = comult[i].get((j, k), 0) + delta
+    elif datum == "antipode":
+        flat = h.antipode.to_flat()
+        flat[i * n + j] += delta
+        ant = Matrix.from_flat(n, n, flat)
+    elif datum in ("alpha", "beta"):
+        vec = dict(getattr(h, datum).coeffs)
+        vec[i,] = vec.get((i,), 0) + delta
+        alpha, beta = (TensorElement(n, 1, vec), beta) if datum == "alpha" else \
+            (alpha, TensorElement(n, 1, vec))
+    else:
+        coeffs = dict(h.phi.coeffs)
+        coeffs[i, j, k] = coeffs.get((i, j, k), 0) + delta
+        phi = TensorElement(n, 3, coeffs)
+    try:
+        return QuasiHopfAlgebra(n, h.basis, mult, h.unit, comult, h.counit, phi, ant,
+                                alpha, beta, name=h.name)
+    except ValueError:
+        return None
+
+
+ZIGZAGS = {"H1.alpha_law", "H2.beta_law", "H3.zigzag", "H4.zigzag"}
+
+
+@given(st.sampled_from(["group_z2", "drinfeld_h2", "sweedler_h4", TWISTED]),
+       st.sampled_from(["mult", "comult", "antipode", "alpha", "beta", "phi"]),
+       st.tuples(*[st.integers(0, 3)] * 3), st.sampled_from([-2, -1, 1, 2, Fraction(1, 2)]))
+# two mutants of the unit's row where the unit law fails and a failure moves
+# between the H items (the oracle brackets each product from the unit, 1 . x)
+@example("group_z2", "mult", (0, 1, 0), 1)
+@example("group_z2", "mult", (0, 0, 0), -2)
+@settings(max_examples=80, deadline=None)
+def test_axiom_mutants_fail_as_the_oracle_and_name_a_witness(name, datum, idx, delta):
+    m = mutant(get_algebra(name), datum, idx, delta)
+    assume(m is not None)
+    new, old = m.verify_axioms(), naive_axioms(m)
+    assert [item.id for item in new.items] == [item.id for item in old.items]
+    assert new.ok == old.ok
+    moved = {a.id for a, b in zip(new.items, old.items) if a.status != b.status}
+    assert not moved or (moved <= ZIGZAGS and not old.items[0].ok), moved
+    for item in new.items:
+        assert bool(item.details) == (not item.ok), item
+
+
+def test_a_failing_axiom_names_basis_tuple_component_and_entries(sw):
+    # e_x e_g := 1 breaks associativity first at g (x) x (x) g
+    m = mutant(sw, "mult", (2, 1, 1), 1)
+    details = {item.id: item.details for item in m.verify_axioms().failures()}
+    assert details["associativity"] == "at g (x) x (x) g, component 1: 0 != 1"
+    assert details["counit.morphism"] == "at x (x) g, component 1: 1 != 0"
+
+
+def test_add_identity_keeps_passing_details_empty(dr):
+    rep = Report()
+    one = Matrix.identity(2)
+    assert dr.add_identity(rep, "same", one, one, Matrix.identity(2))
+    assert not dr.add_identity(rep, "chain", one, one, Matrix.from_rows([[1, 0], [1, 1]]))
+    g_g = dr.basis_elem(1).tensor(dr.basis_elem(1))
+    assert not dr.add_identity(rep, "element", dr.unit_elem(2), dr.unit_elem(2) - g_g)
+    assert [(i.id, i.details) for i in rep.items] == [
+        ("same", ""), ("chain", "at 1, component g: 0 != 1"),
+        ("element", "at component g (x) g: 0 != -1")]
+
+
 # -- element arithmetic -----------------------------------------------------------
 
 def test_mul_associative_and_unital_random(any_h):
@@ -401,7 +489,7 @@ def test_mul_associative_and_unital_random(any_h):
         size = h.dim ** legs
 
         def rnd():
-            return h.elem(legs, [Fraction(rng.randint(-2, 2)) for _ in range(size)])
+            return elem(h, legs, [Fraction(rng.randint(-2, 2)) for _ in range(size)])
 
         for _ in range(5):
             a, b, c = rnd(), rnd(), rnd()
@@ -424,7 +512,7 @@ def test_permute_legs(dr):
 
 def test_tensor_element_flat_roundtrip(dr):
     flat = dr.phi.to_flat()
-    assert dr.elem(3, flat) == dr.phi
+    assert elem(dr, 3, flat) == dr.phi
 
 
 # -- serialization -----------------------------------------------------------------

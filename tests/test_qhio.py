@@ -10,6 +10,7 @@ from quasihopf.mod_a import heart_amodule, validate_amodule
 from quasihopf.center import validate_center
 
 from conftest import get_algebra
+from helpers import amodule_to_obj
 
 
 def test_module_roundtrip(dr):
@@ -32,7 +33,7 @@ def test_center_roundtrip(dr):
 def test_amodule_roundtrip(dr):
     a = build_A(dr)
     hc = heart_amodule(a, regular_module(dr))
-    obj = qhio.amodule_to_obj(hc)
+    obj = amodule_to_obj(hc)
     back = qhio.amodule_from_obj(a, obj, label="heartC")
     assert back.mu == hc.mu
     assert validate_amodule(back).ok

@@ -14,9 +14,10 @@ from quasihopf.repcat import (HLinearMap, adjunction_report, associator,
                               identity_map, intertwiners,
                               in_map, inner_hom, inner_post, left_dual,
                               regular_module, right_dual, snake_report, tensor,
-                              unit_left_elim, unit_module, unit_right_elim)
+                              unit_module)
 
 from conftest import get_algebra
+from helpers import unit_left_elim, unit_right_elim
 
 
 def test_regular_module_swaps_for_z2(z2):

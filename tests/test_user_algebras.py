@@ -18,7 +18,8 @@ from quasihopf.algebra_a import build_A
 from quasihopf.mod_a import equivalence_report
 
 from conftest import get_algebra
-from test_qha import naive_mul
+from helpers import naive_axioms
+from test_qha import naive_mul, outcome
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +133,11 @@ def test_square_is_quasi_hopf(dr2):
     assert dr2.phi != dr2.unit_elem(3)
     from quasihopf.qha import verify_derived_identities
     assert verify_derived_identities(dr2).ok
+
+
+def test_user_axioms_match_the_basis_tuple_oracle(z3, dr2):
+    for h in (z3, dr2):
+        assert outcome(h.verify_axioms()) == outcome(naive_axioms(h))
 
 
 def test_square_algebra_A(dr2):

@@ -193,7 +193,9 @@ def nat_to_hom(x_mod: HModule, y_mod: HModule, m_mod: HModule,
     The adjunct is one matrix product, the family after the action of a
     two-leg element, so it runs on the integer columns of the matrices (see
     Matrix.then and elem_action_matrix) rather than on Fractions; when the
-    element is 1 (x) 1 the adjunct is the family itself.
+    element is 1 (x) 1 the adjunct is the family itself: the one test made on
+    an element being 1, so X must be unital; it spares building X's action,
+    often heart(M) (x) heart(N)'s, only to find an identity.
     """
     h = x_mod.h
     n = h.dim

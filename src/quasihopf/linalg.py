@@ -44,7 +44,9 @@ give rationals back, built lazily.  Every kernel (products, sums, scalings,
 transposes, comparisons) works on integer columns only and builds its
 result through :meth:`Matrix._of`, which reduces the denominator by one gcd
 pass when it is not 1.  There is one product loop, :func:`_int_product`:
-``then`` runs it on whole matrices and ``apply`` is its one-column case.
+``then`` runs it on whole matrices and ``apply`` is its one-column case;
+identities, judged from the matrix, are free: ``then`` returns the other
+operand, ``kron`` of two is ``identity``, a unit coefficient shares a column.
 """
 
 from __future__ import annotations
@@ -540,6 +542,10 @@ class Matrix:
         product of the operands' columns (see :func:`_int_product`)."""
         if g.cols != self.rows:
             raise LinAlgError(f"cannot compose {self.rows}x{self.cols} then {g.rows}x{g.cols}")
+        if g.is_identity():
+            return self
+        if self.is_identity():
+            return g
         return Matrix._of(g.rows, self.cols, g._den * self._den,
                           _int_product(g._icols, self._icols))
 
@@ -596,14 +602,16 @@ class Matrix:
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and self._den == 1 \
-            and all(c == {j: 1} for j, c in enumerate(self._icols))
+            and all(c.get(j) == 1 and len(c) == 1 for j, c in enumerate(self._icols))
 
     def transpose(self) -> "Matrix":
         return Matrix._of(self.cols, self.rows, self._den, _transposed(self._icols, self.rows))
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product, leftmost factor slowest on both sides, of the
-        integer columns over the product of the denominators."""
+        integer columns over the product of the denominators; I kron I is I."""
+        if self.is_identity() and other.is_identity():
+            return Matrix.identity(self.rows * other.rows)
         orows, bcols = other.rows, other._icols
         data = []
         for c in self._icols:
@@ -629,7 +637,7 @@ def _transposed(cols: list[dict], nrows: int) -> list[dict]:
 
 def _int_product(gcols: list[dict], cols: list[dict]) -> list[dict]:
     """The integer columns of g . c: column j is sum_k c[j][k] g[k].  A
-    one-entry column {k: x} is column k of g, copied when x == 1 and scaled
+    one-entry column {k: x} is column k of g, shared when x == 1 and scaled
     otherwise; this needs no accumulator, since neither operand stores
     zeros."""
     out = []
@@ -637,7 +645,7 @@ def _int_product(gcols: list[dict], cols: list[dict]) -> list[dict]:
         if len(c) == 1:
             (k, x), = c.items()
             col = gcols[k]
-            out.append(dict(col) if x == 1 else {i: x * y for i, y in col.items()})
+            out.append(col if x == 1 else {i: x * y for i, y in col.items()})
             continue
         acc: dict[int, int] = {}
         get = acc.get

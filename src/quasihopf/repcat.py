@@ -15,7 +15,9 @@ elem_action_matrix: the sum of c_I F_1[I_1] (x) ... (x) F_k[I_k] over the
 terms of the element, with one operator family per slot (a module's action
 matrices, a rectangular family such as flattened or transposed actions, or
 the algebra's two-leg sandwich family), with one Kronecker accumulation per
-head: terms that differ only in the last slot are summed there first.
+head: terms that differ only in the last slot are summed there first.  A
+single head is one ``kron``: Phi = 1 (x) 1 (x) 1 on identity operators (read
+off the picked matrices, not the element) is one identity.
 Tensor products, associators, the inner-hom actions, the adjunction unit and
 counit, the inner composition and the interchange are each one such call.
 
@@ -298,6 +300,9 @@ def elem_action_matrix(t: TensorElement, slots) -> Matrix:
         if d != 1:
             scale = lcm(scale, d)
         blocks.append((head, last, c, d))
+    if len(blocks) == 1:  # c / den times H kron L, no accumulation
+        (head, last, c, _), = blocks
+        return head.kron(last) * Fraction(c, den or 1) if c != (den or 1) else head.kron(last)
     out: list[dict] = [dict() for _ in range(cols)]
     for head, last, c, d in blocks:
         _kron_into(out, head, last, c * (scale // d))

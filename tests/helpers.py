@@ -1,10 +1,15 @@
-"""Constructions that only the tests use, and the per-basis-tuple axiom
-check that the tests compare the matrix identities of ``verify_axioms`` with."""
+"""Constructions that only the tests use, the per-basis-tuple axiom check
+that the tests compare the matrix identities of ``verify_axioms`` with, the
+plain product and Kronecker loops that ``Matrix.then``, ``Matrix.kron`` and
+``elem_action_matrix`` are compared with, and the Hypothesis strategies for
+their operands."""
 
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from quasihopf.center import CenterObject
-from quasihopf.linalg import ONE, Matrix, rat, rat_str, vec_add_scaled
+from quasihopf.linalg import ONE, LinAlgError, Matrix, rat, rat_str, vec_add_scaled
 from quasihopf.qhio import center_to_obj
 from quasihopf.qha import TensorElement
 from quasihopf.repcat import HLinearMap, tensor, unit_module
@@ -16,6 +21,104 @@ def from_cols(rows: int, columns) -> Matrix:
     data = [{i: rat(x) for i, x in (c.items() if isinstance(c, dict) else enumerate(c))}
             for c in columns]
     return Matrix(rows, len(data), data)
+
+
+def from_dense(rows: list[list], ncols: int) -> Matrix:
+    """Dense rows as a Matrix, stored as given: integral Fractions stay Fractions."""
+    return Matrix(len(rows), ncols,
+                  [{i: r[j] for i, r in enumerate(rows) if r[j]} for j in range(ncols)])
+
+
+SCALARS = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    # denominators 1 give integral Fractions; 2, 4 dyadic and 3 thirds
+    st.builds(Fraction, st.integers(min_value=-6, max_value=6), st.sampled_from([1, 2, 3, 4])),
+)
+
+
+def dense(rows: int, cols: int):
+    return st.lists(st.lists(SCALARS, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@st.composite
+def factors(draw, rows: int, cols: int):
+    """Dense rows of a product operand: dense; monomial (one scaled entry or
+    none per column); the identity; or identity (x) B for a common divisor
+    of the shape."""
+    kind = draw(st.sampled_from(["dense", "monomial", "identity", "id_kron"]))
+    if kind == "monomial":
+        out = [[0] * cols for _ in range(rows)]
+        for j in range(cols):
+            hit = draw(st.one_of(st.none(), st.tuples(st.integers(0, rows - 1),
+                                                      SCALARS.filter(bool))))
+            if hit:
+                out[hit[0]][j] = hit[1]
+        return out
+    if kind == "identity" and rows == cols:
+        return [[int(i == j) for j in range(cols)] for i in range(rows)]
+    ks = [k for k in (2, 3, 4) if rows % k == 0 and cols % k == 0]
+    if kind == "id_kron" and ks:
+        k = draw(st.sampled_from(ks))
+        br, bc = rows // k, cols // k
+        b = draw(dense(br, bc))
+        return [[b[i % br][j % bc] if i // br == j // bc else 0 for j in range(cols)]
+                for i in range(rows)]
+    return draw(dense(rows, cols))
+
+
+def naive_kron(a: Matrix, b: Matrix) -> Matrix:
+    """a kron b by the loop over every column pair, identities included: the
+    oracle of ``Matrix.kron``."""
+    orows, bcols = b.rows, b._icols
+    data = []
+    for c in a._icols:
+        shifted = [(i * orows, x) for i, x in c.items()]
+        for d in bcols:
+            col = {}
+            for base, x in shifted:
+                for k, y in d.items():
+                    col[base + k] = x * y
+            data.append(col)
+    return Matrix._of(a.rows * orows, a.cols * b.cols, a._den * b._den, data)
+
+
+def naive_product(f: Matrix, g: Matrix) -> Matrix:
+    """f then g by the integer product loop that copies a unit-coefficient
+    column and multiplies through an identity: the oracle of ``Matrix.then``."""
+    if g.cols != f.rows:
+        raise LinAlgError(f"cannot compose {f.rows}x{f.cols} then {g.rows}x{g.cols}")
+    out = []
+    for c in f._icols:
+        if len(c) == 1:
+            (k, x), = c.items()
+            col = g._icols[k]
+            out.append(dict(col) if x == 1 else {i: x * y for i, y in col.items()})
+            continue
+        acc: dict[int, int] = {}
+        get = acc.get
+        for k, x in c.items():
+            for i, y in g._icols[k].items():
+                acc[i] = get(i, 0) + x * y
+        out.append({i: w for i, w in acc.items() if w} if 0 in acc.values() else acc)
+    return Matrix._of(g.rows, f.cols, g._den * f._den, out)
+
+
+def naive_elem_action(t: TensorElement, slots) -> Matrix:
+    """sum c_I F_1[I_1] kron ... kron F_k[I_k] over the terms of t, one
+    ``naive_kron`` chain per term, whatever the coefficient or the operators:
+    the oracle of ``elem_action_matrix`` on one-leg slots (modules or lists)."""
+    fams = [s if isinstance(s, list) else s.action for s in slots]
+    rows = cols = 1
+    for fam in fams:
+        rows, cols = rows * fam[0].rows, cols * fam[0].cols
+    out = Matrix.zero(rows, cols)
+    for idx, c in t.coeffs.items():
+        term = Matrix.identity(1)
+        for fam, i in zip(fams, idx):
+            term = naive_kron(term, fam[i])
+        out = out + c * term
+    return out
 
 
 def elem(h, legs: int, coeffs) -> TensorElement:

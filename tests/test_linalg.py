@@ -10,7 +10,7 @@ from quasihopf.linalg import (Echelon, LegShape, LinAlgError, LinearSystem, Matr
                               inverse, kernel, kron, left_divide, rank, rat, rat_str, solve,
                               span_basis, spans_equal)
 
-from helpers import from_cols
+from helpers import SCALARS, factors, from_cols, from_dense, naive_kron, naive_product
 
 
 def mat(rows):
@@ -261,6 +261,56 @@ def test_kron_associative():
     assert kron(kron(a, b), c) == kron(a, kron(b, c))
 
 
+@pytest.mark.parametrize("m,expected", [
+    (Matrix.identity(3), True),
+    (Matrix.identity(0), True),
+    (mat([[1]]), True),
+    (mat([[2]]), False),
+    (2 * Matrix.identity(3), False),
+    (mat([[0, 1, 0], [1, 0, 0], [0, 0, 1]]), False),     # a permutation
+    (mat([[1, 0, 0], [0, 1, 0], [0, 0, 0]]), False),     # only the last column differs
+    (mat([[1, 0, 3], [0, 1, 0], [0, 0, 1]]), False),     # a unit column with a second entry
+    (mat([[1, 0], [0, 1], [0, 0]]), False),              # not square
+    (mat([[Fraction(1, 2), 0], [0, 1]]), False),
+])
+def test_is_identity(m, expected):
+    assert m.is_identity() is expected
+
+
+def test_an_identity_operand_returns_the_other_one():
+    a = mat([[1, Fraction(1, 2), 0], [0, 3, -1]])
+    assert a.then(Matrix.identity(a.rows)) is a
+    assert Matrix.identity(a.cols).then(a) is a
+    assert a * Matrix.identity(a.cols) is a and Matrix.identity(a.rows) * a is a
+    # the shapes are still checked
+    with pytest.raises(LinAlgError):
+        a.then(Matrix.identity(a.cols))
+
+
+def test_a_unit_coefficient_column_is_shared_with_the_operand():
+    g = mat([[1, 2], [3, 4]])
+    f = mat([[0, 5], [1, 0]])
+    prod = f.then(g)
+    assert prod == naive_product(f, g)
+    assert prod._icols[0] is g._icols[1]
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.data())
+@settings(max_examples=80, deadline=None)
+def test_identity_rules_match_the_copying_loops(m, n, p, data):
+    """then and kron against the loops that build and multiply through every
+    identity, on integer and rational operands mixed with identities, 1x1
+    matrices and monomial ones."""
+    a = from_dense(data.draw(factors(m, n)), n)
+    b = from_dense(data.draw(factors(p, m)), m)
+    c = from_dense(data.draw(factors(n, n)), n)
+    for f, g in ((a, b), (c, a), (a, Matrix.identity(m)), (Matrix.identity(n), a)):
+        assert f.then(g) == naive_product(f, g)
+    for f, g in ((a, b), (b, c), (c, c), (Matrix.identity(m), Matrix.identity(p)),
+                 (Matrix.identity(n), a), (a, Matrix.identity(1))):
+        assert f.kron(g) == naive_kron(f, g)
+
+
 # -- inverse, spans, systems ----------------------------------------------------
 
 def test_inverse_and_singular():
@@ -366,50 +416,6 @@ def test_results_hold_canonical_scalars(rows):
     # integral results come back as ints
     assert a_frac.then(inverse(a)) == Matrix.identity(3)
     assert all(type(x) is int for x in entries(a_frac.then(inverse(a))))
-
-
-def from_dense(rows: list[list], ncols: int) -> Matrix:
-    """Dense rows as a Matrix, stored as given: integral Fractions stay Fractions."""
-    return Matrix(len(rows), ncols,
-                  [{i: r[j] for i, r in enumerate(rows) if r[j]} for j in range(ncols)])
-
-
-SCALARS = st.one_of(
-    st.integers(min_value=-3, max_value=3),
-    # denominators 1 give integral Fractions; 2, 4 dyadic and 3 thirds
-    st.builds(Fraction, st.integers(min_value=-6, max_value=6), st.sampled_from([1, 2, 3, 4])),
-)
-
-
-def dense(rows: int, cols: int):
-    return st.lists(st.lists(SCALARS, min_size=cols, max_size=cols),
-                    min_size=rows, max_size=rows)
-
-
-@st.composite
-def factors(draw, rows: int, cols: int):
-    """Dense rows of a product operand: dense; monomial (one scaled entry or
-    none per column); the identity; or identity (x) B for a common divisor
-    of the shape."""
-    kind = draw(st.sampled_from(["dense", "monomial", "identity", "id_kron"]))
-    if kind == "monomial":
-        out = [[0] * cols for _ in range(rows)]
-        for j in range(cols):
-            hit = draw(st.one_of(st.none(), st.tuples(st.integers(0, rows - 1),
-                                                      SCALARS.filter(bool))))
-            if hit:
-                out[hit[0]][j] = hit[1]
-        return out
-    if kind == "identity" and rows == cols:
-        return [[int(i == j) for j in range(cols)] for i in range(rows)]
-    ks = [k for k in (2, 3, 4) if rows % k == 0 and cols % k == 0]
-    if kind == "id_kron" and ks:
-        k = draw(st.sampled_from(ks))
-        br, bc = rows // k, cols // k
-        b = draw(dense(br, bc))
-        return [[b[i % br][j % bc] if i // br == j // bc else 0 for j in range(cols)]
-                for i in range(rows)]
-    return draw(dense(rows, cols))
 
 
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.data())

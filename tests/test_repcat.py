@@ -5,6 +5,7 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quasihopf import repcat
 from quasihopf.algebra_a import build_A, heart_base
 from quasihopf.linalg import LegShape, LinearSystem, Matrix, inverse, spans_equal
 from quasihopf.qha import TensorElement
@@ -17,7 +18,8 @@ from quasihopf.repcat import (HLinearMap, adjunction_report, associator,
                               unit_module)
 
 from conftest import get_algebra
-from helpers import unit_left_elim, unit_right_elim
+from helpers import (SCALARS, factors, from_dense, naive_elem_action, unit_left_elim,
+                     unit_right_elim)
 
 
 def test_regular_module_swaps_for_z2(z2):
@@ -508,3 +510,56 @@ def test_elem_action_matrix_matches_naive_sum(name, mods, elem):
     assert got.to_flat() == naive_action(t, spec)
     assert all(type(x) is int or x.denominator != 1
                for col in got.columns() for x in col.values())
+
+
+@st.composite
+def families(draw, dim: int):
+    """One slot of elem_action_matrix: dim operators of one shape, each an
+    identity, a 1x1, a monomial or a dense matrix (integer or rational)."""
+    rows, cols = draw(st.sampled_from([(1, 1), (2, 2), (3, 3), (2, 3), (3, 1)]))
+    return [from_dense(draw(factors(rows, cols)), cols) for _ in range(dim)]
+
+
+@given(st.integers(1, 3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_elem_action_matrix_matches_the_term_by_term_sum(legs, data):
+    """One block (one term, or terms sharing a head) and many blocks alike,
+    with unit and other coefficients, give the naive sum over the terms."""
+    dim = 3
+    slots = [data.draw(families(dim)) for _ in range(legs)]
+    idx = st.tuples(*(st.integers(0, dim - 1) for _ in range(legs)))
+    coeffs = data.draw(st.dictionaries(idx, st.one_of(st.just(1), SCALARS.filter(bool)),
+                                       max_size=3))
+    t = TensorElement(dim, legs, coeffs)
+    assert elem_action_matrix(t, slots) == naive_elem_action(t, slots)
+
+
+def test_unit_associator_runs_no_kronecker_loop(sw, monkeypatch):
+    """Phi = 1 (x) 1 (x) 1 on sweedler_h4 is one block of identities: its
+    action on (C*C)*(C*C)*C is one identity, built without _kron_into."""
+    c = regular_module(sw)
+    cc = tensor(c, c)
+    assert len(sw.phi.coeffs) == 1 and cc.action  # operands built before the spy
+    calls = []
+    real = repcat._kron_into
+    monkeypatch.setattr(repcat, "_kron_into", lambda *a: calls.append(a) or real(*a))
+    got = elem_action_matrix(sw.phi, [cc, cc, c])
+    assert calls == []
+    assert got.is_identity() and got == naive_elem_action(sw.phi, [cc, cc, c])
+
+
+def test_non_unital_operand_gets_its_true_action(sw):
+    """A module whose unit acts as 2 I: no rule may decide from the element
+    being 1, so every action by Phi or by the coproduct is the naive sum."""
+    c = regular_module(sw)
+    unit = next(iter(sw.unit))
+    assert sw.unit == {unit: 1}
+    bad = HModule(sw, sw.dim, [2 * m if i == unit else m for i, m in enumerate(c.action)],
+                  label="bad")
+    assert "unit_acts_as_identity" in [i.id for i in bad.validate().failures()]
+    naive_phi = naive_elem_action(sw.phi, [bad, c, c])
+    assert naive_phi == 2 * Matrix.identity(sw.dim ** 3)
+    assert elem_action_matrix(sw.phi, [bad, c, c]) == naive_phi
+    assert associator(bad, c, c).matrix == naive_phi
+    assert tensor(bad, c).action == [
+        naive_elem_action(TensorElement(sw.dim, 2, sw.comult[i]), [bad, c]) for i in range(sw.dim)]

@@ -6,6 +6,7 @@ from quasihopf.qha import QuasiHopfAlgebra, TensorElement
 _CACHE = {}
 
 TWISTED = "sweedler_h4_twist"
+SQUARE = "drinfeld_h2_square"
 
 
 def twist(h, f):
@@ -35,6 +36,56 @@ def twist(h, f):
                             name=h.name + "_twist")
 
 
+def tensor_square(d):
+    """The tensor square of d, componentwise structure: for the associator
+    example, a second genuinely quasi instance with a 64-term associator."""
+    n = d.dim * d.dim
+
+    def pidx(i, j):
+        return i * d.dim + j
+
+    mult = [[dict() for _ in range(n)] for _ in range(n)]
+    for i1 in range(d.dim):
+        for i2 in range(d.dim):
+            for j1 in range(d.dim):
+                for j2 in range(d.dim):
+                    out = {}
+                    for k1, c1 in d.mult[i1][j1].items():
+                        for k2, c2 in d.mult[i2][j2].items():
+                            out[pidx(k1, k2)] = c1 * c2
+                    mult[pidx(i1, i2)][pidx(j1, j2)] = out
+    unit = {}
+    for i, c in d.unit.items():
+        for j, c2 in d.unit.items():
+            unit[pidx(i, j)] = c * c2
+    comult = [dict() for _ in range(n)]
+    for i1 in range(d.dim):
+        for i2 in range(d.dim):
+            out = {}
+            for (a1, b1), c1 in d.comult[i1].items():
+                for (a2, b2), c2 in d.comult[i2].items():
+                    out[(pidx(a1, a2), pidx(b1, b2))] = c1 * c2
+            comult[pidx(i1, i2)] = out
+    counit = [d.counit[i] * d.counit[j] for i in range(d.dim) for j in range(d.dim)]
+    phi = {}
+    for (x1, y1, z1), c1 in d.phi.coeffs.items():
+        for (x2, y2, z2), c2 in d.phi.coeffs.items():
+            phi[(pidx(x1, x2), pidx(y1, y2), pidx(z1, z2))] = c1 * c2
+    antipode = d.antipode.kron(d.antipode)
+    alpha = {}
+    for (i,), c in d.alpha.coeffs.items():
+        for (j,), c2 in d.alpha.coeffs.items():
+            alpha[pidx(i, j)] = c * c2
+    beta = {}
+    for (i,), c in d.beta.coeffs.items():
+        for (j,), c2 in d.beta.coeffs.items():
+            beta[pidx(i, j)] = c * c2
+    return QuasiHopfAlgebra(
+        dim=n, basis=None, mult=mult, unit=unit, comult=comult, counit=counit,
+        phi=TensorElement(n, 3, phi), antipode=antipode, alpha=alpha, beta=beta,
+        name="drinfeld_square")
+
+
 def get_algebra(name):
     if name not in _CACHE:
         if name == TWISTED:
@@ -42,6 +93,9 @@ def get_algebra(name):
             sw = get_algebra("sweedler_h4")
             f = TensorElement(sw.dim, 2, {(0, 0): 1, (2, 0): 1, (2, 1): -1})
             _CACHE[name] = twist(sw, f).require_valid()
+        elif name == SQUARE:
+            # not validated here: tests/test_user_algebras.py checks its axioms
+            _CACHE[name] = tensor_square(get_algebra("drinfeld_h2"))
         else:
             _CACHE[name] = builtin(name)
     return _CACHE[name]

@@ -1,7 +1,8 @@
 """Constructions that only the tests use, the per-basis-tuple axiom check
 that the tests compare the matrix identities of ``verify_axioms`` with, the
 plain product and Kronecker loops that ``Matrix.then``, ``Matrix.kron`` and
-``elem_action_matrix`` are compared with, and the Hypothesis strategies for
+``elem_action_matrix`` are compared with, the term-by-term product that
+``QuasiHopfAlgebra.mul`` is compared with, and the Hypothesis strategies for
 their operands."""
 
 from fractions import Fraction
@@ -119,6 +120,22 @@ def naive_elem_action(t: TensorElement, slots) -> Matrix:
             term = naive_kron(term, fam[i])
         out = out + c * term
     return out
+
+
+def naive_mul(h, s: TensorElement, t: TensorElement) -> TensorElement:
+    """s t in the tensor power as the sum over term pairs of
+    s_I t_J e_{I_1}e_{J_1} (x) ... (x) e_{I_k}e_{J_k}, in Fractions: the
+    oracle of ``QuasiHopfAlgebra.mul``."""
+    out = {}
+    for I, c in s.coeffs.items():
+        for J, d in t.coeffs.items():
+            terms = {(): Fraction(c) * Fraction(d)}
+            for i, j in zip(I, J):
+                terms = {idx + (k,): x * Fraction(y)
+                         for idx, x in terms.items() for k, y in h.mult[i][j].items()}
+            for idx, x in terms.items():
+                out[idx] = out.get(idx, Fraction(0)) + x
+    return TensorElement(h.dim, s.legs, out)
 
 
 def elem(h, legs: int, coeffs) -> TensorElement:

@@ -298,6 +298,31 @@ def test_malformed_module_file_exits_two(tmp_path, capsys, module):
     assert "Traceback" not in err and out == ""
 
 
+NOT_AN_OBJECT, NO_DIM = "expected a JSON object, got list", "missing key 'dim'"
+JSON_SHAPE_ERRORS = [
+    (["verify", "{f}"], [], NOT_AN_OBJECT),
+    (["verify", "{f}"], {"mult": ["1"], "unit": ["1"]}, NO_DIM),
+    (["end", "group_z2", "--left", "{f}"], [], NOT_AN_OBJECT),
+    (["end", "group_z2", "--left", "{f}"], {"action": ["1", "1"]}, NO_DIM),
+    (["check", "drinfeld_h2", "--context", "{f}", "--lhs", "id(C)", "--rhs", "id(C)"],
+     {"modules": {"X": []}}, NOT_AN_OBJECT),
+    (["check", "drinfeld_h2", "--context", "{f}", "--lhs", "id(C)", "--rhs", "id(C)"],
+     {"center": {"Z": {"action": ["1", "1"]}}}, NO_DIM),
+]
+
+
+@pytest.mark.parametrize("argv,data,message", JSON_SHAPE_ERRORS, ids=[
+    "algebra-list", "algebra-no-dim", "module-list", "module-no-dim", "context-list",
+    "context-no-dim"])
+def test_json_without_an_object_or_dim_says_so_in_one_line(tmp_path, capsys, argv, data, message):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, *(a.replace("{f}", str(path)) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith(f"{path}: {message}\n")
+
+
 REBINDING_CONTEXTS = [
     {"modules": {"C": C_ONE}},
     {"modules": {"unit": C_ONE}},

@@ -1,19 +1,21 @@
 import random
 from fractions import Fraction
+from itertools import permutations, product
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from quasihopf import cli
-from quasihopf.qha import (BUILTIN_NAMES, QuasiHopfAlgebra, TensorElement,
+from quasihopf import cli, qha
+from quasihopf.qha import (BUILTIN_NAMES, _leg_order, QuasiHopfAlgebra, TensorElement,
                            algebra_from_json, algebra_to_json, builtin, kappa_inverse,
                            kappa_lambda, verify_derived_identities)
 from quasihopf.linalg import Matrix
 from quasihopf.report import Report, VerificationFailure
 
-from conftest import TWISTED, get_algebra
-from helpers import elem, naive_axioms
+from conftest import SQUARE, TWISTED, get_algebra
+from helpers import elem, naive_axioms, naive_mul
 
 
 def test_builtins_pass_axioms(any_h_tw):
@@ -126,19 +128,6 @@ def test_kappa_inverse_matches_solved_inverse(any_h):
 
 # -- integer products against a naive Fraction reference ------------------------
 
-def naive_mul(h, s, t):
-    out = {}
-    for I, c in s.coeffs.items():
-        for J, d in t.coeffs.items():
-            terms = {(): Fraction(c) * Fraction(d)}
-            for i, j in zip(I, J):
-                terms = {idx + (k,): x * Fraction(y)
-                         for idx, x in terms.items() for k, y in h.mult[i][j].items()}
-            for idx, x in terms.items():
-                out[idx] = out.get(idx, Fraction(0)) + x
-    return {idx: x for idx, x in out.items() if x}
-
-
 COEFFS = st.one_of(
     st.integers(min_value=-3, max_value=3),
     # dyadic and thirds, plus integral Fractions (denominator 1)
@@ -183,8 +172,108 @@ def test_mul_matches_naive_fraction_product(name, legs, data):
     s, t = (TensorElement(h.dim, legs, data.draw(st.dictionaries(index, COEFFS, max_size=6)))
             for _ in range(2))
     got = h.mul(s, t)
-    assert got.coeffs == naive_mul(h, s, t)
+    assert got == naive_mul(h, s, t)
     assert all(type(x) is int or x.denominator != 1 for x in got.coeffs.values())
+
+
+# -- the leg order of mul ---------------------------------------------------------
+
+MUL_ALGEBRAS = ["group_z2", "drinfeld_h2", "sweedler_h4", TWISTED, SQUARE, "one"]
+
+
+@st.composite
+def mul_cases(draw):
+    """(h, s, t) with 1 to 5 legs, each operand zero, one term, or a sum of
+    rational terms, on the builtins, the twist, the dr2 square and dimension 1."""
+    name = draw(st.sampled_from(MUL_ALGEBRAS))
+    h = LOCAL_ALGEBRAS[name]() if name in LOCAL_ALGEBRAS else get_algebra(name)
+    legs = draw(st.integers(1, 5))
+    index = st.tuples(*[st.integers(0, h.dim - 1)] * legs)
+
+    def operand():
+        lo, hi = {"zero": (0, 0), "one-term": (1, 1), "rational": (2, 24)}[
+            draw(st.sampled_from(["zero", "one-term", "rational"]))]
+        return TensorElement(h.dim, legs, draw(st.dictionaries(
+            index, COEFFS.filter(bool), min_size=min(lo, h.dim ** legs), max_size=hi)))
+
+    return h, operand(), operand()
+
+
+@given(mul_cases())
+@settings(max_examples=80, deadline=None)
+def test_mul_is_the_naive_product_in_every_leg_order(case):
+    # the chosen order, and for up to four legs every order the trie product
+    # could nest by: the output keys stay in the original leg order
+    h, s, t = case
+    want = naive_mul(h, s, t)
+    assert h.mul(s, t) == want
+    if s.legs <= 4:
+        for order in permutations(range(s.legs)):
+            with patch.object(qha, "_leg_order", lambda *_, o=order: o):
+                assert h.mul(s, t) == want, order
+
+
+def prefix_pairs(s, t, order):
+    """The sum over depths d of (distinct prefixes of s) x (those of t) on
+    the first d legs of ``order``."""
+    return sum(len({tuple(i[l] for l in order[:d]) for i in s.coeffs})
+               * len({tuple(j[l] for l in order[:d]) for j in t.coeffs})
+               for d in range(1, s.legs + 1))
+
+
+def cheapest_order(s, t):
+    """The lexicographically first order with the fewest prefix pairs, by
+    trying every permutation (``permutations`` yields them in that order)."""
+    return min(permutations(range(s.legs)), key=lambda order: prefix_pairs(s, t, order))
+
+
+@given(st.integers(1, 4), st.integers(1, 5), st.data())
+@settings(max_examples=80, deadline=None)
+def test_leg_order_is_the_first_cheapest_permutation(dim, legs, data):
+    # the pass runs where it costs less (2^legs (|s| + |t|)) than the bound
+    # on the prefix pairs it could save (legs |s| |t|)
+    keys = list(product(range(dim), repeat=legs))
+
+    def operand():   # a term count drawn evenly, so that both branches are met
+        k = data.draw(st.integers(min(2, len(keys)), min(40, len(keys))))
+        picked = data.draw(st.permutations(keys))[:k]
+        coeffs = data.draw(st.lists(COEFFS.filter(bool), min_size=k, max_size=k))
+        return TensorElement(dim, legs, dict(zip(picked, coeffs)))
+
+    s, t = operand(), operand()
+    m, n = len(s.coeffs), len(t.coeffs)
+    pays = legs * m * n > 2 ** legs * (m + n)
+    assert _leg_order(s, t) == (cheapest_order(s, t) if pays else tuple(range(legs)))
+
+
+def test_leg_order_is_kept_where_the_pass_costs_more_than_it_can_save(dr):
+    # drinfeld_h2's five-leg factors of kappa: 8 terms each, 5 * 64 prefix
+    # pairs at most against a pass over 32 leg sets of 16 terms
+    s = dr.spread(dr.phi_inv, [(2,), (3,), (4,)], 5)
+    t = dr.spread(dr.phi, [(1, 5), (2,), (3, 4)], 5)
+    assert (len(s.coeffs), len(t.coeffs)) == (8, 8)
+    assert _leg_order(s, t) == (0, 1, 2, 3, 4) != cheapest_order(s, t)
+
+
+def test_leg_order_of_the_dr2_kappa_check():
+    # kappa_inverse's kappa^-1 . kappa: the given order is the worst of 120
+    h = get_algebra(SQUARE)
+    kappa, _ = kappa_lambda(h)
+    kinv = kappa_inverse(h, kappa)
+    order = _leg_order(kinv, kappa)
+    assert order == cheapest_order(kinv, kappa) == (0, 4, 2, 3, 1)
+    costs = [prefix_pairs(kinv, kappa, o) for o in permutations(range(5))]
+    assert (prefix_pairs(kinv, kappa, order), prefix_pairs(kinv, kappa, range(5))) == (
+        min(costs), max(costs)) == (10913, 24368)
+
+
+def test_leg_order_keeps_the_given_order_for_a_one_term_operand(sw):
+    # legs 2 and 3 are constant, so with many terms on both sides they go first
+    many = TensorElement(4, 4, {(i, 0, 0, j): i + j + 1 for i in range(4) for j in range(4)})
+    assert _leg_order(many, many) == cheapest_order(many, many) == (1, 2, 0, 3)
+    for few in (sw.unit_elem(4), TensorElement(4, 4, {(3, 2, 1, 0): 5}),
+                TensorElement(4, 4, {})):
+        assert _leg_order(many, few) == _leg_order(few, many) == (0, 1, 2, 3)
 
 
 # -- the leg calculus against per-definition oracles -------------------------------

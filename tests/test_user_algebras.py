@@ -10,16 +10,16 @@ import json
 
 import pytest
 
-from quasihopf.linalg import Matrix, rat_str
-from quasihopf.qha import QuasiHopfAlgebra, TensorElement, algebra_from_json
+from quasihopf.linalg import rat_str
+from quasihopf.qha import algebra_from_json
 from quasihopf.repcat import (adjunction_report, end_over_regular,
                               regular_module, snake_report, unit_module)
 from quasihopf.algebra_a import build_A
 from quasihopf.mod_a import equivalence_report
 
-from conftest import get_algebra
-from helpers import naive_axioms
-from test_qha import naive_mul, outcome
+from conftest import SQUARE, get_algebra
+from helpers import naive_axioms, naive_mul
+from test_qha import outcome
 
 
 @pytest.fixture(scope="module")
@@ -79,53 +79,7 @@ def test_z3_equivalence(z3):
 
 @pytest.fixture(scope="module")
 def dr2():
-    """The tensor square of the associator example: componentwise structure."""
-    d = get_algebra("drinfeld_h2")
-    n = d.dim * d.dim
-
-    def pidx(i, j):
-        return i * d.dim + j
-
-    mult = [[dict() for _ in range(n)] for _ in range(n)]
-    for i1 in range(d.dim):
-        for i2 in range(d.dim):
-            for j1 in range(d.dim):
-                for j2 in range(d.dim):
-                    out = {}
-                    for k1, c1 in d.mult[i1][j1].items():
-                        for k2, c2 in d.mult[i2][j2].items():
-                            out[pidx(k1, k2)] = c1 * c2
-                    mult[pidx(i1, i2)][pidx(j1, j2)] = out
-    unit = {}
-    for i, c in d.unit.items():
-        for j, c2 in d.unit.items():
-            unit[pidx(i, j)] = c * c2
-    comult = [dict() for _ in range(n)]
-    for i1 in range(d.dim):
-        for i2 in range(d.dim):
-            out = {}
-            for (a1, b1), c1 in d.comult[i1].items():
-                for (a2, b2), c2 in d.comult[i2].items():
-                    out[(pidx(a1, a2), pidx(b1, b2))] = c1 * c2
-            comult[pidx(i1, i2)] = out
-    counit = [d.counit[i] * d.counit[j] for i in range(d.dim) for j in range(d.dim)]
-    phi = {}
-    for (x1, y1, z1), c1 in d.phi.coeffs.items():
-        for (x2, y2, z2), c2 in d.phi.coeffs.items():
-            phi[(pidx(x1, x2), pidx(y1, y2), pidx(z1, z2))] = c1 * c2
-    antipode = d.antipode.kron(d.antipode)
-    alpha = {}
-    for (i,), c in d.alpha.coeffs.items():
-        for (j,), c2 in d.alpha.coeffs.items():
-            alpha[pidx(i, j)] = c * c2
-    beta = {}
-    for (i,), c in d.beta.coeffs.items():
-        for (j,), c2 in d.beta.coeffs.items():
-            beta[pidx(i, j)] = c * c2
-    return QuasiHopfAlgebra(
-        dim=n, basis=None, mult=mult, unit=unit, comult=comult, counit=counit,
-        phi=TensorElement(n, 3, phi), antipode=antipode, alpha=alpha, beta=beta,
-        name="drinfeld_square")
+    return get_algebra(SQUARE)
 
 
 def test_square_is_quasi_hopf(dr2):
@@ -164,7 +118,7 @@ def test_square_dense_five_leg_product_matches_naive(dr2):
     _, lam = kappa_lambda(dr2)
     kinv, lam2 = kappa_inverse(dr2), lam.permute_legs((2, 3, 4, 5, 1))
     assert (len(kinv.coeffs), len(lam2.coeffs)) == (100, 169)
-    assert dr2.mul(kinv, lam2).coeffs == naive_mul(dr2, kinv, lam2)
+    assert dr2.mul(kinv, lam2) == naive_mul(dr2, kinv, lam2)
 
 
 def test_square_free_module_comparison(dr2):

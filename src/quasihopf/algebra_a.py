@@ -30,8 +30,9 @@ per algebra, in its memo; heart(m) once per module, in the module's memo.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
-from .linalg import Matrix, ONE, ZERO
+from .linalg import Matrix, ONE, ZERO, vec_add_scaled
 from .qha import (Frozen, QuasiHopfAlgebra, TensorElement, _s_alpha, alpha_contraction,
                   beta_contraction, kappa_inverse, kappa_lambda, product_element)
 from .report import Report, VerificationFailure
@@ -92,34 +93,35 @@ def heart_mu_direct(h: QuasiHopfAlgebra, m: HModule) -> Matrix:
     (a (x) v) . b = (P1_(1) a S(p1 P2) alpha p2 P3_(1) b S(p3 P3_(2))) (x) (P1_(2) |> v).
     """
     n, d = h.dim, m.dim
+    s, alpha = h.antipode.apply, h.alpha.as_vector()
     cols = [dict() for _ in range(n * d * n)]
     for (p1, p2, p3), cphi in h.phi.coeffs.items():
         for (q1, q2, q3), cpsi in h.phi_inv.coeffs.items():
             for (x1, x2), cd1 in h.comult[p1].items():
                 for (y1, y2), cd2 in h.comult[p3].items():
                     coeff = cphi * cpsi * cd1 * cd2
-                    mop = m.action[x2]
-                    left = h.prod_chain([{x1: ONE}])
-                    mid = h.prod_chain([h.s_vec(h.mul_vec({q1: ONE}, {p2: ONE})),
-                                        h.alpha_vec, {q2: ONE}, {y1: ONE}])
-                    right = h.s_vec(h.mul_vec({q3: ONE}, {y2: ONE}))
-                    for a in range(n):
-                        for b in range(n):
-                            hvec = h.prod_chain([left, {a: ONE}, mid, {b: ONE}, right])
-                            if not hvec:
-                                continue
-                            for v in range(d):
-                                col = cols[(a * d + v) * n + b]
-                                mcol = mop.col(v)
-                                for hh, hc in hvec.items():
-                                    for mm, mc in mcol.items():
-                                        key = hh * d + mm
-                                        y = col.get(key, ZERO) + coeff * hc * mc
-                                        if y:
-                                            col[key] = y
-                                        else:
-                                            del col[key]
+                    mid = _naive_chain(h, [s(_naive_chain(h, [{q1: ONE}, {p2: ONE}])),
+                                           alpha, {q2: ONE}, {y1: ONE}])
+                    right = s(_naive_chain(h, [{q3: ONE}, {y2: ONE}]))
+                    for a, b in product(range(n), repeat=2):
+                        hvec = _naive_chain(h, [{x1: ONE}, {a: ONE}, mid, {b: ONE}, right])
+                        for v in range(d):
+                            vec_add_scaled(cols[(a * d + v) * n + b],
+                                           {hh * d + mm: hc * mc for hh, hc in hvec.items()
+                                            for mm, mc in m.action[x2].col(v).items()}, coeff)
     return Matrix(n * d, n * d * n, cols)
+
+
+def _naive_chain(h: QuasiHopfAlgebra, vecs) -> dict:
+    """The product of sparse coefficient vectors, left to right from the
+    unit, one table entry per pair of terms: heart_mu_direct's own product."""
+    acc = dict(h.unit)
+    for v in vecs:
+        out: dict = {}
+        for (i, c), (j, x) in product(acc.items(), v.items()):
+            vec_add_scaled(out, h.mult[i][j], c * x)
+        acc = out
+    return acc
 
 
 def diamond(h: QuasiHopfAlgebra, m: HModule, x: HModule) -> HLinearMap:
@@ -140,8 +142,7 @@ def diamond(h: QuasiHopfAlgebra, m: HModule, x: HModule) -> HLinearMap:
 
 def pi_map(h: QuasiHopfAlgebra, m: HModule) -> HLinearMap:
     """The natural projection heart(m) -> m: (a (x) v) -> eps(a alpha) v."""
-    row = Matrix.from_rows([[h.counit_of(h.mul_vec({a: ONE}, h.alpha_vec))
-                             for a in range(h.dim)]])
+    row = h.right_mult_matrix(h.alpha).then(h.structure().eps)
     return HLinearMap(heart_base(h, m), m, row.kron(Matrix.identity(m.dim)))
 
 
@@ -170,9 +171,9 @@ def _end_coordinates(h: QuasiHopfAlgebra, y_mod: HModule, m_mod: HModule,
     that the adjunct at e_p is those coordinates followed by right
     multiplication by e_p (end membership), then untwist the end."""
     n = h.dim
-    ends = adj * Matrix.identity(adj.cols // n).kron(Matrix(n, 1, [dict(h.unit)]))
+    ends = adj * Matrix.identity(adj.cols // n).kron(h.structure().u)
     for p in range(n):
-        right = Matrix.identity(y_mod.dim).kron(h.right_mult_matrix({p: ONE})) \
+        right = Matrix.identity(y_mod.dim).kron(h.right_mult_matrix(h.basis_elem(p))) \
             .kron(Matrix.identity(m_mod.dim))
         if right * ends != adj.select(range(p, adj.cols, n)):
             raise VerificationFailure(
@@ -260,7 +261,7 @@ def extract_center_structure(h: QuasiHopfAlgebra, m: HModule) -> CenterObject:
     """
     hb = heart_base(h, m)
     c = regular_module(h)
-    u = Matrix(h.dim, 1, [dict(h.unit)])
+    u = h.structure().u
     e = h.memo("phi_beta", lambda: h.mul(
         h.phi, h.spread(beta_contraction(h), [(1, 2), (3,)], 3)))
     adj = elem_action_matrix(h.phi, [c, c, m]) * diamond(h, m, tensor(c, c)).matrix \
@@ -377,7 +378,7 @@ def _verified_A(h: QuasiHopfAlgebra) -> AlgebraA:
     n = h.dim
     rep = Report(title=f"algebraA[{h.name or 'H'}]")
 
-    base = HModule(h, n, [h.adjoint_action_of({i: ONE}) for i in range(n)], label="A")
+    base = HModule(h, n, [h.adjoint_action_of(h.basis_elem(i)) for i in range(n)], label="A")
     rep.add("adjoint_action_is_module", base.validate().ok)
 
     unit_mod = unit_module(h)
@@ -397,9 +398,9 @@ def _verified_A(h: QuasiHopfAlgebra) -> AlgebraA:
     rep.add("product_h_linear", prod_map.is_h_linear())
 
     # unit: the adjunct of the identity at the unit object
-    uvec = {i: c for (i,), c in h.counit_legs(beta_contraction(h), [1]).coeffs.items()}
-    rep.add("unit_is_beta", uvec == h.beta_vec)
-    u_col = Matrix(n, 1, [uvec])
+    unit = h.counit_legs(beta_contraction(h), [1])
+    rep.add("unit_is_beta", unit == h.beta)
+    uvec, u_col = unit.as_vector(), unit.as_column()
     rep.add("unit_laws", (product * u_col.kron(Matrix.identity(n))).is_identity()
             and (product * Matrix.identity(n).kron(u_col)).is_identity())
 
@@ -408,7 +409,7 @@ def _verified_A(h: QuasiHopfAlgebra) -> AlgebraA:
     rhs = product * Matrix.identity(n).kron(product) * assoc_twist
     rep.add("associativity_with_twist", lhs == rhs)
 
-    eps_row = Matrix.from_rows([h.counit]) * h.counit_of(h.alpha_vec)
+    eps_row = h.structure().eps * h.counit_legs(h.alpha, [1]).coeffs.get((), ZERO)
     rep.add("augmentation_multiplicative",
             eps_row * product == (eps_row.kron(eps_row)))
 

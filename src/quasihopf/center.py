@@ -118,7 +118,7 @@ def _inverse_blocks(m: CenterObject) -> list[Matrix]:
     built once per object, in its memo."""
     def build():
         h, d = m.h, m.dim
-        ones = Matrix(h.dim, 1, [dict(h.unit)]).kron(Matrix.identity(d))  # v |-> 1 (x) v
+        ones = h.structure().u.kron(Matrix.identity(d))  # v |-> 1 (x) v
         gamma = left_divide(braiding(m, regular_module(h)).matrix, ones)
         return _h_leg_blocks(gamma, [range(i, h.dim * d, h.dim) for i in range(h.dim)])
     return m.memo("inverse_blocks", build)
@@ -131,7 +131,7 @@ def validate_center(m: CenterObject) -> Report:
     rep.add("base_module", m.base.validate().ok)
 
     # (eps x id) . coaction = id
-    eps = Matrix.from_rows([h.counit]).kron(Matrix.identity(m.dim))
+    eps = h.structure().eps.kron(Matrix.identity(m.dim))
     rep.add("counit_normalization", (eps * m.coaction).is_identity())
 
     c_mod = regular_module(h)
@@ -171,7 +171,7 @@ def tensor_center(m: CenterObject, n: CenterObject) -> CenterObject:
     h = m.h
     base = tensor(m.base, n.base)
     c_mod = regular_module(h)
-    coaction = Matrix.identity(base.dim).kron(Matrix(h.dim, 1, [dict(h.unit)]))
+    coaction = Matrix.identity(base.dim).kron(h.structure().u)
     for f in (associator(m.base, n.base, c_mod), identity_map(m.base).tensor(braiding(n, c_mod)),
               associator_inv(m.base, c_mod, n.base), braiding(m, c_mod).tensor(identity_map(n.base)),
               associator(c_mod, m.base, n.base)):

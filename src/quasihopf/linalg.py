@@ -51,6 +51,7 @@ operand, ``kron`` of two is ``identity``, a unit coefficient shares a column.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -64,8 +65,9 @@ class LinAlgError(Exception):
 # rationals
 
 def rat(x) -> int | Fraction:
-    """Coerce ints, Fractions and "p/q" strings to a canonical exact rational
-    (booleans and floats are refused)."""
+    """Coerce ints, Fractions and "p" or "p/q" strings (ASCII digits, an
+    optional sign, surrounding blanks) to a canonical exact rational; floats,
+    booleans and any other string form are refused."""
     if isinstance(x, Fraction):
         return _canon(x)
     if isinstance(x, int):
@@ -74,6 +76,8 @@ def rat(x) -> int | Fraction:
         return int(x)
     if isinstance(x, str):
         s = x.strip().replace("−", "-")  # tolerate unicode minus
+        if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", s):
+            raise ValueError(f"malformed rational {x!r}: expected \"p\" or \"p/q\"")
         try:
             return _canon(Fraction(s))
         except ZeroDivisionError:

@@ -120,26 +120,6 @@ def left_action(m: AModule) -> HLinearMap:
                       m.mu * braiding_inv(m.center, m.a.base).matrix)
 
 
-def left_action_report(m: AModule) -> Report:
-    """Action law for the induced left action, and the bimodule exchange."""
-    a, h = m.a, m.a.h
-    n = h.dim
-    rep = Report(title=f"left_action[{m.label or '?'}]")
-    lam = left_action(m).matrix
-    lhs = lam * a.product.kron(Matrix.identity(m.dim))
-    rhs = lam * Matrix.identity(n).kron(lam) \
-        * elem_action_matrix(h.phi, [a.base, a.base, m.base])
-    rep.add("left_action_law", lhs == rhs)
-    u_col = Matrix(n, 1, [dict(a.unit_vec)])
-    rep.add("left_action_unital", (lam * u_col.kron(Matrix.identity(m.dim))).is_identity())
-    # (a |> then . b) agrees with (. b then a |>) up to the twist
-    lhs = m.mu * lam.kron(Matrix.identity(n))
-    rhs = lam * Matrix.identity(n).kron(m.mu) \
-        * elem_action_matrix(h.phi, [a.base, m.base, a.base])
-    rep.add("bimodule_exchange", lhs == rhs)
-    return rep
-
-
 # ---------------------------------------------------------------------------
 # quotients
 

@@ -12,12 +12,19 @@ k-tuples of basis indices to rationals.  Positions in leg-spreading notation
 are 1-based to match the usual subscript notation for distributing tensor
 legs, e.g. spreading the associator over positions ((1,5),(2),(3,4)).
 
-The leg operations (``icomult``, ``spread``, ``apply_leg``, ``fuse_legs``,
-``counit_legs``, :meth:`TensorElement.permute_legs`) are linear extensions
-of maps on index tuples through one kernel, :func:`_linear`.  Internal
+Every element of H or of a tensor power is a :class:`TensorElement`, what
+``icomult`` returns included.  The leg operations (``icomult``, ``spread``,
+``apply_leg``, ``fuse_legs``, ``counit_legs``,
+:meth:`TensorElement.permute_legs`) are linear extensions of maps on index
+tuples through one kernel, :func:`_linear`.  Internal
 results are canonical and built by the trusted :meth:`TensorElement._of`;
 the public constructor, which coerces with ``rat`` and checks every key,
 is the gate for outside input (files, user code).
+
+The structure maps m, Delta, u, eps and the leg swap are matrices built once
+per algebra (:meth:`QuasiHopfAlgebra.structure`).  The operators on H given
+by an element c, such as L_c = m(c (x) 1), are composites of them, and so
+are the two sides of most axioms.
 
 Products in a tensor power (:meth:`QuasiHopfAlgebra.mul`, under every
 five-leg element of the exactness diagram) run over leg tries on integers:
@@ -29,13 +36,14 @@ once, whatever the number of terms that share it.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import product
 from math import prod
 
 from .linalg import (LegShape, LinAlgError, Matrix, ONE, ZERO, _canon, _div, _lcm_denominator,
-                     _scaled, first_difference, rat, rat_str, solve, vec_add_scaled)
+                     _scaled, first_difference, inverse, rat, rat_str, solve)
 from .report import Report
 
 
@@ -140,8 +148,13 @@ class TensorElement:
 
     def as_vector(self) -> dict:
         """Sparse flat-index view (leftmost leg slowest)."""
-        shape = LegShape((self.dim,) * self.legs)
-        return {shape.index(idx): c for idx, c in self.coeffs.items()}
+        n = self.dim
+        return {reduce(lambda f, i: f * n + i, idx, 0): c for idx, c in self.coeffs.items()}
+
+    def as_column(self) -> Matrix:
+        """The element as a one-column matrix, the map Q -> H^(x legs)."""
+        den = _lcm_denominator(self.coeffs.values()) or 1
+        return Matrix._of(self.dim ** self.legs, 1, den, [_scaled(self.as_vector(), den)])
 
     def __repr__(self):
         return f"TensorElement(legs={self.legs}, terms={len(self.coeffs)})"
@@ -161,13 +174,6 @@ def _linear(t: TensorElement, legs: int, image) -> TensorElement:
             y = get(key)
             out[key] = x if y is None else y + x
     return TensorElement._of(t.dim, legs, {k: y for k, x in out.items() if (y := _canon(x))})
-
-
-def _vec_of(t: TensorElement) -> dict:
-    """1-leg element as a sparse column over basis indices."""
-    if t.legs != 1:
-        raise ValueError("expected a 1-leg element")
-    return {idx[0]: c for idx, c in t.coeffs.items()}
 
 
 def _leg_order(s: TensorElement, t: TensorElement) -> tuple[int, ...]:
@@ -271,6 +277,9 @@ class Frozen:
         return self._memo[key]
 
 
+StructureMaps = namedtuple("StructureMaps", "m delta u eps swap")
+
+
 class QuasiHopfAlgebra(Frozen):
     """A finite-dimensional quasi-Hopf algebra given by structure constants.
 
@@ -283,8 +292,8 @@ class QuasiHopfAlgebra(Frozen):
     business of :func:`verify_axioms`, which any consumer should require.
 
     An algebra is immutable (see :class:`Frozen`).  What is derived from it
-    once per algebra (the axiom report, kappa and lambda, the algebra A)
-    lives in its memo.
+    once per algebra (the structure maps, the axiom report, kappa and
+    lambda, the algebra A) lives in its memo.
     """
 
     def __init__(self, dim, basis, mult, unit, comult, counit, phi, antipode,
@@ -310,19 +319,27 @@ class QuasiHopfAlgebra(Frozen):
 
         self.mult = [[{_idx(k): r for k, c in mult[i][j].items() if (r := rat(c))}
                       for j in range(dim)] for i in range(dim)]
-        # the table as integers over one common denominator, for mul
-        mden = _lcm_denominator(c for row in self.mult for m in row for c in m.values()) or 1
-        self._int_mult = (mden, [[list(_scaled(m, mden).items()) for m in row]
-                                 for row in self.mult])
-        # a |-> e_i a e_j for every pair (i, j), the fused-leg operator family on an
-        # H leg of repcat.elem_action_matrix (indexed [i][j])
-        self.sandwich = [[Matrix(dim, dim, [self.mul_vec({i: ONE}, self.mult[a][j])
-                                            for a in range(dim)])
-                          for j in range(dim)] for i in range(dim)]
         self.unit = {_idx(i): r for i, c in unit.items() if (r := rat(c))}
         self.comult = [{(_idx(j), _idx(k)): r for (j, k), c in comult[i].items()
                         if (r := rat(c))} for i in range(dim)]
         self.counit = [rat(c) for c in counit]
+        n2 = dim * dim
+        maps = StructureMaps(
+            Matrix(dim, n2, [dict(m) for row in self.mult for m in row]),
+            Matrix(n2, dim, [{j * dim + k: c for (j, k), c in d.items()} for d in self.comult]),
+            Matrix(dim, 1, [dict(self.unit)]),
+            Matrix(1, dim, [{0: c} if c else {} for c in self.counit]),
+            Matrix.identity(n2).select([j * dim + i for i in range(dim) for j in range(dim)]))
+        # the table as m's integer columns over its one denominator, for mul
+        mden, mcols = maps.m._int_form()
+        self._int_mult = (mden, [[list(mcols[i * dim + j].items()) for j in range(dim)]
+                                 for i in range(dim)])
+        # a |-> e_i a e_j for every pair (i, j), the fused-leg operator family on an H
+        # leg of repcat.elem_action_matrix (indexed [i][j]): L_i R_j, where L_i and
+        # R_j are the column blocks m(e_i (x) 1) and m(1 (x) e_j) of m
+        left = [maps.m.select(range(i * dim, i * dim + dim)) for i in range(dim)]
+        self.sandwich = [[maps.m.select(range(j, n2, dim)).then(l) for j in range(dim)]
+                         for l in left]
         self.phi = phi if isinstance(phi, TensorElement) else TensorElement(dim, 3, phi)
         if self.phi.legs != 3 or self.phi.dim != dim:
             raise ValueError("associator must have three legs")
@@ -339,12 +356,11 @@ class QuasiHopfAlgebra(Frozen):
         self.phi_inv = phi_inv
         if antipode_inv is None:
             try:
-                from .linalg import inverse
                 antipode_inv = inverse(antipode)
             except LinAlgError as exc:
                 raise ValueError("antipode is not invertible") from exc
         self.antipode_inv = antipode_inv
-        self._memo = {}
+        self._memo = {"structure": maps}
 
     # -- basic arithmetic -----------------------------------------------------
 
@@ -363,39 +379,6 @@ class QuasiHopfAlgebra(Frozen):
         for t in ts:
             if t.dim != self.dim:
                 raise ValueError(f"element of dimension {t.dim} given to dimension {self.dim}")
-
-    def mul_vec(self, u: dict, v: dict) -> dict:
-        """Product of two sparse 1-leg coefficient vectors."""
-        out: dict[int, Fraction] = {}
-        for i, c in u.items():
-            row = self.mult[i]
-            for j, d in v.items():
-                vec_add_scaled(out, row[j], c * d)
-        return out
-
-    def prod_chain(self, vecs) -> dict:
-        """Product of a list of sparse vectors, left to right."""
-        acc = dict(self.unit)
-        for v in vecs:
-            acc = self.mul_vec(acc, v)
-        return acc
-
-    def s_vec(self, v: dict) -> dict:
-        return self.antipode.apply(v)
-
-    def s_inv_vec(self, v: dict) -> dict:
-        return self.antipode_inv.apply(v)
-
-    def counit_of(self, v: dict) -> Fraction:
-        return sum((self.counit[i] * c for i, c in v.items()), ZERO)
-
-    @property
-    def alpha_vec(self) -> dict:
-        return _vec_of(self.alpha)
-
-    @property
-    def beta_vec(self) -> dict:
-        return _vec_of(self.beta)
 
     def mul(self, s: TensorElement, t: TensorElement) -> TensorElement:
         """Componentwise product in the k-fold tensor power algebra.
@@ -436,7 +419,7 @@ class QuasiHopfAlgebra(Frozen):
 
     # -- coproduct machinery ---------------------------------------------------
 
-    def icomult(self, i: int, m: int) -> dict:
+    def icomult(self, i: int, m: int) -> TensorElement:
         """Left-nested iterated coproduct of e_i spread over m legs.
 
         m = 1 is the identity, m = 2 the coproduct, and larger m iterates on
@@ -446,7 +429,7 @@ class QuasiHopfAlgebra(Frozen):
         for legs in range(2, m + 1):
             t = _linear(t, legs, lambda idx: {jk + idx[1:]: d
                                               for jk, d in self.comult[idx[0]].items()})
-        return t.coeffs
+        return t
 
     def spread(self, t: TensorElement, groups, total_legs: int) -> TensorElement:
         """Distribute each leg of t over a group of positions via iterated coproducts.
@@ -476,7 +459,7 @@ class QuasiHopfAlgebra(Frozen):
             terms = {(): ONE}
             for i, g in zip(idx, groups):
                 terms = {k + x: c * d for k, c in terms.items()
-                         for x, d in self.icomult(i, len(g)).items()}
+                         for x, d in self.icomult(i, len(g)).coeffs.items()}
             return {tuple((k + u)[s] for s in order): c * d
                     for k, c in terms.items() for u, d in units.items()}
 
@@ -515,49 +498,52 @@ class QuasiHopfAlgebra(Frozen):
 
     # -- distinguished operators ------------------------------------------------
 
-    def left_mult_matrix(self, v: dict) -> Matrix:
-        """Left multiplication by the element with coefficient vector v."""
-        return Matrix(self.dim, self.dim,
-                      [self.mul_vec(v, {j: ONE}) for j in range(self.dim)])
+    def structure(self) -> StructureMaps:
+        """(m, delta, u, eps, swap): the product H (x) H -> H (column i n + j
+        is e_i e_j), the coproduct, the unit Q -> H, the counit H -> Q and the
+        swap of two legs, as matrices built once by the constructor."""
+        return self._memo["structure"]
 
-    def right_mult_matrix(self, v: dict) -> Matrix:
-        return Matrix(self.dim, self.dim,
-                      [self.mul_vec({j: ONE}, v) for j in range(self.dim)])
+    def _as_map(self, c: TensorElement) -> Matrix:
+        """A one-leg element of this algebra as the map Q -> H."""
+        if c.legs != 1 or c.dim != self.dim:
+            raise ValueError(f"expected a one-leg element of dimension {self.dim}")
+        return c.as_column()
 
-    def adjoint_sandwich(self, c: dict) -> Matrix:
-        """The operator x |-> x_(1) . c . S(x_(2))."""
-        return self._sandwich(c, 2)
+    def left_mult_matrix(self, c: TensorElement) -> Matrix:
+        """L_c = m(c (x) 1): left multiplication by the one-leg element c."""
+        return self._as_map(c).kron(Matrix.identity(self.dim)).then(self.structure().m)
 
-    def antipode_sandwich(self, c: dict) -> Matrix:
-        """The operator x |-> S(x_(1)) . c . x_(2)."""
-        return self._sandwich(c, 1)
+    def right_mult_matrix(self, c: TensorElement) -> Matrix:
+        """R_c = m(1 (x) c): right multiplication by the one-leg element c."""
+        return Matrix.identity(self.dim).kron(self._as_map(c)).then(self.structure().m)
 
-    def _sandwich(self, c: dict, s_leg: int) -> Matrix:
-        """The operator x |-> x_(1) . c . x_(2) with the antipode on coproduct
-        leg ``s_leg`` (1 or 2)."""
-        right_c = self.right_mult_matrix(c)
-        return Matrix(self.dim, self.dim, [_vec_of(self.fuse_legs(self.apply_leg(
-            self.apply_leg(TensorElement._of(self.dim, 2, self.comult[i]), s_leg, self.antipode),
-            1, right_c), 1)) for i in range(self.dim)])
+    def adjoint_sandwich(self, c: TensorElement) -> Matrix:
+        """x |-> x_(1) c S(x_(2)), the composite m(R_c (x) S)Delta: H2's left
+        side at c = beta."""
+        s = self.structure()
+        return s.delta.then(self.right_mult_matrix(c).kron(self.antipode)).then(s.m)
 
-    def adjoint_action_of(self, v: dict) -> Matrix:
-        """The operator a |-> v_(1) . a . S(v_(2)) for a fixed element v: the
-        sandwich family summed over v_(1) (x) S(v_(2))."""
-        t = self.apply_leg(self.spread(TensorElement(self.dim, 1, v), [(1, 2)], 2),
-                           2, self.antipode)
-        return sum((c * self.sandwich[j][k] for (j, k), c in t.coeffs.items()),
-                   Matrix.zero(self.dim, self.dim))
+    def antipode_sandwich(self, c: TensorElement) -> Matrix:
+        """x |-> S(x_(1)) c x_(2), the composite m(R_c S (x) 1)Delta: H1's left
+        side at c = alpha."""
+        s = self.structure()
+        rc_s = self.antipode.then(self.right_mult_matrix(c))
+        return s.delta.then(rc_s.kron(Matrix.identity(self.dim))).then(s.m)
 
-    def power_mult_operator(self, t: TensorElement) -> Matrix:
-        """Left multiplication by t as an operator on the k-th tensor power."""
-        cols = [self.mul(t, TensorElement._of(self.dim, t.legs, {idx: ONE})).as_vector()
-                for idx in product(range(self.dim), repeat=t.legs)]
-        return Matrix(len(cols), len(cols), cols)
+    def adjoint_action_of(self, v: TensorElement) -> Matrix:
+        """The operator a |-> v_(1) a S(v_(2)) for a fixed one-leg element v:
+        v_(1) (x) S(v_(2)) acting through the sandwich family."""
+        from .repcat import elem_action_matrix
+        return elem_action_matrix(
+            self.apply_leg(self.spread(v, [(1, 2)], 2), 2, self.antipode), [self.sandwich])
 
     def tensor_inverse(self, t: TensorElement) -> TensorElement:
-        """Two-sided inverse of t in its tensor power, by exact solving."""
-        op = self.power_mult_operator(t)
-        res = solve(op, self.unit_elem(t.legs).as_vector())
+        """Two-sided inverse of t in its tensor power, by exact solving of
+        L_t x = 1, L_t the left multiplication by t on that power."""
+        cols = [self.mul(t, TensorElement._of(self.dim, t.legs, {idx: ONE})).as_vector()
+                for idx in product(range(self.dim), repeat=t.legs)]
+        res = solve(Matrix(len(cols), len(cols), cols), self.unit_elem(t.legs).as_vector())
         if not res.consistent or res.solution is None:
             raise LinAlgError("element is not invertible in the tensor power")
         shape = LegShape((self.dim,) * t.legs)
@@ -604,13 +590,9 @@ class QuasiHopfAlgebra(Frozen):
         rep = Report(title=f"axioms[{self.name or 'algebra'}]")
         n, phi, phinv, ant = self.dim, self.phi, self.phi_inv, self.antipode
         one = Matrix.identity(n)
-        m = Matrix(n, n * n, [dict(self.mult[i][j]) for i in range(n) for j in range(n)])
-        delta = Matrix(n * n, n, [{j * n + k: c for (j, k), c in d.items()} for d in self.comult])
-        u = Matrix(n, 1, [dict(self.unit)])
-        eps = Matrix(1, n, [{0: c} if c else {} for c in self.counit])
-        swap = Matrix.identity(n * n).select([j * n + i for i in range(n) for j in range(n)])
-        left = [self.left_mult_matrix({i: ONE}) for i in range(n)]
-        right = [self.right_mult_matrix({i: ONE}) for i in range(n)]
+        m, delta, u, eps, swap = self.structure()
+        left = [self.left_mult_matrix(self.basis_elem(i)) for i in range(n)]
+        right = [self.right_mult_matrix(self.basis_elem(i)) for i in range(n)]
 
         check = partial(self.add_identity, rep)
 
@@ -641,11 +623,10 @@ class QuasiHopfAlgebra(Frozen):
         check("antipode.unit", comp(ant, u), u)
         check("antipode.invertible", comp(ant, self.antipode_inv), one,
               comp(self.antipode_inv, ant))
-        s_alpha, r_beta = _s_alpha(self), self.right_mult_matrix(self.beta_vec)
-        r_alpha = self.right_mult_matrix(self.alpha_vec)
-        check("H1.alpha_law", comp(m, s_alpha.kron(one), delta),
-              Matrix(n, 1, [self.alpha_vec]) * eps)
-        check("H2.beta_law", comp(m, r_beta.kron(ant), delta), Matrix(n, 1, [self.beta_vec]) * eps)
+        s_alpha, r_beta = _s_alpha(self), self.right_mult_matrix(self.beta)
+        r_alpha = self.right_mult_matrix(self.alpha)
+        check("H1.alpha_law", self.antipode_sandwich(self.alpha), self.alpha.as_column() * eps)
+        check("H2.beta_law", self.adjoint_sandwich(self.beta), self.beta.as_column() * eps)
         fuse, leg = self.fuse_legs, self.apply_leg
         check("H3.zigzag", fuse(leg(fuse(leg(leg(phi, 1, r_beta), 2, ant), 1), 1, r_alpha), 1),
               self.unit_elem(1))
@@ -669,8 +650,7 @@ class QuasiHopfAlgebra(Frozen):
         for other in others:
             if first == other:
                 continue
-            a, b = (Matrix(x.dim ** x.legs, 1, [x.as_vector()]) if isinstance(x, TensorElement)
-                    else x for x in (first, other))
+            a, b = (x.as_column() if isinstance(x, TensorElement) else x for x in (first, other))
             col, row = first_difference(a, b)
             at = f"at {name(col, a.cols)}, " if a.cols > 1 else "at "
             return rep.add(check_id, False, f"{at}component {name(row, a.rows)}: "
@@ -706,8 +686,8 @@ def verify_derived_identities(h: QuasiHopfAlgebra) -> Report:
     for legname, t in (("phi", phi), ("phi_inv", phinv)):
         check(f"eps_on_{legname}", one2, *(h.counit_legs(t, [l]) for l in (1, 2, 3)))
 
-    w_beta = h.adjoint_sandwich(h.beta_vec)      # x -> x_(1) beta S(x_(2))
-    v_alpha = h.antipode_sandwich(h.alpha_vec)   # x -> S(x_(1)) alpha x_(2)
+    w_beta = h.adjoint_sandwich(h.beta)      # x -> x_(1) beta S(x_(2))
+    v_alpha = h.antipode_sandwich(h.alpha)   # x -> S(x_(1)) alpha x_(2)
 
     def with_middle(t: TensorElement, pos: int) -> TensorElement:
         return h.spread(t, [(pos,)], 3)
@@ -793,7 +773,7 @@ def kappa_inverse(h: QuasiHopfAlgebra, kappa: TensorElement | None = None) -> Te
 
 def _s_alpha(h: QuasiHopfAlgebra) -> Matrix:
     """The operator x |-> S(x) alpha."""
-    return h.antipode.then(h.right_mult_matrix(h.alpha_vec))
+    return h.antipode.then(h.right_mult_matrix(h.alpha))
 
 
 def alpha_contraction(h: QuasiHopfAlgebra) -> TensorElement:
@@ -806,7 +786,7 @@ def alpha_contraction(h: QuasiHopfAlgebra) -> TensorElement:
 def beta_contraction(h: QuasiHopfAlgebra) -> TensorElement:
     """sum q1 (x) q2 beta S(q3) over phi^-1: the element behind the adjunction
     unit; its counit on the first leg is the unit of the algebra."""
-    t = h.apply_leg(h.phi_inv, 2, h.right_mult_matrix(h.beta_vec))
+    t = h.apply_leg(h.phi_inv, 2, h.right_mult_matrix(h.beta))
     return h.fuse_legs(h.apply_leg(t, 3, h.antipode), 2)
 
 
@@ -911,20 +891,17 @@ def builtin(name: str) -> QuasiHopfAlgebra:
 
 def algebra_to_json(h: QuasiHopfAlgebra) -> str:
     """The algebra file, every array flat and row-major.  ``mult`` and
-    ``comult`` are the flat forms of 3-leg elements: the coefficient of e_k
-    in e_i e_j, and that of e_j (x) e_k in Delta(e_i), sit at (i, j, k)."""
-    n = h.dim
-    mult = TensorElement._of(n, 3, {(i, j, k): c for i, row in enumerate(h.mult)
-                                    for j, m in enumerate(row) for k, c in m.items()})
-    comult = TensorElement._of(n, 3, {(i,) + jk: c for i, d in enumerate(h.comult)
-                                      for jk, c in d.items()})
+    ``comult`` are m and Delta transposed, the flat forms of 3-leg elements:
+    the coefficient of e_k in e_i e_j, and that of e_j (x) e_k in Delta(e_i),
+    sit at (i, j, k)."""
+    m, delta, u, eps, _ = h.structure()
 
     def flat(a):
         return [rat_str(c) for c in a.to_flat()]
 
-    obj = {"dim": n, "basis": list(h.basis), "mult": flat(mult), "unit": flat(h.unit_elem(1)),
-           "comult": flat(comult), "counit": [rat_str(c) for c in h.counit],
-           "phi": flat(h.phi), "phi_inv": flat(h.phi_inv), "antipode": flat(h.antipode),
+    obj = {"dim": h.dim, "basis": list(h.basis), "mult": flat(m.transpose()), "unit": flat(u),
+           "comult": flat(delta.transpose()), "counit": flat(eps), "phi": flat(h.phi),
+           "phi_inv": flat(h.phi_inv), "antipode": flat(h.antipode),
            "antipode_inv": flat(h.antipode_inv), "alpha": flat(h.alpha), "beta": flat(h.beta)}
     if h.name:
         obj["name"] = h.name
@@ -947,6 +924,14 @@ def json_dim(obj) -> int:
     if type(n) is not int or n < 1:
         raise ValueError(f"dim must be an integer >= 1, got {n!r}")
     return n
+
+
+def json_name(obj) -> str:
+    """obj["name"], "" when absent, once it is a string."""
+    name = obj.get("name", "")
+    if not isinstance(name, str):
+        raise ValueError(f"name must be a string, got {name!r}")
+    return name
 
 
 def json_list(obj, key: str, n: int) -> list:
@@ -978,9 +963,7 @@ def algebra_from_json(text: str) -> QuasiHopfAlgebra:
     obj = json.loads(text)
     try:
         n = _json_dim(obj)
-        name, basis = obj.get("name", ""), obj.get("basis")
-        if not isinstance(name, str):
-            raise ValueError(f"name must be a string, got {name!r}")
+        name, basis = json_name(obj), obj.get("basis")
         if not (basis is None or isinstance(basis, list) and all(type(b) is str for b in basis)):
             raise ValueError(f"basis must be a list of strings, got {basis!r}")
 

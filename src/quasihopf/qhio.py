@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 
 from .linalg import Matrix, rat_str
-from .qha import QuasiHopfAlgebra, json_dim, json_rats
+from .qha import QuasiHopfAlgebra, json_dim, json_name, json_rats
 from .repcat import HModule
 from .center import CenterObject
 from .mod_a import AModule
@@ -21,11 +21,11 @@ from .algebra_a import AlgebraA
 
 def module_from_obj(h: QuasiHopfAlgebra, obj: dict, label: str = "") -> HModule:
     try:
-        d = json_dim(obj)
+        d, name = json_dim(obj), json_name(obj)
         flat = json_rats(obj, "action", h.dim * d * d)
         action = [Matrix.from_flat(d, d, flat[i * d * d:(i + 1) * d * d])
                   for i in range(h.dim)]
-        return HModule(h, d, action, label=label or obj.get("name", ""))
+        return HModule(h, d, action, label=label or name)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed module data: {exc}") from exc
 

@@ -96,15 +96,13 @@ class HModule(Frozen):
         return elem_action_matrix(TensorElement(self.h.dim, 1, v), [self])
 
     def validate(self) -> Report:
+        """The action act: H (x) M -> M (column i d + v is e_i |> v) is unital
+        and associative: act(u (x) 1) = 1 and act(m (x) 1) = act(1 (x) act)."""
         rep = Report(title=f"module[{self.label or 'M'}]")
-        rep.add("unit_acts_as_identity", self.action_of(self.h.unit).is_identity())
-        ok = True
-        for i in range(self.h.dim):
-            for j in range(self.h.dim):
-                prod = self.action_of(self.h.mult[i][j])
-                if self.action[i] * self.action[j] != prod:
-                    ok = False
-        rep.add("action_respects_product", ok)
+        act, maps, one = Matrix.hstack(self.action), self.h.structure(), Matrix.identity(self.dim)
+        rep.add("unit_acts_as_identity", (act * maps.u.kron(one)).is_identity())
+        rep.add("action_respects_product",
+                act * maps.m.kron(one) == act * Matrix.identity(self.h.dim).kron(act))
         return rep
 
     def same_space(self, other: "HModule") -> bool:
@@ -180,7 +178,7 @@ def identity_map(m: HModule) -> HLinearMap:
 
 def regular_module(h: QuasiHopfAlgebra) -> HModule:
     """The algebra acting on itself by left multiplication."""
-    return HModule(h, h.dim, [h.left_mult_matrix({i: ONE}) for i in range(h.dim)],
+    return HModule(h, h.dim, [h.left_mult_matrix(h.basis_elem(i)) for i in range(h.dim)],
                    label="C", key=("C",))
 
 
@@ -553,24 +551,23 @@ def in_map(m: HModule, x: HModule, y: HModule) -> HLinearMap:
 def left_dual(m: HModule) -> tuple[HModule, HLinearMap, HLinearMap]:
     """(dual module, evaluation, coevaluation) for the left dual."""
     h = m.h
-    dual = HModule(h, m.dim, [m.action_of(h.s_vec({i: ONE})).transpose()
-                              for i in range(h.dim)],
+    dual = HModule(h, m.dim, [m.action_of(h.antipode.col(i)).transpose() for i in range(h.dim)],
                    label=f"ldual({m.label or '?'})")
     unit = unit_module(h)
-    ev = HLinearMap(tensor(dual, m), unit, _flattened([m.action_of(h.alpha_vec)], True)[0])
-    coev = HLinearMap(unit, tensor(m, dual), _flattened([m.action_of(h.beta_vec)], False)[0])
+    a_act, b_act = (elem_action_matrix(c, [m]) for c in (h.alpha, h.beta))
+    ev = HLinearMap(tensor(dual, m), unit, _flattened([a_act], True)[0])
+    coev = HLinearMap(unit, tensor(m, dual), _flattened([b_act], False)[0])
     return dual, ev, coev
 
 
 def right_dual(m: HModule) -> tuple[HModule, HLinearMap, HLinearMap]:
-    h = m.h
-    dual = HModule(h, m.dim, [m.action_of(h.s_inv_vec({i: ONE})).transpose()
-                              for i in range(h.dim)],
+    h, s_inv = m.h, m.h.antipode_inv
+    dual = HModule(h, m.dim, [m.action_of(s_inv.col(i)).transpose() for i in range(h.dim)],
                    label=f"rdual({m.label or '?'})")
     unit = unit_module(h)
-    a_act = m.action_of(h.s_inv_vec(h.alpha_vec)).transpose()
+    a_act, b_act = (elem_action_matrix(h.apply_leg(c, 1, s_inv), [m]).transpose()
+                    for c in (h.alpha, h.beta))   # S^-1(alpha), S^-1(beta) acting, transposed
     ev = HLinearMap(tensor(m, dual), unit, _flattened([a_act], True)[0])
-    b_act = m.action_of(h.s_inv_vec(h.beta_vec)).transpose()
     coev = HLinearMap(unit, tensor(dual, m), _flattened([b_act], False)[0])
     return dual, ev, coev
 
@@ -625,16 +622,11 @@ def end_over_regular(h: QuasiHopfAlgebra, p: HModule, q: HModule) -> EndComputat
     kernel = [{k: x for k, x in enumerate(g.matrix.to_flat()) if x}
               for g in intertwiners(c, target, pairs)]
 
-    closed = []
-    for pp in range(p.dim):
-        for a in range(n):
-            for qq in range(q.dim):
-                vec: dict[int, Fraction] = {}
-                for s in range(n):
-                    for k, cc in h.mult[a][s].items():
-                        tgt = (pp * n + k) * q.dim + qq
-                        vec[tgt * n + s] = cc
-                closed.append(vec)
+    # the middle-leg left multiplications e_pp (x) L_a (x) e_qq, read off the table
+    # (independently of regular_module) and flattened the same way
+    closed = [{((pp * n + k) * q.dim + qq) * n + s: cc
+               for s in range(n) for k, cc in h.mult[a][s].items()}
+              for pp in range(p.dim) for a in range(n) for qq in range(q.dim)]
 
     rep = Report(title=f"end[{p.label or 'P'},{q.label or 'Q'}]")
     expected = p.dim * n * q.dim

@@ -1,7 +1,7 @@
 import pytest
 
 from quasihopf import builtin
-from quasihopf.qha import QuasiHopfAlgebra, TensorElement
+from quasihopf.qha import QuasiHopfAlgebra, TensorElement, _s_alpha
 
 _CACHE = {}
 
@@ -20,19 +20,11 @@ def twist(h, f):
               for i in range(h.dim)]
     phi = h.mul_chain([h.spread(f, [(2,), (3,)], 3), h.spread(f, [(1,), (2, 3)], 3), h.phi,
                        h.spread(finv, [(1, 2), (3,)], 3), h.spread(finv, [(1,), (2,)], 3)])
-
-    def leg_sum(t, middle, s_leg):
-        out = {}
-        for (u1, u2), c in t.coeffs.items():
-            legs = [{u1: 1}, middle, {u2: 1}]
-            legs[s_leg] = h.s_vec(legs[s_leg])
-            for k, x in h.prod_chain(legs).items():
-                out[k] = out.get(k, 0) + c * x
-        return out
-
+    alpha = h.fuse_legs(h.apply_leg(finv, 1, _s_alpha(h)), 1)
+    beta = h.fuse_legs(h.apply_leg(h.apply_leg(f, 1, h.right_mult_matrix(h.beta)), 2,
+                                   h.antipode), 1)
     return QuasiHopfAlgebra(h.dim, h.basis, h.mult, h.unit, comult, h.counit, phi,
-                            h.antipode, leg_sum(finv, h.alpha_vec, 0),
-                            leg_sum(f, h.beta_vec, 2), antipode_inv=h.antipode_inv,
+                            h.antipode, alpha, beta, antipode_inv=h.antipode_inv,
                             name=h.name + "_twist")
 
 

@@ -285,11 +285,13 @@ MALFORMED_MODULES = [
     {"dim": "1", "action": ["1", "1"]},
     {"dim": 1, "action": ["1"]},
     {"dim": 1, "action": [True, True]},
+    {"dim": 1, "action": ["1", "1"], "name": 5},
 ]
 
 
 @pytest.mark.parametrize("module", MALFORMED_MODULES,
-                         ids=["list", "dim-float", "dim-string", "short-action", "action-bool"])
+                         ids=["list", "dim-float", "dim-string", "short-action", "action-bool",
+                              "name-int"])
 def test_malformed_module_file_exits_two(tmp_path, capsys, module):
     (tmp_path / "m.json").write_text(json.dumps(module))
     code, out, err = run(capsys, "end", "group_z2", "--left", str(tmp_path / "m.json"))
@@ -375,6 +377,11 @@ MALFORMED_ALGEBRA_FIELDS = [
     ("alpha", ["1", "x"]),
     ("name", 5),
     ("basis", [1, 2]),
+    # rational forms other than "p" and "p/q"; the exponent took seconds to expand
+    ("alpha", ["1e10000000", "0"]),
+    ("alpha", ["0.5", "0"]),
+    ("alpha", ["1_0", "0"]),
+    ("alpha", ["١", "0"]),
 ]
 
 

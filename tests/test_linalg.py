@@ -30,6 +30,12 @@ def test_rat_parsing():
         rat(True)
     with pytest.raises(ValueError, match="zero denominator"):
         rat("1/0")
+    assert rat(" 4 ") == 4 and rat("+2") == 2 and rat("−3") == -3
+    # only "p" and "p/q" in ASCII digits: no exponent, decimal point,
+    # underscore or non-ASCII digit, which Fraction itself would accept
+    for text in ("1e10000000", "0.5", "1_0", "١", "3 / 6", "/2", ""):
+        with pytest.raises(ValueError, match="malformed rational"):
+            rat(text)
 
 
 # -- leg bookkeeping ----------------------------------------------------------

@@ -15,10 +15,11 @@ from quasihopf.algebra_a import build_A, heart, heart_on_morphism
 from quasihopf.mod_a import (AModule, algebra_as_amodule, amodule_hom_space,
                              coinvariants, coinvariants_monoidal, coinvariants_on_morphism,
                              counit_iso, equivalence_report, free_amodule,
-                             heart_amodule, left_action, left_action_report,
+                             heart_amodule, left_action,
                              _quotient_module, tensor_over_A, unit_iso, validate_amodule)
 
 from conftest import get_algebra
+from helpers import left_action_report, mul_vec
 
 
 def test_algebra_is_a_module(any_h):
@@ -66,7 +67,7 @@ def test_left_action_on_hopf_group_algebra(z2):
     n = z2.dim
     for x in range(n):
         for y in range(n):
-            assert lam.matrix.apply({x * n + y: 1}) == z2.mul_vec({x: 1}, {y: 1})
+            assert lam.matrix.apply({x * n + y: 1}) == mul_vec(z2, {x: 1}, {y: 1})
 
 
 # -- tensor over the algebra ----------------------------------------------------

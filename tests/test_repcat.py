@@ -18,7 +18,7 @@ from quasihopf.repcat import (HLinearMap, adjunction_report, associator,
                               unit_module)
 
 from conftest import get_algebra
-from helpers import (SCALARS, factors, from_dense, naive_elem_action, unit_left_elim,
+from helpers import (SCALARS, elem, factors, from_dense, naive_elem_action, unit_left_elim,
                      unit_right_elim)
 
 
@@ -291,8 +291,8 @@ def test_icomp_matches_algebra_product(any_h):
     ic = icomp(c, c, c)
     for x in range(h.dim):
         for y in range(h.dim):
-            lx = map_to_flat(h.left_mult_matrix({x: 1}))
-            ly = map_to_flat(h.left_mult_matrix({y: 1}))
+            lx = map_to_flat(h.left_mult_matrix(h.basis_elem(x)))
+            ly = map_to_flat(h.left_mult_matrix(h.basis_elem(y)))
             arg = {}
             for kx, vx in lx.items():
                 for ky, vy in ly.items():
@@ -301,7 +301,7 @@ def test_icomp_matches_algebra_product(any_h):
             prod = a.product.apply({x * h.dim + y: 1})
             want = {}
             for k, v in prod.items():
-                for kk, vv in map_to_flat(h.left_mult_matrix({k: 1})).items():
+                for kk, vv in map_to_flat(h.left_mult_matrix(h.basis_elem(k))).items():
                     want[kk] = want.get(kk, 0) + v * vv
             assert got == {k: v for k, v in want.items() if v}
 
@@ -311,7 +311,7 @@ def test_icomp_unit_element(any_h):
     a = build_A(h)
     c = regular_module(h)
     ic = icomp(c, c, c)
-    lu = map_to_flat(h.left_mult_matrix(a.unit_vec))
+    lu = map_to_flat(h.left_mult_matrix(elem(h, 1, a.unit_vec)))
     arg = {}
     for kx, vx in lu.items():
         for ky, vy in lu.items():
@@ -381,7 +381,7 @@ def test_end_unit_unit(z2, sw):
         assert len(comp.kernel_basis) == h.dim
         # the closed form is exactly the left multiplications
         for a in range(h.dim):
-            lmat = h.left_mult_matrix({a: 1})
+            lmat = h.left_mult_matrix(h.basis_elem(a))
             vec = {}
             for j, col in enumerate(lmat.columns()):
                 for i2, x in col.items():

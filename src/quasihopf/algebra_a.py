@@ -257,6 +257,8 @@ def extract_center_structure(h: QuasiHopfAlgebra, m: HModule) -> CenterObject:
     after the action of phi . (Delta (x) id)(beta_contraction) with the middle
     slot cut to the unit column, so 1/n of the full adjunct's columns are
     built, and _end_coordinates certifies end membership on all of them.  The
+    product runs from that thin cut end, phi . (diamond . cut): each step
+    then multiplies a wide map by a thin one, never two wide maps.  The
     centre validation is left to CenterObject.require_valid (report kept).
     """
     hb = heart_base(h, m)
@@ -264,8 +266,8 @@ def extract_center_structure(h: QuasiHopfAlgebra, m: HModule) -> CenterObject:
     u = h.structure().u
     e = h.memo("phi_beta", lambda: h.mul(
         h.phi, h.spread(beta_contraction(h), [(1, 2), (3,)], 3)))
-    adj = elem_action_matrix(h.phi, [c, c, m]) * diamond(h, m, tensor(c, c)).matrix \
-        * elem_action_matrix(e, [hb, [a * u for a in c.action], c])
+    cut = elem_action_matrix(e, [hb, [a * u for a in c.action], c])
+    adj = elem_action_matrix(h.phi, [c, c, m]) * (diamond(h, m, tensor(c, c)).matrix * cut)
     return CenterObject(hb, _end_coordinates(h, c, m, adj), label=f"heart({m.label or '?'})")
 
 

@@ -37,7 +37,7 @@ def _load_algebra(spec: str) -> QuasiHopfAlgebra:
         try:
             with open(spec, "r", encoding="utf-8") as fh:
                 return algebra_from_json(fh.read())
-        except (ValueError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise InputError(f"{spec}: {exc}") from exc
     if spec in BUILTIN_NAMES:
         return builtin(spec)
@@ -193,8 +193,11 @@ def cmd_export(args) -> int:
         raise InputError(f"no builtin algebra {args.name!r}")
     text = algebra_to_json(builtin(args.name))
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"{args.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
     return 0

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -78,10 +79,12 @@ def rat(x) -> int | Fraction:
         s = x.strip().replace("−", "-")  # tolerate unicode minus
         if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", s):
             raise ValueError(f"malformed rational {x!r}: expected \"p\" or \"p/q\"")
-        try:
-            return _canon(Fraction(s))
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in rational {x!r}") from None
+        num, _, den = s.partition("/")
+        # through Decimal, whose exact conversions, unlike int's, have no digit limit
+        p, q = int(Decimal(num)), int(Decimal(den or "1"))
+        if not q:
+            raise ValueError(f"zero denominator in rational {x!r}")
+        return _canon(Fraction(p, q))
     if isinstance(x, float):
         raise TypeError(f"refusing to coerce float {x!r} to an exact rational")
     raise TypeError(f"cannot interpret {x!r} as a rational")
@@ -90,9 +93,9 @@ def rat(x) -> int | Fraction:
 def rat_str(x: int | Fraction) -> str:
     """Canonical string form: "p" or "p/q" with q > 0, lowest terms."""
     x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    # through Decimal, whose exact conversions, unlike str's, have no digit limit
+    p, q = str(Decimal(x.numerator)), str(Decimal(x.denominator))
+    return p if q == "1" else f"{p}/{q}"
 
 
 def _canon(x):

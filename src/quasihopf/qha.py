@@ -29,8 +29,9 @@ are the two sides of most axioms.
 Products in a tensor power (:meth:`QuasiHopfAlgebra.mul`, under every
 five-leg element of the exactness diagram) run over leg tries on integers:
 both operands are nested leg by leg in the order that shares the most
-prefixes (:func:`_leg_order`), and each pair of leg prefixes is multiplied
-once, whatever the number of terms that share it.
+prefixes (:func:`_leg_order`), equal sub-tries are interned into one object
+(:func:`_leg_trie`), and each distinct pair of sub-tries is multiplied once,
+whatever the number of terms and prefixes that share it.
 """
 
 from __future__ import annotations
@@ -186,7 +187,9 @@ def _leg_order(s: TensorElement, t: TensorElement) -> tuple[int, ...]:
     |t|)).  Ties go to the lexicographically first order.  In any order the
     product visits at most legs |s| |t| prefix pairs; where the pass would
     cost more than that, as always when an operand has at most one term,
-    the given order is kept."""
+    the given order is kept.  The bound counts visited pairs, not computed
+    ones: a pair of equal sub-tries met again is a memo hit in
+    :func:`_trie_product`, so the pairs computed can be far fewer."""
     legs, dim, m, n = s.legs, s.dim, len(s.coeffs), len(t.coeffs)
     if legs * m * n <= (1 << legs) * (m + n):
         return tuple(range(legs))
@@ -206,7 +209,13 @@ def _leg_order(s: TensorElement, t: TensorElement) -> tuple[int, ...]:
 def _leg_trie(t: TensorElement, order) -> tuple[int, dict]:
     """(den, trie) for an element with at least one leg: its coefficients
     times den (the lcm of their denominators) as ints, nested one dict level
-    per leg in ``order`` (0-based legs), with the ints at the last."""
+    per leg in ``order`` (0-based legs), with the ints at the last.
+
+    Equal sub-tries are interned bottom-up, per depth: a leaf by its items
+    (index and coefficient), an inner node by its indices and the identity
+    of its already interned children.  Equal sub-tries at one depth are then
+    one object, so the trie is a DAG that :func:`_trie_product` can memoise
+    by identity."""
     den = _lcm_denominator(t.coeffs.values()) or 1
     *head, last = order
     root: dict = {}
@@ -215,16 +224,32 @@ def _leg_trie(t: TensorElement, order) -> tuple[int, dict]:
         for l in head:
             node = node.setdefault(idx[l], {})
         node[idx[last]] = c
-    return den, root
+    return den, _intern(root, 0, [{} for _ in order])
 
 
-def _trie_product(table, a: dict, b: dict, weights, depth: int = 0) -> dict:
+def _intern(node: dict, depth: int, seen: list[dict]) -> dict:
+    """The one object in ``seen[depth]`` equal to node, once its children
+    are interned in place."""
+    if depth == len(seen) - 1:
+        key = frozenset(node.items())
+    else:
+        for i, sub in node.items():
+            node[i] = _intern(sub, depth + 1, seen)
+        key = frozenset(zip(node, map(id, node.values())))
+    return seen[depth].setdefault(key, node)
+
+
+def _trie_product(table, a: dict, b: dict, weights, memo: dict, depth: int = 0) -> dict:
     """The product of two leg tries over an integer multiplication table
     (``table[i][j]`` the items of e_i e_j), as a dict from flat output
     indices to ints.  ``weights[d]`` is the flat weight of the leg nested at
     depth d, dim ** (legs - 1 - order[d]), so output keys are flat indices in
     the original leg order whatever the nesting.  The last leg is found by
-    depth, not by weight: in dimension 1 every weight is 1."""
+    depth, not by weight: in dimension 1 every weight is 1.
+
+    ``memo`` lives for one product and holds the product of each pair of
+    interned sub-tries (see :func:`_leg_trie`) under (id(a), id(b), depth),
+    so each distinct pair is multiplied once however often it recurs."""
     out: dict[int, int] = {}
     get = out.get
     w = weights[depth]
@@ -243,7 +268,10 @@ def _trie_product(table, a: dict, b: dict, weights, depth: int = 0) -> dict:
             m = row[j]
             if not m:
                 continue
-            sub = _trie_product(table, ai, bj, weights, depth + 1).items()
+            key = (id(ai), id(bj), depth)
+            sub = memo.get(key)
+            if sub is None:
+                sub = memo[key] = _trie_product(table, ai, bj, weights, memo, depth + 1).items()
             for k, y in m:
                 kw = k * w
                 for f, x in sub:
@@ -388,12 +416,15 @@ class QuasiHopfAlgebra(Frozen):
         in the order :func:`_leg_order` picks for this pair, the one that
         minimises the bound on prefix pairs visited, summed over depths.  For
         each pair (i, j) of indices on the first nested leg with e_i e_j != 0
-        the two sub-tries are multiplied once, and that product is spread over
-        the terms of e_i e_j; so each pair of leg prefixes is multiplied once,
-        not once per pair of terms.  Products accumulate as ints under flat
-        output indices in the original leg order (each depth has its own flat
-        weight, see :func:`_trie_product`), and each output coefficient is
-        divided once by the common denominator.
+        the two sub-tries are multiplied, and that product is spread over the
+        terms of e_i e_j; so each pair of leg prefixes is multiplied once, not
+        once per pair of terms.  Equal sub-tries are one object
+        (:func:`_leg_trie`) and the product of each pair of them is kept for
+        this call, so a pair that recurs under other prefixes is not
+        multiplied again.  Products accumulate as ints under flat output
+        indices in the original leg order (each depth has its own flat weight,
+        see :func:`_trie_product`), and each output coefficient is divided
+        once by the common denominator.
         """
         self._own(s, t)
         s._check_like(t)
@@ -406,7 +437,8 @@ class QuasiHopfAlgebra(Frozen):
         mden, table = self._int_mult
         den = sden * tden * mden ** s.legs
         shape = LegShape((self.dim,) * s.legs)
-        acc = _trie_product(table, strie, ttrie, [self.dim ** (s.legs - 1 - l) for l in order])
+        acc = _trie_product(table, strie, ttrie, [self.dim ** (s.legs - 1 - l) for l in order],
+                            {})
         return TensorElement._of(self.dim, s.legs,
                                  {shape.unindex(f): _div(x, den) for f, x in acc.items() if x})
 

@@ -473,6 +473,9 @@ CONTRACT_CASES = [
         ("check", "group_z2", "--context", "{d}/x.json", "--lhs", "id(C)", "--rhs", "id(C)")]],
     (("equiv", "group_z2", "--objects", "C,zz"), ()),
     (("eval", "{d}/missing.json", "--expr", "id(C)"), ()),
+    # an algebra path that is a directory, an export into a missing directory
+    (("verify", "{d}"), ()),
+    (("export", "group_z2", "-o", "{d}/missing/x.json"), ()),
     # usage errors: a missing option value, an unknown option, no command
     (("check", "group_z2", "--lhs", "id", "--rhs"), ()),
     (("equiv", "group_z2", "--bogus"), ()),

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -36,6 +37,22 @@ def test_rat_parsing():
     for text in ("1e10000000", "0.5", "1_0", "١", "3 / 6", "/2", ""):
         with pytest.raises(ValueError, match="malformed rational"):
             rat(text)
+
+
+@given(st.integers(1, 9000), st.integers(1, 9000), st.booleans())
+@settings(max_examples=20, deadline=None)
+@example(5001, 1, False)   # 10**5000 - 1 over 1: past str's default 4300-digit limit
+@example(1, 5001, True)
+def test_rat_str_round_trips_values_of_any_size(num_digits, den_digits, negative):
+    # rat_str writes and rat reads back what the program can hold, whatever
+    # sys.get_int_max_str_digits() allows, and leaves that limit as it was
+    limit = sys.get_int_max_str_digits()
+    x = Fraction((-1) ** negative * (10 ** num_digits - 1), 10 ** den_digits + 1)
+    text = rat_str(x)
+    assert text.count("/") == (x.denominator != 1)
+    assert rat(text) == x and rat(f" {text} ") == x
+    assert sys.get_int_max_str_digits() == limit
+    assert rat("1" * 5000) == (10 ** 5000 - 1) // 9 and rat_str(10 ** 5000) == "1" + "0" * 5000
 
 
 # -- leg bookkeeping ----------------------------------------------------------

@@ -11,7 +11,7 @@ from quasihopf import cli, qha
 from quasihopf.qha import (BUILTIN_NAMES, _leg_order, QuasiHopfAlgebra, TensorElement,
                            algebra_from_json, algebra_to_json, builtin, kappa_inverse,
                            kappa_lambda, verify_derived_identities)
-from quasihopf.linalg import Matrix
+from quasihopf.linalg import Matrix, _lcm_denominator
 from quasihopf.report import Report, VerificationFailure
 
 from conftest import SQUARE, TWISTED, get_algebra
@@ -282,6 +282,119 @@ def test_leg_order_keeps_the_given_order_for_a_one_term_operand(sw):
     for few in (sw.unit_elem(4), TensorElement(4, 4, {(3, 2, 1, 0): 5}),
                 TensorElement(4, 4, {})):
         assert _leg_order(many, few) == _leg_order(few, many) == (0, 1, 2, 3)
+
+
+# -- shared sub-tries in mul ------------------------------------------------------
+
+SHARING_ALGEBRAS = ["group_z2", "drinfeld_h2", "sweedler_h4", TWISTED, "one"]
+
+
+@st.composite
+def shared_operands(draw, h, legs):
+    """An operand whose leg tries repeat sub-tries in some leg order: x (x) y;
+    a spread of Phi or Phi^-1 (at least three legs); or a sum of e_i (x)
+    blocks where a block is B or B with one coefficient or one index changed
+    (at least two legs).  The legs are then permuted, so that the repeats
+    fall under every nesting."""
+    def small(k):
+        index = st.tuples(*[st.integers(0, h.dim - 1)] * k)
+        return TensorElement(h.dim, k, draw(st.dictionaries(
+            index, COEFFS.filter(bool), min_size=1, max_size=3)))
+
+    kinds = ["tensor"] + ["blocks"] * (legs >= 2) + ["spread"] * (legs >= 3)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "tensor":
+        k = draw(st.integers(0, legs))
+        t = small(k).tensor(small(legs - k))
+    elif kind == "spread":
+        slots = draw(st.permutations(range(1, legs + 1)))
+        cuts = sorted(draw(st.lists(st.integers(1, legs - 1), min_size=2, max_size=2,
+                                    unique=True)))
+        groups = [slots[:cuts[0]], slots[cuts[0]:cuts[1]], slots[cuts[1]:]]
+        t = h.spread(draw(st.sampled_from([h.phi, h.phi_inv])), groups, legs)
+    else:
+        block = small(legs - 1)
+        key, c = draw(st.sampled_from(list(block.coeffs.items())))
+        if draw(st.booleans()):
+            other = {**block.coeffs, key: c + 1}   # one coefficient changed
+        else:
+            moved = (*key[:-1], (key[-1] + 1) % h.dim)   # one index changed
+            other = {k: x for k, x in block.coeffs.items() if k != key}
+            other[moved] = other.get(moved, 0) + c
+        variants = [block, TensorElement(h.dim, legs - 1, other)]
+        t = sum((h.basis_elem(i).tensor(draw(st.sampled_from(variants))) for i in range(h.dim)),
+                TensorElement(h.dim, legs, {}))
+    return t.permute_legs(draw(st.permutations(range(1, legs + 1))))
+
+
+@given(st.sampled_from(SHARING_ALGEBRAS), st.integers(1, 4), st.data())
+@settings(max_examples=80, deadline=None)
+def test_mul_with_shared_sub_tries_is_the_naive_product_in_every_leg_order(name, legs, data):
+    # a memo key that forgets an operand, or an interned leaf that forgets a
+    # coefficient, merges sub-tries that differ and fails here
+    h = LOCAL_ALGEBRAS[name]() if name in LOCAL_ALGEBRAS else get_algebra(name)
+    s, t = (data.draw(shared_operands(h, legs)) for _ in range(2))
+    want = naive_mul(h, s, t)
+    for order in permutations(range(legs)):
+        with patch.object(qha, "_leg_order", lambda *_, o=order: o):
+            assert h.mul(s, t) == want, order
+
+
+def test_leg_trie_shares_equal_sub_tries_only():
+    y = TensorElement(3, 2, {(0, 0): 1, (0, 1): 2, (1, 0): 1, (1, 1): 2})
+    changed = TensorElement(3, 2, {(0, 0): 1, (0, 1): 2, (1, 0): 1, (1, 1): 3})
+    moved = TensorElement(3, 2, {(0, 0): 1, (0, 1): 2, (1, 0): 1, (1, 2): 2})
+    e = [TensorElement(3, 1, {(i,): 1}) for i in range(3)]
+    t = e[0].tensor(y) + e[1].tensor(y) + e[2].tensor(changed)
+    _, trie = qha._leg_trie(t, (0, 1, 2))
+    assert trie[0] is trie[1] is not trie[2]
+    assert trie[0][0] is trie[0][1] is trie[2][0]   # the leaf {0: 1, 1: 2} at depth 2
+    assert trie[2][1] is not trie[0][1]              # {0: 1, 1: 3}: one coefficient differs
+    _, trie = qha._leg_trie(e[0].tensor(y) + e[1].tensor(moved), (0, 1, 2))
+    assert trie[0] is not trie[1] and trie[1][1] is not trie[1][0]   # {0: 1, 2: 2}
+    assert trie[0][0] is trie[1][0]
+
+
+def plain_leg_trie(t, order):
+    """The leg trie of qha._leg_trie without interning: a tree, so every
+    pair of sub-tries is met once and the memo of the product never hits."""
+    den = _lcm_denominator(t.coeffs.values()) or 1
+    root = {}
+    for idx, c in t.coeffs.items():
+        node = root
+        for l in order[:-1]:
+            node = node.setdefault(idx[l], {})
+        node[idx[order[-1]]] = int(c * den)
+    return den, root
+
+
+def count_sub_products(h, s, t):
+    """(the product, the number of _trie_product calls it made)."""
+    real, calls = qha._trie_product, [0]
+
+    def spy(*args):
+        calls[0] += 1
+        return real(*args)
+
+    with patch.object(qha, "_trie_product", spy):
+        return h.mul(s, t), calls[0]
+
+
+def test_the_dr2_products_multiply_each_distinct_sub_product_once():
+    # kappa_inverse's kappa^-1 . kappa and counit_iso's nu = kbar . lambda',
+    # kbar = kappa^-1: computed sub-products against those a tree visits
+    h = get_algebra(SQUARE)
+    kappa, lam = kappa_lambda(h)
+    kbar = kappa_inverse(h, kappa)
+    pairs = {"kinv.kappa": (kbar, kappa), "kbar.lam'": (kbar, lam.permute_legs((2, 3, 4, 5, 1)))}
+    counts = {}
+    for name, (s, t) in pairs.items():
+        shared, computed = count_sub_products(h, s, t)
+        with patch.object(qha, "_leg_trie", plain_leg_trie):
+            tree, visited = count_sub_products(h, s, t)
+        assert shared == tree
+        counts[name] = (visited, computed)
+    assert counts == {"kinv.kappa": (914, 163), "kbar.lam'": (3605, 573)}
 
 
 # -- the leg calculus against per-definition oracles -------------------------------

@@ -165,17 +165,22 @@ def validate_center(m: CenterObject) -> Report:
 def tensor_center(m: CenterObject, n: CenterObject) -> CenterObject:
     """Tensor product in the centre: braidings composed through the hexagon
     applied to the unit embedding v -> v (x) 1 only (validated by whoever
-    requires it, see CenterObject.require_valid)."""
+    requires it, see CenterObject.require_valid).
+
+    Each of the five hexagon maps on (M (x) N) (x) C is built just before it
+    is applied to the thin coaction and dropped after, so at most one of
+    them is alive at a time."""
     if m.h is not n.h:
         raise ValueError("centre objects over different algebras")
     h = m.h
     base = tensor(m.base, n.base)
     c_mod = regular_module(h)
     coaction = Matrix.identity(base.dim).kron(h.structure().u)
-    for f in (associator(m.base, n.base, c_mod), identity_map(m.base).tensor(braiding(n, c_mod)),
-              associator_inv(m.base, c_mod, n.base), braiding(m, c_mod).tensor(identity_map(n.base)),
-              associator(c_mod, m.base, n.base)):
-        coaction = coaction.then(f.matrix)
+    coaction = coaction.then(associator(m.base, n.base, c_mod).matrix)
+    coaction = coaction.then(identity_map(m.base).tensor(braiding(n, c_mod)).matrix)
+    coaction = coaction.then(associator_inv(m.base, c_mod, n.base).matrix)
+    coaction = coaction.then(braiding(m, c_mod).tensor(identity_map(n.base)).matrix)
+    coaction = coaction.then(associator(c_mod, m.base, n.base).matrix)
     return CenterObject(base, coaction, label=f"({m.label or '?'})*({n.label or '?'})")
 
 

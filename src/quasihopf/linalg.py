@@ -78,16 +78,23 @@ def rat(x) -> int | Fraction:
     if isinstance(x, str):
         s = x.strip().replace("−", "-")  # tolerate unicode minus
         if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", s):
-            raise ValueError(f"malformed rational {x!r}: expected \"p\" or \"p/q\"")
+            raise ValueError(f"malformed rational {_quoted(x)}: expected \"p\" or \"p/q\"")
         num, _, den = s.partition("/")
         # through Decimal, whose exact conversions, unlike int's, have no digit limit
         p, q = int(Decimal(num)), int(Decimal(den or "1"))
         if not q:
-            raise ValueError(f"zero denominator in rational {x!r}")
+            raise ValueError(f"zero denominator in rational {_quoted(x)}")
         return _canon(Fraction(p, q))
     if isinstance(x, float):
         raise TypeError(f"refusing to coerce float {x!r} to an exact rational")
     raise TypeError(f"cannot interpret {x!r} as a rational")
+
+
+def _quoted(text: str, limit: int = 60) -> str:
+    """repr(text), cut to its first limit characters plus the length when
+    longer, so that an error message stays one short line."""
+    r = repr(text)
+    return r if len(r) <= limit else f"{r[:limit]}... ({len(text)} characters)"
 
 
 def rat_str(x: int | Fraction) -> str:

@@ -25,11 +25,13 @@ module, in its own memo (see qha.Frozen).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
-from .linalg import Matrix, cokernel_of_columns, descend, rank
+from .linalg import Matrix, cokernel_of_columns, descend, first_difference, rank, vec_add_scaled
 from .qha import Frozen, QuasiHopfAlgebra
 from .report import Report, VerificationFailure
-from .center import CenterObject, braiding_inv, center_pairs, coaction_pairs, tensor_center
+from .center import (CenterObject, _coaction_blocks, braiding_inv, center_pairs,
+                     coaction_pairs, tensor_center)
 from .repcat import (HLinearMap, HModule, elem_action_matrix, hom_space, intertwiners,
                      intertwines, regular_module, tensor, unit_module)
 from .algebra_a import (AlgebraA, _cached_kappa_lambda, build_A, heart, heart_compose,
@@ -137,11 +139,52 @@ def _quotient_module(ambient: HModule, relations: list[dict], label: str) -> Quo
     """The quotient of ambient by the span of the relations (the integer
     columns of a matrix will do: scaling does not change a span)."""
     proj, sec = cokernel_of_columns(ambient.dim, relations)
-    action = [descend(x, proj, sec, proj) for x in ambient.action]
-    if any(x is None for x in action):
-        raise VerificationFailure(
-            f"relation subspace of {label} is not stable under the action")
+    action = _descend_each(ambient.action, proj, sec,
+                           f"relation subspace of {label} is not stable under the action")
     return QuotientPresentation(proj, sec, HModule(ambient.h, proj.rows, action, label=label))
+
+
+def _descend_each(maps, proj: Matrix, sec: Matrix, failure: str) -> list[Matrix]:
+    """descend(f, proj, sec, proj) for each endomorphism f of the ambient
+    space, in turn; VerificationFailure(failure) at the first that has none."""
+    out = []
+    for f in maps:
+        g = descend(f, proj, sec, proj)
+        if g is None:
+            raise VerificationFailure(failure)
+        out.append(g)
+    return out
+
+
+def _fused_slot(mu: Matrix, left: HModule, right: HModule, used) -> list[list[Matrix]]:
+    """mu . (L_i (x) R_j) as a two-leg operator family for elem_action_matrix,
+    built at the index pairs (i, j) in used only; every other pair holds a
+    zero of the same shape, which is never picked."""
+    zero = Matrix.zero(mu.rows, mu.cols)
+    n = left.h.dim
+    return [[mu * left.action[i].kron(right.action[j]) if (i, j) in used else zero
+             for j in range(n)] for i in range(n)]
+
+
+def _coequalizer_relations(m: AModule, n_mod: AModule) -> list[dict]:
+    """The integer columns of (mu_M (x) id) . Phi^-1 - id (x) lambda_N on
+    M (x) (A (x) N), zero columns kept: the first term through the fused slot
+    mu_M . (M_i (x) A_j), the second subtracted column by column."""
+    h, dn = m.a.h, n_mod.dim
+    used = {idx[:2] for idx in h.phi_inv.coeffs}
+    top = elem_action_matrix(h.phi_inv, [_fused_slot(m.mu, m.base, m.a.base, used), n_mod.base])
+    tden, tcols = top._int_form()
+    lden, lcols = left_action(n_mod).matrix._int_form()
+    den = lcm(tden, lden)
+    st, sl = den // tden, -(den // lden)
+    width = len(lcols)  # dim (A (x) N)
+    relations = []
+    for c, col in enumerate(tcols):
+        mm, r = divmod(c, width)
+        rel = {i: st * x for i, x in col.items()}
+        vec_add_scaled(rel, {mm * dn + i: x for i, x in lcols[r].items()}, sl)
+        relations.append(rel)
+    return relations
 
 
 def tensor_over_A(m: AModule, n_mod: AModule) -> tuple[AModule, QuotientPresentation]:
@@ -149,30 +192,42 @@ def tensor_over_A(m: AModule, n_mod: AModule) -> tuple[AModule, QuotientPresenta
     the first after rebracketing by the inverse associator, with lambda_N the
     left action through the inverse braiding (the quotient is validated by
     whoever requires it, see AModule.require_valid).
+
+    No padded map is built: the relations come from the fused slot
+    mu_M . (M_i (x) A_j) (see _coequalizer_relations), and the right action
+    of M (x) N from the fused slot mu_N . (N_j (x) A_k).  The quotient's
+    action, the H-leg blocks of its coaction and the column blocks of its
+    right action are each descended by descend(f, P, S, P) on the ambient
+    endomorphism f; the relations exist before the ambient centre object,
+    and that object is gone before the ambient right action is built.
     """
     a, h = m.a, m.a.h
     n = h.dim
-    amb_center = tensor_center(m.center, n_mod.center)
-    top = m.mu.kron(Matrix.identity(n_mod.dim)) \
-        * elem_action_matrix(h.phi_inv, [m.base, a.base, n_mod.base])
-    bottom = Matrix.identity(m.dim).kron(left_action(n_mod).matrix)
-    diff = top - bottom                                # M (x) (A (x) N) -> M (x) N
-    pres = _quotient_module(amb_center.base, diff._int_form()[1],
-                            label=f"({m.label or '?'})(x)A({n_mod.label or '?'})")
+    label = f"({m.label or '?'})(x)A({n_mod.label or '?'})"
+    proj, sec = cokernel_of_columns(m.dim * n_mod.dim, _coequalizer_relations(m, n_mod))
+    qcenter = _descended_center(tensor_center(m.center, n_mod.center), proj, sec, label)
 
-    # the coaction descends iff the relation space is a subcomodule
-    proj, sec, id_n = pres.projection, pres.section, Matrix.identity(n)
-    dq = descend(amb_center.coaction, proj, sec, id_n.kron(proj))
-    if dq is None:
-        raise VerificationFailure("coaction does not descend to the quotient")
-    qcenter = CenterObject(pres.module, dq, label=pres.module.label)
+    # the right action of M (x) N is (id (x) mu_N) . Phi on (M (x) N) (x) A
+    used = {idx[1:] for idx in h.phi.coeffs}
+    mu_amb = elem_action_matrix(h.phi, [m.base, _fused_slot(n_mod.mu, n_mod.base, a.base, used)])
+    blocks = _descend_each((mu_amb.select(range(k, mu_amb.cols, n)) for k in range(n)),
+                           proj, sec, "right action does not descend to the quotient")
+    q = proj.rows
+    mu_q = Matrix.hstack(blocks).select([k * q + c for c in range(q) for k in range(n)])
+    return AModule(a, qcenter, mu_q, label=label), \
+        QuotientPresentation(proj, sec, qcenter.base)
 
-    mu_amb = Matrix.identity(m.dim).kron(n_mod.mu) \
-        * elem_action_matrix(h.phi, [m.base, n_mod.base, a.base])
-    mu_q = descend(mu_amb, proj.kron(id_n), sec.kron(id_n), proj)
-    if mu_q is None:
-        raise VerificationFailure("right action does not descend to the quotient")
-    return AModule(a, qcenter, mu_q, label=pres.module.label), pres
+
+def _descended_center(amb: CenterObject, proj: Matrix, sec: Matrix, label: str) -> CenterObject:
+    """The quotient proj of a centre object: its action, then the H-leg blocks
+    of its coaction (it descends iff the relations span a subcomodule),
+    stacked again.  The ambient object dies when this returns."""
+    action = _descend_each(amb.base.action, proj, sec,
+                           f"relation subspace of {label} is not stable under the action")
+    blocks = _descend_each(_coaction_blocks(amb), proj, sec,
+                           "coaction does not descend to the quotient")
+    coaction = Matrix.hstack([b.transpose() for b in blocks]).transpose()
+    return CenterObject(HModule(amb.h, proj.rows, action, label=label), coaction, label=label)
 
 
 def coinvariants(m: AModule) -> tuple[HModule, HLinearMap, QuotientPresentation]:
@@ -378,14 +433,27 @@ def equivalence_report(h: QuasiHopfAlgebra, test_objects=None) -> Report:
 
 
 def _descended_compose_iso(a: AlgebraA, x: HModule, y: HModule) -> bool:
-    """heart(X) (x)_A heart(Y) -> heart(X (x) Y) via the descended composition."""
+    """heart(X) (x)_A heart(Y) -> heart(X (x) Y) via the descended composition:
+    True, or VerificationFailure naming the first stage that fails."""
     h = a.h
     comp = heart_compose(h, x, y)
     quot, pres = tensor_over_A(heart_amodule(a, x), heart_amodule(a, y))
     descended = descend(comp.matrix, pres.projection, pres.section)
-    if descended is None or descended.rows != descended.cols:
-        return False
-    if rank(descended) != descended.rows:
-        return False
+    if descended is None:
+        raise VerificationFailure("the composition does not kill the relations of (x)_A")
+    if descended.rows != descended.cols:
+        raise VerificationFailure(
+            f"the descended map is not square: {descended.rows}x{descended.cols}")
+    r = rank(descended)
+    if r != descended.rows:
+        raise VerificationFailure(f"the descended map has rank {r} < {descended.rows}")
     # it must also be a morphism of right modules in the centre
-    return intertwines(descended, amodule_pairs(quot, heart_amodule(a, tensor(x, y))))
+    pairs = amodule_pairs(quot, heart_amodule(a, tensor(x, y)))
+    for k, (p, q) in enumerate(pairs):
+        col_row = first_difference(descended * p, q * descended)
+        if col_row is not None:
+            kind = ("action", "coaction block", "right action block")[k // h.dim]
+            raise VerificationFailure(
+                f"the descended map is not a morphism: {kind} {k % h.dim} differs "
+                f"at column {col_row[0]}, row {col_row[1]}")
+    return True

@@ -438,17 +438,25 @@ def intertwiners(m: HModule, n: HModule, pairs) -> list[HLinearMap]:
         stacked.append(y)
     fs = Matrix._of(len(kernel) * dn, dm, den, stacked) * Matrix._of(
         dm, dm, *ech.coordinates(dm, -1 - dm))
-    lift = Matrix.identity(len(kernel))
-    if not intertwines(fs, ((p, lift.kron(q)) for p, q in pairs)):
+    # side by side, [F_0 | F_1 | ...] (dn x K dm): F P = Q F for every basis
+    # map F at once, without the padded I_K (x) Q
+    flat = _unstacked(fs, dn)
+    if not all(_unstacked(fs * p, dn) == q * flat for p, q in pairs):
         raise VerificationFailure("spun hom-space basis fails its exact certificate")
+    return [HLinearMap(m, n, flat.select(range(rho * dm, (rho + 1) * dm)))
+            for rho in range(len(kernel))]
 
-    fden, fcols = fs._int_form()
-    maps = [[dict() for _ in range(dm)] for _ in kernel]
-    for c, col in enumerate(fcols):
+
+def _unstacked(fs: Matrix, dn: int) -> Matrix:
+    """The blocks of dn rows of fs, side by side: row rho * dn + a, column c
+    goes to row a, column rho * fs.cols + c."""
+    den, icols = fs._int_form()
+    out = [dict() for _ in range(fs.rows // dn * fs.cols)]
+    for c, col in enumerate(icols):
         for k, x in col.items():
             rho, a = divmod(k, dn)
-            maps[rho][c][a] = x
-    return [HLinearMap(m, n, Matrix._of(dn, dm, fden, f)) for f in maps]
+            out[rho * fs.cols + c][a] = x
+    return Matrix._of(dn, len(out), den, out)
 
 
 def _add_shifted(acc: dict, row: dict, c, off: int) -> None:

@@ -4,20 +4,24 @@ plain product and Kronecker loops that ``Matrix.then``, ``Matrix.kron`` and
 ``elem_action_matrix`` are compared with, the term-by-term product that
 ``QuasiHopfAlgebra.mul`` is compared with, the per-vector products that the
 operators of ``QuasiHopfAlgebra`` (L_c, R_c, the sandwiches, the adjoint
-action, the iterated coproduct) are compared with, and the Hypothesis
-strategies for their operands."""
+action, the iterated coproduct) are compared with, the padded-map
+construction of the centre tensor and of the coequalizer over the algebra
+that ``tensor_center`` and ``tensor_over_A`` are compared with, a traced
+memory peak, and the Hypothesis strategies for their operands."""
 
+import tracemalloc
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from quasihopf.center import CenterObject
-from quasihopf.linalg import ONE, ZERO, LinAlgError, Matrix, rat, rat_str, vec_add_scaled
+from quasihopf.center import CenterObject, braiding
+from quasihopf.linalg import ONE, ZERO, LinAlgError, Matrix, descend, rat, rat_str, vec_add_scaled
 from quasihopf.qhio import center_to_obj
 from quasihopf.qha import TensorElement
-from quasihopf.mod_a import left_action
-from quasihopf.repcat import HLinearMap, elem_action_matrix, tensor, unit_module
-from quasihopf.report import Report
+from quasihopf.mod_a import AModule, _quotient_module, left_action
+from quasihopf.repcat import (HLinearMap, associator, associator_inv, elem_action_matrix,
+                              identity_map, regular_module, tensor, unit_module)
+from quasihopf.report import Report, VerificationFailure
 
 
 def from_cols(rows: int, columns) -> Matrix:
@@ -299,6 +303,61 @@ def left_action_report(m) -> Report:
         * elem_action_matrix(h.phi, [a.base, m.base, a.base])
     rep.add("bimodule_exchange", lhs == rhs)
     return rep
+
+
+def naive_tensor_center(m, n):
+    """tensor_center with all five hexagon maps built before the first is
+    applied: the oracle of ``center.tensor_center``."""
+    if m.h is not n.h:
+        raise ValueError("centre objects over different algebras")
+    h = m.h
+    base = tensor(m.base, n.base)
+    c_mod = regular_module(h)
+    coaction = Matrix.identity(base.dim).kron(h.structure().u)
+    for f in (associator(m.base, n.base, c_mod), identity_map(m.base).tensor(braiding(n, c_mod)),
+              associator_inv(m.base, c_mod, n.base), braiding(m, c_mod).tensor(identity_map(n.base)),
+              associator(c_mod, m.base, n.base)):
+        coaction = coaction.then(f.matrix)
+    return CenterObject(base, coaction, label=f"({m.label or '?'})*({n.label or '?'})")
+
+
+def naive_tensor_over_A(m, n_mod):
+    """The coequalizer over the algebra from padded maps (mu_M (x) I_N, the
+    Phi^-1 and Phi actions, I_M (x) lambda_N, I_n (x) P, P (x) I_n, S (x) I_n):
+    the oracle of ``mod_a.tensor_over_A``."""
+    a, h = m.a, m.a.h
+    n = h.dim
+    amb_center = naive_tensor_center(m.center, n_mod.center)
+    top = m.mu.kron(Matrix.identity(n_mod.dim)) \
+        * elem_action_matrix(h.phi_inv, [m.base, a.base, n_mod.base])
+    bottom = Matrix.identity(m.dim).kron(left_action(n_mod).matrix)
+    diff = top - bottom                                # M (x) (A (x) N) -> M (x) N
+    pres = _quotient_module(amb_center.base, diff._int_form()[1],
+                            label=f"({m.label or '?'})(x)A({n_mod.label or '?'})")
+
+    # the coaction descends iff the relation space is a subcomodule
+    proj, sec, id_n = pres.projection, pres.section, Matrix.identity(n)
+    dq = descend(amb_center.coaction, proj, sec, id_n.kron(proj))
+    if dq is None:
+        raise VerificationFailure("coaction does not descend to the quotient")
+    qcenter = CenterObject(pres.module, dq, label=pres.module.label)
+
+    mu_amb = Matrix.identity(m.dim).kron(n_mod.mu) \
+        * elem_action_matrix(h.phi, [m.base, n_mod.base, a.base])
+    mu_q = descend(mu_amb, proj.kron(id_n), sec.kron(id_n), proj)
+    if mu_q is None:
+        raise VerificationFailure("right action does not descend to the quotient")
+    return AModule(a, qcenter, mu_q, label=pres.module.label), pres
+
+
+def traced_peak(fn) -> tuple[object, int]:
+    """(fn(), the peak of the memory traced while it ran, in bytes)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def naive_axioms(self) -> Report:

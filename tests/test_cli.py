@@ -398,6 +398,14 @@ def test_malformed_algebra_file_exits_two(tmp_path, capsys, key, value):
     assert "Traceback" not in err and "OK" not in out
 
 
+def test_a_long_malformed_rational_exits_two_with_one_short_line(tmp_path, capsys):
+    (tmp_path / "bad.json").write_text(_z2_with("alpha", ["1/" + "0" * 5000, "0"]))
+    code, out, err = run(capsys, "verify", str(tmp_path / "bad.json"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200, err
+    assert "zero denominator" in err and "(5002 characters)" in err
+
+
 def test_singular_associator_file_exits_two(tmp_path, capsys):
     run(capsys, "export", "group_z2", "-o", str(tmp_path / "z2.json"))
     obj = json.loads((tmp_path / "z2.json").read_text())
@@ -473,6 +481,8 @@ CONTRACT_CASES = [
         ("check", "group_z2", "--context", "{d}/x.json", "--lhs", "id(C)", "--rhs", "id(C)")]],
     (("equiv", "group_z2", "--objects", "C,zz"), ()),
     (("eval", "{d}/missing.json", "--expr", "id(C)"), ()),
+    # an entry thousands of digits long is quoted short
+    (("verify", "{d}/x.json"), (("x.json", _z2_with("alpha", ["1/" + "0" * 5000, "0"])),)),
     # an algebra path that is a directory, an export into a missing directory
     (("verify", "{d}"), ()),
     (("export", "group_z2", "-o", "{d}/missing/x.json"), ()),

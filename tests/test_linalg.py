@@ -55,6 +55,18 @@ def test_rat_str_round_trips_values_of_any_size(num_digits, den_digits, negative
     assert rat("1" * 5000) == (10 ** 5000 - 1) // 9 and rat_str(10 ** 5000) == "1" + "0" * 5000
 
 
+
+@pytest.mark.parametrize("text, message", [
+    ("1/" + "0" * 5000, "zero denominator in rational '1/0000"),
+    ("1." + "5" * 5000, "malformed rational '1.5555")])
+def test_rat_quotes_a_long_input_short(text, message):
+    # at most 60 characters of the input, then its length
+    with pytest.raises(ValueError) as exc:
+        rat(text)
+    msg = str(exc.value)
+    assert msg.startswith(message) and f"... ({len(text)} characters)" in msg
+    assert len(msg) < 140
+
 # -- leg bookkeeping ----------------------------------------------------------
 
 def test_legshape_roundtrip():

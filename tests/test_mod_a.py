@@ -1,5 +1,6 @@
 import functools
 import gc
+import types
 import weakref
 
 import pytest
@@ -9,9 +10,10 @@ from quasihopf.linalg import Echelon, Matrix, cokernel_of_columns, inverse, kern
 from quasihopf.report import VerificationFailure
 from quasihopf.repcat import (elem_action_matrix, hom_space, intertwines, regular_module,
                               tensor, unit_module)
+from quasihopf import mod_a
 from quasihopf.center import (CenterObject, braiding, center_hom_space, coaction_pairs,
-                              validate_center)
-from quasihopf.algebra_a import build_A, heart, heart_on_morphism
+                              tensor_center, validate_center)
+from quasihopf.algebra_a import build_A, heart, heart_compose, heart_on_morphism
 from quasihopf.mod_a import (AModule, algebra_as_amodule, amodule_hom_space,
                              coinvariants, coinvariants_monoidal, coinvariants_on_morphism,
                              counit_iso, equivalence_report, free_amodule,
@@ -19,7 +21,8 @@ from quasihopf.mod_a import (AModule, algebra_as_amodule, amodule_hom_space,
                              _quotient_module, tensor_over_A, unit_iso, validate_amodule)
 
 from conftest import get_algebra
-from helpers import left_action_report, mul_vec
+from helpers import (left_action_report, mul_vec, naive_tensor_center, naive_tensor_over_A,
+                     traced_peak)
 
 
 def test_algebra_is_a_module(any_h):
@@ -438,3 +441,112 @@ def test_tensor_over_A_quotient_matches_the_precomposed_relations(any_h_tw, xs, 
     diff = _precomposed_relations(m, n_mod)
     proj, sec = cokernel_of_columns(diff.rows, diff._int_form()[1])
     assert (pres.projection, pres.section) == (proj, sec)
+
+
+def _heart_objects(h, names):
+    """heart(X) for X in names among I, C and C(x)C, built once per call."""
+    c = regular_module(h)
+    objects = {"I": unit_module(h), "C": c, "CC": tensor(c, c)}
+    a = build_A(h)
+    return {name: heart_amodule(a, objects[name]) for name in names}
+
+
+@pytest.mark.parametrize("name, names", [
+    ("group_z2", ("I", "C", "CC")), ("drinfeld_h2", ("I", "C", "CC")),
+    ("sweedler_h4", ("I", "C", "CC")), ("sweedler_h4_twist", ("I", "C"))])
+def test_tensor_over_A_is_the_padded_construction(name, names):
+    # every piece of the quotient, and the ambient centre tensor, equal to
+    # the construction from padded maps, on every pair of heart objects
+    hearts = _heart_objects(get_algebra(name), names)
+    for xs in names:
+        for ys in names:
+            m, n_mod = hearts[xs], hearts[ys]
+            q, pres = tensor_over_A(m, n_mod)
+            q0, pres0 = naive_tensor_over_A(m, n_mod)
+            assert (pres.projection, pres.section) == (pres0.projection, pres0.section)
+            assert q.base.action == q0.base.action, (xs, ys)
+            assert q.center.coaction == q0.center.coaction, (xs, ys)
+            assert q.mu == q0.mu, (xs, ys)
+            assert q.label == q0.label and pres.module is q.base
+            assert tensor_center(m.center, n_mod.center).coaction \
+                == naive_tensor_center(m.center, n_mod.center).coaction
+
+
+def test_no_two_padded_maps_are_alive_at_once(sw):
+    # traced peaks on sweedler_h4, heart(C) (x)_A heart(C(x)C): 6.60 MB for
+    # the padded construction against 3.01 MB, and 5.47 MB against 1.54 MB
+    # for the centre tensor alone (tracemalloc; one warm call first, so that
+    # the memos of the operands are not counted)
+    hearts = _heart_objects(sw, ("C", "CC"))
+    m, n_mod = hearts["C"], hearts["CC"]
+    tensor_over_A(m, n_mod)
+    _, peak = traced_peak(lambda: tensor_over_A(m, n_mod))
+    assert peak < 4.0 * 2 ** 20
+    _, peak = traced_peak(lambda: tensor_center(m.center, n_mod.center))
+    assert peak < 2.5 * 2 ** 20
+
+
+def _mutant_compose(sw, monkeypatch, post):
+    """_descended_compose_iso on heart(I), heart(C) of sweedler_h4 with the
+    composition's matrix passed through post(matrix, pres)."""
+    a = build_A(sw)
+    x, y = unit_module(sw), regular_module(sw)
+
+    def mutant(h, xx, yy):
+        _, pres = tensor_over_A(heart_amodule(a, xx), heart_amodule(a, yy))
+        return types.SimpleNamespace(matrix=post(heart_compose(h, xx, yy).matrix, pres))
+
+    monkeypatch.setattr(mod_a, "heart_compose", mutant)
+    with pytest.raises(VerificationFailure) as exc:
+        mod_a._descended_compose_iso(a, x, y)
+    return str(exc.value)
+
+
+def _kills_no_relation(mat, pres):
+    # add e_k^T in row 0 for a coordinate k outside the quotient's section:
+    # it vanishes on the section, not on the relations
+    free = {i for col in pres.section.columns() for i in col}
+    k = min(set(range(mat.cols)) - free)
+    return mat + Matrix(mat.rows, mat.cols, [{0: 1} if j == k else {} for j in range(mat.cols)])
+
+
+def _drop_last_row(mat, pres):
+    return Matrix.identity(mat.rows).select(range(mat.rows - 1)).transpose() * mat
+
+
+def _zero_last_row(mat, pres):
+    keep = Matrix(mat.rows, mat.rows, [{i: 1} if i < mat.rows - 1 else {}
+                                        for i in range(mat.rows)])
+    return keep * mat
+
+
+def _right_mult_on_the_h_leg(mat, pres):
+    # r_g (x) id on heart(I (x) C) = H (x) (I (x) C), g non-central
+    h = pres.module.h
+    rg = h.right_mult_matrix(h.basis_elem(1))
+    return rg.kron(Matrix.identity(mat.rows // h.dim)) * mat
+
+
+@pytest.mark.parametrize("post, witness", [
+    (_kills_no_relation, "the composition does not kill the relations of (x)_A"),
+    (_drop_last_row, "the descended map is not square: 15x16"),
+    (_zero_last_row, "the descended map has rank 15 < 16"),
+    (_right_mult_on_the_h_leg,
+     "the descended map is not a morphism: action 2 differs at column 0, row 13")])
+def test_a_failing_monoidal_comparison_names_its_stage(sw, monkeypatch, post, witness):
+    assert _mutant_compose(sw, monkeypatch, post) == witness
+
+
+def test_a_failing_monoidal_heart_shows_its_witness_in_the_report(sw, monkeypatch):
+    a = build_A(sw)
+
+    def mutant(h, x, y):
+        return types.SimpleNamespace(matrix=_zero_last_row(heart_compose(h, x, y).matrix, None))
+
+    monkeypatch.setattr(mod_a, "heart_compose", mutant)
+    rep = equivalence_report(sw, [unit_module(sw)])
+    item, = [i for i in rep.items if i.id.startswith("monoidal_heart")]
+    assert (item.id, item.ok) == ("monoidal_heart[I;I]", False)
+    assert item.details.startswith("the descended map has rank ")
+    assert all(i.ok and not i.details for i in rep.items
+               if not i.id.startswith(("monoidal_heart", "hom_dims")))

@@ -9,6 +9,7 @@ from quasihopf import repcat
 from quasihopf.algebra_a import build_A, heart_base
 from quasihopf.linalg import LegShape, LinearSystem, Matrix, inverse, spans_equal
 from quasihopf.qha import TensorElement
+from quasihopf.report import VerificationFailure
 from quasihopf.repcat import (HLinearMap, adjunction_report, associator,
                               associator_inv, eeps, eeta, elem_action_matrix,
                               HModule, end_over_regular, hom_space, icomp,
@@ -563,3 +564,24 @@ def test_non_unital_operand_gets_its_true_action(sw):
     assert associator(bad, c, c).matrix == naive_phi
     assert tensor(bad, c).action == [
         naive_elem_action(TensorElement(sw.dim, 2, sw.comult[i]), [bad, c]) for i in range(sw.dim)]
+
+
+def test_a_corrupted_hom_basis_fails_the_certificate(monkeypatch):
+    # hom(I, C) of sweedler_h4 is spanned by an integral; adding e_0 to the
+    # value at the generator leaves a map that is no module map, and the
+    # certificate on the side-by-side basis must catch it
+    h = get_algebra("sweedler_h4")
+    kernel_basis = LinearSystem.kernel_basis
+
+    def corrupted(sys):
+        basis = kernel_basis(sys)
+        first = dict(basis[0])
+        first[0] = first.get(0, 0) + 1
+        return [first, *basis[1:]]
+
+    assert len(intertwiners(unit_module(h), regular_module(h),
+                            zip(unit_module(h).action, regular_module(h).action))) == 1
+    monkeypatch.setattr(LinearSystem, "kernel_basis", corrupted)
+    with pytest.raises(VerificationFailure, match="fails its exact certificate"):
+        intertwiners(unit_module(h), regular_module(h),
+                     zip(unit_module(h).action, regular_module(h).action))

@@ -98,18 +98,30 @@ def _crossing(h: QuasiHopfAlgebra, slots: list, p: int, q: int) -> Matrix:
         [a * q + b for b in range(q) for a in range(p)])
 
 
-def _h_leg_blocks(mat: Matrix, row_sets) -> list[Matrix]:
-    """One block per H basis element: the rows of mat in that element's set."""
-    t = mat.transpose()
-    return [t.select(rows).transpose() for rows in row_sets]
+def _h_leg_blocks(mat: Matrix, n: int, strided: bool = False) -> list[Matrix]:
+    """mat's rows split by their H leg into n blocks of d = rows / n rows:
+    block i is rows i d .. i d + d - 1 (the H leg slowest), or, when strided,
+    rows i, i + n, i + 2 n, ... (the H leg fastest).  One pass over the
+    integer columns, no transpose and no copy of mat beside the blocks."""
+    d = mat.rows // n
+    step = n if strided else d
+    den, icols = mat._int_form()
+    out = [[{} for _ in icols] for _ in range(n)]
+    for j, col in enumerate(icols):
+        dst = [cols[j] for cols in out]
+        for r, x in col.items():
+            q, rem = divmod(r, step)
+            if strided:
+                dst[rem][q] = x
+            else:
+                dst[q][rem] = x
+    return [Matrix._of(d, mat.cols, den, cols) for cols in out]
 
 
 def _coaction_blocks(m: CenterObject) -> list[Matrix]:
     """The coaction split by its H leg: block i sends v to the M-leg of the
     h_i-part of delta(v).  Built once per object, in its memo."""
-    d = m.dim
-    return m.memo("coaction_blocks", lambda: _h_leg_blocks(
-        m.coaction, [range(i * d, (i + 1) * d) for i in range(m.h.dim)]))
+    return m.memo("coaction_blocks", lambda: _h_leg_blocks(m.coaction, m.h.dim))
 
 
 def _inverse_blocks(m: CenterObject) -> list[Matrix]:
@@ -120,7 +132,7 @@ def _inverse_blocks(m: CenterObject) -> list[Matrix]:
         h, d = m.h, m.dim
         ones = h.structure().u.kron(Matrix.identity(d))  # v |-> 1 (x) v
         gamma = left_divide(braiding(m, regular_module(h)).matrix, ones)
-        return _h_leg_blocks(gamma, [range(i, h.dim * d, h.dim) for i in range(h.dim)])
+        return _h_leg_blocks(gamma, h.dim, strided=True)
     return m.memo("inverse_blocks", build)
 
 

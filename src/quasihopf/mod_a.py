@@ -30,10 +30,10 @@ from math import lcm
 from .linalg import Matrix, cokernel_of_columns, descend, first_difference, rank, vec_add_scaled
 from .qha import Frozen, QuasiHopfAlgebra
 from .report import Report, VerificationFailure
-from .center import (CenterObject, _coaction_blocks, braiding_inv, center_pairs,
-                     coaction_pairs, tensor_center)
+from .center import (CenterObject, _h_leg_blocks, braiding_inv, center_pairs, coaction_pairs,
+                     tensor_center)
 from .repcat import (HLinearMap, HModule, elem_action_matrix, hom_space, intertwiners,
-                     intertwines, regular_module, tensor, unit_module)
+                     intertwines, regular_module, tensor, tensor_actions, unit_module)
 from .algebra_a import (AlgebraA, _cached_kappa_lambda, build_A, heart, heart_compose,
                         pi_map, s_t_isos)
 
@@ -140,18 +140,24 @@ def _quotient_module(ambient: HModule, relations: list[dict], label: str) -> Quo
     columns of a matrix will do: scaling does not change a span)."""
     proj, sec = cokernel_of_columns(ambient.dim, relations)
     action = _descend_each(ambient.action, proj, sec,
-                           f"relation subspace of {label} is not stable under the action")
+                           f"relation subspace of {label} is not stable under the action",
+                           "action")
     return QuotientPresentation(proj, sec, HModule(ambient.h, proj.rows, action, label=label))
 
 
-def _descend_each(maps, proj: Matrix, sec: Matrix, failure: str) -> list[Matrix]:
+def _descend_each(maps, proj: Matrix, sec: Matrix, failure: str, kind: str) -> list[Matrix]:
     """descend(f, proj, sec, proj) for each endomorphism f of the ambient
-    space, in turn; VerificationFailure(failure) at the first that has none."""
+    space, in turn.  At the first that has none, VerificationFailure: the
+    failure text, then the kind and index of that map and the first column
+    and row where P f S P differs from P f (computed on failure only)."""
     out = []
-    for f in maps:
+    for i, f in enumerate(maps):
         g = descend(f, proj, sec, proj)
         if g is None:
-            raise VerificationFailure(failure)
+            top = proj * f
+            col, row = first_difference(top * sec * proj, top)
+            raise VerificationFailure(
+                f"{failure}: {kind} {i} differs at column {col}, row {row}")
         out.append(g)
     return out
 
@@ -198,36 +204,51 @@ def tensor_over_A(m: AModule, n_mod: AModule) -> tuple[AModule, QuotientPresenta
     of M (x) N from the fused slot mu_N . (N_j (x) A_k).  The quotient's
     action, the H-leg blocks of its coaction and the column blocks of its
     right action are each descended by descend(f, P, S, P) on the ambient
-    endomorphism f; the relations exist before the ambient centre object,
-    and that object is gone before the ambient right action is built.
+    endomorphism f.  No ambient map is held whole beside another: the
+    relations exist before the ambient actions and coaction, each of which
+    is dropped once descended (see _descended_center), and the ambient
+    right action is built last.
     """
     a, h = m.a, m.a.h
     n = h.dim
     label = f"({m.label or '?'})(x)A({n_mod.label or '?'})"
     proj, sec = cokernel_of_columns(m.dim * n_mod.dim, _coequalizer_relations(m, n_mod))
-    qcenter = _descended_center(tensor_center(m.center, n_mod.center), proj, sec, label)
+    qcenter = _descended_center(m, n_mod, proj, sec, label)
 
     # the right action of M (x) N is (id (x) mu_N) . Phi on (M (x) N) (x) A
     used = {idx[1:] for idx in h.phi.coeffs}
     mu_amb = elem_action_matrix(h.phi, [m.base, _fused_slot(n_mod.mu, n_mod.base, a.base, used)])
     blocks = _descend_each((mu_amb.select(range(k, mu_amb.cols, n)) for k in range(n)),
-                           proj, sec, "right action does not descend to the quotient")
+                           proj, sec, "right action does not descend to the quotient",
+                           "right action block")
     q = proj.rows
     mu_q = Matrix.hstack(blocks).select([k * q + c for c in range(q) for k in range(n)])
     return AModule(a, qcenter, mu_q, label=label), \
         QuotientPresentation(proj, sec, qcenter.base)
 
 
-def _descended_center(amb: CenterObject, proj: Matrix, sec: Matrix, label: str) -> CenterObject:
-    """The quotient proj of a centre object: its action, then the H-leg blocks
-    of its coaction (it descends iff the relations span a subcomodule),
-    stacked again.  The ambient object dies when this returns."""
-    action = _descend_each(amb.base.action, proj, sec,
-                           f"relation subspace of {label} is not stable under the action")
-    blocks = _descend_each(_coaction_blocks(amb), proj, sec,
-                           "coaction does not descend to the quotient")
+def _descended_center(m: AModule, n_mod: AModule, proj: Matrix, sec: Matrix,
+                      label: str) -> CenterObject:
+    """The quotient proj of the centre tensor M (x) N, one ambient map at a
+    time.  First the actions: each action of Delta(e_i) on M (x) N
+    (repcat.tensor_actions, the formula of repcat.tensor) is built,
+    descended and dropped, and the ambient module's action list is never
+    built.  Then the coaction from center.tensor_center: the ambient object
+    lives only until its coaction is cut into the n H-leg blocks
+    (center._h_leg_blocks, one pass, memoised nowhere), which are descended
+    (the coaction descends iff the relations span a subcomodule) and
+    stacked again.  The peak of this stage is the split, coaction and
+    blocks side by side; the blocks die together once descended, since
+    dropping each one as it is descended lowers no peak."""
+    h = m.a.h
+    action = _descend_each(tensor_actions(m.base, n_mod.base), proj, sec,
+                           f"relation subspace of {label} is not stable under the action",
+                           "action")
+    blocks = _h_leg_blocks(tensor_center(m.center, n_mod.center).coaction, h.dim)
+    blocks = _descend_each(blocks, proj, sec,
+                           "coaction does not descend to the quotient", "coaction block")
     coaction = Matrix.hstack([b.transpose() for b in blocks]).transpose()
-    return CenterObject(HModule(amb.h, proj.rows, action, label=label), coaction, label=label)
+    return CenterObject(HModule(h, proj.rows, action, label=label), coaction, label=label)
 
 
 def coinvariants(m: AModule) -> tuple[HModule, HLinearMap, QuotientPresentation]:
@@ -434,11 +455,17 @@ def equivalence_report(h: QuasiHopfAlgebra, test_objects=None) -> Report:
 
 def _descended_compose_iso(a: AlgebraA, x: HModule, y: HModule) -> bool:
     """heart(X) (x)_A heart(Y) -> heart(X (x) Y) via the descended composition:
-    True, or VerificationFailure naming the first stage that fails."""
+    True, or VerificationFailure naming the first stage that fails.
+
+    Only the matrix of heart_compose is kept, and it and the quotient
+    presentation are dropped once the composition has descended, so that
+    neither is alive while heart(X (x) Y), the stage that bounds the
+    check's peak, is built."""
     h = a.h
-    comp = heart_compose(h, x, y)
+    comp = heart_compose(h, x, y).matrix
     quot, pres = tensor_over_A(heart_amodule(a, x), heart_amodule(a, y))
-    descended = descend(comp.matrix, pres.projection, pres.section)
+    descended = descend(comp, pres.projection, pres.section)
+    del comp, pres
     if descended is None:
         raise VerificationFailure("the composition does not kill the relations of (x)_A")
     if descended.rows != descended.cols:

@@ -333,6 +333,12 @@ class QuasiHopfAlgebra(Frozen):
         self.basis = list(basis) if basis else [f"e{i}" for i in range(dim)]
         if len(self.basis) != dim:
             raise ValueError("basis name count does not match dimension")
+        # witnesses name basis tuples by these names, so they must tell them apart
+        seen = set()
+        for b in self.basis:
+            if not b or b in seen:
+                raise ValueError(f"basis name {b!r} is {'repeated' if b else 'empty'}")
+            seen.add(b)
         if len(mult) != dim or any(len(row) != dim for row in mult):
             raise ValueError(f"multiplication table must be {dim}x{dim}")
         if len(comult) != dim:

@@ -26,9 +26,10 @@ intertwiners: the maps F with F . P = Q . F for a list of pairs (P, Q).  It
 spins the source module from a few unit-vector generators instead of solving
 for all dim(m) * dim(n) entries of F: the unknowns are the values of F on
 the generators, every image of a spanning vector that adds nothing new is a
-relation, and each relation gives dim(n) equations.  The kernel is mapped
-back to matrices and certified exactly, all at once, by stacking the basis
-into one matrix FS and checking FS . P = (I (x) Q) . FS for every pair.
+relation, and each relation gives dim(n) equations, of which the solver
+adds each distinct nonzero one once.  The kernel is mapped back to matrices
+and certified exactly, all at once, with the basis side by side in one
+matrix [F_1 | F_2 | ...] checked against every pair.
 
 The same pairs define membership: intertwines(F, pairs) is the one morphism
 test, behind is_h_linear, the solver's certificate and every coaction and
@@ -216,14 +217,16 @@ def tensor(m: HModule, n: HModule) -> HModule:
     """Tensor product acting through the coproduct (leftmost factor slowest)."""
     if m.h is not n.h:
         raise ValueError("tensor factors over different algebras")
-    h = m.h
-
-    def build():
-        return [elem_action_matrix(TensorElement._of(h.dim, 2, h.comult[i]), [m, n])
-                for i in range(h.dim)]
-
-    return HModule(h, m.dim * n.dim, builder=build,
+    return HModule(m.h, m.dim * n.dim, builder=lambda: list(tensor_actions(m, n)),
                    label=_paren(m.label) + "*" + _paren(n.label), key=("tensor", m, n))
+
+
+def tensor_actions(m: HModule, n: HModule):
+    """The actions of Delta(e_i) on m (x) n, one at a time in basis order: the
+    action of tensor(m, n), for a caller that needs each matrix only once."""
+    h = m.h
+    for i in range(h.dim):
+        yield elem_action_matrix(TensorElement._of(h.dim, 2, h.comult[i]), [m, n])
 
 
 def _paren(lbl: str) -> str:
@@ -357,8 +360,9 @@ def intertwiners(m: HModule, n: HModule, pairs) -> list[HLinearMap]:
     t P_k s_j + sum_l t_l s_l = 0, read off the spinning echelon through
     negative tags (as LinearSystem does for right hand sides), and gives the
     equations t Q_k W_j u_i + sum_l t_l W_l u_{i_l} = 0 over G * dim(n)
-    unknowns.  The kernel is mapped back to the standard basis, and the whole
-    basis is certified at once, exactly, against every pair.
+    unknowns, each distinct nonzero one added once.  The kernel is mapped
+    back to the standard basis, and the whole basis is certified at once,
+    exactly, against every pair.
     """
     dm, dn = m.dim, n.dim
     pairs = [(p, q) for p, q in pairs if not (p.is_identity() and q.is_identity())]
@@ -368,6 +372,7 @@ def intertwiners(m: HModule, n: HModule, pairs) -> list[HLinearMap]:
     # with integer rows; s_j carries the tag -1-j in the echelon
     spin: list[tuple[dict, int, Matrix, int, list[dict]]] = []
     sys = LinearSystem(0)  # u_i[a] at index i * dn + a
+    added: set[frozenset] = set()  # the equations in sys: a repeat would reduce to zero
 
     def reduce(v: dict) -> dict:
         """t v + sum_l t_l s_l with t at tag -1-len(spin): a new spanning vector
@@ -395,7 +400,8 @@ def intertwiners(m: HModule, n: HModule, pairs) -> list[HLinearMap]:
             for a, row in enumerate(rows):
                 _add_shifted(eqs[a], row, x, i * dn)
         for eq in eqs:
-            if eq:
+            if eq and (key := frozenset(eq.items())) not in added:
+                added.add(key)
                 sys.add_equation(eq)
 
     gens = 0

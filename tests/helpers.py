@@ -7,7 +7,8 @@ operators of ``QuasiHopfAlgebra`` (L_c, R_c, the sandwiches, the adjoint
 action, the iterated coproduct) are compared with, the padded-map
 construction of the centre tensor and of the coequalizer over the algebra
 that ``tensor_center`` and ``tensor_over_A`` are compared with, a traced
-memory peak, and the Hypothesis strategies for their operands."""
+memory peak and the traced peaks of the stages of a computation, and the
+Hypothesis strategies for their operands."""
 
 import tracemalloc
 from fractions import Fraction
@@ -357,6 +358,52 @@ def traced_peak(fn) -> tuple[object, int]:
         out = fn()
         return out, tracemalloc.get_traced_memory()[1]
     finally:
+        tracemalloc.stop()
+
+
+def stage_peaks(stages, inner=()) -> dict[str, int]:
+    """{name: the peak of the memory traced while that stage ran, above what
+    was traced as it began, in bytes} for the (name, thunk) pairs of stages,
+    run in turn under one tracemalloc session; what a thunk returns is
+    dropped before the next one runs.
+
+    inner lists (name, owner, attribute): while the stages run,
+    owner.attribute is wrapped into a stage of that name, which records the
+    largest peak of its calls and counts in the peaks of the stages around
+    it, so that one traced run gives the peaks of a computation's parts."""
+    peaks: dict[str, int] = {}
+    running: list[list[int]] = []  # [start, high] of each running stage, outermost first
+
+    def fold(peak: int) -> None:
+        for stage in running:
+            stage[1] = max(stage[1], peak)
+
+    def run(name, thunk):
+        fold(tracemalloc.get_traced_memory()[1])  # the peak so far is the outer stages'
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        running.append([start, start])
+        try:
+            return thunk()
+        finally:
+            fold(tracemalloc.get_traced_memory()[1])
+            start, high = running.pop()  # every fold reached the outer stages too
+            peaks[name] = max(peaks.get(name, 0), high - start)
+
+    def wrapped(name, fn):
+        return lambda *args, **kwargs: run(name, lambda: fn(*args, **kwargs))
+
+    saved = [(owner, attribute, getattr(owner, attribute)) for _, owner, attribute in inner]
+    tracemalloc.start()
+    try:
+        for (name, _, _), (owner, attribute, fn) in zip(inner, saved):
+            setattr(owner, attribute, wrapped(name, fn))
+        for name, thunk in stages:
+            run(name, thunk)
+        return peaks
+    finally:
+        for owner, attribute, fn in saved:
+            setattr(owner, attribute, fn)
         tracemalloc.stop()
 
 

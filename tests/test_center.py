@@ -4,7 +4,7 @@ import pytest
 
 from quasihopf.linalg import LinearSystem, Matrix, rank
 from quasihopf.repcat import HModule, hom_space, regular_module, tensor, unit_module
-from quasihopf.center import (CenterObject, braiding, center_hom_space,
+from quasihopf.center import (CenterObject, _h_leg_blocks, braiding, center_hom_space,
                               tensor_center, validate_center)
 from quasihopf.report import VerificationFailure
 
@@ -308,3 +308,15 @@ def test_trivial_center_coaction_is_one_tensor_v(any_h):
     hand = Matrix(any_h.dim * d, d, [{i * d + j: c for i, c in any_h.unit.items()}
                                      for j in range(d)])
     assert trivial_center(x).coaction == hand
+
+
+@pytest.mark.parametrize("strided", [False, True])
+def test_h_leg_blocks_are_the_selected_rows(strided):
+    # one pass over the columns gives the rows that a transpose, a column
+    # selection and a transpose back give, on a matrix with a denominator
+    n, d, cols = 3, 4, 5
+    mat = Matrix(n * d, cols, [{r: Fraction(r * cols + j - 20, 6) for r in range(n * d)
+                                if (r + j) % 3} for j in range(cols)])
+    rows = [range(i, n * d, n) if strided else range(i * d, (i + 1) * d) for i in range(n)]
+    assert _h_leg_blocks(mat, n, strided) == [
+        mat.transpose().select(r).transpose() for r in rows]

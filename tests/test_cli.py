@@ -382,6 +382,9 @@ MALFORMED_ALGEBRA_FIELDS = [
     ("alpha", ["0.5", "0"]),
     ("alpha", ["1_0", "0"]),
     ("alpha", ["١", "0"]),
+    # witnesses name basis tuples, so the names must tell them apart
+    ("basis", ["g", "g"]),
+    ("basis", ["1", ""]),
 ]
 
 

@@ -11,8 +11,8 @@ from quasihopf.report import VerificationFailure
 from quasihopf.repcat import (elem_action_matrix, hom_space, intertwines, regular_module,
                               tensor, unit_module)
 from quasihopf import mod_a
-from quasihopf.center import (CenterObject, braiding, center_hom_space, coaction_pairs,
-                              tensor_center, validate_center)
+from quasihopf.center import (CenterObject, _coaction_blocks, braiding, center_hom_space,
+                              coaction_pairs, tensor_center, validate_center)
 from quasihopf.algebra_a import build_A, heart, heart_compose, heart_on_morphism
 from quasihopf.mod_a import (AModule, algebra_as_amodule, amodule_hom_space,
                              coinvariants, coinvariants_monoidal, coinvariants_on_morphism,
@@ -22,7 +22,7 @@ from quasihopf.mod_a import (AModule, algebra_as_amodule, amodule_hom_space,
 
 from conftest import get_algebra
 from helpers import (left_action_report, mul_vec, naive_tensor_center, naive_tensor_over_A,
-                     traced_peak)
+                     stage_peaks, traced_peak)
 
 
 def test_algebra_is_a_module(any_h):
@@ -148,9 +148,12 @@ def test_coinv_rejects_maps_that_do_not_descend(z2):
 
 
 def test_quotient_by_an_unstable_subspace_is_rejected(z2):
-    # span(e) in the regular module of Z/2 is not stable under g
-    with pytest.raises(VerificationFailure, match="not stable under the action"):
+    # span(e) in the regular module of Z/2 is not stable under g, which sends
+    # e to g: the witness is column 0 (e) of the quotient's row 0 (g)
+    with pytest.raises(VerificationFailure, match="not stable under the action") as exc:
         _quotient_module(regular_module(z2), [{0: 1}], "C/e")
+    assert str(exc.value) == ("relation subspace of C/e is not stable under the action: "
+                              "action 1 differs at column 0, row 0")
 
 
 def test_coinvariants_monoidal(any_h):
@@ -474,16 +477,90 @@ def test_tensor_over_A_is_the_padded_construction(name, names):
 
 def test_no_two_padded_maps_are_alive_at_once(sw):
     # traced peaks on sweedler_h4, heart(C) (x)_A heart(C(x)C): 6.60 MB for
-    # the padded construction against 3.01 MB, and 5.47 MB against 1.54 MB
-    # for the centre tensor alone (tracemalloc; one warm call first, so that
-    # the memos of the operands are not counted)
+    # the padded construction against 3.01 MB with every ambient action and
+    # a memoised block copy of the ambient coaction alive, and 1.92 MB with
+    # neither; 5.47 MB against 1.54 MB for the centre tensor alone
+    # (tracemalloc; one warm call first, so that the memos of the operands
+    # are not counted).  heart(C(x)C) (x)_A heart(C(x)C): 27.21 MB padded,
+    # 12.57 MB with the ambient maps whole, 7.83 MB one at a time.
     hearts = _heart_objects(sw, ("C", "CC"))
     m, n_mod = hearts["C"], hearts["CC"]
     tensor_over_A(m, n_mod)
     _, peak = traced_peak(lambda: tensor_over_A(m, n_mod))
-    assert peak < 4.0 * 2 ** 20
+    assert peak < 2.5 * 2 ** 20
     _, peak = traced_peak(lambda: tensor_center(m.center, n_mod.center))
     assert peak < 2.5 * 2 ** 20
+    assert _monoidal_check_peaks()["tensor_over_A"] < 9.5 * 2 ** 20
+
+
+@functools.cache
+def _monoidal_check_peaks() -> dict[str, int]:
+    """helpers.stage_peaks of sweedler_h4's monoidal_heart[C*C;C*C], one
+    traced run after a warm one (so that the memos of the operands are not
+    counted), with its heart_compose, (x)_A and heart-module stages staged
+    inside it (the operands' hearts are warm, so the last is heart(X (x) Y));
+    one run, since tracing slows these paths about tenfold."""
+    sw = get_algebra("sweedler_h4")
+    a = build_A(sw)
+    c = regular_module(sw)
+    cc = tensor(c, c)
+    mod_a._descended_compose_iso(a, cc, cc)
+    return stage_peaks([("monoidal_heart", lambda: mod_a._descended_compose_iso(a, cc, cc))],
+                       inner=[("heart_compose", mod_a, "heart_compose"),
+                              ("tensor_over_A", mod_a, "tensor_over_A"),
+                              ("heart(X(x)Y)", mod_a, "heart_amodule")])
+
+
+def test_the_monoidal_check_drops_each_stage_after_its_last_use():
+    # traced peak of sweedler_h4's monoidal_heart[C*C;C*C]: 13.73 MB with the
+    # composition and the quotient presentation alive while heart(X (x) Y)
+    # is built and every ambient map of (x)_A whole, 9.88 MB without.  Its
+    # stages, each above what was alive as it began: heart_compose 9.66 MB,
+    # (x)_A 7.83 MB (12.57 MB before), heart(X (x) Y) 8.30 MB; with the
+    # 1.6 MB that (x)_A leaves, heart(X (x) Y) bounds the check.
+    peaks = _monoidal_check_peaks()
+    assert peaks["monoidal_heart"] < 11 * 2 ** 20, peaks
+    assert max(peaks["heart_compose"], peaks["heart(X(x)Y)"]) < 10.5 * 2 ** 20, peaks
+
+
+def _closure(vectors, maps) -> list[dict]:
+    """A basis of the smallest subspace that holds vectors and is stable
+    under maps."""
+    ech, basis, todo = Echelon(), [], list(vectors)
+    while todo:
+        v = todo.pop()
+        r = ech.reduce(v)
+        if r:
+            ech.insert(r)
+            basis.append(v)
+            todo += [f.apply(v) for f in maps]
+    return basis
+
+
+@pytest.mark.parametrize("closed_under, witness", [
+    ((), "relation subspace of (heart(I))(x)A(heart(C)) is not stable under the action: "
+         "action 1 differs at column 4, row 3"),
+    (("actions",), "coaction does not descend to the quotient: "
+                   "coaction block 0 differs at column 4, row 0"),
+    (("actions", "coaction"), "right action does not descend to the quotient: "
+                              "right action block 1 differs at column 4, row 0")])
+def test_a_coequalizer_mutant_names_the_map_that_does_not_descend(dr, monkeypatch,
+                                                                  closed_under, witness):
+    # (x)_A on drinfeld_h2's heart(I), heart(C) by the span of its first
+    # nonzero relation alone, closed under the ambient actions and coaction
+    # blocks as given: each closure lets one more kind of map descend
+    a = build_A(dr)
+    m, n_mod = heart_amodule(a, unit_module(dr)), heart_amodule(a, regular_module(dr))
+    maps = []
+    if "actions" in closed_under:
+        maps += tensor(m.base, n_mod.base).action
+    if "coaction" in closed_under:
+        maps += _coaction_blocks(tensor_center(m.center, n_mod.center))
+    first = next(r for r in mod_a._coequalizer_relations(m, n_mod) if r)
+    monkeypatch.setattr(mod_a, "_coequalizer_relations", lambda *_: _closure([first], maps))
+    with pytest.raises(VerificationFailure) as exc:
+        tensor_over_A(m, n_mod)
+    assert str(exc.value) == witness
 
 
 def _mutant_compose(sw, monkeypatch, post):

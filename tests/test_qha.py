@@ -785,6 +785,17 @@ def test_constructor_reports_shape_problems_before_axioms():
             QuasiHopfAlgebra(**corrupt)
 
 
+@pytest.mark.parametrize("basis, name", [(["a", "a"], "'a' is repeated"),
+                                         (["", "g"], "'' is empty"),
+                                         (["1", ""], "'' is empty")])
+def test_basis_names_must_be_distinct_and_nonempty(z2, basis, name):
+    # witnesses name basis tuples by these names ("at g (x) x"), so a
+    # repeated or empty one would make a witness ambiguous
+    with pytest.raises(ValueError, match=f"basis name {name}"):
+        QuasiHopfAlgebra(z2.dim, basis, z2.mult, z2.unit, z2.comult, z2.counit, z2.phi,
+                         z2.antipode, z2.alpha, z2.beta)
+
+
 def _z2_scaled(one, zero, half, four):
     """Z/2 in the basis 1, 2g: (2g)^2 = 4 and Delta(2g) = 1/2 (2g (x) 2g), with
     explicit zero entries, built from whatever coefficient form is given."""

@@ -585,3 +585,25 @@ def test_a_corrupted_hom_basis_fails_the_certificate(monkeypatch):
     with pytest.raises(VerificationFailure, match="fails its exact certificate"):
         intertwiners(unit_module(h), regular_module(h),
                      zip(unit_module(h).action, regular_module(h).action))
+
+
+def test_the_hom_solver_adds_each_distinct_equation_once(sw, monkeypatch):
+    # sweedler_h4's right-module hom spaces between heart(I), heart(C) and
+    # heart(C(x)C): each relation gives dim(n) rows, mostly empty or repeats;
+    # the endomorphisms of heart(C(x)C) took 6400 equations for rank 192,
+    # the nine spaces 11336 (a repeat reduces to zero, so no basis changes)
+    from quasihopf.mod_a import amodule_hom_space, heart_amodule
+    a = build_A(sw)
+    c = regular_module(sw)
+    hearts = [heart_amodule(a, x) for x in (unit_module(sw), c, tensor(c, c))]
+    added = []
+    real = LinearSystem.add_equation
+    monkeypatch.setattr(LinearSystem, "add_equation",
+                        lambda self, *args: added.append(args) or real(self, *args))
+    amodule_hom_space(hearts[2], hearts[2])
+    assert len(added) == 816
+    added.clear()
+    for m in hearts:
+        for n_mod in hearts:
+            amodule_hom_space(m, n_mod)
+    assert len(added) == 1636

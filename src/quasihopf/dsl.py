@@ -122,6 +122,11 @@ class Seq:
 # the limit stays far below the interpreter's default recursion limit (1000).
 MAX_NESTING = 100
 
+# Largest dimension of an object or a morphism endpoint that elaboration
+# accepts.  Elaboration only multiplies dimensions; evaluation builds maps on
+# these spaces, and a product of a few dozen factors would exhaust memory.
+MAX_DIM = 2 ** 16
+
 
 class _Parser:
     def __init__(self, text: str):
@@ -444,6 +449,13 @@ class TypedExpr:
     run: Callable   # (ctx, typed, *values) -> HLinearMap
 
 
+def _first_pos(node) -> tuple[int, int]:
+    """The position of the first name in an expression."""
+    while not isinstance(node, (Name, Call)):
+        node = node.parts[0]
+    return node.pos
+
+
 def _compose(ctx, te, *maps):
     return reduce(HLinearMap.then, maps)
 
@@ -458,7 +470,15 @@ class Elaborator:
 
     def resolve(self, node, sort: str):
         """The value of an expression at a sort: the object, or for a
-        morphism the TypedExpr with its endpoints."""
+        morphism the TypedExpr with its endpoints, each at most MAX_DIM."""
+        value = self._resolve(node, sort)
+        for obj in (value.source, value.target) if sort == MORPHISM else (value,):
+            if obj.dim > MAX_DIM:
+                raise DslError(f"an object of dimension {obj.dim} is larger than the "
+                               f"limit {MAX_DIM}", _first_pos(node))
+        return value
+
+    def _resolve(self, node, sort: str):
         if isinstance(node, Name):
             value = self.ctx.named[sort].get(node.ident)
             if value is None:

@@ -30,8 +30,8 @@ from math import lcm
 from .linalg import Matrix, cokernel_of_columns, descend, first_difference, rank, vec_add_scaled
 from .qha import Frozen, QuasiHopfAlgebra
 from .report import Report, VerificationFailure
-from .center import (CenterObject, _h_leg_blocks, braiding_inv, center_pairs, coaction_pairs,
-                     tensor_center)
+from .center import (CenterObject, braiding_inv, center_pairs, coaction_pairs, tensor_center,
+                     tensor_coaction_blocks)
 from .repcat import (HLinearMap, HModule, elem_action_matrix, hom_space, intertwiners,
                      intertwines, regular_module, tensor, tensor_actions, unit_module)
 from .algebra_a import (AlgebraA, _cached_kappa_lambda, build_A, heart, heart_compose,
@@ -233,19 +233,16 @@ def _descended_center(m: AModule, n_mod: AModule, proj: Matrix, sec: Matrix,
     time.  First the actions: each action of Delta(e_i) on M (x) N
     (repcat.tensor_actions, the formula of repcat.tensor) is built,
     descended and dropped, and the ambient module's action list is never
-    built.  Then the coaction from center.tensor_center: the ambient object
-    lives only until its coaction is cut into the n H-leg blocks
-    (center._h_leg_blocks, one pass, memoised nowhere), which are descended
-    (the coaction descends iff the relations span a subcomodule) and
-    stacked again.  The peak of this stage is the split, coaction and
-    blocks side by side; the blocks die together once descended, since
-    dropping each one as it is descended lowers no peak."""
+    built.  Then the coaction: its n H-leg blocks come from the block
+    formula (center.tensor_coaction_blocks, whose oracle is
+    center.tensor_center), each built just before it is descended (the
+    coaction descends iff the relations span a subcomodule) and dropped
+    after, and the descended blocks are stacked again."""
     h = m.a.h
     action = _descend_each(tensor_actions(m.base, n_mod.base), proj, sec,
                            f"relation subspace of {label} is not stable under the action",
                            "action")
-    blocks = _h_leg_blocks(tensor_center(m.center, n_mod.center).coaction, h.dim)
-    blocks = _descend_each(blocks, proj, sec,
+    blocks = _descend_each(tensor_coaction_blocks(m.center, n_mod.center), proj, sec,
                            "coaction does not descend to the quotient", "coaction block")
     coaction = Matrix.hstack([b.transpose() for b in blocks]).transpose()
     return CenterObject(HModule(h, proj.rows, action, label=label), coaction, label=label)

@@ -6,6 +6,7 @@ from quasihopf.qha import QuasiHopfAlgebra, TensorElement, _s_alpha
 _CACHE = {}
 
 TWISTED = "sweedler_h4_twist"
+DENSE_TWIST = "sweedler_h4_dense_twist"
 SQUARE = "drinfeld_h2_square"
 
 
@@ -84,6 +85,12 @@ def get_algebra(name):
             # F = 1 (x) 1 + x (x) (1 - g): a noncommutative algebra with a 17-term Phi
             sw = get_algebra("sweedler_h4")
             f = TensorElement(sw.dim, 2, {(0, 0): 1, (2, 0): 1, (2, 1): -1})
+            _CACHE[name] = twist(sw, f).require_valid()
+        elif name == DENSE_TWIST:
+            # F = 1 (x) 1 + x (x) (1 - g) + (1 - g) (x) x: a 35-term Phi with
+            # every basis element on every leg (TWISTED's third legs commute)
+            sw = get_algebra("sweedler_h4")
+            f = TensorElement(sw.dim, 2, {(0, 0): 1, (2, 0): 1, (2, 1): -1, (0, 2): 1, (1, 2): -1})
             _CACHE[name] = twist(sw, f).require_valid()
         elif name == SQUARE:
             # not validated here: tests/test_user_algebras.py checks its axioms

@@ -2,12 +2,16 @@ from fractions import Fraction
 
 import pytest
 
+from quasihopf import center
+from quasihopf.algebra_a import build_A, heart
 from quasihopf.linalg import LinearSystem, Matrix, rank
+from quasihopf.qha import TensorElement
 from quasihopf.repcat import HModule, hom_space, regular_module, tensor, unit_module
 from quasihopf.center import (CenterObject, _h_leg_blocks, braiding, center_hom_space,
-                              tensor_center, validate_center)
+                              tensor_center, tensor_coaction_blocks, validate_center)
 from quasihopf.report import VerificationFailure
 
+from conftest import DENSE_TWIST, SQUARE, TWISTED, get_algebra
 from helpers import mul_vec, trivial_center
 
 
@@ -320,3 +324,62 @@ def test_h_leg_blocks_are_the_selected_rows(strided):
     rows = [range(i, n * d, n) if strided else range(i * d, (i + 1) * d) for i in range(n)]
     assert _h_leg_blocks(mat, n, strided) == [
         mat.transpose().select(r).transpose() for r in rows]
+
+
+def _centres(h, names):
+    """heart(X).center for X in names among I, C and C(x)C, then A's centre."""
+    c = regular_module(h)
+    objects = {"I": unit_module(h), "C": c, "CC": tensor(c, c)}
+    out = {x: heart(h, objects[x]).center for x in names}
+    out["A"] = build_A(h).center
+    return out
+
+
+def _hexagon_blocks(m, n):
+    return _h_leg_blocks(tensor_center(m, n).coaction, m.h.dim)
+
+
+@pytest.mark.parametrize("name, names", [
+    ("group_z2", ("I", "C", "CC")), ("drinfeld_h2", ("I", "C", "CC")),
+    ("sweedler_h4", ("I", "C", "CC")), (TWISTED, ("I", "C")), (DENSE_TWIST, ("I",)),
+    (SQUARE, ())])
+def test_tensor_coaction_blocks_are_the_hexagon_coaction(name, names):
+    # the Yetter-Drinfeld block formula against its oracle, the hexagon
+    # composite of tensor_center, on every ordered pair (the twist's pairs
+    # with C(x)C cost 3-33 s through the hexagon, the square's only A (x) A)
+    centres = _centres(get_algebra(name), names)
+    for p, m in centres.items():
+        for q, n in centres.items():
+            assert list(tensor_coaction_blocks(m, n)) == _hexagon_blocks(m, n), (p, q)
+
+
+def _nine_leg_element(h, swap=()):
+    """center._tensor_coaction_element with x1, X1 on legs 4, 5 and Y3, x3 on
+    legs 6, 7 before they are fused, after exchanging each pair of legs in
+    swap: a factor-order mutant of the formula for each exchange."""
+    pairing = TensorElement._of(h.dim, 2, {(i, i): 1 for i in range(h.dim)})
+    t = h.mul_chain([h.spread(h.phi, [(1,), (2,), (6,)], 9),
+                     h.spread(pairing, [(1,), (3,)], 9),
+                     h.spread(h.phi_inv, [(4,), (1,), (7,)], 9),
+                     h.spread(pairing, [(1,), (8,)], 9),
+                     h.spread(h.phi, [(5,), (9,), (1,)], 9)])
+    order = list(range(1, 10))
+    for i, j in swap:
+        order[i - 1], order[j - 1] = order[j - 1], order[i - 1]
+    return h.fuse_legs(h.fuse_legs(t.permute_legs(order), 6), 4)
+
+
+@pytest.mark.parametrize("name, swap", [
+    (TWISTED, (3, 8)),       # the two pairing legs exchanged: e_j to n, e_i to m
+    (TWISTED, (4, 5)),       # X1 x1 for x1 X1
+    (DENSE_TWIST, (6, 7))])  # x3 Y3 for Y3 x3
+def test_the_block_formula_has_teeth(name, swap):
+    # unmutated, the nine-leg construction is the library's element; each
+    # factor-order mutant breaks the coaction of heart(I) (x) heart(I).  On
+    # TWISTED the third legs of Phi and Phi^-1 lie in span(1, g), so x3 Y3
+    # is the same element there, and it dies on DENSE_TWIST instead
+    h = get_algebra(name)
+    assert _nine_leg_element(h) == center._tensor_coaction_element(h)
+    m = _centres(h, ("I",))["I"]
+    mutant = center._blocks_through(_nine_leg_element(h, [swap]), m, m)
+    assert list(mutant) != _hexagon_blocks(m, m)

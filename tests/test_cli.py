@@ -493,6 +493,8 @@ CONTRACT_CASES = [
     (("check", "group_z2", "--lhs", "id", "--rhs"), ()),
     (("equiv", "group_z2", "--bogus"), ()),
     ((), ()),
+    # an object of dimension 4^41: refused at elaboration, before anything is built
+    (("eval", "sweedler_h4", "--expr", "id(" + "*".join(["C"] * 41) + ")"), ()),
 ]
 
 # The objects bound in a context without a file, and every name the language knows.

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quasihopf.dsl import (MAX_NESTING, Call, Context, DslError, Elaborator, Name, Seq,
+from quasihopf.dsl import (MAX_DIM, MAX_NESTING, Call, Context, DslError, Elaborator, Name, Seq,
                            Ten, check, eval_expr, parse, print_expr)
 from quasihopf.repcat import inner_hom, regular_module, tensor
 
@@ -229,6 +229,22 @@ def test_nesting_limit(ctx_dr):
     for too_deep in ("(" + at_limit + ")", "id(" * (MAX_NESTING + 1) + "C" + ")" * (MAX_NESTING + 1)):
         with pytest.raises(DslError, match="nested deeper"):
             parse(too_deep)
+
+
+def test_dimension_limit(ctx_dr):
+    # elaboration multiplies dimensions and builds nothing: C is 2-dimensional,
+    # so C^16 is at the limit; beyond it, an object or an endpoint is refused
+    # where its expression starts, before anything is evaluated
+    at_limit = "*".join(["C"] * 16)
+    typed = Elaborator(ctx_dr).elaborate(parse(f"id({at_limit})"))
+    assert typed.source.dim == typed.target.dim == MAX_DIM == 2 ** 16
+    half = "*".join(["C"] * 9)
+    for text, column in [(f"id({at_limit}*C)", 4), ("id(" + "*".join(["C"] * 41) + ")", 4),
+                         ("id(C)*" * 16 + "id(C)", 1), (f"assoc(C, {half}, {half})", 1),
+                         (f"id(C) ; id(C) ; id(C) * id({at_limit})", 17)]:
+        with pytest.raises(DslError, match=f"larger than the limit {MAX_DIM} "
+                                           rf"\(line 1, column {column}\)"):
+            Elaborator(ctx_dr).elaborate(parse(text))
 
 
 # -- one pin per generator and object constructor ---------------------------------

@@ -399,6 +399,13 @@ def test_equivalence_report_on_twist(tw):
     assert rep.ok, rep.render_text()
 
 
+@pytest.mark.slow
+def test_equivalence_report_on_twist_default_objects(tw):
+    # the whole report on I, C and C(x)C: pytest -m slow times it
+    rep = equivalence_report(tw)
+    assert len(rep.items) == 24 and rep.ok, rep.render_text()
+
+
 def test_twist_relations_are_eliminated_sparsest_first(tw, monkeypatch):
     # the [I;C] relations of the twist: 256 vectors in dimension 64, rank 48.
     # Sparsest first, the echelon rows hold 2.5 entries on average; in caller

@@ -11,9 +11,9 @@ heart(M) is the end of x -> innhom(x, x (x) M), realized on H (x) M.  Its
 right action by the algebra, the "evaluation" family heart(M) (x) X ->
 X (x) M, the projection to M, the lax monoidal composition, and the
 comparison isomorphisms with the free module M (x) A all live here.
-heart_braiding is the full braiding past any X; the coaction of heart(M) is
-its X = C case at the unit of C, built on those columns only.  Both read end
-coordinates through one certificate, _end_coordinates.
+The coaction of heart(M) is its braiding past C at the unit of C, built on
+those columns only (extract_center_structure); nat_to_hom reads end
+coordinates through the same certificate, _end_coordinates.
 
 Each sandwich formula (the action and right action of heart(M), the
 evaluation, the product of the algebra, the twist comparing Y (x) heart(M)
@@ -36,7 +36,8 @@ from .linalg import Matrix, ONE, ZERO, vec_add_scaled
 from .qha import (Frozen, QuasiHopfAlgebra, TensorElement, _s_alpha, alpha_contraction,
                   beta_contraction, kappa_inverse, kappa_lambda, product_element)
 from .report import Report, VerificationFailure
-from .center import CenterObject, braiding, braiding_inv, coaction_pairs, tensor_center
+from .center import (CenterObject, _h_leg_blocks, braiding, braiding_inv, coaction_pairs,
+                     tensor_center)
 from .repcat import (HLinearMap, HModule, elem_action_matrix, hom_space, intertwines,
                      regular_module, tensor, unit_module)
 
@@ -181,8 +182,7 @@ def _end_coordinates(h: QuasiHopfAlgebra, y_mod: HModule, m_mod: HModule,
     return _end_twist(h, y_mod, m_mod, h.phi) * ends
 
 
-def nat_to_hom(x_mod: HModule, y_mod: HModule, m_mod: HModule,
-               fam: HLinearMap, check_roundtrip: bool = True) -> HLinearMap:
+def nat_to_hom(x_mod: HModule, y_mod: HModule, m_mod: HModule, fam: HLinearMap) -> HLinearMap:
     """Reconstruct g: X -> Y (x) heart(M) from the regular-module component
     of a natural family X (x) T -> Y (x) (T (x) M).
 
@@ -212,11 +212,10 @@ def nat_to_hom(x_mod: HModule, y_mod: HModule, m_mod: HModule,
     g = HLinearMap(x_mod, tensor(y_mod, heart_base(h, m_mod)),
                    _end_coordinates(h, y_mod, m_mod, adj))
 
-    if check_roundtrip:
-        back = hom_to_nat(g, regular_module(h), y_mod, m_mod)
-        if back.matrix != fam.matrix:
-            raise VerificationFailure(
-                "family is not natural: reconstruction does not reproduce it")
+    back = hom_to_nat(g, regular_module(h), y_mod, m_mod)
+    if back.matrix != fam.matrix:
+        raise VerificationFailure(
+            "family is not natural: reconstruction does not reproduce it")
     return g
 
 
@@ -234,24 +233,8 @@ def hom_to_nat(g: HLinearMap, t_mod: HModule, y_mod: HModule,
     return HLinearMap(src, dst, mat)
 
 
-def heart_braiding(h: QuasiHopfAlgebra, m: HModule, x: HModule) -> HLinearMap:
-    """The braiding heart(M) (x) X -> X (x) heart(M), defined by requiring
-    that crossing then evaluating agrees with evaluating on X (x) T at once.
-
-    The full route for any X, and the reference for extract_center_structure:
-    nat_to_hom certifies end membership; the round trip is skipped here."""
-    hb = heart_base(h, m)
-    c = regular_module(h)
-    xc = tensor(x, c)
-    fam_mat = elem_action_matrix(h.phi, [x, c, m]) \
-        * diamond(h, m, xc).matrix \
-        * elem_action_matrix(h.phi, [hb, x, c])
-    fam = HLinearMap(tensor(tensor(hb, x), c), tensor(x, tensor(c, m)), fam_mat)
-    return nat_to_hom(tensor(hb, x), x, m, fam, check_roundtrip=False)
-
-
 def extract_center_structure(h: QuasiHopfAlgebra, m: HModule) -> CenterObject:
-    """The coaction of heart(m): heart_braiding past C, at the unit of C only.
+    """The coaction of heart(m): its braiding past C, at the unit of C only.
 
     The adjunct of that braiding's family at (s (x) 1) (x) e_p is phi . diamond
     after the action of phi . (Delta (x) id)(beta_contraction) with the middle
@@ -268,7 +251,8 @@ def extract_center_structure(h: QuasiHopfAlgebra, m: HModule) -> CenterObject:
         h.phi, h.spread(beta_contraction(h), [(1, 2), (3,)], 3)))
     cut = elem_action_matrix(e, [hb, [a * u for a in c.action], c])
     adj = elem_action_matrix(h.phi, [c, c, m]) * (diamond(h, m, tensor(c, c)).matrix * cut)
-    return CenterObject(hb, _end_coordinates(h, c, m, adj), label=f"heart({m.label or '?'})")
+    return CenterObject(hb, _h_leg_blocks(_end_coordinates(h, c, m, adj), h.dim),
+                        label=f"heart({m.label or '?'})")
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +320,7 @@ class AlgebraA:
     in the centre, with its augmentation and canonical action on everything."""
 
     h: QuasiHopfAlgebra
-    center: CenterObject      # base: adjoint action on H; coaction: extracted
+    center: CenterObject      # base: adjoint action on H; coaction blocks: extracted
     product: Matrix           # A (x) A -> A
     unit_vec: dict            # element of A
     eps_row: Matrix           # 1 x n, the augmentation
@@ -388,7 +372,7 @@ def _verified_A(h: QuasiHopfAlgebra) -> AlgebraA:
     rep.add("heart_of_unit_is_adjoint",
             all(hb_unit.action[i] == base.action[i] for i in range(n)))
 
-    center_obj = CenterObject(base, extract_center_structure(h, unit_mod).coaction, label="A")
+    center_obj = CenterObject(base, extract_center_structure(h, unit_mod).blocks, label="A")
     rep.add("center_structure", center_obj.validation().ok)
 
     # the product: a . b = (E1 a S(E2) alpha E3) (b S(E4)), see qha.product_element

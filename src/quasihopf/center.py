@@ -1,4 +1,4 @@
-"""Objects of the centre of the module category, stored by coaction.
+"""Objects of the centre of the module category, stored by coaction blocks.
 
 A centre object is a module together with a natural family of braidings
 against every object.  Because the regular module generates the category,
@@ -7,6 +7,9 @@ unit, i.e. by a coaction d: M -> H (x) M; the braiding against any module is
 reconstructed from d, and the centre axioms (counit normalization, <-
 linearity, invertibility, hexagon, naturality) are *checked*, not assumed:
 the usual quasi-Yetter-Drinfeld axiom list never appears as input.
+
+d is stored as its n H-leg blocks B_i = (e^i (x) id) . d, the action of H^*
+in the double D(H); only _h_leg_blocks and qhio know its stacked layout.
 
 The centre morphisms are the module maps that intertwine the coactions:
 center_pairs, the actions plus coaction_pairs (one pair per H-leg block), which
@@ -36,21 +39,23 @@ from .repcat import (HLinearMap, HModule, associator, associator_inv, elem_actio
 
 @dataclass(eq=False)
 class CenterObject(Frozen):
-    """A module plus the coaction encoding its braiding against everything.
+    """A module plus the coaction encoding its braiding against everything,
+    as its n H-leg blocks: block i sends v to the M-leg of the e_i-part of
+    delta(v).
 
-    Immutable; its memo holds the validation report, the H-leg blocks
-    of the coaction and of its inverse counterpart (see braiding_inv) and
-    the fused family of tensor_coaction_blocks."""
+    Immutable; its memo holds the validation report, the H-leg blocks of the
+    inverse counterpart (see braiding_inv) and the fused family of
+    tensor_coaction_blocks."""
 
     base: HModule
-    coaction: Matrix  # (n*d) x d, column j = image of basis vector j
+    blocks: tuple  # n matrices d x d, column j = image of basis vector j
     label: str = ""
 
     def __post_init__(self):
         n, d = self.base.h.dim, self.base.dim
-        if self.coaction.rows != n * d or self.coaction.cols != d:
-            raise ValueError(
-                f"coaction must be {n * d}x{d}, got {self.coaction.rows}x{self.coaction.cols}")
+        self.blocks = tuple(self.blocks)
+        if len(self.blocks) != n or any(b.rows != d or b.cols != d for b in self.blocks):
+            raise ValueError(f"coaction must be {n} blocks of {d}x{d}")
         self._memo = {}
 
     @property
@@ -81,7 +86,7 @@ def braiding(m: CenterObject, x: HModule) -> HLinearMap:
     regular module forces exactly this formula.
     """
     return HLinearMap(tensor(m.base, x), tensor(x, m.base),
-                      _crossing(m.h, [x, _coaction_blocks(m)], x.dim, m.dim))
+                      _crossing(m.h, [x, list(m.blocks)], x.dim, m.dim))
 
 
 def braiding_inv(m: CenterObject, x: HModule) -> HLinearMap:
@@ -119,12 +124,6 @@ def _h_leg_blocks(mat: Matrix, n: int, strided: bool = False) -> list[Matrix]:
     return [Matrix._of(d, mat.cols, den, cols) for cols in out]
 
 
-def _coaction_blocks(m: CenterObject) -> list[Matrix]:
-    """The coaction split by its H leg: block i sends v to the M-leg of the
-    h_i-part of delta(v).  Built once per object, in its memo."""
-    return m.memo("coaction_blocks", lambda: _h_leg_blocks(m.coaction, m.h.dim))
-
-
 def _inverse_blocks(m: CenterObject) -> list[Matrix]:
     """gamma = beta_{m,C}^{-1}(1 (x) -): M -> M (x) C split by its H leg, so
     that gamma(v) = sum_i G_i v (x) e_i; one solve on the d unit columns,
@@ -143,9 +142,9 @@ def validate_center(m: CenterObject) -> Report:
     rep = Report(title=f"center[{m.label or m.base.label or '?'}]")
     rep.add("base_module", m.base.validate().ok)
 
-    # (eps x id) . coaction = id
-    eps = h.structure().eps.kron(Matrix.identity(m.dim))
-    rep.add("counit_normalization", (eps * m.coaction).is_identity())
+    # (eps x id) . coaction = sum_i eps(e_i) B_i = id
+    eps = TensorElement._of(h.dim, 1, {(i,): c for i, c in enumerate(h.counit) if c})
+    rep.add("counit_normalization", elem_action_matrix(eps, [list(m.blocks)]).is_identity())
 
     c_mod = regular_module(h)
     b = braiding(m, c_mod)
@@ -198,7 +197,8 @@ def tensor_center(m: CenterObject, n: CenterObject) -> CenterObject:
     coaction = coaction.then(associator_inv(m.base, c_mod, n.base).matrix)
     coaction = coaction.then(braiding(m, c_mod).tensor(identity_map(n.base)).matrix)
     coaction = coaction.then(associator(c_mod, m.base, n.base).matrix)
-    return CenterObject(base, coaction, label=f"({m.label or '?'})*({n.label or '?'})")
+    return CenterObject(base, _h_leg_blocks(coaction, h.dim),
+                        label=f"({m.label or '?'})*({n.label or '?'})")
 
 
 def tensor_coaction_blocks(m: CenterObject, n: CenterObject):
@@ -259,7 +259,7 @@ def _fused_family(m: CenterObject, used) -> list:
     pair share it."""
     h = m.h
     made = m.memo("fused_family", dict)
-    act, blocks = m.base.action, _coaction_blocks(m)
+    act, blocks = m.base.action, m.blocks
     for a, j, b in used:
         if (a, j, b) not in made:
             made[a, j, b] = act[a] * blocks[j] * act[b]
@@ -271,7 +271,7 @@ def _fused_family(m: CenterObject, used) -> list:
 def coaction_pairs(m: CenterObject, n: CenterObject) -> list[tuple[Matrix, Matrix]]:
     """The pairs (see repcat.intertwines) of (id_H (x) F) . delta_m = delta_n . F,
     one H-leg block at a time."""
-    return list(zip(_coaction_blocks(m), _coaction_blocks(n)))
+    return list(zip(m.blocks, n.blocks))
 
 
 def center_pairs(m: CenterObject, n: CenterObject) -> list[tuple[Matrix, Matrix]]:

@@ -17,7 +17,7 @@ from .qha import (BUILTIN_NAMES, QuasiHopfAlgebra, algebra_from_json,
 from .report import Report, VerificationFailure
 from .repcat import end_over_regular, unit_module
 from .mod_a import equivalence_report
-from .dsl import Context, DslError, Elaborator, check, eval_expr, parse_list
+from .dsl import Context, DslError, Elaborator, check, parse, parse_list
 from . import qhio
 
 
@@ -142,11 +142,21 @@ def cmd_equiv(args) -> int:
     return 0 if rep.ok else 1
 
 
+# The most entries of a map that eval prints (densely, every zero included).
+MAX_PRINT_ENTRIES = 2 ** 20
+
+
 def cmd_eval(args) -> int:
     h = _load_algebra(args.algebra)
     ctx = _context_for(h, args.context)
+    el = Elaborator(ctx)
     try:
-        f = eval_expr(_expr_text(args.expr), ctx)
+        typed = el.elaborate(parse(_expr_text(args.expr)))
+        rows, cols = typed.target.dim, typed.source.dim
+        if rows * cols > MAX_PRINT_ENTRIES:
+            raise InputError(f"the map is {rows} x {cols}, more than the "
+                             f"{MAX_PRINT_ENTRIES} entries eval prints")
+        f = el.evaluate(typed)
     except DslError as exc:
         raise InputError(str(exc)) from exc
     if args.report == "json":

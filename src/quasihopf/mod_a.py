@@ -237,15 +237,14 @@ def _descended_center(m: AModule, n_mod: AModule, proj: Matrix, sec: Matrix,
     formula (center.tensor_coaction_blocks, whose oracle is
     center.tensor_center), each built just before it is descended (the
     coaction descends iff the relations span a subcomodule) and dropped
-    after, and the descended blocks are stacked again."""
+    after: the descended blocks are the quotient's coaction."""
     h = m.a.h
     action = _descend_each(tensor_actions(m.base, n_mod.base), proj, sec,
                            f"relation subspace of {label} is not stable under the action",
                            "action")
     blocks = _descend_each(tensor_coaction_blocks(m.center, n_mod.center), proj, sec,
                            "coaction does not descend to the quotient", "coaction block")
-    coaction = Matrix.hstack([b.transpose() for b in blocks]).transpose()
-    return CenterObject(HModule(h, proj.rows, action, label=label), coaction, label=label)
+    return CenterObject(HModule(h, proj.rows, action, label=label), blocks, label=label)
 
 
 def coinvariants(m: AModule) -> tuple[HModule, HLinearMap, QuotientPresentation]:

@@ -578,10 +578,11 @@ class QuasiHopfAlgebra(Frozen):
 
     def tensor_inverse(self, t: TensorElement) -> TensorElement:
         """Two-sided inverse of t in its tensor power, by exact solving of
-        L_t x = 1, L_t the left multiplication by t on that power."""
-        cols = [self.mul(t, TensorElement._of(self.dim, t.legs, {idx: ONE})).as_vector()
-                for idx in product(range(self.dim), repeat=t.legs)]
-        res = solve(Matrix(len(cols), len(cols), cols), self.unit_elem(t.legs).as_vector())
+        L_t x = 1, L_t = t acting through L_i = m(e_i (x) 1) on every leg, read
+        off the table (the constructor calls this before structure() exists)."""
+        from .repcat import elem_action_matrix
+        left = [Matrix(self.dim, self.dim, [dict(c) for c in row]) for row in self.mult]
+        res = solve(elem_action_matrix(t, [left] * t.legs), self.unit_elem(t.legs).as_vector())
         if not res.consistent or res.solution is None:
             raise LinAlgError("element is not invertible in the tensor power")
         shape = LegShape((self.dim,) * t.legs)

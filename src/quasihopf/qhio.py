@@ -14,7 +14,7 @@ import json
 from .linalg import Matrix, rat_str
 from .qha import QuasiHopfAlgebra, json_dim, json_name, json_rats
 from .repcat import HModule
-from .center import CenterObject
+from .center import CenterObject, _h_leg_blocks
 from .mod_a import AModule
 from .algebra_a import AlgebraA
 
@@ -41,12 +41,13 @@ def center_from_obj(h: QuasiHopfAlgebra, obj: dict, label: str = "") -> CenterOb
     base = module_from_obj(h, obj, label=label)
     d, n = base.dim, h.dim
     coaction = Matrix.from_flat(d, n * d, json_rats(obj, "coaction", d * n * d)).transpose()
-    return CenterObject(base, coaction, label=label)
+    return CenterObject(base, _h_leg_blocks(coaction, n), label=label)
 
 
 def center_to_obj(m: CenterObject) -> dict:
     out = module_to_obj(m.base)
-    out["coaction"] = [rat_str(c) for c in m.coaction.transpose().to_flat()]
+    coaction_t = Matrix.hstack([b.transpose() for b in m.blocks])  # d x (n d)
+    out["coaction"] = [rat_str(c) for c in coaction_t.to_flat()]
     return out
 
 

@@ -6,19 +6,22 @@ plain product and Kronecker loops that ``Matrix.then``, ``Matrix.kron`` and
 operators of ``QuasiHopfAlgebra`` (L_c, R_c, the sandwiches, the adjoint
 action, the iterated coproduct) are compared with, the padded-map
 construction of the centre tensor and of the coequalizer over the algebra
-that ``tensor_center`` and ``tensor_over_A`` are compared with, a traced
-memory peak and the traced peaks of the stages of a computation, and the
-Hypothesis strategies for their operands."""
+that ``tensor_center`` and ``tensor_over_A`` are compared with, the full
+braiding of heart(M) past any X that ``extract_center_structure`` is
+compared with, the stacked view of a centre object's coaction blocks, a
+traced memory peak and the traced peaks of the stages of a computation,
+and the Hypothesis strategies for their operands."""
 
 import tracemalloc
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from quasihopf.center import CenterObject, braiding
+from quasihopf.algebra_a import _end_coordinates, diamond, heart_base
+from quasihopf.center import CenterObject, _h_leg_blocks, braiding
 from quasihopf.linalg import ONE, ZERO, LinAlgError, Matrix, descend, rat, rat_str, vec_add_scaled
 from quasihopf.qhio import center_to_obj
-from quasihopf.qha import TensorElement
+from quasihopf.qha import TensorElement, beta_contraction
 from quasihopf.mod_a import AModule, _quotient_module, left_action
 from quasihopf.repcat import (HLinearMap, associator, associator_inv, elem_action_matrix,
                               identity_map, regular_module, tensor, unit_module)
@@ -271,11 +274,39 @@ def unit_right_elim(m) -> HLinearMap:
     return HLinearMap(tensor(m, unit_module(m.h)), m, Matrix.identity(m.dim))
 
 
+def stacked(m) -> Matrix:
+    """The coaction of a centre object as one (n d) x d matrix, its H-leg
+    blocks stacked with the H leg slowest: column j is delta(v_j)."""
+    return Matrix.hstack([b.transpose() for b in m.blocks]).transpose()
+
+
+def center_of(base, coaction: Matrix, label: str = "") -> CenterObject:
+    """The centre object whose coaction is the stacked (n d) x d matrix."""
+    return CenterObject(base, _h_leg_blocks(coaction, base.h.dim), label=label)
+
+
 def trivial_center(x) -> CenterObject:
     """The coaction v -> 1 (x) v (validates only when the flip is central)."""
     h = x.h
-    return CenterObject(x, Matrix(h.dim, 1, [dict(h.unit)]).kron(Matrix.identity(x.dim)),
-                        label=f"triv({x.label or '?'})")
+    return center_of(x, Matrix(h.dim, 1, [dict(h.unit)]).kron(Matrix.identity(x.dim)),
+                     label=f"triv({x.label or '?'})")
+
+
+def heart_braiding(h, m, x) -> HLinearMap:
+    """The braiding heart(M) (x) X -> X (x) heart(M), defined by requiring
+    that crossing then evaluating agrees with evaluating on X (x) T at once:
+    the full route for any X, the oracle of ``extract_center_structure``.
+    Its adjunct is read through ``_end_coordinates``, which certifies end
+    membership, as in ``nat_to_hom`` (without the round trip)."""
+    hb = heart_base(h, m)
+    c = regular_module(h)
+    src = tensor(hb, x)
+    fam = elem_action_matrix(h.phi, [x, c, m]) \
+        * diamond(h, m, tensor(x, c)).matrix \
+        * elem_action_matrix(h.phi, [hb, x, c])
+    b = beta_contraction(h)
+    adj = fam if b == h.unit_elem(2) else fam * elem_action_matrix(b, [src, c])
+    return HLinearMap(src, tensor(x, hb), _end_coordinates(h, x, m, adj))
 
 
 def amodule_to_obj(m) -> dict:
@@ -319,7 +350,7 @@ def naive_tensor_center(m, n):
               associator_inv(m.base, c_mod, n.base), braiding(m, c_mod).tensor(identity_map(n.base)),
               associator(c_mod, m.base, n.base)):
         coaction = coaction.then(f.matrix)
-    return CenterObject(base, coaction, label=f"({m.label or '?'})*({n.label or '?'})")
+    return center_of(base, coaction, label=f"({m.label or '?'})*({n.label or '?'})")
 
 
 def naive_tensor_over_A(m, n_mod):
@@ -338,10 +369,10 @@ def naive_tensor_over_A(m, n_mod):
 
     # the coaction descends iff the relation space is a subcomodule
     proj, sec, id_n = pres.projection, pres.section, Matrix.identity(n)
-    dq = descend(amb_center.coaction, proj, sec, id_n.kron(proj))
+    dq = descend(stacked(amb_center), proj, sec, id_n.kron(proj))
     if dq is None:
         raise VerificationFailure("coaction does not descend to the quotient")
-    qcenter = CenterObject(pres.module, dq, label=pres.module.label)
+    qcenter = center_of(pres.module, dq, label=pres.module.label)
 
     mu_amb = Matrix.identity(m.dim).kron(n_mod.mu) \
         * elem_action_matrix(h.phi, [m.base, n_mod.base, a.base])

@@ -12,7 +12,7 @@ from quasihopf.center import (CenterObject, _h_leg_blocks, braiding, center_hom_
 from quasihopf.report import VerificationFailure
 
 from conftest import DENSE_TWIST, SQUARE, TWISTED, get_algebra
-from helpers import mul_vec, trivial_center
+from helpers import center_of, mul_vec, stacked, trivial_center
 
 
 def hopf_coaction_center(h, label="A"):
@@ -25,7 +25,7 @@ def hopf_coaction_center(h, label="A"):
         for (k, l), c in h.comult[j].items():
             col[k * n + l] = c
         cols.append(col)
-    return CenterObject(adj, Matrix(n * n, n, cols), label=label)
+    return center_of(adj, Matrix(n * n, n, cols), label=label)
 
 
 def test_trivial_coaction_on_unit(any_h):
@@ -84,7 +84,7 @@ def test_flipped_coaction_fails_for_sweedler(sw):
     n = h.dim
     adj = HModule(h, n, [h.adjoint_action_of(h.basis_elem(i)) for i in range(n)], label="A")
     cols = [{(l * n + k): c for (k, l), c in h.comult[j].items()} for j in range(n)]
-    bad = CenterObject(adj, Matrix(n * n, n, cols), label="Aflip")
+    bad = center_of(adj, Matrix(n * n, n, cols), label="Aflip")
     rep = validate_center(bad)
     fails = {item.id for item in rep.failures()}
     assert "hexagon_on_CC" in fails
@@ -98,16 +98,27 @@ def test_constant_grading_fails_counit_normalization(z2):
     n = z2.dim
     adj = HModule(z2, n, [z2.adjoint_action_of(z2.basis_elem(i)) for i in range(n)])
     cols = [{1 * n + j: Fraction(2)} for j in range(n)]
-    bad = CenterObject(adj, Matrix(n * n, n, cols))
+    bad = center_of(adj, Matrix(n * n, n, cols))
     rep = validate_center(bad)
     assert not rep.ok
     assert "counit_normalization" in {item.id for item in rep.failures()}
 
 
+@pytest.mark.parametrize("shapes", ["n-1 blocks", "a (d+1) x d block"])
+def test_center_object_refuses_a_misshapen_coaction(sw, shapes):
+    # n blocks of d x d, nothing else; the message names both (n = 4, d = 1)
+    c = unit_module(sw)
+    n, d = sw.dim, c.dim
+    blocks = [Matrix.zero(d, d)] * (n - 1) if shapes == "n-1 blocks" \
+        else [Matrix.zero(d + 1, d)] + [Matrix.zero(d, d)] * (n - 1)
+    with pytest.raises(ValueError, match=f"{n} blocks of {d}x{d}"):
+        CenterObject(c, blocks)
+
+
 def test_tensor_center_trivial(z2):
     t1 = trivial_center(unit_module(z2))
     tt = tensor_center(t1, t1).require_valid()
-    assert tt.coaction.col(0) == {0: 1}
+    assert stacked(tt).col(0) == {0: 1}
 
 
 def test_tensor_center_hopf_formula(z2, sw):
@@ -126,7 +137,7 @@ def test_tensor_center_hopf_formula(z2, sw):
                             key = k * n * n + (x2 * n + y2)
                             want[key] = want.get(key, 0) + cx * cy * cv
                 want = {k: v for k, v in want.items() if v}
-                assert aa.coaction.col(x * n + y) == want
+                assert stacked(aa).col(x * n + y) == want
 
 
 def test_tensor_center_hopf_square_is_valid(z2, sw):
@@ -185,8 +196,8 @@ def test_center_hom_dimension_cross_check(z2):
                 for k, x in q.row_view()[i].items():
                     coeffs[k * d + j] = coeffs.get(k * d + j, 0) - x
                 rows.append({k: v for k, v in coeffs.items() if v})
-    dcols = m.coaction.columns()
-    drows = m.coaction.row_view()
+    dcols = stacked(m).columns()
+    drows = stacked(m).row_view()
     for hh in range(n):
         for i in range(d):
             for j in range(d):
@@ -211,22 +222,22 @@ def test_center_hom_trivial_vs_A(z2):
     triv = trivial_center(unit_module(z2))
     homs = center_hom_space(triv, a.center)
     n = z2.dim
-    stacked = LinearSystem(n)
+    system = LinearSystem(n)
     for t in range(n):
         mat = a.base.action[t]
         eps = z2.counit[t]
         for i in range(n):
             row = dict(mat.row_view()[i])
             row[i] = row.get(i, 0) - eps
-            stacked.add_equation({k: v for k, v in row.items() if v})
+            system.add_equation({k: v for k, v in row.items() if v})
     for flat in range(n * n):
         hh, i = divmod(flat, n)
-        row = dict(a.center.coaction.row_view()[flat])
+        row = dict(stacked(a.center).row_view()[flat])
         u = z2.unit.get(hh, 0)
         if u:
             row[i] = row.get(i, 0) - u
-        stacked.add_equation({k: v for k, v in row.items() if v})
-    assert len(homs) == len(stacked.kernel_basis())
+        system.add_equation({k: v for k, v in row.items() if v})
+    assert len(homs) == len(system.kernel_basis())
     assert len(homs) == 1
 
 
@@ -311,7 +322,7 @@ def test_trivial_center_coaction_is_one_tensor_v(any_h):
     d = x.dim
     hand = Matrix(any_h.dim * d, d, [{i * d + j: c for i, c in any_h.unit.items()}
                                      for j in range(d)])
-    assert trivial_center(x).coaction == hand
+    assert stacked(trivial_center(x)) == hand
 
 
 @pytest.mark.parametrize("strided", [False, True])
@@ -336,7 +347,7 @@ def _centres(h, names):
 
 
 def _hexagon_blocks(m, n):
-    return _h_leg_blocks(tensor_center(m, n).coaction, m.h.dim)
+    return list(tensor_center(m, n).blocks)
 
 
 @pytest.mark.parametrize("name, names", [

@@ -141,6 +141,13 @@ def test_eval_text_and_json(capsys):
     assert data["source_dim"] == 4 and data["target_dim"] == 2
 
 
+def test_eval_refuses_a_map_too_large_to_print(capsys):
+    # the 4096 x 4096 identity has 2^24 entries, above cli.MAX_PRINT_ENTRIES
+    code, out, err = run(capsys, "eval", "sweedler_h4", "--expr", "id(C*C*C*C*C*C)")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "4096 x 4096" in err and str(cli.MAX_PRINT_ENTRIES) in err
+
+
 def test_equiv_command(capsys):
     code, out, _ = run(capsys, "equiv", "group_z2", "--objects", "unit,C")
     assert code == 0
@@ -495,6 +502,8 @@ CONTRACT_CASES = [
     ((), ()),
     # an object of dimension 4^41: refused at elaboration, before anything is built
     (("eval", "sweedler_h4", "--expr", "id(" + "*".join(["C"] * 41) + ")"), ()),
+    # a 4096 x 4096 map: elaborated, refused before it is evaluated or printed
+    (("eval", "sweedler_h4", "--expr", "id(C*C*C*C*C*C)"), ()),
 ]
 
 # The objects bound in a context without a file, and every name the language knows.

@@ -192,7 +192,7 @@ def test_inverses_of_a_singular_braiding_are_one_line_errors(ctx_dr, monkeypatch
     from quasihopf.center import CenterObject
     from quasihopf.linalg import Matrix
     c = regular_module(ctx_dr.h)
-    zero = CenterObject(c, Matrix.zero(ctx_dr.h.dim * c.dim, c.dim), label="Z")
+    zero = CenterObject(c, [Matrix.zero(c.dim, c.dim)] * ctx_dr.h.dim, label="Z")
     monkeypatch.setitem(ctx_dr.centers, "Z", zero)
     for expr in ("braid_inv(Z, C)", "inv(braid(Z, C))"):
         with pytest.raises(DslError) as info:

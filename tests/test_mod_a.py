@@ -11,7 +11,7 @@ from quasihopf.report import VerificationFailure
 from quasihopf.repcat import (elem_action_matrix, hom_space, intertwines, regular_module,
                               tensor, unit_module)
 from quasihopf import mod_a
-from quasihopf.center import (CenterObject, _coaction_blocks, braiding, center_hom_space,
+from quasihopf.center import (CenterObject, braiding, center_hom_space,
                               coaction_pairs, tensor_center, validate_center)
 from quasihopf.algebra_a import build_A, heart, heart_compose, heart_on_morphism
 from quasihopf.mod_a import (AModule, algebra_as_amodule, amodule_hom_space,
@@ -22,7 +22,7 @@ from quasihopf.mod_a import (AModule, algebra_as_amodule, amodule_hom_space,
 
 from conftest import get_algebra
 from helpers import (left_action_report, mul_vec, naive_tensor_center, naive_tensor_over_A,
-                     stage_peaks, traced_peak)
+                     stacked, stage_peaks, traced_peak)
 
 
 def test_algebra_is_a_module(any_h):
@@ -307,11 +307,11 @@ def test_operands_are_immutable(dr, kind):
 
 def test_a_certified_operand_cannot_change_under_its_verdict(dr):
     a = build_A(dr)
-    c = CenterObject(a.center.base, a.center.coaction)
+    c = CenterObject(a.center.base, a.center.blocks)
     c.require_valid()
-    zero = Matrix.zero(c.coaction.rows, c.coaction.cols)
+    zero = [Matrix.zero(c.dim, c.dim)] * dr.dim
     with pytest.raises(AttributeError):
-        c.coaction = zero
+        c.blocks = zero
     assert validate_center(c).ok and c.require_valid() is c
     with pytest.raises(VerificationFailure):
         CenterObject(c.base, zero).require_valid()
@@ -382,7 +382,7 @@ def test_morphism_pairs_match_the_kronecker_identities(name, i, j, kind, data):
     idn = Matrix.identity(a.h.dim)
     coacts = intertwines(f, coaction_pairs(m.center, n.center))
     acts = intertwines(f, a.mu_pairs(m.mu, n.mu))
-    assert coacts == (idn.kron(f) * m.center.coaction == n.center.coaction * f)
+    assert coacts == (idn.kron(f) * stacked(m.center) == stacked(n.center) * f)
     assert acts == (f * m.mu == n.mu * f.kron(idn))
     if kind != "random":
         assert coacts and (acts or kind == "centre")
@@ -475,11 +475,11 @@ def test_tensor_over_A_is_the_padded_construction(name, names):
             q0, pres0 = naive_tensor_over_A(m, n_mod)
             assert (pres.projection, pres.section) == (pres0.projection, pres0.section)
             assert q.base.action == q0.base.action, (xs, ys)
-            assert q.center.coaction == q0.center.coaction, (xs, ys)
+            assert q.center.blocks == q0.center.blocks, (xs, ys)
             assert q.mu == q0.mu, (xs, ys)
             assert q.label == q0.label and pres.module is q.base
-            assert tensor_center(m.center, n_mod.center).coaction \
-                == naive_tensor_center(m.center, n_mod.center).coaction
+            assert tensor_center(m.center, n_mod.center).blocks \
+                == naive_tensor_center(m.center, n_mod.center).blocks
 
 
 def test_no_two_padded_maps_are_alive_at_once(sw):
@@ -562,7 +562,7 @@ def test_a_coequalizer_mutant_names_the_map_that_does_not_descend(dr, monkeypatc
     if "actions" in closed_under:
         maps += tensor(m.base, n_mod.base).action
     if "coaction" in closed_under:
-        maps += _coaction_blocks(tensor_center(m.center, n_mod.center))
+        maps += tensor_center(m.center, n_mod.center).blocks
     first = next(r for r in mod_a._coequalizer_relations(m, n_mod) if r)
     monkeypatch.setattr(mod_a, "_coequalizer_relations", lambda *_: _closure([first], maps))
     with pytest.raises(VerificationFailure) as exc:

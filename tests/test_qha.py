@@ -14,7 +14,7 @@ from quasihopf.qha import (BUILTIN_NAMES, _leg_order, QuasiHopfAlgebra, TensorEl
 from quasihopf.linalg import Matrix, _lcm_denominator
 from quasihopf.report import Report, VerificationFailure
 
-from conftest import SQUARE, TWISTED, get_algebra
+from conftest import DENSE_TWIST, SQUARE, TWISTED, get_algebra
 from helpers import (elem, naive_adjoint_action, naive_adjoint_sandwich, naive_antipode_sandwich,
                      naive_axioms, naive_icomult, naive_left_mult, naive_mul, naive_right_mult,
                      naive_sandwich, vec_of)
@@ -125,6 +125,24 @@ def test_kappa_matches_footnote_formula(dr):
     assert dr.mul(kappa, kinv) == dr.unit_elem(5)
     linv = dr.tensor_inverse(lam)
     assert dr.mul(lam, linv) == dr.unit_elem(5)
+
+
+@pytest.mark.parametrize("name, which", [
+    *[(name, which) for name in ("group_z2", "drinfeld_h2", "sweedler_h4", TWISTED, DENSE_TWIST,
+                                 SQUARE) for which in ("phi", "phi_inv")],
+    (SQUARE, "kappa")])
+def test_tensor_inverse_solves_with_the_column_by_column_left_multiplication(
+        name, which, monkeypatch):
+    # L_t through elem_action_matrix against L_t built one column mul(t, e_idx) at a time
+    h = get_algebra(name)
+    t = kappa_lambda(h)[0] if which == "kappa" else getattr(h, which)
+    seen, real = [], qha.solve
+    monkeypatch.setattr(qha, "solve", lambda a, b: seen.append(a) or real(a, b))
+    inv = h.tensor_inverse(t)
+    cols = [h.mul(t, TensorElement._of(h.dim, t.legs, {idx: 1})).as_vector()
+            for idx in product(range(h.dim), repeat=t.legs)]
+    assert seen == [Matrix(len(cols), len(cols), cols)]
+    assert h.mul(t, inv) == h.unit_elem(t.legs) == h.mul(inv, t)
 
 
 def test_kappa_inverse_matches_solved_inverse(any_h):

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 = everything checked out, 1 = some exact check failed,
-2 = malformed input or a parse/type error.
+2 = malformed input or a parse/type error, or output that could not be
+delivered (the reader closed stdout early); exit 2 carries no verdict.
 """
 
 from __future__ import annotations
@@ -266,9 +267,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader left: send what is still buffered nowhere, so that the
+        # flush at exit cannot raise again, and give no verdict
+        try:
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+        except (AttributeError, OSError, ValueError):  # no descriptor behind stdout
+            pass
+        print("error: the output could not be delivered (broken pipe)", file=sys.stderr)
         return 2
     except VerificationFailure as exc:
         print(f"verification failure: {exc}", file=sys.stderr)

@@ -290,7 +290,7 @@ class Context:
         """The coinvariants presentation of the registered right module on m."""
         for am in self.amodules.values():
             if am.base == m:
-                return coinvariants(am)[2]
+                return coinvariants(am)
         raise DslError("coinv of a morphism needs registered right modules "
                        f"at both endpoints; none matches {_fmt(m)}")
 
@@ -344,12 +344,12 @@ def _heart_free(ctx, m):
 
 
 def _heart_coinv(ctx, m):
-    return heart(ctx.h, coinvariants(m)[0]).base, m.base
+    return heart(ctx.h, coinvariants(m).module).base, m.base
 
 
 def _projection(ctx, m):
-    cm, p, _ = coinvariants(m)
-    return m.base, cm, p
+    pres = coinvariants(m)
+    return m.base, pres.module, HLinearMap(m.base, pres.module, pres.projection)
 
 
 def _coinv_ends(ctx, f):
@@ -416,7 +416,7 @@ GENERATORS: dict[str, dict[str, Spec]] = {
         MORPHISM: Spec((MORPHISM,), _coinv_ends,
                        lambda ctx, te, f, pres_s, pres_d:
                        coinvariants_on_morphism(f, pres_s, pres_d)),
-        OBJECT: Spec((RIGHT,), lambda ctx, m: coinvariants(m)[0]),
+        OBJECT: Spec((RIGHT,), lambda ctx, m: coinvariants(m).module),
     },
     "inv": {MORPHISM: Spec((MORPHISM,), _square,
                            lambda ctx, te, f: _nonsingular(f.inverse))},

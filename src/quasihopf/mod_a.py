@@ -7,12 +7,14 @@ morphism intertwines amodule_pairs (actions, coactions, right actions):
 amodule_hom_space solves for them, and every morphism check tests them, or
 a part of them, with repcat.intertwines.  The category is monoidal by
 coequalizing mu_M (x) id against id (x) lambda_N, the left action through
-center.braiding_inv.  A quotient is a (projection, section) pair plus its
-module, and every induced map on one (action, coaction, right action, a
-morphism between coinvariants, the counit, the monoidal comparisons) comes
-from linalg.descend, which returns the map or reports that it does not
-exist.  Quotient bases are pivot-based and non-canonical; every assertion
-made downstream is basis-independent.
+center.braiding_inv.  Both quotients, the coinvariants and (x)_A, are
+built by _quotient_module and returned as one QuotientPresentation: a
+(projection, section) pair plus the quotient object.  Every induced map on
+a quotient (action, coaction, right action, a morphism between
+coinvariants, the counit, the monoidal comparisons) comes from
+linalg.descend, which returns the map or reports that it does not exist.
+Quotient bases are pivot-based and non-canonical; every assertion made
+downstream is basis-independent.
 
 The two functors of the equivalence live here: heart(-) into right modules
 and the coinvariants functor (- tensored over the algebra with the unit
@@ -24,7 +26,7 @@ module, in its own memo (see qha.Frozen).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import lcm
 
 from .linalg import Matrix, cokernel_of_columns, descend, first_difference, rank, vec_add_scaled
@@ -128,21 +130,26 @@ def left_action(m: AModule) -> HLinearMap:
 @dataclass(frozen=True)
 class QuotientPresentation:
     """A quotient of an ambient module: projection onto it, a section back
-    (projection . section = id) and the quotient module."""
+    (projection . section = id) and the quotient object (an HModule, or an
+    AModule for (x)_A)."""
 
     projection: Matrix
     section: Matrix
-    module: HModule
+    module: HModule | AModule
 
 
-def _quotient_module(ambient: HModule, relations: list[dict], label: str) -> QuotientPresentation:
-    """The quotient of ambient by the span of the relations (the integer
-    columns of a matrix will do: scaling does not change a span)."""
-    proj, sec = cokernel_of_columns(ambient.dim, relations)
-    action = _descend_each(ambient.action, proj, sec,
+def _quotient_module(h: QuasiHopfAlgebra, dim: int, actions, relations,
+                     label: str) -> QuotientPresentation:
+    """The quotient of the ambient module (dimension dim, the given actions)
+    by the span of the relations (the integer columns of a matrix will do:
+    scaling does not change a span).  The relations are consumed before the
+    first action is drawn, and each action is descended and dropped in turn,
+    so both may be generators that build one item at a time."""
+    proj, sec = cokernel_of_columns(dim, relations)
+    action = _descend_each(actions, proj, sec,
                            f"relation subspace of {label} is not stable under the action",
                            "action")
-    return QuotientPresentation(proj, sec, HModule(ambient.h, proj.rows, action, label=label))
+    return QuotientPresentation(proj, sec, HModule(h, proj.rows, action, label=label))
 
 
 def _descend_each(maps, proj: Matrix, sec: Matrix, failure: str, kind: str) -> list[Matrix]:
@@ -172,10 +179,11 @@ def _fused_slot(mu: Matrix, left: HModule, right: HModule, used) -> list[list[Ma
              for j in range(n)] for i in range(n)]
 
 
-def _coequalizer_relations(m: AModule, n_mod: AModule) -> list[dict]:
+def _coequalizer_relations(m: AModule, n_mod: AModule):
     """The integer columns of (mu_M (x) id) . Phi^-1 - id (x) lambda_N on
-    M (x) (A (x) N), zero columns kept: the first term through the fused slot
-    mu_M . (M_i (x) A_j), the second subtracted column by column."""
+    M (x) (A (x) N), zero columns kept, yielded one at a time: the first
+    term through the fused slot mu_M . (M_i (x) A_j), the second subtracted
+    column by column."""
     h, dn = m.a.h, n_mod.dim
     used = {idx[:2] for idx in h.phi_inv.coeffs}
     top = elem_action_matrix(h.phi_inv, [_fused_slot(m.mu, m.base, m.a.base, used), n_mod.base])
@@ -184,36 +192,40 @@ def _coequalizer_relations(m: AModule, n_mod: AModule) -> list[dict]:
     den = lcm(tden, lden)
     st, sl = den // tden, -(den // lden)
     width = len(lcols)  # dim (A (x) N)
-    relations = []
     for c, col in enumerate(tcols):
         mm, r = divmod(c, width)
         rel = {i: st * x for i, x in col.items()}
         vec_add_scaled(rel, {mm * dn + i: x for i, x in lcols[r].items()}, sl)
-        relations.append(rel)
-    return relations
+        yield rel
 
 
-def tensor_over_A(m: AModule, n_mod: AModule) -> tuple[AModule, QuotientPresentation]:
+def tensor_over_A(m: AModule, n_mod: AModule) -> QuotientPresentation:
     """The coequalizer of mu_M (x) id and id (x) lambda_N on M (x) (A (x) N),
     the first after rebracketing by the inverse associator, with lambda_N the
-    left action through the inverse braiding (the quotient is validated by
-    whoever requires it, see AModule.require_valid).
+    left action through the inverse braiding; its module is the AModule
+    M (x)_A N (validated by whoever requires it, see AModule.require_valid).
 
     No padded map is built: the relations come from the fused slot
     mu_M . (M_i (x) A_j) (see _coequalizer_relations), and the right action
     of M (x) N from the fused slot mu_N . (N_j (x) A_k).  The quotient's
-    action, the H-leg blocks of its coaction and the column blocks of its
-    right action are each descended by descend(f, P, S, P) on the ambient
-    endomorphism f.  No ambient map is held whole beside another: the
-    relations exist before the ambient actions and coaction, each of which
-    is dropped once descended (see _descended_center), and the ambient
-    right action is built last.
+    action (through _quotient_module), the H-leg blocks of its coaction and
+    the column blocks of its right action are each descended by
+    descend(f, P, S, P) on the ambient endomorphism f.  No ambient map is
+    held whole beside another: the relations are consumed before the ambient
+    actions are built; each action of Delta(e_i) (repcat.tensor_actions) and
+    each coaction block (center.tensor_coaction_blocks, whose oracle is
+    center.tensor_center) is built just before it is descended and dropped
+    after (the coaction descends iff the relations span a subcomodule); and
+    the ambient right action is built last.
     """
     a, h = m.a, m.a.h
     n = h.dim
     label = f"({m.label or '?'})(x)A({n_mod.label or '?'})"
-    proj, sec = cokernel_of_columns(m.dim * n_mod.dim, _coequalizer_relations(m, n_mod))
-    qcenter = _descended_center(m, n_mod, proj, sec, label)
+    pres = _quotient_module(h, m.dim * n_mod.dim, tensor_actions(m.base, n_mod.base),
+                            _coequalizer_relations(m, n_mod), label)
+    proj, sec = pres.projection, pres.section
+    coaction = _descend_each(tensor_coaction_blocks(m.center, n_mod.center), proj, sec,
+                             "coaction does not descend to the quotient", "coaction block")
 
     # the right action of M (x) N is (id (x) mu_N) . Phi on (M (x) N) (x) A
     used = {idx[1:] for idx in h.phi.coeffs}
@@ -223,31 +235,11 @@ def tensor_over_A(m: AModule, n_mod: AModule) -> tuple[AModule, QuotientPresenta
                            "right action block")
     q = proj.rows
     mu_q = Matrix.hstack(blocks).select([k * q + c for c in range(q) for k in range(n)])
-    return AModule(a, qcenter, mu_q, label=label), \
-        QuotientPresentation(proj, sec, qcenter.base)
+    qcenter = CenterObject(pres.module, coaction, label=label)
+    return replace(pres, module=AModule(a, qcenter, mu_q, label=label))
 
 
-def _descended_center(m: AModule, n_mod: AModule, proj: Matrix, sec: Matrix,
-                      label: str) -> CenterObject:
-    """The quotient proj of the centre tensor M (x) N, one ambient map at a
-    time.  First the actions: each action of Delta(e_i) on M (x) N
-    (repcat.tensor_actions, the formula of repcat.tensor) is built,
-    descended and dropped, and the ambient module's action list is never
-    built.  Then the coaction: its n H-leg blocks come from the block
-    formula (center.tensor_coaction_blocks, whose oracle is
-    center.tensor_center), each built just before it is descended (the
-    coaction descends iff the relations span a subcomodule) and dropped
-    after: the descended blocks are the quotient's coaction."""
-    h = m.a.h
-    action = _descend_each(tensor_actions(m.base, n_mod.base), proj, sec,
-                           f"relation subspace of {label} is not stable under the action",
-                           "action")
-    blocks = _descend_each(tensor_coaction_blocks(m.center, n_mod.center), proj, sec,
-                           "coaction does not descend to the quotient", "coaction block")
-    return CenterObject(HModule(h, proj.rows, action, label=label), blocks, label=label)
-
-
-def coinvariants(m: AModule) -> tuple[HModule, HLinearMap, QuotientPresentation]:
+def coinvariants(m: AModule) -> QuotientPresentation:
     """Tensor with the unit object over the algebra: kill mu - (id (x) eps).
 
     Built once per right-module object (memoized on m), so the quotient
@@ -255,8 +247,8 @@ def coinvariants(m: AModule) -> tuple[HModule, HLinearMap, QuotientPresentation]
     """
     def make():
         diff = m.mu - Matrix.identity(m.dim).kron(m.a.eps_row)
-        pres = _quotient_module(m.base, diff._int_form()[1], label=f"coinv({m.label or '?'})")
-        return pres.module, HLinearMap(m.base, pres.module, pres.projection), pres
+        return _quotient_module(m.a.h, m.dim, m.base.action, diff._int_form()[1],
+                                label=f"coinv({m.label or '?'})")
     return m.memo("coinvariants", make)
 
 
@@ -277,13 +269,11 @@ def coinvariants_monoidal(m: AModule, n_mod: AModule) -> tuple[HLinearMap, Repor
     are a two-sided inverse pair.
     """
     rep = Report(title=f"monoidal[{m.label or '?'},{n_mod.label or '?'}]")
-    _, _, pres_m = coinvariants(m)
-    _, _, pres_n = coinvariants(n_mod)
+    pres_m, pres_n = coinvariants(m), coinvariants(n_mod)
     u1 = pres_m.projection.kron(pres_n.projection)
     sec1 = pres_m.section.kron(pres_n.section)
-    mn, pres_q = tensor_over_A(m, n_mod)
-    mn.require_valid()
-    _, _, pres_b = coinvariants(mn)
+    pres_q = tensor_over_A(m, n_mod)
+    pres_b = coinvariants(pres_q.module.require_valid())
     u2 = pres_b.projection * pres_q.projection
     sec2 = pres_q.section * pres_b.section
 
@@ -309,7 +299,7 @@ def counit_iso(x: HModule, a: AlgebraA) -> tuple[HLinearMap, Report]:
     n = h.dim
     rep = Report(title=f"counit_iso[{x.label or 'X'}]")
     am = heart_amodule(a, x)
-    _, _, pres = coinvariants(am)
+    pres = coinvariants(am)
     mat = descend(pi_map(h, x).matrix, pres.projection, pres.section)
     rep.add("projection_kills_relations", mat is not None)
     rep.require(f"counit comparison failed for {x.label}")
@@ -352,7 +342,7 @@ def unit_iso(m: AModule) -> tuple[HLinearMap, HLinearMap, Report]:
     s_map, t_map, _ = s_t_isos(m.center, a)
     big_xi = s_map.matrix.then(m.mu)  # heart(M) -> M
 
-    cm, _, pres = coinvariants(m)
+    pres = coinvariants(m)
     hp = Matrix.identity(n).kron(pres.projection)       # heart M ->> heart coinv M
     hsec = Matrix.identity(n).kron(pres.section)
     # factorization well-defined: big_xi kills heart of the relations
@@ -368,7 +358,7 @@ def unit_iso(m: AModule) -> tuple[HLinearMap, HLinearMap, Report]:
     rep.add("zeta_then_xi", (xi_mat * zeta_mat).is_identity())
     rep.add("xi_then_zeta", (zeta_mat * xi_mat).is_identity())
 
-    hb_coinv = heart_amodule(a, cm)
+    hb_coinv = heart_amodule(a, pres.module)
     xi = HLinearMap(hb_coinv.base, m.base, xi_mat)
     zeta = HLinearMap(m.base, hb_coinv.base, zeta_mat)
     rep.add("xi_h_linear", xi.is_h_linear())
@@ -459,8 +449,9 @@ def _descended_compose_iso(a: AlgebraA, x: HModule, y: HModule) -> bool:
     check's peak, is built."""
     h = a.h
     comp = heart_compose(h, x, y).matrix
-    quot, pres = tensor_over_A(heart_amodule(a, x), heart_amodule(a, y))
+    pres = tensor_over_A(heart_amodule(a, x), heart_amodule(a, y))
     descended = descend(comp, pres.projection, pres.section)
+    quot = pres.module
     del comp, pres
     if descended is None:
         raise VerificationFailure("the composition does not kill the relations of (x)_A")

@@ -19,11 +19,12 @@ from hypothesis import strategies as st
 
 from quasihopf.algebra_a import _end_coordinates, diamond, heart_base
 from quasihopf.center import CenterObject, _h_leg_blocks, braiding
-from quasihopf.linalg import ONE, ZERO, LinAlgError, Matrix, descend, rat, rat_str, vec_add_scaled
+from quasihopf.linalg import (ONE, ZERO, LinAlgError, Matrix, cokernel_of_columns, descend, rat,
+                              rat_str, vec_add_scaled)
 from quasihopf.qhio import center_to_obj
 from quasihopf.qha import TensorElement, beta_contraction
-from quasihopf.mod_a import AModule, _quotient_module, left_action
-from quasihopf.repcat import (HLinearMap, associator, associator_inv, elem_action_matrix,
+from quasihopf.mod_a import AModule, QuotientPresentation, left_action
+from quasihopf.repcat import (HLinearMap, HModule, associator, associator_inv, elem_action_matrix,
                               identity_map, regular_module, tensor, unit_module)
 from quasihopf.report import Report, VerificationFailure
 
@@ -355,31 +356,35 @@ def naive_tensor_center(m, n):
 
 def naive_tensor_over_A(m, n_mod):
     """The coequalizer over the algebra from padded maps (mu_M (x) I_N, the
-    Phi^-1 and Phi actions, I_M (x) lambda_N, I_n (x) P, P (x) I_n, S (x) I_n):
-    the oracle of ``mod_a.tensor_over_A``."""
+    Phi^-1 and Phi actions, I_M (x) lambda_N, I_n (x) P, P (x) I_n, S (x) I_n),
+    its quotient taken by cokernel_of_columns and descend alone: the oracle
+    of ``mod_a.tensor_over_A``."""
     a, h = m.a, m.a.h
     n = h.dim
+    label = f"({m.label or '?'})(x)A({n_mod.label or '?'})"
     amb_center = naive_tensor_center(m.center, n_mod.center)
     top = m.mu.kron(Matrix.identity(n_mod.dim)) \
         * elem_action_matrix(h.phi_inv, [m.base, a.base, n_mod.base])
     bottom = Matrix.identity(m.dim).kron(left_action(n_mod).matrix)
     diff = top - bottom                                # M (x) (A (x) N) -> M (x) N
-    pres = _quotient_module(amb_center.base, diff._int_form()[1],
-                            label=f"({m.label or '?'})(x)A({n_mod.label or '?'})")
+    proj, sec = cokernel_of_columns(diff.rows, diff._int_form()[1])
+    id_n = Matrix.identity(n)
 
+    action = [descend(f, proj, sec, proj) for f in amb_center.base.action]
+    if any(g is None for g in action):
+        raise VerificationFailure(f"relation subspace of {label} is not stable under the action")
     # the coaction descends iff the relation space is a subcomodule
-    proj, sec, id_n = pres.projection, pres.section, Matrix.identity(n)
     dq = descend(stacked(amb_center), proj, sec, id_n.kron(proj))
     if dq is None:
         raise VerificationFailure("coaction does not descend to the quotient")
-    qcenter = center_of(pres.module, dq, label=pres.module.label)
+    qcenter = center_of(HModule(h, proj.rows, action, label=label), dq, label=label)
 
     mu_amb = Matrix.identity(m.dim).kron(n_mod.mu) \
         * elem_action_matrix(h.phi, [m.base, n_mod.base, a.base])
     mu_q = descend(mu_amb, proj.kron(id_n), sec.kron(id_n), proj)
     if mu_q is None:
         raise VerificationFailure("right action does not descend to the quotient")
-    return AModule(a, qcenter, mu_q, label=pres.module.label), pres
+    return QuotientPresentation(proj, sec, AModule(a, qcenter, mu_q, label=label))
 
 
 def traced_peak(fn) -> tuple[object, int]:

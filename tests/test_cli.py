@@ -442,16 +442,47 @@ def test_deeply_nested_expression_exits_two(capsys, argv):
     assert "nested deeper" in err
 
 
-def test_module_entry_point_keeps_exit_code_contract():
+def _module_env() -> dict:
+    """The environment for ``python -m quasihopf`` on this checkout's sources."""
     src = str(Path(quasihopf.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
+def test_module_entry_point_keeps_exit_code_contract():
     proc = subprocess.run(
         [sys.executable, "-m", "quasihopf", "check", "group_z2", "--lhs", DEEP, "--rhs", "id(C)"],
-        capture_output=True, text=True, env=env, timeout=120)
+        capture_output=True, text=True, env=_module_env(), timeout=120)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_a_reader_that_closes_early_gets_exit_two_and_one_line():
+    # the 256x256 identity fills the pipe long before it is printed whole
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "quasihopf", "--report", "json", "eval", "sweedler_h4",
+         "--expr", "id(C*C*C*C)"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_module_env())
+    proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_a_broken_pipe_without_a_descriptor_exits_two(capsys, monkeypatch):
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    code = cli.main(["eval", "group_z2", "--expr", "id(C)"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_equiv_loads_the_context_without_objects(tmp_path, capsys):

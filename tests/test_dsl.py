@@ -261,7 +261,7 @@ def _named_maps(ctx):
     h, a = ctx.h, ctx.algebra
     c = regular_module(h)
     am = algebra_as_amodule(a)
-    _, proj, pres = coinvariants(am)
+    pres = coinvariants(am)
     braid = braiding(a.center, c)
     return {
         "id": lambda: identity_map(tensor(c, c)),
@@ -281,7 +281,7 @@ def _named_maps(ctx):
         "t": lambda: s_t_isos(a.center, a)[1],
         "xi": lambda: unit_iso(am)[0],
         "zeta": lambda: unit_iso(am)[1],
-        "p": lambda: proj,
+        "p": lambda: HLinearMap(am.base, pres.module, pres.projection),
         "heart": lambda: heart_on_morphism(pi_map(h, c)),
         "coinv": lambda: coinvariants_on_morphism(identity_map(a.base), pres, pres),
         "inv": lambda: associator_inv(c, c, c),

@@ -19,7 +19,7 @@ Each sandwich formula (the action and right action of heart(M), the
 evaluation, the product of the algebra, the twist comparing Y (x) heart(M)
 with the end) is a tensor element built from the associator in qha
 (spreading, antipodes, fused legs) and acted through
-repcat.elem_action_matrix, followed by a fixed structure map: the product of
+qha.elem_action_matrix, followed by a fixed structure map: the product of
 two H legs or a reordering of columns.  heart_mu_direct
 keeps the raw product formula as an independent route.
 
@@ -34,12 +34,13 @@ from itertools import product
 
 from .linalg import Matrix, ONE, ZERO, vec_add_scaled
 from .qha import (Frozen, QuasiHopfAlgebra, TensorElement, _s_alpha, alpha_contraction,
-                  beta_contraction, kappa_inverse, kappa_lambda, product_element)
+                  beta_contraction, elem_action_matrix, kappa_inverse, kappa_lambda,
+                  product_element)
 from .report import Report, VerificationFailure
 from .center import (CenterObject, _h_leg_blocks, braiding, braiding_inv, coaction_pairs,
                      tensor_center)
-from .repcat import (HLinearMap, HModule, elem_action_matrix, hom_space, intertwines,
-                     regular_module, tensor, unit_module)
+from .repcat import (HLinearMap, HModule, hom_space, intertwines, regular_module, tensor,
+                     unit_module)
 
 
 # ---------------------------------------------------------------------------
@@ -261,16 +262,19 @@ def extract_center_structure(h: QuasiHopfAlgebra, m: HModule) -> CenterObject:
 @dataclass(eq=False)
 class HeartModule(Frozen):
     """heart(M) with everything attached: base module on H (x) M, right
-    action by the algebra, and the extracted centre structure (kept in the
-    memo once asked for)."""
+    action by the algebra and the extracted centre structure (both derived
+    on first use and kept in the memo)."""
 
     h: QuasiHopfAlgebra
     inner: HModule
     base: HModule
-    mu: Matrix
 
     def __post_init__(self):
         self._memo = {}
+
+    @property
+    def mu(self) -> Matrix:
+        return self.memo("mu", lambda: heart_mu(self.h, self.inner))
 
     @property
     def center(self) -> CenterObject:
@@ -282,7 +286,7 @@ class HeartModule(Frozen):
 
 def heart(h: QuasiHopfAlgebra, m: HModule) -> HeartModule:
     """heart(m), built once per module object (memoized on m)."""
-    return m.memo("heart", lambda: HeartModule(h, m, heart_base(h, m), heart_mu(h, m)))
+    return m.memo("heart", lambda: HeartModule(h, m, heart_base(h, m)))
 
 
 def heart_on_morphism(f: HLinearMap) -> HLinearMap:

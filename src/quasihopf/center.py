@@ -30,11 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import Matrix, left_divide, rank
-from .qha import Frozen, QuasiHopfAlgebra, TensorElement
+from .qha import Frozen, QuasiHopfAlgebra, TensorElement, elem_action_matrix, fused_family
 from .report import Report
-from .repcat import (HLinearMap, HModule, associator, associator_inv, elem_action_matrix,
-                     hom_space, identity_map, intertwiners, intertwines, regular_module,
-                     tensor, unit_module)
+from .repcat import (HLinearMap, HModule, associator, associator_inv, hom_space, identity_map,
+                     intertwiners, intertwines, regular_module, tensor, unit_module)
 
 
 @dataclass(eq=False)
@@ -253,19 +252,11 @@ def _blocks_through(elem: TensorElement, m: CenterObject, n: CenterObject):
 
 
 def _fused_family(m: CenterObject, used) -> list:
-    """F[a][j][b] = rho(e_a) B_j rho(e_b) at the (a, j, b) in used, a zero of
-    the same shape elsewhere (never picked).  Each product is built once per
-    object and kept in its memo, so both sides of a pair and every later
-    pair share it."""
-    h = m.h
-    made = m.memo("fused_family", dict)
+    """F[a][j][b] = rho(e_a) B_j rho(e_b) at the (a, j, b) in used, each built
+    once per object and kept in its memo for every later pair (qha.fused_family)."""
     act, blocks = m.base.action, m.blocks
-    for a, j, b in used:
-        if (a, j, b) not in made:
-            made[a, j, b] = act[a] * blocks[j] * act[b]
-    zero = Matrix.zero(m.dim, m.dim)
-    return [[[made.get((a, j, b), zero) for b in range(h.dim)] for j in range(h.dim)]
-            for a in range(h.dim)]
+    return fused_family(m.h.dim, 3, used, lambda a, j, b: act[a] * blocks[j] * act[b],
+                        Matrix.zero(m.dim, m.dim), m.memo("fused_family", dict))
 
 
 def coaction_pairs(m: CenterObject, n: CenterObject) -> list[tuple[Matrix, Matrix]]:

@@ -12,11 +12,11 @@ import json
 import os
 import sys
 
-from .linalg import rat_str
-from .qha import (BUILTIN_NAMES, QuasiHopfAlgebra, algebra_from_json,
-                  algebra_to_json, builtin, verify_derived_identities)
+from .linalg import Matrix, rat_str
+from .qha import (BUILTIN_NAMES, QuasiHopfAlgebra, algebra_from_json, algebra_to_json, builtin,
+                  json_rats, verify_derived_identities)
 from .report import Report, VerificationFailure
-from .repcat import end_over_regular, unit_module
+from .repcat import HLinearMap, end_over_regular, unit_module
 from .mod_a import equivalence_report
 from .dsl import Context, DslError, Elaborator, check, parse, parse_list
 from . import qhio
@@ -45,6 +45,14 @@ def _load_algebra(spec: str) -> QuasiHopfAlgebra:
     raise InputError(f"no such file or builtin algebra: {spec!r}")
 
 
+def _load_verified_algebra(spec: str) -> QuasiHopfAlgebra:
+    h = _load_algebra(spec)
+    try:
+        return h.require_valid()
+    except VerificationFailure as exc:
+        raise InputError(f"algebra failed axiom checks: {exc}") from exc
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -64,6 +72,19 @@ def _emit(rep: Report, fmt: str) -> None:
     print(rep.render_json() if fmt == "json" else rep.render_text())
 
 
+def _morphism_from_obj(ctx: Context, obj: dict) -> HLinearMap:
+    """A named morphism: object expressions for the endpoints, a flat matrix
+    (its linearity is checked by Context.add_morphism)."""
+    if not (isinstance(obj, dict) and isinstance(obj.get("source"), str)
+            and isinstance(obj.get("target"), str)):
+        raise ValueError("morphism entry needs source/target expressions and a matrix")
+    el = Elaborator(ctx)
+    src = el.resolve_module(parse(obj["source"]))
+    dst = el.resolve_module(parse(obj["target"]))
+    flat = json_rats(obj, "matrix", src.dim * dst.dim)
+    return HLinearMap(src, dst, Matrix.from_flat(dst.dim, src.dim, flat))
+
+
 def _context_for(h: QuasiHopfAlgebra, path: str | None) -> Context:
     ctx = Context(h)
     if path is None:
@@ -81,7 +102,7 @@ def _context_for(h: QuasiHopfAlgebra, path: str | None) -> Context:
         for name, data in obj.get("amodules", {}).items():
             ctx.add_amodule(name, qhio.amodule_from_obj(ctx.algebra, data, label=name))
         for name, data in obj.get("morphisms", {}).items():
-            ctx.add_morphism(name, qhio.morphism_from_obj(ctx, data))
+            ctx.add_morphism(name, _morphism_from_obj(ctx, data))
     except (ValueError, VerificationFailure, DslError) as exc:
         raise InputError(f"context {path}: {exc}") from exc
     return ctx
@@ -95,26 +116,17 @@ def cmd_verify(args) -> int:
     h = _load_algebra(args.algebra)
     rep = h.verify_axioms()
     if args.derived and rep.ok:
-        rep2 = verify_derived_identities(h)
-        combined = Report(title=rep.title)
-        combined.extend(rep)
-        combined.extend(rep2)
-        rep = combined
+        rep = Report(rep.title, rep.items + verify_derived_identities(h).items)
     _emit(rep, args.report)
     return 0 if rep.ok else 1
 
 
 def cmd_end(args) -> int:
-    h = _load_algebra(args.algebra)
-    try:
-        h.require_valid()
-    except VerificationFailure as exc:
-        raise InputError(f"algebra failed axiom checks: {exc}") from exc
+    h = _load_verified_algebra(args.algebra)
     p = _load_module(h, args.left, "P") if args.left else unit_module(h)
     q = _load_module(h, args.right, "Q") if args.right else unit_module(h)
     for m, name in ((p, "left"), (q, "right")):
-        vrep = m.validate()
-        if not vrep.ok:
+        if not m.validate().ok:
             raise InputError(f"{name} module failed validation")
     comp = end_over_regular(h, p, q)
     _emit(comp.report, args.report)
@@ -122,11 +134,7 @@ def cmd_end(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    h = _load_algebra(args.algebra)
-    try:
-        h.require_valid()
-    except VerificationFailure as exc:
-        raise InputError(f"algebra failed axiom checks: {exc}") from exc
+    h = _load_verified_algebra(args.algebra)
     ctx = _context_for(h, args.context)
     objects = None
     if args.objects is not None:

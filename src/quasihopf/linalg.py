@@ -47,6 +47,8 @@ pass when it is not 1.  There is one product loop, :func:`_int_product`:
 ``then`` runs it on whole matrices and ``apply`` is its one-column case;
 identities, judged from the matrix, are free: ``then`` returns the other
 operand, ``kron`` of two is ``identity``, a unit coefficient shares a column.
+The in-place kernels of the element action (``qha.elem_action_matrix``) and
+of the hom solver, ``_kron_into`` and ``_add_shifted``, are here too.
 """
 
 from __future__ import annotations
@@ -197,6 +199,17 @@ def vec_add_scaled(acc: dict, v: dict, c) -> None:
             acc[k] = y if type(y) is int else _canon(y)
         else:
             acc.pop(k, None)
+
+
+def _add_shifted(acc: dict, row: dict, c, off: int) -> None:
+    """acc[off + b] += c * row[b], in place, dropping cancellations."""
+    for b, y in row.items():
+        key = off + b
+        z = acc.get(key, 0) + c * y
+        if z:
+            acc[key] = z
+        else:
+            del acc[key]
 
 
 def _int_rows(v: dict) -> dict:
@@ -672,6 +685,31 @@ def _int_product(gcols: list[dict], cols: list[dict]) -> list[dict]:
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     return a.kron(b)
+
+
+def _kron_into(cols: list[dict], a: Matrix, b: Matrix, coeff: int) -> None:
+    """cols += coeff * (A kron B) for the integer columns A of a and B of b,
+    accumulating in place and cancelling as it goes."""
+    bcols = b._int_form()[1]
+    brows, bn = b.rows, b.cols
+    for ja, ca in enumerate(a._int_form()[1]):
+        if not ca:
+            continue
+        base_j = ja * bn
+        for jb, cb in enumerate(bcols):
+            if not cb:
+                continue
+            col = cols[base_j + jb]
+            for ia, xa in ca.items():
+                base_i = ia * brows
+                cxa = coeff * xa
+                for ib, xb in cb.items():
+                    k = base_i + ib
+                    y = col.get(k, 0) + cxa * xb
+                    if y:
+                        col[k] = y
+                    else:
+                        del col[k]
 
 
 def first_difference(a: Matrix, b: Matrix) -> tuple[int, int] | None:

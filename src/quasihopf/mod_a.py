@@ -30,12 +30,12 @@ from dataclasses import dataclass, replace
 from math import lcm
 
 from .linalg import Matrix, cokernel_of_columns, descend, first_difference, rank, vec_add_scaled
-from .qha import Frozen, QuasiHopfAlgebra
+from .qha import Frozen, QuasiHopfAlgebra, elem_action_matrix, fused_family
 from .report import Report, VerificationFailure
 from .center import (CenterObject, braiding_inv, center_pairs, coaction_pairs, tensor_center,
                      tensor_coaction_blocks)
-from .repcat import (HLinearMap, HModule, elem_action_matrix, hom_space, intertwiners,
-                     intertwines, regular_module, tensor, tensor_actions, unit_module)
+from .repcat import (HLinearMap, HModule, hom_space, intertwiners, intertwines, regular_module,
+                     tensor, tensor_actions, unit_module)
 from .algebra_a import (AlgebraA, _cached_kappa_lambda, build_A, heart, heart_compose,
                         pi_map, s_t_isos)
 
@@ -171,12 +171,10 @@ def _descend_each(maps, proj: Matrix, sec: Matrix, failure: str, kind: str) -> l
 
 def _fused_slot(mu: Matrix, left: HModule, right: HModule, used) -> list[list[Matrix]]:
     """mu . (L_i (x) R_j) as a two-leg operator family for elem_action_matrix,
-    built at the index pairs (i, j) in used only; every other pair holds a
-    zero of the same shape, which is never picked."""
-    zero = Matrix.zero(mu.rows, mu.cols)
-    n = left.h.dim
-    return [[mu * left.action[i].kron(right.action[j]) if (i, j) in used else zero
-             for j in range(n)] for i in range(n)]
+    built at the index pairs (i, j) in used only (see qha.fused_family)."""
+    return fused_family(left.h.dim, 2, used,
+                        lambda i, j: mu * left.action[i].kron(right.action[j]),
+                        Matrix.zero(mu.rows, mu.cols), {})
 
 
 def _coequalizer_relations(m: AModule, n_mod: AModule):

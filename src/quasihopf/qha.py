@@ -26,6 +26,11 @@ per algebra (:meth:`QuasiHopfAlgebra.structure`).  The operators on H given
 by an element c, such as L_c = m(c (x) 1), are composites of them, and so
 are the two sides of most axioms.
 
+Everything that acts by a tensor element, here (the axioms,
+``tensor_inverse``) and in every layer above, goes through one primitive,
+:func:`elem_action_matrix`: the sum of c_I F_1[I_1] (x) ... (x) F_k[I_k] over
+the terms of the element, with one operator family per slot.
+
 Products in a tensor power (:meth:`QuasiHopfAlgebra.mul`, under every
 five-leg element of the exactness diagram) run over leg tries on integers:
 both operands are nested leg by leg in the order that shares the most
@@ -41,10 +46,11 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import product
-from math import prod
+from math import lcm, prod
 
-from .linalg import (LegShape, LinAlgError, Matrix, ONE, ZERO, _canon, _div, _lcm_denominator,
-                     _scaled, first_difference, inverse, rat, rat_str, solve)
+from .linalg import (LegShape, LinAlgError, Matrix, ONE, ZERO, _add_shifted, _canon, _div,
+                     _kron_into, _lcm_denominator, _scaled, first_difference, inverse, rat,
+                     rat_str, solve)
 from .report import Report
 
 
@@ -279,6 +285,99 @@ def _trie_product(table, a: dict, b: dict, weights, memo: dict, depth: int = 0) 
     return out
 
 
+def elem_action_matrix(t: TensorElement, slots) -> Matrix:
+    """The action of a tensor element through one operator family per slot:
+    the sum over the terms c_I of t of c_I F_1[I_1] (x) ... (x) F_k[I_k].
+
+    A slot is an operator family: a list of matrices, possibly rectangular,
+    indexed by one leg's basis index.  A family of nested lists takes as many
+    consecutive legs as it is deep (fused legs, e.g.
+    ``QuasiHopfAlgebra.sandwich[i][j]``, or a :func:`fused_family`).  Any
+    other slot is a module, read through its ``.action`` matrices.
+
+    One Kronecker accumulation per head: terms are grouped by their index
+    prefix on all slots but the last, the head H (the product of those
+    slots) is built once per group, and sum_k c_k H (x) L_k is accumulated
+    as H (x) sum_k c_k L_k, the last-slot operators summed first over the
+    lcm of their denominators.  All integer: the element's coefficients are
+    scaled by the lcm of their denominators, each block to the lcm of its
+    head x last denominators over all blocks, and the sum is divided once,
+    by the product of the two lcms, when the result is built.
+    """
+    fams, arity, rows, cols = [], [], 1, 1
+    for s in slots:
+        fam = s if isinstance(s, list) else s.action
+        probe, k = fam, 0
+        while isinstance(probe, list):
+            probe, k = probe[0], k + 1
+        fams.append(fam)
+        arity.append(k)
+        rows, cols = rows * probe.rows, cols * probe.cols
+    if t.legs != sum(arity):
+        raise ValueError("leg count does not match the slots")
+    if not fams:
+        c = t.coeffs.get((), 0)
+        return Matrix(1, 1, [{0: c} if c else {}])
+
+    def pick(fam, idx):
+        for i in idx:
+            fam = fam[i]
+        return fam
+
+    split = t.legs - arity[-1]
+    den = _lcm_denominator(t.coeffs.values())
+    groups: dict[tuple, list] = {}  # per head prefix: its (last operator, coefficient) terms
+    for idx, c in (t.coeffs if den is None else _scaled(t.coeffs, den)).items():
+        groups.setdefault(idx[:split], []).append((pick(fams[-1], idx[split:]), c))
+    blocks = []
+    scale = 1  # lcm of head den x combined last den over the blocks
+    for lead, group in groups.items():
+        if len(group) == 1:
+            (last, c), = group
+        else:  # sum c F_last[i] over the lcm of the group's denominators
+            ld = lcm(*(m._int_form()[0] for m, _ in group))
+            acc: list[dict] = [dict() for _ in range(group[0][0].cols)]
+            for m, c in group:
+                md, mcols = m._int_form()
+                for col, mc in zip(acc, mcols):
+                    _add_shifted(col, mc, c * (ld // md), 0)
+            if not any(acc):
+                continue
+            last, c = Matrix._of(group[0][0].rows, len(acc), ld, acc), 1
+        head, pos = None, 0
+        for fam, k in zip(fams[:-1], arity):
+            mat = pick(fam, lead[pos:pos + k])
+            head = mat if head is None else head.kron(mat)
+            pos += k
+        head = Matrix.identity(1) if head is None else head
+        d = head._int_form()[0] * last._int_form()[0]
+        if d != 1:
+            scale = lcm(scale, d)
+        blocks.append((head, last, c, d))
+    if len(blocks) == 1:  # c / den times H kron L, no accumulation
+        (head, last, c, _), = blocks
+        return head.kron(last) * Fraction(c, den or 1) if c != (den or 1) else head.kron(last)
+    out: list[dict] = [dict() for _ in range(cols)]
+    for head, last, c, d in blocks:
+        _kron_into(out, head, last, c * (scale // d))
+    return Matrix._of(rows, cols, scale * (den or 1), out)
+
+
+def fused_family(dim: int, legs: int, used, build, zero: Matrix, made: dict) -> list:
+    """An operator family on ``legs`` fused legs of dimension dim for
+    :func:`elem_action_matrix`: F[i_1]...[i_legs] = build(i_1, ..., i_legs)
+    at the index tuples in used, ``zero`` elsewhere (never picked).  Each
+    product is built once into ``made``; a caller that keeps ``made`` (a
+    per-object memo) shares its products with every later family."""
+    for idx in used:
+        if idx not in made:
+            made[idx] = build(*idx)
+    fam = [made.get(idx, zero) for idx in product(range(dim), repeat=legs)]
+    for _ in range(legs - 1):  # nest by the last leg first
+        fam = [fam[i:i + dim] for i in range(0, len(fam), dim)]
+    return fam
+
+
 class Frozen:
     """Base of the algebra, modules, centre objects, right modules and hearts:
     immutable once built, with one memo of what is derived from the object.
@@ -369,7 +468,7 @@ class QuasiHopfAlgebra(Frozen):
         self._int_mult = (mden, [[list(mcols[i * dim + j].items()) for j in range(dim)]
                                  for i in range(dim)])
         # a |-> e_i a e_j for every pair (i, j), the fused-leg operator family on an H
-        # leg of repcat.elem_action_matrix (indexed [i][j]): L_i R_j, where L_i and
+        # leg of elem_action_matrix (indexed [i][j]): L_i R_j, where L_i and
         # R_j are the column blocks m(e_i (x) 1) and m(1 (x) e_j) of m
         left = [maps.m.select(range(i * dim, i * dim + dim)) for i in range(dim)]
         self.sandwich = [[maps.m.select(range(j, n2, dim)).then(l) for j in range(dim)]
@@ -572,7 +671,6 @@ class QuasiHopfAlgebra(Frozen):
     def adjoint_action_of(self, v: TensorElement) -> Matrix:
         """The operator a |-> v_(1) a S(v_(2)) for a fixed one-leg element v:
         v_(1) (x) S(v_(2)) acting through the sandwich family."""
-        from .repcat import elem_action_matrix
         return elem_action_matrix(
             self.apply_leg(self.spread(v, [(1, 2)], 2), 2, self.antipode), [self.sandwich])
 
@@ -580,7 +678,6 @@ class QuasiHopfAlgebra(Frozen):
         """Two-sided inverse of t in its tensor power, by exact solving of
         L_t x = 1, L_t = t acting through L_i = m(e_i (x) 1) on every leg, read
         off the table (the constructor calls this before structure() exists)."""
-        from .repcat import elem_action_matrix
         left = [Matrix(self.dim, self.dim, [dict(c) for c in row]) for row in self.mult]
         res = solve(elem_action_matrix(t, [left] * t.legs), self.unit_elem(t.legs).as_vector())
         if not res.consistent or res.solution is None:
@@ -625,7 +722,6 @@ class QuasiHopfAlgebra(Frozen):
         return self.memo("axioms", self._check_axioms)
 
     def _check_axioms(self) -> Report:
-        from .repcat import elem_action_matrix
         rep = Report(title=f"axioms[{self.name or 'algebra'}]")
         n, phi, phinv, ant = self.dim, self.phi, self.phi_inv, self.antipode
         one = Matrix.identity(n)

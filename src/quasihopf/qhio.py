@@ -1,4 +1,5 @@
-"""File formats for modules, centre objects and right modules.
+"""File formats for modules, centre objects and right modules (a named
+morphism, whose endpoints are DSL expressions, is read by cli).
 
 All rationals are strings "p" or "p/q" in lowest terms; all matrices are
 flat arrays.  Action tensors are indexed (basis element, row, column);
@@ -56,23 +57,6 @@ def amodule_from_obj(a: AlgebraA, obj: dict, label: str = "") -> AModule:
     d, n = center.dim, a.h.dim
     mu = Matrix.from_flat(d * n, d, json_rats(obj, "mu", d * n * d)).transpose()
     return AModule(a, center, mu, label=label)
-
-
-def morphism_from_obj(ctx, obj: dict):
-    """A named morphism: object expressions for the endpoints, a flat matrix.
-
-    The linearity check happens in Context.add_morphism.
-    """
-    from .dsl import Elaborator, parse
-    from .repcat import HLinearMap
-    if not (isinstance(obj, dict) and isinstance(obj.get("source"), str)
-            and isinstance(obj.get("target"), str)):
-        raise ValueError("morphism entry needs source/target expressions and a matrix")
-    el = Elaborator(ctx)
-    src = el.resolve_module(parse(obj["source"]))
-    dst = el.resolve_module(parse(obj["target"]))
-    flat = json_rats(obj, "matrix", src.dim * dst.dim)
-    return HLinearMap(src, dst, Matrix.from_flat(dst.dim, src.dim, flat))
 
 
 def dumps(obj: dict) -> str:

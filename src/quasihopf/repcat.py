@@ -11,14 +11,8 @@ end of x |-> innhom(x, P (x) x (x) Q) computed over the regular generator two
 independent ways.
 
 Everything that acts by a tensor element goes through one primitive,
-elem_action_matrix: the sum of c_I F_1[I_1] (x) ... (x) F_k[I_k] over the
-terms of the element, with one operator family per slot (a module's action
-matrices, a rectangular family such as flattened or transposed actions, or
-the algebra's two-leg sandwich family), with one Kronecker accumulation per
-head: terms that differ only in the last slot are summed there first.  A
-single head is one ``kron``: Phi = 1 (x) 1 (x) 1 on identity operators (read
-off the picked matrices, not the element) is one identity.
-Tensor products, associators, the inner-hom actions, the adjunction unit and
+qha.elem_action_matrix (imported here, a module being one kind of slot):
+tensor products, associators, the inner-hom actions, the adjunction unit and
 counit, the inner composition and the interchange are each one such call.
 
 Hom spaces, centre hom spaces and right-module hom spaces share one solver,
@@ -39,13 +33,12 @@ right-action check (center.coaction_pairs, AlgebraA.mu_pairs, mod_a.amodule_pair
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
-from .linalg import (Echelon, LinearSystem, Matrix, ONE, _int_rows, _lcm_denominator,
-                     _scaled, inverse, spans_equal)
+from .linalg import (Echelon, LinearSystem, Matrix, ONE, _add_shifted, _int_rows, inverse,
+                     spans_equal)
 from .qha import (Frozen, QuasiHopfAlgebra, TensorElement, alpha_contraction,
-                  beta_contraction, product_element)
+                  beta_contraction, elem_action_matrix, product_element)
 from .report import Report, VerificationFailure
 
 
@@ -188,31 +181,6 @@ def unit_module(h: QuasiHopfAlgebra) -> HModule:
                    label="I", key=("I",))
 
 
-def _kron_into(cols: list[dict], a: Matrix, b: Matrix, coeff: int) -> None:
-    """cols += coeff * (A kron B) for the integer columns A of a and B of b,
-    accumulating in place and cancelling as it goes."""
-    bcols = b._int_form()[1]
-    brows, bn = b.rows, b.cols
-    for ja, ca in enumerate(a._int_form()[1]):
-        if not ca:
-            continue
-        base_j = ja * bn
-        for jb, cb in enumerate(bcols):
-            if not cb:
-                continue
-            col = cols[base_j + jb]
-            for ia, xa in ca.items():
-                base_i = ia * brows
-                cxa = coeff * xa
-                for ib, xb in cb.items():
-                    k = base_i + ib
-                    y = col.get(k, 0) + cxa * xb
-                    if y:
-                        col[k] = y
-                    else:
-                        del col[k]
-
-
 def tensor(m: HModule, n: HModule) -> HModule:
     """Tensor product acting through the coproduct (leftmost factor slowest)."""
     if m.h is not n.h:
@@ -231,83 +199,6 @@ def tensor_actions(m: HModule, n: HModule):
 
 def _paren(lbl: str) -> str:
     return f"({lbl})" if "*" in lbl else lbl
-
-
-def elem_action_matrix(t: TensorElement, slots) -> Matrix:
-    """The action of a tensor element through one operator family per slot:
-    the sum over the terms c_I of t of c_I F_1[I_1] (x) ... (x) F_k[I_k].
-
-    A slot is a module (its action matrices) or an operator family: a list of
-    matrices, possibly rectangular, indexed by one leg's basis index.  A
-    family of nested lists takes as many consecutive legs as it is deep
-    (fused legs, e.g. ``QuasiHopfAlgebra.sandwich[i][j]``).
-
-    One Kronecker accumulation per head: terms are grouped by their index
-    prefix on all slots but the last, the head H (the product of those
-    slots) is built once per group, and sum_k c_k H (x) L_k is accumulated
-    as H (x) sum_k c_k L_k, the last-slot operators summed first over the
-    lcm of their denominators.  All integer: the element's coefficients are
-    scaled by the lcm of their denominators, each block to the lcm of its
-    head x last denominators over all blocks, and the sum is divided once,
-    by the product of the two lcms, when the result is built.
-    """
-    fams, arity, rows, cols = [], [], 1, 1
-    for s in slots:
-        fam = s.action if isinstance(s, HModule) else s
-        probe, k = fam, 0
-        while isinstance(probe, list):
-            probe, k = probe[0], k + 1
-        fams.append(fam)
-        arity.append(k)
-        rows, cols = rows * probe.rows, cols * probe.cols
-    if t.legs != sum(arity):
-        raise ValueError("leg count does not match the slots")
-    if not fams:
-        c = t.coeffs.get((), 0)
-        return Matrix(1, 1, [{0: c} if c else {}])
-
-    def pick(fam, idx):
-        for i in idx:
-            fam = fam[i]
-        return fam
-
-    split = t.legs - arity[-1]
-    den = _lcm_denominator(t.coeffs.values())
-    groups: dict[tuple, list] = {}  # per head prefix: its (last operator, coefficient) terms
-    for idx, c in (t.coeffs if den is None else _scaled(t.coeffs, den)).items():
-        groups.setdefault(idx[:split], []).append((pick(fams[-1], idx[split:]), c))
-    blocks = []
-    scale = 1  # lcm of head den x combined last den over the blocks
-    for lead, group in groups.items():
-        if len(group) == 1:
-            (last, c), = group
-        else:  # sum c F_last[i] over the lcm of the group's denominators
-            ld = lcm(*(m._int_form()[0] for m, _ in group))
-            acc: list[dict] = [dict() for _ in range(group[0][0].cols)]
-            for m, c in group:
-                md, mcols = m._int_form()
-                for col, mc in zip(acc, mcols):
-                    _add_shifted(col, mc, c * (ld // md), 0)
-            if not any(acc):
-                continue
-            last, c = Matrix._of(group[0][0].rows, len(acc), ld, acc), 1
-        head, pos = None, 0
-        for fam, k in zip(fams[:-1], arity):
-            mat = pick(fam, lead[pos:pos + k])
-            head = mat if head is None else head.kron(mat)
-            pos += k
-        head = Matrix.identity(1) if head is None else head
-        d = head._int_form()[0] * last._int_form()[0]
-        if d != 1:
-            scale = lcm(scale, d)
-        blocks.append((head, last, c, d))
-    if len(blocks) == 1:  # c / den times H kron L, no accumulation
-        (head, last, c, _), = blocks
-        return head.kron(last) * Fraction(c, den or 1) if c != (den or 1) else head.kron(last)
-    out: list[dict] = [dict() for _ in range(cols)]
-    for head, last, c, d in blocks:
-        _kron_into(out, head, last, c * (scale // d))
-    return Matrix._of(rows, cols, scale * (den or 1), out)
 
 
 def _flattened(mats: list[Matrix], as_row: bool) -> list[Matrix]:
@@ -463,17 +354,6 @@ def _unstacked(fs: Matrix, dn: int) -> Matrix:
             rho, a = divmod(k, dn)
             out[rho * fs.cols + c][a] = x
     return Matrix._of(dn, len(out), den, out)
-
-
-def _add_shifted(acc: dict, row: dict, c, off: int) -> None:
-    """acc[off + b] += c * row[b], in place, dropping cancellations."""
-    for b, y in row.items():
-        key = off + b
-        z = acc.get(key, 0) + c * y
-        if z:
-            acc[key] = z
-        else:
-            del acc[key]
 
 
 def hom_space(m: HModule, n: HModule) -> list[HLinearMap]:

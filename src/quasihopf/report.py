@@ -26,9 +26,6 @@ class Report:
         self.items.append(ReportItem(check_id, "pass" if ok else "fail", details))
         return ok
 
-    def extend(self, other: "Report") -> None:
-        self.items.extend(other.items)
-
     @property
     def ok(self) -> bool:
         return all(item.ok for item in self.items)

@@ -247,6 +247,21 @@ def test_dimension_limit(ctx_dr):
             Elaborator(ctx_dr).elaborate(parse(text))
 
 
+def test_typing_heart_builds_no_right_action(ctx_dr, monkeypatch):
+    # elaboration reads only heart(X)'s base: neither its right action nor
+    # X's own action is built before evaluation
+    from quasihopf import algebra_a
+    calls = []
+    real = algebra_a.heart_mu
+    monkeypatch.setattr(algebra_a, "heart_mu", lambda *a: calls.append(a) or real(*a))
+    typed = Elaborator(ctx_dr).elaborate(parse("id(heart(C*C*C))"))
+    assert typed.source._key[0] == "heart"
+    x = typed.source._key[1]
+    assert x.label == "(C*C)*C" and x._action is None
+    assert calls == []
+    assert "mu" not in x._memo["heart"]._memo
+
+
 # -- one pin per generator and object constructor ---------------------------------
 
 def _named_maps(ctx):

@@ -5,7 +5,7 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quasihopf import repcat
+from quasihopf import qha, repcat
 from quasihopf.algebra_a import build_A, heart_base
 from quasihopf.linalg import LegShape, LinearSystem, Matrix, inverse, spans_equal
 from quasihopf.qha import TensorElement
@@ -542,8 +542,8 @@ def test_unit_associator_runs_no_kronecker_loop(sw, monkeypatch):
     cc = tensor(c, c)
     assert len(sw.phi.coeffs) == 1 and cc.action  # operands built before the spy
     calls = []
-    real = repcat._kron_into
-    monkeypatch.setattr(repcat, "_kron_into", lambda *a: calls.append(a) or real(*a))
+    real = qha._kron_into
+    monkeypatch.setattr(qha, "_kron_into", lambda *a: calls.append(a) or real(*a))
     got = elem_action_matrix(sw.phi, [cc, cc, c])
     assert calls == []
     assert got.is_identity() and got == naive_elem_action(sw.phi, [cc, cc, c])

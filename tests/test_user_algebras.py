@@ -137,15 +137,15 @@ def test_elem_action_matrix_expands_once_per_head(dr2, monkeypatch):
     # the associator's terms are summed per head prefix in the last slot, so
     # the Kronecker accumulation runs once per distinct (i, j) of Phi_ijk on
     # [C, C, C] and not once per term: 64 terms and 16 heads on the square
-    from quasihopf import repcat
+    from quasihopf import qha, repcat
     calls = []
-    kron_into = repcat._kron_into
+    kron_into = qha._kron_into
 
     def spy(out, head, last, coeff):
         calls.append(1)
         kron_into(out, head, last, coeff)
 
-    monkeypatch.setattr(repcat, "_kron_into", spy)
+    monkeypatch.setattr(qha, "_kron_into", spy)
     for h in (get_algebra("drinfeld_h2"), dr2):
         c = repcat.regular_module(h)
         heads = {idx[:2] for idx in h.phi.coeffs}

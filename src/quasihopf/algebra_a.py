@@ -280,6 +280,13 @@ class HeartModule(Frozen):
     def center(self) -> CenterObject:
         return self.memo("center", lambda: extract_center_structure(self.h, self.inner))
 
+    @property
+    def evaluation(self) -> Matrix:
+        """The matrix of the evaluation family heart(M) (x) C -> C (x) M at
+        the regular module C (diamond)."""
+        return self.memo("evaluation",
+                         lambda: diamond(self.h, self.inner, regular_module(self.h)).matrix)
+
     def __repr__(self):
         return f"HeartModule({self.inner.label or '?'})"
 
@@ -299,14 +306,16 @@ def heart_on_morphism(f: HLinearMap) -> HLinearMap:
 def heart_compose(h: QuasiHopfAlgebra, m: HModule, n_mod: HModule) -> HLinearMap:
     """The lax monoidal structure heart(M) (x) heart(N) -> heart(M (x) N),
     computed as the inner composition of left-multiplication representatives
-    (evaluate the inner one, rebracket, evaluate the outer one, rebracket)."""
-    hm, hn = heart_base(h, m), heart_base(h, n_mod)
+    (evaluate the inner one, rebracket, evaluate the outer one, rebracket).
+    It reads the bases and evaluation families kept by heart(M) and heart(N)."""
+    hx, hy = heart(h, m), heart(h, n_mod)
+    hm, hn = hx.base, hy.base
     c = regular_module(h)
     mn = tensor(m, n_mod)
     chain = elem_action_matrix(h.phi, [c, m, n_mod]) \
-        * (diamond(h, m, c).matrix.kron(Matrix.identity(n_mod.dim))) \
+        * (hx.evaluation.kron(Matrix.identity(n_mod.dim))) \
         * elem_action_matrix(h.phi_inv, [hm, c, n_mod]) \
-        * (Matrix.identity(hm.dim).kron(diamond(h, n_mod, c).matrix)) \
+        * (Matrix.identity(hm.dim).kron(hy.evaluation)) \
         * elem_action_matrix(h.phi, [hm, hn, c])
     fam = HLinearMap(tensor(tensor(hm, hn), c),
                      tensor(unit_module(h), tensor(c, mn)),

@@ -687,6 +687,23 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return a.kron(b)
 
 
+def first_not_killed(f: Matrix, vectors) -> int | None:
+    """The index of the first vector that f does not map to zero, or None
+    when f kills them all.  The vectors (integer, or rational: only zero is
+    tested) may be a stream: each is multiplied by f alone (the product
+    loop on one column) and dropped, so they are never held whole.  A
+    one-entry vector x e_k (x != 0) needs no loop: f kills it exactly when
+    column k of f is zero."""
+    fcols = f._icols
+    for j, v in enumerate(vectors):
+        if len(v) == 1:
+            if fcols[next(iter(v))]:
+                return j
+        elif v and _int_product(fcols, [v])[0]:
+            return j
+    return None
+
+
 def _kron_into(cols: list[dict], a: Matrix, b: Matrix, coeff: int) -> None:
     """cols += coeff * (A kron B) for the integer columns A of a and B of b,
     accumulating in place and cancelling as it goes."""

@@ -9,7 +9,9 @@ a part of them, with repcat.intertwines.  The category is monoidal by
 coequalizing mu_M (x) id against id (x) lambda_N, the left action through
 center.braiding_inv.  Both quotients, the coinvariants and (x)_A, are
 built by _quotient_module and returned as one QuotientPresentation: a
-(projection, section) pair plus the quotient object.  Every induced map on
+(projection, section) pair plus the quotient object.  (x)_A eliminates
+only the relations at generators of M, and a product with the projection
+certifies every relation.  Every induced map on
 a quotient (action, coaction, right action, a morphism between
 coinvariants, the counit, the monoidal comparisons) comes from
 linalg.descend, which returns the map or reports that it does not exist.
@@ -29,7 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from math import lcm
 
-from .linalg import Matrix, cokernel_of_columns, descend, first_difference, rank, vec_add_scaled
+from .linalg import (Echelon, Matrix, _add_shifted, cokernel_of_columns, descend,
+                     first_difference, first_not_killed, rank)
 from .qha import Frozen, QuasiHopfAlgebra, elem_action_matrix, fused_family
 from .report import Report, VerificationFailure
 from .center import (CenterObject, braiding_inv, center_pairs, coaction_pairs, tensor_center,
@@ -139,13 +142,26 @@ class QuotientPresentation:
 
 
 def _quotient_module(h: QuasiHopfAlgebra, dim: int, actions, relations,
-                     label: str) -> QuotientPresentation:
+                     label: str, spanned=None) -> QuotientPresentation:
     """The quotient of the ambient module (dimension dim, the given actions)
     by the span of the relations (the integer columns of a matrix will do:
     scaling does not change a span).  The relations are consumed before the
     first action is drawn, and each action is descended and dropped in turn,
-    so both may be generators that build one item at a time."""
+    so both may be generators that build one item at a time.
+
+    With spanned = (vectors, name), the relations need only span the same
+    space as the vectors, a stream read one at a time: a product with each
+    certifies that the projection kills it, so that ker(projection), the
+    span of the relations, is the span of the vectors too.  At the first
+    vector it does not kill, VerificationFailure names it by name(index)."""
     proj, sec = cokernel_of_columns(dim, relations)
+    if spanned is not None:
+        vectors, name = spanned
+        j = first_not_killed(proj, vectors)
+        if j is not None:
+            raise VerificationFailure(
+                f"the relations eliminated for {label} do not span the rest: "
+                f"the projection does not kill relation {name(j)}")
     action = _descend_each(actions, proj, sec,
                            f"relation subspace of {label} is not stable under the action",
                            "action")
@@ -169,32 +185,80 @@ def _descend_each(maps, proj: Matrix, sec: Matrix, failure: str, kind: str) -> l
     return out
 
 
-def _fused_slot(mu: Matrix, left: HModule, right: HModule, used) -> list[list[Matrix]]:
+def _fused_slot(mu: Matrix, left: HModule, right: HModule, used,
+                rows=None) -> list[list[Matrix]]:
     """mu . (L_i (x) R_j) as a two-leg operator family for elem_action_matrix,
-    built at the index pairs (i, j) in used only (see qha.fused_family)."""
-    return fused_family(left.h.dim, 2, used,
-                        lambda i, j: mu * left.action[i].kron(right.action[j]),
-                        Matrix.zero(mu.rows, mu.cols), {})
+    built at the index pairs (i, j) in used only (see qha.fused_family); with
+    a list of rows, on the columns rows (x) right only, in that order."""
+    lefts = left.action if rows is None else [f.select(rows) for f in left.action]
+    return fused_family(left.h.dim, 2, used, lambda i, j: mu * lefts[i].kron(right.action[j]),
+                        Matrix.zero(mu.rows, lefts[0].cols * right.dim), {})
 
 
-def _coequalizer_relations(m: AModule, n_mod: AModule):
+def _generators(m: AModule) -> list[int]:
+    """Indices k of unit vectors e_k that generate m as a right module,
+    taken greedily in index order until mu(span G (x) A) is all of m; on a
+    heart(X) they are the dim(X) vectors e_0 (x) v.  Spun once per right
+    module, in its memo."""
+    def make():
+        n = m.a.h.dim
+        cols = m.mu._int_form()[1]
+        ech, gens = Echelon(), []
+        for k in range(m.dim):
+            if ech.rank == m.dim:
+                break
+            if ech.reduce({k: 1}):
+                gens.append(k)
+                for b in range(n):
+                    r = ech.reduce(cols[k * n + b])
+                    if r:
+                        ech.insert(r)
+        return gens
+    return m.memo("generators", make)
+
+
+def _coequalizer_relations(m: AModule, n_mod: AModule, rows=None):
     """The integer columns of (mu_M (x) id) . Phi^-1 - id (x) lambda_N on
-    M (x) (A (x) N), zero columns kept, yielded one at a time: the first
-    term through the fused slot mu_M . (M_i (x) A_j), the second subtracted
+    e_k (x) (A (x) N) for the M-rows k in rows (a list; all when None), row
+    by row, zero columns kept, yielded one at a time: the first term through
+    the fused slot mu_M . (M_i (x) A_j) on those rows, the second subtracted
     column by column."""
     h, dn = m.a.h, n_mod.dim
     used = {idx[:2] for idx in h.phi_inv.coeffs}
-    top = elem_action_matrix(h.phi_inv, [_fused_slot(m.mu, m.base, m.a.base, used), n_mod.base])
+    top = elem_action_matrix(h.phi_inv, [_fused_slot(m.mu, m.base, m.a.base, used, rows),
+                                         n_mod.base])
+    rows = range(m.dim) if rows is None else rows
     tden, tcols = top._int_form()
     lden, lcols = left_action(n_mod).matrix._int_form()
     den = lcm(tden, lden)
     st, sl = den // tden, -(den // lden)
     width = len(lcols)  # dim (A (x) N)
-    for c, col in enumerate(tcols):
-        mm, r = divmod(c, width)
-        rel = {i: st * x for i, x in col.items()}
-        vec_add_scaled(rel, {mm * dn + i: x for i, x in lcols[r].items()}, sl)
-        yield rel
+    for k, row in enumerate(rows):
+        off = row * dn
+        for col, lcol in zip(tcols[k * width:(k + 1) * width], lcols):
+            rel = dict(col) if st == 1 else {i: st * x for i, x in col.items()}
+            _add_shifted(rel, lcol, sl, off)
+            yield rel
+
+
+def _coequalizer(m: AModule, n_mod: AModule) -> QuotientPresentation:
+    """The quotient of M (x) N by the relations of (x)_A, with its H-action.
+
+    Only the relations at the generators G of M (_generators) are
+    eliminated: where m = mu(g (x) b), the relation at m (x) a (x) n is a
+    combination of relations at g (x) A (x) N, as a Hopf module is free on
+    its coinvariants (Schauenburg, Trans. AMS 354 (2002)).  _quotient_module
+    certifies by products that the projection kills every relation, all
+    from the one stream _coequalizer_relations, so its kernel is their
+    span; an echelon's pivots depend only on its span, so the projection
+    and section are those of the full elimination."""
+    h = m.a.h
+    width = h.dim * n_mod.dim  # relations per M-row
+    return _quotient_module(h, m.dim * n_mod.dim, tensor_actions(m.base, n_mod.base),
+                            _coequalizer_relations(m, n_mod, _generators(m)),
+                            f"({m.label or '?'})(x)A({n_mod.label or '?'})",
+                            spanned=(_coequalizer_relations(m, n_mod),
+                                     lambda j: f"(M-row {j // width}, column {j % width})"))
 
 
 def tensor_over_A(m: AModule, n_mod: AModule) -> QuotientPresentation:
@@ -203,25 +267,26 @@ def tensor_over_A(m: AModule, n_mod: AModule) -> QuotientPresentation:
     left action through the inverse braiding; its module is the AModule
     M (x)_A N (validated by whoever requires it, see AModule.require_valid).
 
+    The quotient and its action come from _coequalizer, which eliminates
+    the relations at the generators of M only and certifies the rest.
+
     No padded map is built: the relations come from the fused slot
-    mu_M . (M_i (x) A_j) (see _coequalizer_relations), and the right action
-    of M (x) N from the fused slot mu_N . (N_j (x) A_k).  The quotient's
-    action (through _quotient_module), the H-leg blocks of its coaction and
-    the column blocks of its right action are each descended by
-    descend(f, P, S, P) on the ambient endomorphism f.  No ambient map is
-    held whole beside another: the relations are consumed before the ambient
-    actions are built; each action of Delta(e_i) (repcat.tensor_actions) and
-    each coaction block (center.tensor_coaction_blocks, whose oracle is
+    mu_M . (M_i (x) A_j), and the right action of M (x) N from the fused
+    slot mu_N . (N_j (x) A_k).  The quotient's action (through
+    _quotient_module), the H-leg blocks of its coaction and the column
+    blocks of its right action are each descended by descend(f, P, S, P) on
+    the ambient endomorphism f.  No ambient map is held whole beside
+    another: the relations are consumed before the ambient actions are
+    built; each action of Delta(e_i) (repcat.tensor_actions) and each
+    coaction block (center.tensor_coaction_blocks, whose oracle is
     center.tensor_center) is built just before it is descended and dropped
     after (the coaction descends iff the relations span a subcomodule); and
     the ambient right action is built last.
     """
     a, h = m.a, m.a.h
     n = h.dim
-    label = f"({m.label or '?'})(x)A({n_mod.label or '?'})"
-    pres = _quotient_module(h, m.dim * n_mod.dim, tensor_actions(m.base, n_mod.base),
-                            _coequalizer_relations(m, n_mod), label)
-    proj, sec = pres.projection, pres.section
+    pres = _coequalizer(m, n_mod)
+    proj, sec, label = pres.projection, pres.section, pres.module.label
     coaction = _descend_each(tensor_coaction_blocks(m.center, n_mod.center), proj, sec,
                              "coaction does not descend to the quotient", "coaction block")
 
@@ -326,6 +391,17 @@ def counit_iso(x: HModule, a: AlgebraA) -> tuple[HLinearMap, Report]:
     return iso, rep
 
 
+def _add_identity(rep: Report, check_id: str, ok: bool, lhs: Matrix, rhs) -> None:
+    """Add the matrix identity lhs == rhs() as check_id, its truth ok; a
+    failure's details name the first column and row where the two differ
+    (rhs() and the difference computed on failure only)."""
+    if ok:
+        rep.add(check_id, True)
+    else:
+        col, row = first_difference(lhs, rhs())
+        rep.add(check_id, False, f"differs at column {col}, row {row}")
+
+
 def unit_iso(m: AModule) -> tuple[HLinearMap, HLinearMap, Report]:
     """xi: heart(coinv(M)) -> M and zeta back, mutually inverse in the category.
 
@@ -345,16 +421,21 @@ def unit_iso(m: AModule) -> tuple[HLinearMap, HLinearMap, Report]:
     hsec = Matrix.identity(n).kron(pres.section)
     # factorization well-defined: big_xi kills heart of the relations
     diff = m.mu - Matrix.identity(m.dim).kron(a.eps_row)
-    rep.add("factorization_well_defined",
-            (big_xi * Matrix.identity(n).kron(diff)).is_zero())
+    killed = big_xi * Matrix.identity(n).kron(diff)
+    _add_identity(rep, "factorization_well_defined", killed.is_zero(),
+                  killed, lambda: Matrix.zero(killed.rows, killed.cols))
     xi_mat = big_xi * hsec
-    rep.add("factorization_recovers", xi_mat * hp == big_xi)
+    recovered = xi_mat * hp
+    _add_identity(rep, "factorization_recovers", recovered == big_xi,
+                  recovered, lambda: big_xi)
 
     u_embed = Matrix.identity(m.dim).kron(Matrix(n, 1, [dict(a.unit_vec)]))  # M -> M (x) A
     zeta_mat = hp * t_map.matrix * u_embed
 
-    rep.add("zeta_then_xi", (xi_mat * zeta_mat).is_identity())
-    rep.add("xi_then_zeta", (zeta_mat * xi_mat).is_identity())
+    for check_id, loop in (("zeta_then_xi", xi_mat * zeta_mat),
+                           ("xi_then_zeta", zeta_mat * xi_mat)):
+        _add_identity(rep, check_id, loop.is_identity(), loop,
+                      lambda: Matrix.identity(loop.rows))
 
     hb_coinv = heart_amodule(a, pres.module)
     xi = HLinearMap(hb_coinv.base, m.base, xi_mat)
@@ -393,7 +474,10 @@ def equivalence_report(h: QuasiHopfAlgebra, test_objects=None) -> Report:
     heart modules, hom dimensions match across the functor, and the
     descended lax structure is invertible.  Every id is always reported: a
     check that raises VerificationFailure is a FAIL item whose details name
-    the failed sub-checks.
+    the failed sub-checks, each with its own details (where it fails).
+    The monoidal check of X and Y reads heart(X (x) Y) from the test object
+    equal to X (x) Y when there is one, so a heart the report holds is not
+    built again.
     """
     a = build_A(h)
     rep = Report(title=f"equivalence[{h.name or 'H'}]")
@@ -403,13 +487,15 @@ def equivalence_report(h: QuasiHopfAlgebra, test_objects=None) -> Report:
 
     def check(check_id: str, run) -> None:
         """Add run()'s (ok, details); a failure raised inside is a FAIL item
-        naming the failed sub-checks, and the report goes on."""
+        naming the failed sub-checks, each with its details, and the report
+        goes on."""
         try:
             ok, details = run()
         except VerificationFailure as exc:
             failed = exc.report.failures() if exc.report is not None else []
-            ok, details = False, ("failed: " + ", ".join(i.id for i in failed)
-                                  if failed else str(exc))
+            ok, details = False, ("failed: " + ", ".join(
+                f"{i.id} ({i.details})" if i.details else i.id for i in failed)
+                if failed else str(exc))
         rep.add(check_id, ok, details)
 
     for x in test_objects:
@@ -432,14 +518,24 @@ def equivalence_report(h: QuasiHopfAlgebra, test_objects=None) -> Report:
              for x in test_objects for y in test_objects]
     for x, y, names in pairs:
         check(f"hom_dims[{names}]", lambda: hom_dims(x, y))
+
+    def target(x, y):
+        """The test object equal to X (x) Y, whose heart the report holds,
+        or X (x) Y itself."""
+        xy = tensor(x, y)
+        return next((t for t in test_objects if t == xy), xy)
+
     for x, y, names in pairs:
-        check(f"monoidal_heart[{names}]", lambda: (_descended_compose_iso(a, x, y), ""))
+        check(f"monoidal_heart[{names}]",
+              lambda: (_descended_compose_iso(a, x, y, target(x, y)), ""))
     return rep
 
 
-def _descended_compose_iso(a: AlgebraA, x: HModule, y: HModule) -> bool:
+def _descended_compose_iso(a: AlgebraA, x: HModule, y: HModule, xy: HModule) -> bool:
     """heart(X) (x)_A heart(Y) -> heart(X (x) Y) via the descended composition:
-    True, or VerificationFailure naming the first stage that fails.
+    True, or VerificationFailure naming the first stage that fails.  xy is a
+    module equal to X (x) Y (HModule ==), so heart(xy) is heart(X (x) Y):
+    passing an object whose heart is already built saves building it again.
 
     Only the matrix of heart_compose is kept, and it and the quotient
     presentation are dropped once the composition has descended, so that
@@ -460,7 +556,7 @@ def _descended_compose_iso(a: AlgebraA, x: HModule, y: HModule) -> bool:
     if r != descended.rows:
         raise VerificationFailure(f"the descended map has rank {r} < {descended.rows}")
     # it must also be a morphism of right modules in the centre
-    pairs = amodule_pairs(quot, heart_amodule(a, tensor(x, y)))
+    pairs = amodule_pairs(quot, heart_amodule(a, xy))
     for k, (p, q) in enumerate(pairs):
         col_row = first_difference(descended * p, q * descended)
         if col_row is not None:

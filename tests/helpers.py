@@ -6,7 +6,8 @@ plain product and Kronecker loops that ``Matrix.then``, ``Matrix.kron`` and
 operators of ``QuasiHopfAlgebra`` (L_c, R_c, the sandwiches, the adjoint
 action, the iterated coproduct) are compared with, the padded-map
 construction of the centre tensor and of the coequalizer over the algebra
-that ``tensor_center`` and ``tensor_over_A`` are compared with, the full
+that ``tensor_over_A`` are compared with, the elimination of every relation
+of that coequalizer that its relations at generators are compared with, the full
 braiding of heart(M) past any X that ``extract_center_structure`` is
 compared with, the stacked view of a centre object's coaction blocks, a
 traced memory peak and the traced peaks of the stages of a computation,
@@ -23,7 +24,7 @@ from quasihopf.linalg import (ONE, ZERO, LinAlgError, Matrix, cokernel_of_column
                               rat_str, vec_add_scaled)
 from quasihopf.qhio import center_to_obj
 from quasihopf.qha import TensorElement, beta_contraction
-from quasihopf.mod_a import AModule, QuotientPresentation, left_action
+from quasihopf.mod_a import AModule, QuotientPresentation, _coequalizer_relations, left_action
 from quasihopf.repcat import (HLinearMap, HModule, associator, associator_inv, elem_action_matrix,
                               identity_map, regular_module, tensor, unit_module)
 from quasihopf.report import Report, VerificationFailure
@@ -352,6 +353,14 @@ def naive_tensor_center(m, n):
               associator(c_mod, m.base, n.base)):
         coaction = coaction.then(f.matrix)
     return center_of(base, coaction, label=f"({m.label or '?'})*({n.label or '?'})")
+
+
+def full_elimination(m, n_mod) -> tuple[Matrix, Matrix]:
+    """(projection, section) of M (x) N by every relation of the coequalizer
+    over the algebra, all eliminated at once by cokernel_of_columns: the
+    oracle of the relations at the generators that ``mod_a.tensor_over_A``
+    eliminates."""
+    return cokernel_of_columns(m.dim * n_mod.dim, _coequalizer_relations(m, n_mod))
 
 
 def naive_tensor_over_A(m, n_mod):

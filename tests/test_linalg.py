@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from quasihopf.linalg import (Echelon, LegShape, LinAlgError, LinearSystem, Matrix,
                               cokernel, cokernel_of_columns, descend, first_difference,
-                              inverse, kernel, kron, left_divide, rank, rat, rat_str, solve,
+                              first_not_killed, inverse, kernel, kron, left_divide, rank, rat, rat_str, solve,
                               span_basis, spans_equal)
 
 from helpers import SCALARS, factors, from_cols, from_dense, naive_kron, naive_product
@@ -494,6 +494,28 @@ def test_first_difference_is_the_first_unequal_entry_column_by_column(m, n, data
     unequal = [(j, i) for j in range(n) for i in range(m) if a_rows[i][j] != b_rows[i][j]]
     assert first_difference(a, b) == (unequal[0] if unequal else None)
     assert first_difference(b, a) == first_difference(a, b)
+
+
+@given(st.integers(1, 4), st.integers(1, 5), st.data())
+@settings(max_examples=60, deadline=None)
+def test_first_not_killed_is_the_first_vector_with_a_nonzero_image(m, n, data):
+    # vectors of f's kernel and others, of one and several entries, integer
+    # and rational, in a drawn order, read from a stream
+    f = from_dense(data.draw(factors(m, n)), n)
+    vectors = data.draw(st.lists(st.dictionaries(st.integers(0, n - 1), SCALARS.filter(bool),
+                                                 max_size=3), max_size=6))
+    vectors = data.draw(st.permutations(vectors + kernel(f)))
+    killed = [not f.apply(v) for v in vectors]
+    want = killed.index(False) if not all(killed) else None
+    assert first_not_killed(f, iter(vectors)) == want
+
+
+def test_first_not_killed_reads_a_one_entry_vector_off_the_column():
+    f = mat([[1, 1, 0], [0, 0, 0]])  # kills e_2 and e_0 - e_1
+    vectors = [{}, {2: 3}, {0: 1, 1: -1}, {0: Fraction(1, 2), 1: Fraction(-1, 2)}, {1: 5}, {2: 1}]
+    assert first_not_killed(f, vectors) == 4
+    assert first_not_killed(f, vectors[:4]) is None
+    assert first_not_killed(f, []) is None
 
 
 def test_first_difference_needs_one_shape():

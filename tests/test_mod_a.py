@@ -20,9 +20,9 @@ from quasihopf.mod_a import (AModule, algebra_as_amodule, amodule_hom_space,
                              heart_amodule, left_action,
                              _quotient_module, tensor_over_A, unit_iso, validate_amodule)
 
-from conftest import get_algebra
-from helpers import (left_action_report, mul_vec, naive_tensor_center, naive_tensor_over_A,
-                     stacked, stage_peaks, traced_peak)
+from conftest import DENSE_TWIST, SQUARE, TWISTED, get_algebra
+from helpers import (full_elimination, left_action_report, mul_vec, naive_tensor_center,
+                     naive_tensor_over_A, stacked, stage_peaks, traced_peak)
 
 
 def test_algebra_is_a_module(any_h):
@@ -97,7 +97,7 @@ def test_heart_tensor_heart_matches_heart_of_tensor(any_h):
     from quasihopf.mod_a import _descended_compose_iso
     a = build_A(any_h)
     c = regular_module(any_h)
-    assert _descended_compose_iso(a, c, c)
+    assert _descended_compose_iso(a, c, c, tensor(c, c))
 
 
 # -- coinvariants ----------------------------------------------------------------
@@ -406,9 +406,11 @@ def test_equivalence_report_on_twist_default_objects(tw):
 
 
 def test_twist_relations_are_eliminated_sparsest_first(tw, monkeypatch):
-    # the [I;C] relations of the twist: 256 vectors in dimension 64, rank 48.
-    # Sparsest first, the echelon rows hold 2.5 entries on average; in caller
-    # order they fill in to 15.4, and on [C;C(x)C] that costs about a minute
+    # the [I;C] relations of the twist at the one generator of heart(I): 64
+    # of the 256 vectors in dimension 64, rank 48, in one extend (the
+    # generators are spun by reduce and insert).  Sparsest first, the echelon
+    # rows hold 2.33 entries on average (2.5 for all 256); in caller order
+    # all 256 fill in to 15.4, and on [C;C(x)C] that costs about a minute
     seen = []
     extend = Echelon.extend
 
@@ -423,7 +425,7 @@ def test_twist_relations_are_eliminated_sparsest_first(tw, monkeypatch):
     monkeypatch.setattr(Echelon, "extend", spy)
     tensor_over_A(x, y)
     (count, rank, mean_row), = seen
-    assert (count, rank) == (256, 48)
+    assert (count, rank) == (64, 48)
     assert mean_row <= 4
 
 
@@ -450,6 +452,77 @@ def test_tensor_over_A_quotient_matches_the_precomposed_relations(any_h_tw, xs, 
     diff = _precomposed_relations(m, n_mod)
     proj, sec = cokernel_of_columns(diff.rows, diff._int_form()[1])
     assert (pres.projection, pres.section) == (proj, sec)
+
+
+@pytest.mark.parametrize("name, limit", [
+    ("group_z2", None), ("drinfeld_h2", None), ("sweedler_h4", None),
+    (TWISTED, 256), (DENSE_TWIST, 256), (SQUARE, 256),
+    *(pytest.param(name, 1024, marks=pytest.mark.slow) for name in (TWISTED, DENSE_TWIST, SQUARE))])
+def test_relations_at_generators_give_the_full_elimination(name, limit):
+    # (x)_A eliminates the relations at the generators of M only; its
+    # projection and section equal those of all relations eliminated, on
+    # every pair of heart(I), heart(C), heart(C(x)C), A and A(x)A.  Where
+    # the ambient coaction blocks are slow to build (the twists, the dr2
+    # square), the quotient step of (x)_A alone, _coequalizer, on the pairs
+    # of ambient dimension at most limit; without heart(C(x)C), whose
+    # centre and left action take most of the time there, at 256, and with
+    # it, about 10 s, under -m slow at 1024
+    h = get_algebra(name)
+    a = build_A(h)
+    c = regular_module(h)
+    mods = [heart_amodule(a, unit_module(h)), heart_amodule(a, c),
+            algebra_as_amodule(a), free_amodule(a, a.center)]
+    if limit != 256:
+        mods.append(heart_amodule(a, tensor(c, c)))
+    # each is free over A, of rank dim / dim H, and the greedy spin finds a basis
+    assert [len(mod_a._generators(m)) for m in mods] == [m.dim // h.dim for m in mods]
+    checked = 0
+    for m in mods:
+        for n_mod in mods:
+            if limit is not None and m.dim * n_mod.dim > limit:
+                continue
+            pres = (tensor_over_A if limit is None else mod_a._coequalizer)(m, n_mod)
+            assert (pres.projection, pres.section) == full_elimination(m, n_mod), \
+                (m.label, n_mod.label)
+            checked += 1
+    assert checked == {None: 25, 256: 16, 1024: 24}[limit]
+
+
+@pytest.mark.parametrize("name, witness", [("drinfeld_h2", "(M-row 1, column 4)"),
+                                           ("sweedler_h4", "(M-row 3, column 16)")])
+def test_a_dropped_generator_fails_the_relation_certificate(name, witness, monkeypatch):
+    # heart(C) (x)_A heart(C) with the last generator e_0 (x) v of heart(C)
+    # dropped: its relations are not eliminated, and the certificate names
+    # the first relation that the smaller quotient's projection does not kill
+    h = get_algebra(name)
+    a = build_A(h)
+    m = heart_amodule(a, regular_module(h))
+    gens = mod_a._generators(m)
+    assert gens == list(range(h.dim))
+    monkeypatch.setattr(mod_a, "_generators", lambda mm: gens[:-1])
+    with pytest.raises(VerificationFailure) as exc:
+        tensor_over_A(m, m)
+    assert str(exc.value) == ("the relations eliminated for (heart(C))(x)A(heart(C)) do not "
+                              f"span the rest: the projection does not kill relation {witness}")
+
+
+def test_the_report_reuses_the_hearts_it_holds(monkeypatch):
+    # heart(X (x) Y) of the six monoidal checks whose X (x) Y equals a test
+    # object is that object's: 13 centre extractions and right actions per
+    # report, not 19; with the evaluation families at C kept by heart(X),
+    # 42 diamonds, not 63
+    from quasihopf import algebra_a
+    from quasihopf.qha import builtin
+    calls = {}
+    for fn in ("extract_center_structure", "heart_mu", "diamond"):
+        def counted(*args, _fn=getattr(algebra_a, fn), _name=fn):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(algebra_a, fn, counted)
+    for name in ("group_z2", "drinfeld_h2", "sweedler_h4"):
+        calls.update(extract_center_structure=0, heart_mu=0, diamond=0)
+        assert equivalence_report(builtin(name)).ok
+        assert calls == {"extract_center_structure": 13, "heart_mu": 13, "diamond": 42}, name
 
 
 def _heart_objects(h, names):
@@ -492,7 +565,9 @@ def test_no_two_padded_maps_are_alive_at_once(sw):
     # the monoidal check (heart(C(x)C) (x)_A heart(C(x)C)) the stage peaks
     # at 6.93 MB with the relations consumed before the first action is
     # built, 8.18 MB with the 16384 relation vectors alive through the
-    # action descents.
+    # action descents; 5.76 MB with only the relations at the generators
+    # eliminated and every relation streamed through the certificate, 9.14
+    # MB when that stream stays alive through the action descents.
     hearts = _heart_objects(sw, ("C", "CC"))
     m, n_mod = hearts["C"], hearts["CC"]
     tensor_over_A(m, n_mod)
@@ -514,8 +589,9 @@ def _monoidal_check_peaks() -> dict[str, int]:
     a = build_A(sw)
     c = regular_module(sw)
     cc = tensor(c, c)
-    mod_a._descended_compose_iso(a, cc, cc)
-    return stage_peaks([("monoidal_heart", lambda: mod_a._descended_compose_iso(a, cc, cc))],
+    mod_a._descended_compose_iso(a, cc, cc, tensor(cc, cc))
+    return stage_peaks([("monoidal_heart",
+                         lambda: mod_a._descended_compose_iso(a, cc, cc, tensor(cc, cc)))],
                        inner=[("heart_compose", mod_a, "heart_compose"),
                               ("tensor_over_A", mod_a, "tensor_over_A"),
                               ("heart(X(x)Y)", mod_a, "heart_amodule")])
@@ -585,7 +661,7 @@ def _mutant_compose(sw, monkeypatch, post):
 
     monkeypatch.setattr(mod_a, "heart_compose", mutant)
     with pytest.raises(VerificationFailure) as exc:
-        mod_a._descended_compose_iso(a, x, y)
+        mod_a._descended_compose_iso(a, x, y, tensor(x, y))
     return str(exc.value)
 
 
@@ -637,3 +713,21 @@ def test_a_failing_monoidal_heart_shows_its_witness_in_the_report(sw, monkeypatc
     assert item.details.startswith("the descended map has rank ")
     assert all(i.ok and not i.details for i in rep.items
                if not i.id.startswith(("monoidal_heart", "hom_dims")))
+
+
+def test_a_failing_unit_iso_names_where_in_the_report(z2, monkeypatch):
+    # t doubled: zeta . xi and xi . zeta are twice the identity, and the
+    # report names each failed identity with its first differing column and row
+    s_t_isos = mod_a.s_t_isos
+
+    def doubled(m, a):
+        s, t, rep = s_t_isos(m, a)
+        return s, HLinearMap(t.source, t.target, 2 * t.matrix), rep
+
+    monkeypatch.setattr(mod_a, "s_t_isos", doubled)
+    rep = equivalence_report(z2)
+    where = "differs at column 0, row 0"
+    assert [(i.id, i.details) for i in rep.items if not i.ok] == [
+        (f"unit_iso[{name}]", f"failed: zeta_then_xi ({where}), xi_then_zeta ({where})")
+        for name in ("A", "(A)*A", "heart(C)")]
+    assert all(not i.details for i in rep.items if i.ok and not i.id.startswith("hom_dims"))
